@@ -352,16 +352,7 @@ class Parser:
                         )
                     jet = (unknowns.index(tok.text), (0,) * len(variables))
                 elif tok.text in variables:
-                    power = 1
-                    if self.at("^"):
-                        self.advance()
-                        ptok = self.expect(kind="number", expected={"integer"})
-                        power = int(parse_number(ptok))
-                        if power < 0:
-                            raise ParseError(
-                                "negative powers are not polynomial",
-                                ptok.line, ptok.col,
-                            )
+                    power = self.parse_power()
                     coeff = coeff * MultiPoly.variable(variables, tok.text) ** power
                 else:
                     raise ParseError(
@@ -384,6 +375,19 @@ class Parser:
                 first.line, first.col,
             )
         return jet, coeff
+
+    def parse_power(self):
+        """Exponent after a variable: '^k' with k a non-negative integer, else 1."""
+        if not self.at("^"):
+            return 1
+        self.advance()
+        ptok = self.expect(kind="number", expected={"integer"})
+        power = parse_number(ptok)  # number tokens carry no sign
+        if power.denominator != 1:
+            raise ParseError(
+                f"exponent {ptok.text!r} is not an integer", ptok.line, ptok.col, {"integer"}
+            )
+        return int(power)
 
     # -- auxiliary blocks --------------------------------------------------------------
 
@@ -434,11 +438,7 @@ class Parser:
                 coeff = coeff * parse_number(tok)
             elif tok.kind == "name" and tok.text in variables:
                 self.advance()
-                power = 1
-                if self.at("^"):
-                    self.advance()
-                    ptok = self.expect(kind="number", expected={"integer"})
-                    power = int(parse_number(ptok))
+                power = self.parse_power()
                 coeff = coeff * MultiPoly.variable(variables, tok.text) ** power
             else:
                 raise ParseError(

@@ -1,8 +1,10 @@
-"""Exact dense linear algebra over QQi: rref, rank, kernels, solving.
+"""Exact sparse linear algebra over Q and Q(i): rref, rank, kernels, solving.
 
-Matrices are small (symbol maps, delta maps, Gram matrices), so plain
-fraction-free-ish Gaussian elimination on Fraction pairs is fast enough and
-keeps every rank and dimension claim exact.
+A matrix is a list of rows, each a dict column -> nonzero entry.  Symbol,
+prolongation and delta matrices are sparse integer-like matrices, so
+elimination only touches stored entries.  Entries are Fractions; a matrix
+switches to QQi entries only when some entry has a nonzero imaginary part.
+Every rank and dimension claim stays exact.
 """
 
 from __future__ import annotations
@@ -12,61 +14,142 @@ from fractions import Fraction
 from .scalars import QQi
 
 
+def _scalar(x):
+    """Fraction for a real value, QQi only for a nonzero imaginary part."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, QQi):
+        return x if x.im else x.re
+    return Fraction(x)
+
+
+def _gauss_jordan(rows):
+    """Reduce sparse rows; returns (pivot -> reduced row, pivot product).
+
+    Each incoming row is cleared at the pivot columns found so far (the
+    stored rows are zero at every other pivot, so one pass suffices), and
+    its leading column becomes a new pivot.  The stored rows therefore
+    always form the reduced row echelon form of the rows seen, which is
+    unique.  The pivot product multiplies the leading entries met before
+    normalising (0 once a row reduces to zero); the dict keeps the pivots
+    in arrival order, which det() needs for the sign.
+    """
+    reduced = {}
+    factor = 1
+    for row in rows:
+        r = dict(row)
+        for c in [c for c in r if c in reduced]:
+            f = r[c]
+            for k, v in reduced[c].items():
+                x = r.get(k)
+                if x is None:
+                    r[k] = -f * v
+                else:
+                    x = x - f * v
+                    if x:
+                        r[k] = x
+                    else:
+                        del r[k]
+        if not r:
+            factor = 0
+            continue
+        p = min(r)
+        lead = r[p]
+        factor = factor * lead
+        inv = 1 / lead
+        r = {k: v * inv for k, v in r.items()}
+        for other in reduced.values():
+            f = other.get(p)
+            if f:
+                for k, v in r.items():
+                    x = other.get(k)
+                    if x is None:
+                        other[k] = -f * v
+                    else:
+                        x = x - f * v
+                        if x:
+                            other[k] = x
+                        else:
+                            del other[k]
+        reduced[p] = r
+    return reduced, factor
+
+
 class ExactMatrix:
-    __slots__ = ("rows", "cols", "data")
+    """Sparse exact matrix; build it from dense rows or with ``sparse``."""
+
+    __slots__ = ("rows", "cols", "_rows", "_zero")
 
     def __init__(self, data, cols=None):
-        self.data = [[QQi.of(x) for x in row] for row in data]
-        self.rows = len(self.data)
-        if self.rows:
-            self.cols = len(self.data[0])
-            if any(len(r) != self.cols for r in self.data):
+        rows = [dict(enumerate(r)) for r in data]
+        if rows:
+            cols = len(rows[0])
+            if any(len(r) != cols for r in rows):
                 raise ValueError("ragged matrix")
+        self._set(rows, cols or 0)
+
+    def _set(self, rows, cols):
+        self.rows, self.cols = len(rows), cols
+        clean = [{c: y for c, x in r.items() if (y := _scalar(x))} for r in rows]
+        if any(isinstance(x, QQi) for r in clean for x in r.values()):
+            clean = [{c: QQi.of(x) for c, x in r.items()} for r in clean]
+            self._zero = QQi(0)
         else:
-            self.cols = 0 if cols is None else cols
+            self._zero = Fraction(0)
+        self._rows = clean
+
+    @classmethod
+    def sparse(cls, rows, cols):
+        """Matrix from rows given as dicts column -> entry (zeros may be omitted)."""
+        mat = cls.__new__(cls)
+        mat._set(rows, cols)
+        return mat
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls([[QQi(0)] * cols for _ in range(rows)], cols=cols)
+        return cls.sparse([{} for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, n):
-        return cls([[QQi(1 if i == j else 0) for j in range(n)] for i in range(n)])
+        return cls.sparse([{i: 1} for i in range(n)], n)
 
-    def copy_data(self):
-        return [row[:] for row in self.data]
+    def __getitem__(self, ij):
+        i, j = ij
+        return self._rows[i].get(j, self._zero)
+
+    def row(self, i):
+        """Nonzero entries of row i as a dict column -> entry (do not mutate)."""
+        return self._rows[i]
 
     def transpose(self):
-        return ExactMatrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        out = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self._rows):
+            for j, x in r.items():
+                out[j][i] = x
+        return ExactMatrix.sparse(out, self.rows)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                s = QQi(0)
-                for k in range(self.cols):
-                    a = self.data[i][k]
-                    if a:
-                        s = s + a * other.data[k][j]
-                row.append(s)
-            out.append(row)
-        return ExactMatrix(out, cols=other.cols)
+        for r in self._rows:
+            acc = {}
+            for k, a in r.items():
+                for j, b in other._rows[k].items():
+                    x = acc.get(j)
+                    acc[j] = a * b if x is None else x + a * b
+            out.append(acc)
+        return ExactMatrix.sparse(out, other.cols)
 
     def is_zero(self):
-        return all(not x for row in self.data for x in row)
+        return not any(self._rows)
 
     def __eq__(self, other):
         return (
             isinstance(other, ExactMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self._rows == other._rows
         )
 
     def __repr__(self):
@@ -75,170 +158,66 @@ class ExactMatrix:
     # -- elimination -----------------------------------------------------------
 
     def rref(self):
-        """Reduced row echelon form; returns (rows, pivot column list)."""
-        m = self.copy_data()
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pr = None
-            for i in range(r, self.rows):
-                if m[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = QQi(1) / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return m, pivots
+        """Reduced row echelon form: (nonzero rows as dicts, pivot columns)."""
+        reduced, _ = _gauss_jordan(self._rows)
+        pivots = sorted(reduced)
+        return [reduced[p] for p in pivots], pivots
 
     def rank(self):
         return len(self.rref()[1])
 
     def kernel_basis(self):
-        """Basis of the right kernel {v : A v = 0}; count = cols - rank."""
-        m, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for fc in free:
-            v = [QQi(0)] * self.cols
-            v[fc] = QQi(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -m[r][fc]
-            basis.append(v)
-        return basis
+        """Basis of the right kernel {v : A v = 0}; count = cols - rank.
 
-    def row_space_basis(self):
-        m, pivots = self.rref()
-        return [m[i] for i in range(len(pivots))]
+        Vectors are dense lists in free-column form: the vector of free
+        column f is 1 at f and 0 at every other free column, so the
+        coordinates of a kernel element are its entries at the free
+        columns.  Its last nonzero entry is the one at f.
+        """
+        rows, pivots = self.rref()
+        pivot_set = set(pivots)
+        zero, one = self._zero, self._zero + 1
+        basis = {}
+        for f in range(self.cols):
+            if f not in pivot_set:
+                v = [zero] * self.cols
+                v[f] = one
+                basis[f] = v
+        for row, p in zip(rows, pivots):
+            for f, x in row.items():
+                if f != p:
+                    basis[f][p] = -x
+        return list(basis.values())
 
     def solve_right(self, b):
-        """One solution of A x = b, or None if inconsistent."""
-        aug = [row[:] + [QQi.of(bv)] for row, bv in zip(self.data, b)]
-        m, pivots = ExactMatrix(aug, cols=self.cols + 1).rref()
-        for row in m:
-            if not any(row[:-1]) and row[-1]:
-                return None
-        x = [QQi(0)] * self.cols
-        for r, pc in enumerate(pivots):
-            if pc == self.cols:
-                return None
-            x[pc] = m[r][-1]
+        """One solution of A x = b as a dense list, or None if inconsistent."""
+        aug = [dict(r) for r in self._rows]
+        for r, bv in zip(aug, b):
+            r[self.cols] = bv
+        aug = ExactMatrix.sparse(aug, self.cols + 1)
+        rows, pivots = aug.rref()
+        if pivots and pivots[-1] == self.cols:
+            return None
+        x = [aug._zero] * self.cols
+        for row, p in zip(rows, pivots):
+            x[p] = row.get(self.cols, x[p])
         return x
 
     def det(self):
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        m = self.copy_data()
-        n = self.rows
-        det = QQi(1)
-        for c in range(n):
-            pr = None
-            for i in range(c, n):
-                if m[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                return QQi(0)
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
-                det = -det
-            det = det * m[c][c]
-            inv = QQi(1) / m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c]:
-                    f = m[i][c] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return det
-
-
-def solve_in_span(basis_rows, target):
-    """Coordinates of target in span(basis_rows), or None.
-
-    basis_rows: list of coefficient vectors (rows); target: vector.
-    """
-    if not basis_rows:
-        return [] if not any(QQi.of(t) for t in target) else None
-    a = ExactMatrix(basis_rows).transpose()
-    return a.solve_right(target)
-
-
-class SpanSolver:
-    """Repeated coordinate solves against one fixed independent basis.
-
-    Precomputes rref([B | I]) so each solve is a single reduction pass.
-    """
-
-    def __init__(self, basis_rows):
-        self.k = len(basis_rows)
-        if self.k == 0:
-            self.dim = None
-            return
-        self.dim = len(basis_rows[0])
-        aug = [
-            [QQi.of(x) for x in row]
-            + [QQi(1 if i == j else 0) for j in range(self.k)]
-            for i, row in enumerate(basis_rows)
-        ]
-        m, pivots = ExactMatrix(aug, cols=self.dim + self.k).rref()
-        if len(pivots) != self.k or any(p >= self.dim for p in pivots):
-            raise ValueError("basis rows are not independent")
-        self.reduced = m[: self.k]
-        self.pivots = pivots
-
-    def coords(self, target):
-        """Coefficients c with sum c_i * basis_i = target, or None."""
-        if self.k == 0:
-            return [] if not any(QQi.of(t) for t in target) else None
-        resid = [QQi.of(t) for t in target]
-        c_reduced = [QQi(0)] * self.k
-        for i, p in enumerate(self.pivots):
-            c = resid[p]
-            if c:
-                c_reduced[i] = c
-                row = self.reduced[i]
-                for j in range(self.dim):
-                    if row[j]:
-                        resid[j] = resid[j] - c * row[j]
-        if any(resid):
-            return None
-        out = [QQi(0)] * self.k
-        for i, c in enumerate(c_reduced):
-            if c:
-                row = self.reduced[i]
-                for j in range(self.k):
-                    t = row[self.dim + j]
-                    if t:
-                        out[j] = out[j] + c * t
-        return out
-
-
-def annihilator_basis(basis_rows, dim):
-    """Basis of functionals vanishing on span(basis_rows) inside QQi^dim."""
-    if not basis_rows:
-        return [[QQi(1 if i == j else 0) for j in range(dim)] for i in range(dim)]
-    return ExactMatrix(basis_rows).kernel_basis()
+        reduced, factor = _gauss_jordan(self._rows)
+        # row k ends as the unit vector at its pivot: det = sign(pivot order) * factor
+        order = list(reduced)
+        inversions = sum(1 for k, p in enumerate(order) for q in order[k + 1 :] if q < p)
+        return self._zero + (-factor if inversions % 2 else factor)
 
 
 def gram_is_positive_definite(gram):
     """Sylvester criterion on an exact symmetric matrix (real entries)."""
-    n = gram.rows
-    for k in range(1, n + 1):
-        minor = ExactMatrix([row[:k] for row in gram.data[:k]])
+    for k in range(1, gram.rows + 1):
+        minor = ExactMatrix([[gram[i, j] for j in range(k)] for i in range(k)])
         d = minor.det()
-        if not d.is_real or d.re <= 0:
+        if isinstance(d, QQi) or d <= 0:
             return False
     return True
-
-
-def fraction_matrix(rows):
-    return ExactMatrix([[Fraction(x) for x in row] for row in rows])

@@ -500,8 +500,8 @@ class ConeSpec:
                 )
                 if sol is None:
                     continue
-                if all(c.is_real and c.re >= 0 for c in sol):
-                    if self.kind == "closed" or all(c.re > 0 for c in sol):
+                if all(c >= 0 for c in sol):
+                    if self.kind == "closed" or all(c > 0 for c in sol):
                         return True
         return False
 
@@ -736,7 +736,7 @@ def noncharacteristic_restrict(sys: PdeSystem, embedding_columns, grid_seed=0):
         if found is not None:
             s_vals, xb = found
             nu = [
-                sum(Fraction(s_vals[a]) * conormals[a][i].re for a in range(len(conormals)))
+                sum(Fraction(s_vals[a]) * conormals[a][i] for a in range(len(conormals)))
                 for i in range(n)
             ]
             return None, False, {
@@ -763,7 +763,7 @@ def _pullback_system(sys: PdeSystem, cols):
         rhs = [QQi(1 if i == a else 0) for i in range(d)]
         w = et_e.solve_right(rhs)
         lift_cols.append([
-            sum((e.data[i][j] * w[j] for j in range(d)), QQi(0)) for i in range(n)
+            sum((e[i, j] * w[j] for j in range(d)), QQi(0)) for i in range(n)
         ])
     new_vars = tuple(f"y{i+1}" for i in range(d))
     amb_new = new_vars + tuple(f"xi_{v}" for v in new_vars)

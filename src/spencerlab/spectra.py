@@ -68,6 +68,10 @@ class SpectrumModel:
         values = [_to_mpf(v) for v in values]
         if multiplicities is None:
             multiplicities = [1] * len(values)
+        if len(multiplicities) != len(values):
+            raise PreconditionError(
+                f"{len(multiplicities)} multiplicities for {len(values)} values"
+            )
         if any(v < 0 for v in values):
             raise PreconditionError("eigenvalues must be >= 0")
         if any(m < 1 for m in multiplicities):

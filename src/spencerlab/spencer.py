@@ -38,6 +38,7 @@ class SpencerComplex:
     depth: int  # requested reporting depth; maps are always built to i = n
     symbols: dict  # q -> SymbolSpace
     differentials: dict = field(default_factory=dict)  # (q, i) -> ExactMatrix
+    ranks: dict = field(default_factory=dict)  # (q, i) -> rank of that differential
 
     def space_dim(self, q, i):
         if q < 0 or q > self.max_order or i < 0 or i > self.n:
@@ -53,42 +54,43 @@ class SpencerComplex:
         )
 
 
-def _delta_matrix(cx_symbols, n, q, i, lo_solver):
+def _shift_coordinates(g_hi, g_lo, n):
+    """coords[b][j]: coordinates of shift_j(basis vector b of g_hi) in g_lo."""
+    coords = []
+    for vec in g_hi.basis:
+        row = []
+        for j in range(n):
+            c = g_lo.coordinates(shift_vector(vec, n, g_hi.m, g_hi.degree, j))
+            if c is None:
+                raise AssertionError("symbol family not closed under shifts")
+            row.append(c)
+        coords.append(row)
+    return coords
+
+
+def _delta_matrix(coords, dim_lo, n, i):
     """delta: C^{q,i} -> C^{q-1,i+1} in the chosen bases (rows = target)."""
-    g_hi = cx_symbols[q]
-    g_lo = cx_symbols[q - 1]
+    dim_hi = len(coords)
     subsets_src = list(combinations(range(n), i))
     subsets_dst = list(combinations(range(n), i + 1))
     dst_pos = {s: k for k, s in enumerate(subsets_dst)}
-    rows = len(subsets_dst) * g_lo.dim
-    cols = len(subsets_src) * g_hi.dim
-    mat = [[QQi(0)] * cols for _ in range(rows)]
-    m = g_hi.m
-    for b, vec in enumerate(g_hi.basis):
-        shift_coords = []
-        for j in range(n):
-            shifted = shift_vector(vec, n, m, q, j)
-            coords = lo_solver.coords(shifted)
-            if coords is None:
-                raise AssertionError("symbol family not closed under shifts")
-            shift_coords.append(coords)
+    rows = [{} for _ in range(len(subsets_dst) * dim_lo)]
+    for b, shift_coords in enumerate(coords):
         for si, S in enumerate(subsets_src):
-            col = si * g_hi.dim + b
+            col = si * dim_hi + b
             for j in range(n):
                 if j in S:
                     continue
                 sign = _wedge_sign(j, S)
-                T = tuple(sorted(S + (j,)))
-                ti = dst_pos[T]
+                base = dst_pos[tuple(sorted(S + (j,)))] * dim_lo
                 for l, c in enumerate(shift_coords[j]):
                     if c:
-                        row = ti * g_lo.dim + l
-                        mat[row][col] = mat[row][col] + (c if sign > 0 else -c)
-    return ExactMatrix(mat, cols=cols)
+                        rows[base + l][col] = c if sign > 0 else -c
+    return ExactMatrix.sparse(rows, len(subsets_src) * dim_hi)
 
 
 def spencer_complex(sys: PdeSystem, depth=None, max_order=None, point=None) -> SpencerComplex:
-    """Assemble symbol spaces and delta maps; delta^2 = 0 is asserted."""
+    """Assemble symbol spaces, delta maps and their ranks; delta^2 = 0 is asserted."""
     n = sys.n
     if depth is None:
         depth = n
@@ -98,12 +100,12 @@ def spencer_complex(sys: PdeSystem, depth=None, max_order=None, point=None) -> S
         raise PreconditionError("max_order must be at least the system order")
     symbols = {q: symbol_space(sys, q, point) for q in range(max_order + 1)}
     cx = SpencerComplex(n, sys.m, max_order, min(n, max(depth, 0)), symbols)
-    from .linalg import SpanSolver
-
-    solvers = {q: SpanSolver(symbols[q].basis) for q in range(max_order)}
     for q in range(1, max_order + 1):
+        coords = _shift_coordinates(symbols[q], symbols[q - 1], n)
         for i in range(0, n):
-            cx.differentials[(q, i)] = _delta_matrix(symbols, n, q, i, solvers[q - 1])
+            d = _delta_matrix(coords, symbols[q - 1].dim, n, i)
+            cx.differentials[(q, i)] = d
+            cx.ranks[(q, i)] = d.rank()
     _assert_delta_squared(cx)
     return cx
 
@@ -146,12 +148,9 @@ def delta_cohomology(cx: SpencerComplex) -> DeltaCohomologyTable:
     for q in range(0, cx.max_order):
         for i in range(0, cx.n + 1):
             dim_c = cx.space_dim(q, i)
-            out = cx.differentials.get((q, i))
-            rank_out = out.rank() if out is not None else 0
-            ker = dim_c - rank_out
-            inc = cx.differentials.get((q + 1, i - 1))
-            rank_in = inc.rank() if inc is not None else 0
-            entries[(q, i)] = ker - rank_in
+            rank_out = cx.ranks.get((q, i), 0)
+            rank_in = cx.ranks.get((q + 1, i - 1), 0)
+            entries[(q, i)] = dim_c - rank_out - rank_in
     return DeltaCohomologyTable(entries, cx.max_order, cx.depth)
 
 
@@ -424,17 +423,13 @@ class LogSpencerComplex:
     degree_bound: int
     spaces: dict  # p -> dimension
     differentials: dict  # p -> ExactMatrix C_p -> C_{p-1}
+    ranks: dict  # p -> rank of that differential
 
     def homology_dims(self):
-        dims = {}
-        ps = sorted(self.spaces)
-        for p in ps:
-            d_out = self.differentials.get(p)
-            rank_out = d_out.rank() if d_out is not None else 0
-            d_in = self.differentials.get(p + 1)
-            rank_in = d_in.rank() if d_in is not None else 0
-            dims[p] = self.spaces[p] - rank_out - rank_in
-        return dims
+        return {
+            p: self.spaces[p] - self.ranks.get(p, 0) - self.ranks.get(p + 1, 0)
+            for p in sorted(self.spaces)
+        }
 
     def euler_characteristic(self):
         return sum((-1) ** p * d for p, d in self.spaces.items())
@@ -462,34 +457,24 @@ def build_log_spencer(module_rank, n, divisor_axes, depth, degree_bound=3):
     def theta_matrix(axis):
         # action on monomials: x_i d_i preserves degree, d_j lowers it
         log = (axis + 1) in divisor_axes
-        mat = [[QQi(0)] * mdim for _ in range(mdim)]
+        rows = [{} for _ in range(mdim)]
         for gi, g in enumerate(monos):
             if g[axis] == 0:
                 continue
             if log:
                 ti = gi
-                val = QQi(g[axis])
             else:
                 tg = list(g)
                 tg[axis] -= 1
                 ti = mono_pos[tuple(tg)]
-                val = QQi(g[axis])
             for r in range(module_rank):
-                mat[ti * module_rank + r][gi * module_rank + r] = val
-        return ExactMatrix(mat, cols=mdim)
+                rows[ti * module_rank + r][gi * module_rank + r] = g[axis]
+        return ExactMatrix.sparse(rows, mdim)
 
     thetas = [theta_matrix(i) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            comm_ij = thetas[i] @ thetas[j]
-            comm_ji = thetas[j] @ thetas[i]
-            if not ExactMatrix(
-                [
-                    [a - b for a, b in zip(r1, r2)]
-                    for r1, r2 in zip(comm_ij.data, comm_ji.data)
-                ],
-                cols=mdim,
-            ).is_zero():
+            if thetas[i] @ thetas[j] != thetas[j] @ thetas[i]:
                 raise AssertionError("generator bracket failed to vanish")
 
     top = min(n, depth)
@@ -501,25 +486,21 @@ def build_log_spencer(module_rank, n, divisor_axes, depth, degree_bound=3):
     for p in range(1, top + 1):
         src = subsets[p]
         dst = {s: k for k, s in enumerate(subsets[p - 1])}
-        mat = [[QQi(0)] * (len(src) * mdim) for _ in range(len(subsets[p - 1]) * mdim)]
+        rows = [{} for _ in range(len(subsets[p - 1]) * mdim)]
         for si, S in enumerate(src):
             for l, axis in enumerate(S):
                 # omit axis l: sign (-1)^l, bracket terms are zero here
-                T = S[:l] + S[l + 1 :]
-                ti = dst[T]
-                sign = 1 if l % 2 == 0 else -1
+                ti = dst[S[:l] + S[l + 1 :]]
                 act = thetas[axis]
                 for rr in range(mdim):
-                    for cc in range(mdim):
-                        v = act.data[rr][cc]
-                        if v:
-                            mat[ti * mdim + rr][si * mdim + cc] = (
-                                mat[ti * mdim + rr][si * mdim + cc]
-                                + (v if sign > 0 else -v)
-                            )
-        diffs[p] = ExactMatrix(mat, cols=len(src) * mdim)
+                    for cc, v in act.row(rr).items():
+                        rows[ti * mdim + rr][si * mdim + cc] = v if l % 2 == 0 else -v
+        diffs[p] = ExactMatrix.sparse(rows, len(src) * mdim)
     for p in range(2, top + 1):
         prod = diffs[p - 1] @ diffs[p]
         if not prod.is_zero():
             raise AssertionError(f"log differential squared nonzero at p={p}")
-    return LogSpencerComplex(n, module_rank, divisor_axes, degree_bound, spaces, diffs)
+    ranks = {p: d.rank() for p, d in diffs.items()}
+    return LogSpencerComplex(
+        n, module_rank, divisor_axes, degree_bound, spaces, diffs, ranks
+    )

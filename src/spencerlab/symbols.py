@@ -15,35 +15,40 @@ sum_a sum_{|alpha| = r} c_{a,alpha}(x0) t_{a, alpha + beta} = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 from .errors import DegenerateSymbolError
-from .linalg import ExactMatrix, annihilator_basis
-from .scalars import QQi
+from .linalg import ExactMatrix
 from .systems import PdeSystem, add_index, multiindices
 
 
+@cache
 def sym_basis(n, m, q):
-    """Ordered basis [(a, gamma)] of Sym^q (x) W."""
-    return [(a, gamma) for a in range(m) for gamma in multiindices(n, q)]
+    """Ordered basis ((a, gamma), ...) of Sym^q (x) W."""
+    return tuple((a, gamma) for a in range(m) for gamma in multiindices(n, q))
 
 
+@cache
 def basis_index(n, m, q):
+    """Position of each (a, gamma) in sym_basis(n, m, q); shared, never mutate."""
     return {key: i for i, key in enumerate(sym_basis(n, m, q))}
+
+
+@cache
+def _shift_sources(n, m, q, j):
+    """For each degree-(q-1) basis element, the position of its e_j raise."""
+    src = basis_index(n, m, q)
+    return tuple(src[(a, add_index(gamma, j))] for a, gamma in sym_basis(n, m, q - 1))
 
 
 def shift_vector(vec, n, m, q, j):
     """Apply shift_j: coefficients over degree q -> degree q-1."""
-    src = basis_index(n, m, q)
-    out = []
-    for a, gamma in sym_basis(n, m, q - 1):
-        up = (a, add_index(gamma, j))
-        i = src.get(up)
-        out.append(vec[i] if i is not None else QQi(0))
-    return out
+    return [vec[i] for i in _shift_sources(n, m, q, j)]
 
 
 def symbol_rows(sys: PdeSystem, q, point=None):
-    """Evaluated prolonged principal-symbol rows at jet order q."""
+    """Evaluated prolonged principal-symbol rows at jet order q, as dicts
+    column -> coefficient."""
     n, m = sys.n, sys.m
     pt = sys.point_map(point)
     cols = basis_index(n, m, q)
@@ -53,15 +58,15 @@ def symbol_rows(sys: PdeSystem, q, point=None):
         if r < 0 or r > q:
             continue
         principal = [
-            ((a, alpha), coeff.evaluate(pt))
+            (a, alpha, value)
             for (a, alpha), coeff in eq.principal_terms().items()
+            if (value := coeff.evaluate(pt))
         ]
         for beta in multiindices(n, q - r):
-            row = [QQi(0)] * len(cols)
-            for (a, alpha), value in principal:
-                if value:
-                    gamma = tuple(x + y for x, y in zip(alpha, beta))
-                    row[cols[(a, gamma)]] = row[cols[(a, gamma)]] + value
+            row = {}
+            for a, alpha, value in principal:
+                c = cols[(a, tuple(x + y for x, y in zip(alpha, beta)))]
+                row[c] = row[c] + value if c in row else value
             rows.append(row)
     return rows
 
@@ -71,7 +76,7 @@ class SymbolSpace:
     degree: int
     n: int
     m: int
-    basis: list  # kernel basis vectors over sym_basis(n, m, degree)
+    basis: list  # kernel basis over sym_basis(n, m, degree), free-column form
     presentation: ExactMatrix  # matrix whose kernel this is
 
     @property
@@ -82,13 +87,25 @@ class SymbolSpace:
     def ambient_dim(self):
         return len(sym_basis(self.n, self.m, self.degree))
 
+    @cached_property
+    def free(self):
+        """Free columns: basis[k] is 1 at free[k] and 0 at the other free
+        columns, and free[k] is the last nonzero entry of basis[k]."""
+        return [max(c for c, x in enumerate(v) if x) for v in self.basis]
+
+    def coordinates(self, vec):
+        """Coefficients of vec in the basis, or None when vec is not in the
+        space.  Membership is checked exactly: presentation . vec = 0."""
+        for i in range(self.presentation.rows):
+            if sum(x * vec[c] for c, x in self.presentation.row(i).items() if vec[c]):
+                return None
+        return [vec[f] for f in self.free]
+
 
 def symbol_space(sys: PdeSystem, q, point=None) -> SymbolSpace:
     """Symbol space of the system at jet order q (kernel of prolonged rows)."""
     n, m = sys.n, sys.m
-    ncols = len(sym_basis(n, m, q))
-    rows = symbol_rows(sys, q, point)
-    mat = ExactMatrix(rows, cols=ncols) if rows else ExactMatrix.zero(0, ncols)
+    mat = ExactMatrix.sparse(symbol_rows(sys, q, point), len(sym_basis(n, m, q)))
     return SymbolSpace(q, n, m, mat.kernel_basis(), mat)
 
 
@@ -113,22 +130,15 @@ def geometric_symbol(sys: PdeSystem, point=None) -> SymbolSpace:
 def prolong_subspace(space: SymbolSpace) -> SymbolSpace:
     """First prolongation {t in Sym^{q+1} (x) W : shift_j t in g for all j}."""
     n, m, q = space.n, space.m, space.degree
-    lower_dim = len(sym_basis(n, m, q))
-    target = len(sym_basis(n, m, q + 1))
-    funcs = annihilator_basis(space.basis, lower_dim)
+    # the functionals vanishing on g are the row space of its presentation
+    funcs, _ = space.presentation.rref()
     rows = []
     for j in range(n):
         # phi(shift_j t) = 0 for every functional phi vanishing on g
+        src = _shift_sources(n, m, q + 1, j)
         for phi in funcs:
-            row = [QQi(0)] * target
-            src = basis_index(n, m, q + 1)
-            for idx_low, (a, gamma) in enumerate(sym_basis(n, m, q)):
-                c = phi[idx_low]
-                if c:
-                    up = src[(a, add_index(gamma, j))]
-                    row[up] = row[up] + c
-            rows.append(row)
-    mat = ExactMatrix(rows, cols=target) if rows else ExactMatrix.zero(0, target)
+            rows.append({src[c]: x for c, x in phi.items()})
+    mat = ExactMatrix.sparse(rows, len(sym_basis(n, m, q + 1)))
     return SymbolSpace(q + 1, n, m, mat.kernel_basis(), mat)
 
 

@@ -137,8 +137,7 @@ def l2_covolume(lattice_basis, gram) -> Fraction:
     if b.rows != g.rows:
         raise PreconditionError("basis shape does not match gram")
     m = b.transpose() @ g @ b
-    det = m.det()
-    return det.as_fraction()
+    return m.det()
 
 
 def bcov_invariant_model(tau, area=1.0, chi=0, lattice_scale=1, gram=None):

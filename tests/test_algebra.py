@@ -14,7 +14,7 @@ from spencerlab.groebner import (
     normal_form,
     saturation_is_unit,
 )
-from spencerlab.linalg import ExactMatrix, gram_is_positive_definite, solve_in_span
+from spencerlab.linalg import ExactMatrix, gram_is_positive_definite
 from spencerlab.poly import MultiPoly
 from spencerlab.scalars import QQi
 
@@ -124,16 +124,16 @@ def test_rank_nullity(rows, cols, seed):
     assert m.rank() + len(ker) == cols
     for v in ker:
         assert all(
-            not sum((m.data[i][j] * v[j] for j in range(cols)), QQi(0))
+            not sum((m[i, j] * v[j] for j in range(cols)), QQi(0))
             for i in range(rows)
         )
 
 
 def test_solve_in_span():
     basis = [[QQi(1), QQi(0)], [QQi(1), QQi(1)]]
-    coords = solve_in_span(basis, [QQi(3), QQi(2)])
+    coords = ExactMatrix(basis).transpose().solve_right([QQi(3), QQi(2)])
     assert coords == [QQi(1), QQi(2)]
-    assert solve_in_span([[QQi(1), QQi(0)]], [QQi(0), QQi(1)]) is None
+    assert ExactMatrix([[QQi(1), QQi(0)]]).transpose().solve_right([QQi(0), QQi(1)]) is None
 
 
 def test_positive_definite():

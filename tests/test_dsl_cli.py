@@ -362,3 +362,29 @@ def test_cli_remaining_commands_smoke(capsys, tmp_path):
                  "--mode", "elliptic"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["result"]["elliptic"] is True
+
+
+@pytest.mark.parametrize("text", [
+    "system s { vars x; unknowns u; eq: x^1/2*D[x](u) = 0; }",
+    "system s { vars x; unknowns u; eq: D[x](u) = 0; }\n"
+    "region r { vars x; x^1/2 > 0; }",
+], ids=["coefficient", "region"])
+def test_fractional_exponent_rejected(capsys, tmp_path, text):
+    line = text.count("\n", 0, text.index("^1/2")) + 1
+    col = text.index("^1/2") - (text.rfind("\n", 0, text.index("^1/2")) + 1) + 2
+    with pytest.raises(ParseError) as err:
+        parse_pde_dsl(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert "'1/2' is not an integer" in str(err.value)
+    pde = tmp_path / "frac.pde"
+    pde.write_text(text)
+    assert main(["symbol", str(pde), "--system", "s"]) == 2
+    assert f"at {line}:{col}" in capsys.readouterr().err
+
+
+def test_explicit_spectrum_multiplicity_mismatch(capsys, tmp_path):
+    pde = tmp_path / "p.pde"
+    pde.write_text("spectrum p { kind explicit; values 1,2; multiplicities 1; }")
+    assert main(["det", str(pde), "--spectrum", "p"]) == 2
+    err = capsys.readouterr().err
+    assert "1 multiplicities for 2 values at 1:" in err

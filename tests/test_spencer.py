@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spencerlab.errors import DegenerateSymbolError, ObstructionError, PreconditionError
+from spencerlab.linalg import ExactMatrix
 from spencerlab.spencer import (
+    _assert_delta_squared,
     build_log_spencer,
     delta_cohomology,
     involutivity_degree,
@@ -66,6 +69,14 @@ def test_tricomi_symbol_at_origin_not_degenerate():
 # -- prolongation -----------------------------------------------------------------
 
 
+def test_symbol_coordinates_check_membership():
+    g2 = geometric_symbol(laplace_system())
+    for k, v in enumerate(g2.basis):
+        assert g2.coordinates(v) == [int(k == l) for l in range(g2.dim)]
+    outside = [1] + [0] * (g2.ambient_dim - 1)  # u_xx alone violates u_xx + u_yy = 0
+    assert g2.coordinates(outside) is None
+
+
 def test_prolong_zero_stays_zero():
     g1 = geometric_symbol(gradient_system())
     assert prolong(g1, 3).dim == 0
@@ -108,6 +119,41 @@ def test_prolongation_monotonicity(n, m, k):
 
 def test_delta_squared_laplace():
     spencer_complex(laplace_system(), depth=2, max_order=4)  # asserts internally
+
+
+def test_corrupted_differential_fails_delta_squared():
+    cx = spencer_complex(free_system(2, 1, 1), max_order=3)
+    d, nxt = cx.differentials[(2, 0)], cx.differentials[(1, 1)]
+    # bump an entry of d in a row that nxt reads, so nxt @ d picks it up
+    r = next(c for i in range(nxt.rows) for c in nxt.row(i))
+    rows = [dict(d.row(i)) for i in range(d.rows)]
+    rows[r][0] = rows[r].get(0, 0) + 1
+    cx.differentials[(2, 0)] = ExactMatrix.sparse(rows, d.cols)
+    with pytest.raises(AssertionError, match=r"delta\^2 != 0 at slot \(2, 0\)"):
+        _assert_delta_squared(cx)
+
+
+def test_each_differential_ranked_once(monkeypatch):
+    calls = Counter()
+    rank = ExactMatrix.rank
+
+    def counting_rank(self):
+        calls[id(self)] += 1
+        return rank(self)
+
+    monkeypatch.setattr(ExactMatrix, "rank", counting_rank)
+    cx = spencer_complex(laplace_system(), max_order=4)
+    table = delta_cohomology(cx)
+    assert table.dim(1, 1) == 1
+    assert sorted(calls) == sorted(id(d) for d in cx.differentials.values())
+    assert set(calls.values()) == {1}
+
+    calls.clear()
+    log = build_log_spencer(1, 2, (1,), depth=2, degree_bound=2)
+    log.homology_dims()
+    log.homology_dims()
+    assert sorted(calls) == sorted(id(d) for d in log.differentials.values())
+    assert set(calls.values()) == {1}
 
 
 def test_free_module_cohomology_vanishes():
