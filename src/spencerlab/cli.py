@@ -1,8 +1,8 @@
 """Command-line surface: one subcommand per engine operation.
 
 Exit codes: 0 success, 2 parse error, 3 precondition violation, 4 numeric
-failure.  SPENCER_LAB_THREADS caps internal parallelism.  All randomized
-grids are seeded and the seed is echoed in the report.
+failure.  All work runs on one thread.  All randomized grids are seeded
+and the seed is echoed in the report.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .torsion import (
     quillen_norm,
     ray_singer_torsion,
 )
-from .util import thread_cap
 from .zeta import regularized_det, zeta_at
 
 COMMANDS = (
@@ -137,7 +136,8 @@ def build_parser():
     p.add_argument("--model", choices=("circle", "torus"), default=None)
     p.add_argument("--length", type=float, default=None)
     p.add_argument("--tau", default=None)
-    p.add_argument("--method", default="auto")
+    p.add_argument("--method", default="auto",
+                   choices=("auto", "closed_form", "euler_maclaurin", "mellin_theta"))
     p.add_argument("--scale", type=float, default=1.0)
     p = add("bcov")
     p.add_argument("--tau", required=True)
@@ -200,7 +200,7 @@ def dispatch(args):
     """Route one parsed CLI invocation to its engine; returns the payload."""
     cmd = args.command
     source_hash = ""
-    provenance = {"threads": thread_cap()}
+    provenance = {"threads": 1}
 
     if cmd == "symbol":
         doc, text = _load_document(args)

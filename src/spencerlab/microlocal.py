@@ -26,7 +26,6 @@ from .linalg import ExactMatrix, gram_is_positive_definite
 from .poly import MultiPoly
 from .scalars import QQi
 from .systems import PdeSystem, make_system
-from .util import ordered_map
 
 
 def xi_name(var):
@@ -615,8 +614,7 @@ def classify_mixed(
             hyperbolic_cache[key] = rep
         return hyperbolic_cache[key]
 
-    def classify_sample(item):
-        idx, sample = item
+    def classify_sample(idx, sample):
         point = _sample_point(sys, sample)
         if cv.ideal.generators and all(
             not g.evaluate(point) for g in cv.ideal.generators
@@ -635,7 +633,7 @@ def classify_mixed(
                 }
         return {"index": idx, "label": "degenerate"}
 
-    labels = ordered_map(classify_sample, list(enumerate(grid)))
+    labels = [classify_sample(idx, sample) for idx, sample in enumerate(grid)]
     strata = {}
     for lab in labels:
         strata[lab["label"]] = strata.get(lab["label"], 0) + 1

@@ -41,8 +41,6 @@ def _canon(value):
         return value
     if hasattr(value, "_mpf_") or hasattr(value, "_mpc_"):
         return _canon(complex(value)) if hasattr(value, "_mpc_") else _canon(float(value))
-    if hasattr(value, "item"):  # numpy scalars
-        return _canon(value.item())
     return str(value)
 
 

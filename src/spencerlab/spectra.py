@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from mpmath import mp, mpf
+from mpmath import ceil, floor, mp, mpf, sqrt
 
 from .errors import PreconditionError
 
@@ -29,6 +29,31 @@ def _to_mpf(x):
     if isinstance(x, Fraction):
         return mpf(x.numerator) / mpf(x.denominator)
     return mpf(str(x))
+
+
+def lattice_points(M, d, cutoff):
+    """(q, k) for the nonzero v in Z^d with q = v^T M v <= cutoff, sorted by q.
+
+    Each pair +-v is visited once, on the half-lattice a > 0 or (a = 0,
+    b > 0), and carries k = 2.  Rows a run up to the ellipse bound
+    |a| <= sqrt(cutoff (M^-1)_00); within a row, b runs over the interval
+    where |m11 b + m01 a| <= sqrt(m11 cutoff - det(M) a^2).  Both bounds get
+    one unit of slack for rounding, which the q <= cutoff test removes.
+    """
+    if d == 1:
+        m00 = M[0][0]
+        cands = [m00 * a * a for a in range(1, int(sqrt(cutoff / m00)) + 2)]
+    else:
+        (m00, m01), (_, m11) = M
+        det = m00 * m11 - m01 * m01
+        cands = []
+        for a in range(int(sqrt(cutoff * m11 / det)) + 2):
+            centre = -m01 * a / m11
+            half = sqrt(max(m11 * cutoff - det * a * a, 0)) / m11
+            lo = int(floor(centre - half)) if a else 1
+            for b in range(lo, int(ceil(centre + half)) + 1):
+                cands.append(m00 * a * a + 2 * m01 * a * b + m11 * b * b)
+    return sorted((q, 2) for q in cands if q <= cutoff)
 
 
 @dataclass
@@ -159,21 +184,10 @@ class SpectrumModel:
                 else:
                     acc[key] = (v, m)
 
-        if self.kind == "circle":
-            L = self.params["length"]
-            n = 1
-            while (2 * mp.pi * n / L) ** 2 <= cutoff:
-                add((2 * mp.pi * n / L) ** 2, 2)
-                n += 1
-        elif self.kind in ("flat_torus",):
+        if self.kind in ("circle", "flat_torus"):
             m, d = self.lattice_form()
-            bound = int(mp.sqrt(cutoff / min(m[i][i] for i in range(d)))) + 2
-            for a in range(-bound, bound + 1):
-                for b in range(-bound, bound + 1):
-                    if a == 0 and b == 0:
-                        continue
-                    q = m[0][0] * a * a + 2 * m[0][1] * a * b + m[1][1] * b * b
-                    add(q, 1)
+            for q, k in lattice_points(m, d, cutoff):
+                add(q, k)
         elif self.kind == "rectangle":
             a, b = self.params["a"], self.params["b"]
             mi = 1

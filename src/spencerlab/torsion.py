@@ -13,10 +13,10 @@ No canonical choice is asserted; reports always carry the tag.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
 from mpmath import exp, log, mp, mpf
 
 from .errors import PreconditionError
@@ -210,18 +210,14 @@ def fd_spectrum_crosscheck(length, n_points):
     L = float(length)
     n = n_points
     h = L / n
-    fd = np.sort(
-        np.array([4 * np.sin(np.pi * k / n) ** 2 * (n / L) ** 2 for k in range(n)])
-    )[1:]
+    fd = sorted(4 * math.sin(math.pi * k / n) ** 2 * (n / L) ** 2 for k in range(n))[1:]
     exact = []
     m = 1
     while len(exact) < len(fd):
-        exact.extend([(2 * np.pi * m / L) ** 2] * 2)
+        exact.extend([(2 * math.pi * m / L) ** 2] * 2)
         m += 1
-    exact = np.array(exact[: len(fd)])
     keep = max(1, n // 4)
     rows = []
-    ok = True
     for i in range(keep):
         lam = exact[i]
         resid = abs(fd[i] - lam)
@@ -229,20 +225,19 @@ def fd_spectrum_crosscheck(length, n_points):
         rows.append(
             {
                 "mode": i + 1,
-                "exact": float(lam),
-                "finite_difference": float(fd[i]),
-                "residual": float(resid),
-                "bound": float(bound),
-                "within_bound": bool(resid <= bound),
+                "exact": lam,
+                "finite_difference": fd[i],
+                "residual": resid,
+                "bound": bound,
+                "within_bound": resid <= bound,
             }
         )
-        ok = ok and resid <= bound
-    monotone = bool(np.all(np.diff(fd[: 2 * keep]) >= -1e-12))
+    monotone = all(b - a >= -1e-12 for a, b in zip(fd, fd[1 : 2 * keep]))
     return {
         "length": L,
         "n_points": n,
         "modes_checked": keep,
-        "all_within_bound": bool(ok),
+        "all_within_bound": all(r["within_bound"] for r in rows),
         "ordering_monotone": monotone,
         "rows": rows,
     }

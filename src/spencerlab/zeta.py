@@ -23,7 +23,6 @@ independent cross-check, and closed forms (Riemann zeta) where they exist.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 from mpmath import (
     bernoulli,
@@ -43,7 +42,7 @@ from mpmath import (
 )
 
 from .errors import NumericError, PoleError
-from .spectra import SpectrumModel
+from .spectra import SpectrumModel, lattice_points
 
 mp.dps = 30
 
@@ -66,20 +65,6 @@ def _realify(v):
     return v
 
 
-def _lattice_points(M, d, cutoff):
-    """Nonzero v with Q(v) <= cutoff, in a fixed deterministic order."""
-    bound = int(sqrt(cutoff / min(M[i][i] for i in range(d)))) + 2
-    pts = []
-    for v in iproduct(range(-bound, bound + 1), repeat=d):
-        if not any(v):
-            continue
-        q = sum(M[i][j] * v[i] * v[j] for i in range(d) for j in range(d))
-        if q <= cutoff:
-            pts.append((q, v))
-    pts.sort(key=lambda qv: (qv[0], qv[1]))
-    return pts
-
-
 def _inverse(M, d):
     if d == 1:
         return [[1 / M[0][0]]], M[0][0]
@@ -92,12 +77,13 @@ def _theta_mellin_F(s, M, d):
     """zeta(s) * Gamma(s) with the pole terms written explicitly."""
     Minv, detM = _inverse(M, d)
     half_d = mpf(d) / 2
-    total = -1 / s + pi**half_d / sqrt(detM) / (s - half_d)
-    for q, _v in _lattice_points(M, d, LATTICE_CUTOFF):
-        total += gammainc(s, q) * q ** (-s)
+    dual = pi**half_d / sqrt(detM)
+    total = -1 / s + dual / (s - half_d)
+    for q, k in lattice_points(M, d, LATTICE_CUTOFF):
+        total += k * gammainc(s, q) * q ** (-s)
     Mstar = [[pi**2 * Minv[i][j] for j in range(d)] for i in range(d)]
-    for qs, _w in _lattice_points(Mstar, d, LATTICE_CUTOFF):
-        total += pi**half_d / sqrt(detM) * gammainc(half_d - s, qs) * qs ** (s - half_d)
+    for qs, k in lattice_points(Mstar, d, LATTICE_CUTOFF):
+        total += k * dual * gammainc(half_d - s, qs) * qs ** (s - half_d)
     return total
 
 
@@ -112,17 +98,27 @@ def _theta_mellin_zeta(s, M, d):
     return _theta_mellin_F(s, M, d) / gamma(s)
 
 
+# zeta'(0) per exact form (entries, d, mp.prec): torsion and BCOV reports
+# combine det' of the same Laplacian several times per job
+_ZETA_PRIME0 = {}
+
+
 def _theta_mellin_zeta_prime0(M, d):
     """zeta'(0) = g(0) - euler_gamma, g the regular part of zeta*Gamma."""
+    key = (tuple(x for row in M for x in row), d, mp.prec)
+    if key in _ZETA_PRIME0:
+        return _ZETA_PRIME0[key]
     Minv, detM = _inverse(M, d)
     half_d = mpf(d) / 2
-    g0 = -(pi**half_d) / sqrt(detM) / half_d
-    for q, _v in _lattice_points(M, d, LATTICE_CUTOFF):
-        g0 += gammainc(0, q)
+    dual = pi**half_d / sqrt(detM)
+    g0 = -dual / half_d
+    for q, k in lattice_points(M, d, LATTICE_CUTOFF):
+        g0 += k * gammainc(0, q)
     Mstar = [[pi**2 * Minv[i][j] for j in range(d)] for i in range(d)]
-    for qs, _w in _lattice_points(Mstar, d, LATTICE_CUTOFF):
-        g0 += pi**half_d / sqrt(detM) * gammainc(half_d, qs) * qs ** (-half_d)
-    return g0 - euler_gamma
+    for qs, k in lattice_points(Mstar, d, LATTICE_CUTOFF):
+        g0 += k * dual * gammainc(half_d, qs) * qs ** (-half_d)
+    _ZETA_PRIME0[key] = g0 - euler_gamma
+    return _ZETA_PRIME0[key]
 
 
 def _em_zeta(s, c, mult=2, N=60, K=8):
@@ -163,7 +159,7 @@ def zeta_at(spec: SpectrumModel, s, method="auto") -> ZetaValue:
         factor = spec.params["factor"]
         val = factor ** (-mpc(s)) * inner.value
         return ZetaValue(complex(s), _realify(val), inner.method, inner.error_bound * 2)
-    if spec.kind == "explicit":
+    if spec.kind == "explicit" and method in ("auto", "closed_form"):
         total = mpf(0)
         for v, m in zip(spec.params["values"], spec.params["multiplicities"]):
             total += m * v ** (-mpc(s))
@@ -217,7 +213,7 @@ def zeta_prime_at_zero(spec: SpectrumModel, method="auto"):
         z0 = zeta_at(spec.children[0], 0).value
         # zeta_c(s) = factor^{-s} zeta(s):  zeta_c'(0) = zeta'(0) - log(factor) zeta(0)
         return _realify(v - log(factor) * z0), err * 2, meth
-    if spec.kind == "explicit":
+    if spec.kind == "explicit" and method in ("auto", "closed_form"):
         total = mpf(0)
         for v, m in zip(spec.params["values"], spec.params["multiplicities"]):
             total -= m * log(v)
@@ -226,26 +222,23 @@ def zeta_prime_at_zero(spec: SpectrumModel, method="auto"):
         L = spec.params["length"]
         return -2 * log(L), 1e-25, "closed_form"
     if spec.kind == "circle" and method == "euler_maclaurin":
-        c = (2 * pi / L_of(spec)) ** 2
+        c = (2 * pi / spec.params["length"]) ** 2
         val = _realify(diff(lambda t: _em_zeta(t, c), 0))
         return val, max(_em_error() * 10, 1e-12), "euler_maclaurin"
     form = spec.lattice_form()
-    if form is not None:
+    if form is not None and method in ("auto", "mellin_theta"):
         M, d = form
         return _theta_mellin_zeta_prime0(M, d), float(TAIL_BOUND), "mellin_theta"
-    if spec.kind == "rectangle":
-        eps = mpf("1e-20")
+    if spec.kind == "rectangle" and method in ("auto", "mellin_theta"):
         a, b = spec.params["a"], spec.params["b"]
         M2 = [[(pi / a) ** 2, mpf(0)], [mpf(0), (pi / b) ** 2]]
         z2 = _theta_mellin_zeta_prime0(M2, 2)
         za = _theta_mellin_zeta_prime0([[(pi / a) ** 2]], 1)
         zb = _theta_mellin_zeta_prime0([[(pi / b) ** 2]], 1)
         return (z2 - za - zb) / 4, float(3 * TAIL_BOUND), "mellin_theta"
-    raise NumericError(f"no zeta'(0) continuation for kind {spec.kind!r}")
-
-
-def L_of(spec):
-    return spec.params["length"]
+    raise NumericError(
+        f"no zeta'(0) continuation for spectrum kind {spec.kind!r} with method {method!r}"
+    )
 
 
 def regularized_det(spec: SpectrumModel, method="auto"):

@@ -312,6 +312,54 @@ def test_cli_det_from_dsl_spectrum(capsys, tmp_path):
     assert data["input_hash"]
 
 
+# (mode, exact, finite_difference, residual, bound, within_bound) as reported
+CROSSCHECK_2PI_64 = [
+    (1, 1.0, 0.999197067539229, 0.000802932460770678, 0.00120478569449235, True),
+    (2, 1.0, 0.999197067539231, 0.000802932460768679, 0.00120478569449235, True),
+    (3, 4.0, 3.98716545617984, 0.0128345438201558, 0.0192765710968777, True),
+    (4, 4.0, 3.98716545617986, 0.012834543820138, 0.0192765710968777, True),
+    (5, 9.0, 8.93512939694956, 0.0648706030504425, 0.0975876411738806, True),
+    (6, 9.0, 8.93512939694956, 0.0648706030504353, 0.0975876411738806, True),
+    (7, 16.0, 15.7954372922665, 0.204562707733469, 0.308425137535042, True),
+    (8, 16.0, 15.7954372922666, 0.204562707733412, 0.308425137535042, True),
+    (9, 25.0, 24.5020206268731, 0.49797937312691, 0.752991058433721, True),
+    (10, 25.0, 24.5020206268731, 0.497979373126871, 0.752991058433721, True),
+    (11, 36.0, 34.9710302437544, 1.02896975624562, 1.56140225876709, True),
+    (12, 36.0, 34.9710302437544, 1.0289697562456, 1.56140225876709, True),
+    (13, 49.0, 47.1016438573571, 1.89835614264294, 2.89269045007614, True),
+    (14, 49.0, 47.1016438573571, 1.89835614264286, 2.89269045007614, True),
+    (15, 64.0, 60.7770370273142, 3.22296297268583, 4.93480220054568, True),
+    (16, 64.0, 60.7770370273142, 3.2229629726858, 4.93480220054568, True),
+]
+
+
+def test_cli_crosscheck_rows_unchanged(capsys):
+    assert main(["crosscheck", "--length", "6.283185307179586", "--n", "64"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    fields = ("mode", "exact", "finite_difference", "residual", "bound", "within_bound")
+    assert [tuple(row[f] for f in fields) for row in result["rows"]] == CROSSCHECK_2PI_64
+    assert {k: v for k, v in result.items() if k != "rows"} == {
+        "length": 6.28318530717959, "n_points": 64, "modes_checked": 16,
+        "all_within_bound": True, "ordering_monotone": True,
+    }
+
+
+def test_cli_det_rejects_unknown_method(capsys):
+    assert main(["det", "--model", "torus", "--tau=0,1", "--method", "bogus"]) == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_cli_det_rejects_inapplicable_method(capsys, tmp_path):
+    assert main(["det", "--model", "torus", "--tau=0,1", "--method", "euler_maclaurin"]) == 4
+    err = capsys.readouterr().err
+    assert "flat_torus" in err and "euler_maclaurin" in err
+    pde = tmp_path / "spec.pde"
+    pde.write_text("spectrum p { kind explicit; values 1,2; }")
+    assert main(["det", str(pde), "--spectrum", "p", "--method", "mellin_theta"]) == 4
+    err = capsys.readouterr().err
+    assert "explicit" in err and "mellin_theta" in err
+
+
 def test_thread_cap_does_not_change_results(monkeypatch, tmp_path):
     from fractions import Fraction
 
