@@ -64,6 +64,13 @@ COMMANDS = (
 )
 
 
+def _copies(text):
+    """argparse type: a factorization check needs at least two copies."""
+    if not text.isdigit() or int(text) < 2:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 2")
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="spencerlab",
@@ -109,7 +116,7 @@ def build_parser():
                    help="embedding columns like '1,0' or '1,0;0,1'")
     p = add("kunneth", needs_file=True)
     p.add_argument("--other", default=None, help="second system (default: same)")
-    p.add_argument("--copies", type=int, default=None,
+    p.add_argument("--copies", type=_copies, default=None,
                    help="run the factorization checks up to this many copies")
     p = add("index", needs_file=False)
     p.add_argument("file", nargs="?", default=None)
@@ -176,8 +183,23 @@ def _pick_system(doc, args):
     return next(iter(doc.systems.values()))
 
 
-def _parse_vector(text):
-    return tuple(Fraction(x) for x in text.split(","))
+def _parse_vector(text, option, n):
+    """A comma-separated rational vector like 1,-1/2, one entry per variable."""
+    try:
+        vec = tuple(Fraction(x) for x in text.split(","))
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"{option}: {text!r} is not a list of rationals") from None
+    if len(vec) != n:
+        raise ParseError(f"{option}: {text!r} has {len(vec)} entries for {n} variables")
+    return vec
+
+
+def _named(table, name, option, kind):
+    """A document block named on the command line; unknown names are a
+    parse error of the option."""
+    if name not in table:
+        raise ParseError(f"{option}: no {kind} named {name!r}; have {sorted(table)}")
+    return table[name]
 
 
 def _parse_table(text):
@@ -282,7 +304,8 @@ def dispatch(args):
             if args.region not in doc.regions:
                 raise PreconditionError(f"no region named {args.region!r}")
             region = doc.regions[args.region]
-        direction = _parse_vector(args.direction) if args.direction else None
+        direction = (_parse_vector(args.direction, "--direction", sys_.n)
+                     if args.direction else None)
         if args.mode == "elliptic":
             ok, cert = is_elliptic(sys_, seed=args.seed)
             payload = {"system": sys_.name, "elliptic": ok, "certificate": cert}
@@ -301,8 +324,10 @@ def dispatch(args):
                                 region=region if args.region else None)
             cones = None
             if args.cones:
-                a, b = args.cones.split(",")
-                cones = (doc.cones[a], doc.cones[b])
+                names = args.cones.split(",")
+                if len(names) != 2:
+                    raise ParseError(f"--cones needs two cone names a,b, got {args.cones!r}")
+                cones = tuple(_named(doc.cones, c, "--cones", "cone") for c in names)
             report = classify_mixed(
                 sys_, region, grid,
                 directions=[direction] if direction else None,
@@ -320,10 +345,7 @@ def dispatch(args):
         doc, text = _load_document(args)
         sys_ = _pick_system(doc, args)
         source_hash = input_hash(text)
-        columns = [
-            tuple(Fraction(x) for x in col.split(","))
-            for col in args.subspace.split(";")
-        ]
+        columns = [_parse_vector(c, "--subspace", sys_.n) for c in args.subspace.split(";")]
         restricted, ok, cert = noncharacteristic_restrict(sys_, columns)
         payload = {
             "system": sys_.name,
@@ -338,13 +360,13 @@ def dispatch(args):
         doc, text = _load_document(args)
         sys_ = _pick_system(doc, args)
         source_hash = input_hash(text)
-        if args.copies:
+        if args.copies is not None:
             payload = {
                 "system": sys_.name,
                 "factorization": factorization_check(sys_, max_copies=args.copies),
             }
         else:
-            other = doc.systems[args.other] if args.other else sys_
+            other = _named(doc.systems, args.other, "--other", "system") if args.other else sys_
             cv, ok = external_product_char(sys_, other)
             cva = characteristic_ideal(sys_)
             cvb = characteristic_ideal(other)

@@ -149,9 +149,13 @@ class PolyIdeal:
     def dimension(self):
         """Krull dimension of the quotient ring; None for the unit ideal.
 
-        Combinatorics on leading monomials: the dimension equals the largest
-        subset S of variables such that no leading monomial is supported
-        entirely inside S.
+        The dimension is that of the leading-monomial ideal, i.e. the size
+        of the largest set of variables containing no leading-monomial
+        support (Cox-Little-O'Shea, ch. 9 par. 1).  Its complement meets
+        every support, so the dimension is n minus the size of a smallest
+        such hitting set.  The search branches only on the variables of one
+        unhit support per level and stops at the best depth found, so it is
+        exponential in the size of the hitting set, not in n.
         """
         gb = self.groebner()
         if self.is_unit():
@@ -159,26 +163,22 @@ class PolyIdeal:
         n = len(self.ambient)
         lms = [g.leading_monomial(degrevlex_key) for g in gb]
         supports = [frozenset(i for i, e in enumerate(lm) if e) for lm in lms]
-        for size in range(n, -1, -1):
-            for subset in combinations(range(n), size):
-                sset = set(subset)
-                if not any(sup <= sset for sup in supports):
-                    return size
-        return 0
+        return n - _min_hitting_set(supports, n)
 
 
-def groebner_basis(ideal: PolyIdeal, order="degrevlex") -> PolyIdeal:
-    """Completion: same ideal, cache filled with the reduced basis."""
-    ideal.groebner(order)
-    return ideal
+def _min_hitting_set(supports, best, depth=0):
+    """Size of a smallest variable set meeting every support, capped at best.
 
-
-def ideal_member(p: MultiPoly, ideal: PolyIdeal) -> bool:
-    return ideal.contains(p)
-
-
-def ideal_dimension(ideal: PolyIdeal):
-    return ideal.dimension()
+    Any hitting set contains a variable of the smallest unhit support, so
+    branching over that support's variables is exhaustive.
+    """
+    if not supports:
+        return depth
+    if depth + 1 >= best:
+        return best
+    for v in min(supports, key=len):
+        best = _min_hitting_set([s for s in supports if v not in s], best, depth + 1)
+    return best
 
 
 def saturation_is_unit(ideal: PolyIdeal, f: MultiPoly) -> bool:
@@ -195,14 +195,3 @@ def saturation_is_unit(ideal: PolyIdeal, f: MultiPoly) -> bool:
     gens.append(MultiPoly.constant(new_vars, 1) - t * f.extend(new_vars))
     gb = buchberger(gens, "elim_first")
     return len(gb) == 1 and gb[0].is_constant()
-
-
-def eliminate_first(ideal_gens, variables):
-    """Groebner generators of the elimination ideal removing variables[0]."""
-    gb = buchberger(ideal_gens, "elim_first")
-    keep = []
-    rest = tuple(variables[1:])
-    for g in gb:
-        if all(m[0] == 0 for m in g.terms):
-            keep.append(MultiPoly(rest, {m[1:]: c for m, c in g.terms.items()}))
-    return keep

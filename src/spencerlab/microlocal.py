@@ -71,11 +71,11 @@ def characteristic_ideal(sys: PdeSystem) -> CharVariety:
     if m == 1:
         gens = [row[0] for row in rows if row[0]]
     elif len(rows) == m:
-        gens = [ExactMatrixPoly.det(rows)]
+        gens = [poly_det(rows)]
     elif len(rows) > m:
         gens = []
         for subset in combinations(range(len(rows)), m):
-            gens.append(ExactMatrixPoly.det([rows[i] for i in subset]))
+            gens.append(poly_det([rows[i] for i in subset]))
         gens = [g for g in gens if g]
     else:
         # underdetermined: the ideal of all entries of the composite map
@@ -88,29 +88,23 @@ def characteristic_ideal(sys: PdeSystem) -> CharVariety:
     return CharVariety(tuple(sys.indep_vars), amb[sys.n :], ideal, conic, ideal.dimension())
 
 
-class ExactMatrixPoly:
+def poly_det(rows):
     """Determinant of a small matrix of polynomials by Laplace expansion."""
-
-    @staticmethod
-    def det(rows):
-        k = len(rows)
-        if k == 0:
-            raise ValueError("empty matrix")
-        if any(len(r) != k for r in rows):
-            raise ValueError("determinant needs a square matrix")
-        if k == 1:
-            return rows[0][0]
-        amb = rows[0][0].vars
-        out = MultiPoly.zero(amb)
-        for j in range(k):
-            entry = rows[0][j]
-            if not entry:
-                continue
-            minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-            sub = ExactMatrixPoly.det(minor)
-            term = entry * sub
-            out = out + (term if j % 2 == 0 else -term)
-        return out
+    k = len(rows)
+    if k == 0:
+        raise ValueError("empty matrix")
+    if any(len(r) != k for r in rows):
+        raise ValueError("determinant needs a square matrix")
+    if k == 1:
+        return rows[0][0]
+    out = MultiPoly.zero(rows[0][0].vars)
+    for j in range(k):
+        entry = rows[0][j]
+        if not entry:
+            continue
+        term = entry * poly_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        out = out + (term if j % 2 == 0 else -term)
+    return out
 
 
 # -- samples and grids -------------------------------------------------------------
@@ -173,37 +167,35 @@ def _poly_deriv(c):
     return _poly_trim([c[i] * i for i in range(1, len(c))])
 
 
-def _poly_rem(a, b):
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _poly_divmod(a, b):
+    """(quotient, remainder) of ascending coefficient lists, b nonzero."""
     a = a[:]
     db, lb = len(b) - 1, b[-1]
+    q = [Fraction(0)] * (len(a) - db)
     while len(a) - 1 >= db and a:
         shift = len(a) - 1 - db
         f = a[-1] / lb
+        q[shift] = f
         for i in range(len(b)):
             a[shift + i] -= f * b[i]
         _poly_trim(a)
-    return a
+    return _poly_trim(q), a
 
 
 def _poly_gcd(a, b):
     a, b = a[:], b[:]
     while b:
-        a, b = b, _poly_rem(a, b)
+        a, b = b, _poly_divmod(a, b)[1]
     return a
-
-
-def univariate_from_multipoly(p: MultiPoly, var: str):
-    """Coefficient list (ascending) of a polynomial in a single variable."""
-    idx = p.vars.index(var)
-    deg = max((m[idx] for m in p.terms), default=0)
-    coeffs = [Fraction(0)] * (deg + 1)
-    for m, c in p.terms.items():
-        if any(e for j, e in enumerate(m) if j != idx):
-            raise PreconditionError("polynomial is not univariate after substitution")
-        if not c.is_real:
-            raise PreconditionError("real coefficients required for root counting")
-        coeffs[m[idx]] += c.re
-    return _poly_trim(coeffs)
 
 
 def sturm_distinct_real_roots(coeffs):
@@ -213,7 +205,7 @@ def sturm_distinct_real_roots(coeffs):
         return 0
     chain = [p, _poly_deriv(p)]
     while chain[-1]:
-        r = _poly_rem(chain[-2], chain[-1])
+        r = _poly_divmod(chain[-2], chain[-1])[1]
         if not r:
             break
         chain.append([-c for c in r])
@@ -241,25 +233,8 @@ def all_roots_real(coeffs, strict=False):
     if strict:
         return sturm_distinct_real_roots(p) == len(p) - 1
     g = _poly_gcd(p, _poly_deriv(p))
-    if len(g) > 1:
-        q = _poly_quot(p, g)
-    else:
-        q = p
+    q = _poly_divmod(p, g)[0] if len(g) > 1 else p
     return sturm_distinct_real_roots(q) == len(q) - 1
-
-
-def _poly_quot(a, b):
-    a = a[:]
-    db, lb = len(b) - 1, b[-1]
-    q = [Fraction(0)] * (len(a) - db)
-    while len(a) - 1 >= db and a:
-        shift = len(a) - 1 - db
-        f = a[-1] / lb
-        q[shift] = f
-        for i in range(len(b)):
-            a[shift + i] -= f * b[i]
-        _poly_trim(a)
-    return _poly_trim(q)
 
 
 # -- ellipticity ------------------------------------------------------------------------
@@ -316,15 +291,7 @@ def is_elliptic(sys: PdeSystem, grid=None, seed=0):
                 if gram_is_positive_definite(ExactMatrix(signed)):
                     return True, {"kind": "definite", "sign": tag}
             # not definite: a real characteristic covector exists
-            for sample in grid:
-                point = _sample_point(sys, sample)
-                if all(not g.evaluate(point) for g in cv.ideal.generators):
-                    return False, {
-                        "kind": "counterexample",
-                        "x": [str(v) for v in sample.x],
-                        "xi": [str(v) for v in sample.xi],
-                    }
-            return False, {"kind": "indefinite"}
+            return False, _grid_counterexample(sys, grid, cv) or {"kind": "indefinite"}
     amb = cv.ambient
     norm2 = MultiPoly.zero(amb)
     for xi in cv.xi_vars:
@@ -332,15 +299,21 @@ def is_elliptic(sys: PdeSystem, grid=None, seed=0):
         norm2 = norm2 + v * v
     if cv.ideal.generators and saturation_is_unit(cv.ideal, norm2):
         return True, {"kind": "saturation"}
+    cert = _grid_counterexample(sys, grid, cv)
+    return (False, cert) if cert else (True, {"kind": "grid", "samples": len(grid)})
+
+
+def _grid_counterexample(sys, grid, cv):
+    """Certificate for the first grid covector where every generator vanishes."""
     for sample in grid:
         point = _sample_point(sys, sample)
         if all(not g.evaluate(point) for g in cv.ideal.generators):
-            return False, {
+            return {
                 "kind": "counterexample",
                 "x": [str(v) for v in sample.x],
                 "xi": [str(v) for v in sample.xi],
             }
-    return True, {"kind": "grid", "samples": len(grid)}
+    return None
 
 
 def _sample_point(sys, sample):
@@ -400,14 +373,23 @@ def _frozen_scalar_symbol(sys: PdeSystem, x=None):
 
 
 def _direction_polynomial(frozen, theta, eta):
-    """sigma(t*theta + eta) as a univariate coefficient list."""
-    xi_vars = frozen.vars
-    tring = ("t",)
-    t = MultiPoly.variable(tring, "t")
-    mapping = {}
-    for i, v in enumerate(xi_vars):
-        mapping[v] = t * Fraction(theta[i]) + MultiPoly.constant(tring, Fraction(eta[i]))
-    return univariate_from_multipoly(frozen.substitute(mapping), "t")
+    """sigma(t*theta + eta) as an ascending coefficient list in t: each term
+    c*xi^alpha expands as c times the product of (eta_i + theta_i*t)^alpha_i."""
+    lines = [[Fraction(eta[i]), Fraction(theta[i])] for i in range(len(frozen.vars))]
+    re, im = [], []
+    for mono, c in frozen.terms.items():
+        prod = [Fraction(1)]
+        for line, e in zip(lines, mono):
+            for _ in range(e):
+                prod = _poly_mul(prod, line)
+        for acc, part in ((re, c.re), (im, c.im)):
+            if part:
+                acc.extend([Fraction(0)] * (len(prod) - len(acc)))
+                for j, x in enumerate(prod):
+                    acc[j] += part * x
+    if _poly_trim(im):
+        raise PreconditionError("real coefficients required for root counting")
+    return _poly_trim(re)
 
 
 def _transverse_part(eta, theta):

@@ -1,16 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spencerlab.errors import AmbientMismatchError
 from spencerlab.groebner import (
     PolyIdeal,
     buchberger,
-    ideal_dimension,
-    ideal_member,
     normal_form,
     saturation_is_unit,
 )
@@ -162,15 +161,15 @@ def test_membership_by_substitution_oracle():
     target = x_() ** 4 - x_()
     assert (x_() ** 2 + y_()) * g1 + g2 == target
     ideal = PolyIdeal(XY, [g1, g2])
-    assert ideal_member(target, ideal)
-    assert not ideal_member(x_() + 1, ideal)
+    assert ideal.contains(target)
+    assert not ideal.contains(x_() + 1)
 
 
 def test_membership_trivia():
     ideal = PolyIdeal(XY, [x_()])
-    assert ideal_member(MultiPoly.zero(XY), ideal)
-    assert ideal_member(x_() * y_(), ideal)
-    assert not ideal_member(x_() + 1, ideal)
+    assert ideal.contains(MultiPoly.zero(XY))
+    assert ideal.contains(x_() * y_())
+    assert not ideal.contains(x_() + 1)
 
 
 def test_groebner_idempotent():
@@ -191,12 +190,61 @@ def test_membership_closure(a, b, r):
 
 
 def test_dimension_examples():
-    assert ideal_dimension(PolyIdeal(XY, [x_(), y_()])) == 0
-    assert ideal_dimension(PolyIdeal(XY, [x_()])) == 1
+    assert PolyIdeal(XY, [x_(), y_()]).dimension() == 0
+    assert PolyIdeal(XY, [x_()]).dimension() == 1
     xyz = ("x", "y", "z")
-    assert ideal_dimension(PolyIdeal(xyz, [])) == 3
+    assert PolyIdeal(xyz, []).dimension() == 3
     unit = PolyIdeal(XY, [MultiPoly.constant(XY, 1)])
-    assert ideal_dimension(unit) is None
+    assert unit.dimension() is None
+
+
+def _dimension_by_subsets(ideal):
+    """Oracle: the largest variable subset containing no leading-monomial
+    support, found by enumerating subsets from the largest size down."""
+    gb = ideal.groebner()
+    if len(gb) == 1 and gb[0].is_constant():
+        return None
+    n = len(ideal.ambient)
+    supports = [{i for i, e in enumerate(g.leading_monomial()) if e} for g in gb]
+    for size in range(n, -1, -1):
+        for subset in combinations(range(n), size):
+            if not any(sup <= set(subset) for sup in supports):
+                return size
+    return 0
+
+
+@st.composite
+def monomial_or_binomial_ideal_st(draw):
+    n = draw(st.integers(1, 9))
+    variables = tuple(f"v{i}" for i in range(n))
+
+    def mono():
+        support = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))
+        return tuple(draw(st.integers(1, 2)) if i in support else 0 for i in range(n))
+
+    binomial = draw(st.booleans())  # few binomials keep Buchberger small
+    gens = []
+    for _ in range(draw(st.integers(0, 3 if binomial else 10))):
+        terms = {mono(): 1}
+        if binomial:
+            terms[mono()] = draw(st.sampled_from([-1, 2, Fraction(-1, 3)]))
+        gens.append(MultiPoly(variables, terms))
+    return PolyIdeal(variables, gens)
+
+
+V9 = tuple(f"v{i}" for i in range(9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_or_binomial_ideal_st())
+@example(PolyIdeal(V9, []))  # zero ideal: dimension 9
+@example(PolyIdeal(V9, [MultiPoly.variable(V9, "v0") ** 2 + 1,
+                        MultiPoly.constant(V9, 3)]))  # unit ideal: None
+def test_dimension_matches_subset_enumeration(ideal):
+    expected = _dimension_by_subsets(ideal)
+    if not ideal.generators:
+        assert expected == len(ideal.ambient)
+    assert ideal.dimension() == expected
 
 
 def test_saturation_unit_detects_containment():
@@ -235,4 +283,4 @@ def test_membership_ambient_mismatch_error():
     ideal = PolyIdeal(XY, [x_()])
     foreign = MultiPoly.variable(("z", "w"), "z")
     with pytest.raises(AmbientMismatchError):
-        ideal_member(foreign, ideal)
+        ideal.contains(foreign)

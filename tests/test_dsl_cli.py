@@ -252,6 +252,32 @@ def test_cli_kunneth(capsys, tmp_path):
     assert data["result"]["factorization"]["all_passed"] is True
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--direction", "a,b"], "--direction: 'a,b' is not a list of rationals"),
+    (["classify", "--direction", "1"], "--direction: '1' has 1 entries for 2 variables"),
+    (["classify", "--cones", "p,q"], "--cones: no cone named 'p'; have ['ahead', 'behind']"),
+    (["classify", "--cones", "ahead"], "--cones needs two cone names a,b, got 'ahead'"),
+    (["kunneth", "--other", "nope"], "--other: no system named 'nope'; have ['wave']"),
+    (["restrict", "--subspace", "1,x"], "--subspace: '1,x' is not a list of rationals"),
+], ids=["direction", "direction-length", "cones", "cones-count", "other", "subspace"])
+def test_cli_bad_microlocal_argument(capsys, tmp_path, argv, message):
+    pde = tmp_path / "wave.pde"
+    pde.write_text(WAVE + "cone ahead { generators (1, 1), (1, -1); kind closed; }\n"
+                   "cone behind { generators (-1, 1), (-1, -1); kind closed; }\n")
+    assert main([argv[0], str(pde)] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("copies", ["-1", "0", "1"])
+def test_cli_kunneth_rejects_fewer_than_two_copies(capsys, tmp_path, copies):
+    pde = tmp_path / "wave.pde"
+    pde.write_text(WAVE)
+    assert main(["kunneth", str(pde), "--copies", copies]) == 2
+    assert f"argument --copies: '{copies}' is not an integer >= 2" in capsys.readouterr().err
+
+
 def test_cli_entry_point_subprocess(tmp_path):
     out = subprocess.run(
         [sys.executable, "-m", "spencerlab.cli", "grr", "--model", "P2", "--twist", "2"],

@@ -9,6 +9,7 @@ from spencerlab.microlocal import (
     CovectorSample,
     ConeSpec,
     Region,
+    _direction_polynomial,
     all_roots_real,
     characteristic_ideal,
     classify_mixed,
@@ -22,9 +23,11 @@ from spencerlab.microlocal import (
     sturm_distinct_real_roots,
 )
 from spencerlab.poly import MultiPoly
+from spencerlab.scalars import QQi
 from spencerlab.systems import (
     cauchy_riemann_system,
     dx_system,
+    external_power,
     gradient_system,
     heat_system,
     laplace_system,
@@ -66,6 +69,13 @@ def test_char_ideal_gradient_zero_section():
     assert len(cv.ideal.generators) == 2
 
 
+def test_char_ideal_dimension_of_wave_powers():
+    # each copy adds a 3-dimensional factor; the 7th power has 28 variables
+    dims = [characteristic_ideal(external_power(wave_system(), s)).dimension
+            for s in range(1, 8)]
+    assert dims == [3 * s for s in range(1, 8)]
+
+
 def test_conicity_all_systems():
     for builder in (laplace_system, wave_system, heat_system, tricomi_system):
         assert characteristic_ideal(builder()).conic
@@ -101,6 +111,55 @@ def test_products_of_linear_factors_are_real_rooted(roots):
     assert all_roots_real(poly, strict=False)
     distinct = len(set(roots))
     assert sturm_distinct_real_roots(poly) == distinct
+
+
+def _direction_polynomial_by_substitution(frozen, theta, eta):
+    """Oracle: substitute xi = t*theta + eta and read off the t-coefficients."""
+    t = MultiPoly.variable(("t",), "t")
+    image = frozen.substitute({
+        v: t * Fraction(th) + MultiPoly.constant(("t",), e)
+        for v, th, e in zip(frozen.vars, theta, eta)
+    })
+    coeffs = [Fraction(0)] * (image.total_degree() + 1)
+    for (k,), c in image.terms.items():
+        if not c.is_real:
+            raise PreconditionError("real coefficients required for root counting")
+        coeffs[k] += c.re
+    return coeffs
+
+
+@st.composite
+def frozen_direction_st(draw):
+    n = draw(st.integers(1, 3))
+    xi_vars = tuple(f"xi_{i}" for i in range(n))
+    rational = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        terms[tuple(draw(st.integers(0, 3)) for _ in range(n))] = draw(rational)
+    theta = tuple(draw(rational) for _ in range(n))
+    eta = draw(st.one_of(st.just((Fraction(0),) * n),
+                         st.tuples(*[rational] * n)))
+    return MultiPoly(xi_vars, terms), theta, eta
+
+
+@settings(max_examples=150, deadline=None)
+@given(frozen_direction_st())
+def test_direction_polynomial_matches_substitution(case):
+    frozen, theta, eta = case
+    assert _direction_polynomial(frozen, theta, eta) == _direction_polynomial_by_substitution(
+        frozen, theta, eta)
+
+
+def test_direction_polynomial_non_real_coefficients():
+    xi = ("xi_x", "xi_y")
+    zero = (Fraction(0), Fraction(0))
+    i_xx = MultiPoly.monomial(xi, (2, 0), QQi(0, 1))
+    with pytest.raises(PreconditionError, match="real coefficients"):
+        _direction_polynomial(i_xx, (1, 0), zero)
+    # imaginary parts that cancel along the line leave a real polynomial
+    cancelling = i_xx - MultiPoly.monomial(xi, (0, 2), QQi(0, 1))
+    assert _direction_polynomial(cancelling, (1, 1), zero) == []
+    assert _direction_polynomial_by_substitution(cancelling, (1, 1), zero) == []
 
 
 # -- ellipticity ---------------------------------------------------------------------
