@@ -8,6 +8,7 @@ and the seed is echoed in the report.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -39,7 +40,6 @@ from .microlocal import (
     noncharacteristic_restrict,
 )
 from .reports import ReportDocument, emit_report, input_hash
-from .spectra import SpectrumModel
 from .spencer import (
     delta_cohomology,
     involutivity_degree,
@@ -49,13 +49,6 @@ from .spencer import (
     to_flat_connection,
 )
 from .symbols import geometric_symbol, prolong, symbol_space
-from .torsion import (
-    bcov_invariant_model,
-    fd_spectrum_crosscheck,
-    quillen_norm,
-    ray_singer_torsion,
-)
-from .zeta import regularized_det, zeta_at
 
 COMMANDS = (
     "symbol", "prolong", "spencer", "involutivity", "finite-type", "poincare",
@@ -69,6 +62,25 @@ def _copies(text):
     if not text.isdigit() or int(text) < 2:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 2")
     return int(text)
+
+
+def _finite_float(text):
+    """argparse type: a float that is neither nan nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _positive_float(text):
+    """argparse type: a finite float above zero."""
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
+    return value
 
 
 def build_parser():
@@ -86,7 +98,7 @@ def build_parser():
             p.add_argument("--system", help="system name (default: the only one)")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tolerance", type=float, default=None)
+        p.add_argument("--tolerance", type=_finite_float, default=None)
         return p
 
     p = add("symbol", needs_file=True)
@@ -108,7 +120,8 @@ def build_parser():
     p.add_argument("--direction", default=None, help="covector like 1,0")
     p.add_argument("--region", default=None, help="region block name")
     p.add_argument("--cones", default=None, help="two cone names: a,b")
-    p.add_argument("--grid", type=int, default=4, help="random base points")
+    p.add_argument("--grid", type=int, default=None,
+                   help="random base points (default 4)")
     p.add_argument("--mode", choices=("labels", "elliptic", "hyperbolic"),
                    default="labels")
     p = add("restrict", needs_file=True)
@@ -133,7 +146,7 @@ def build_parser():
     p.add_argument("--boundary", default=None)
     p = add("torsion")
     p.add_argument("--model", choices=("circle", "torus"), required=True)
-    p.add_argument("--length", type=float, default=None)
+    p.add_argument("--length", type=_finite_float, default=None)
     p.add_argument("--tau", default=None, help="re,im")
     p.add_argument("--convention", choices=("exp_full", "product_half"),
                    default="exp_full")
@@ -141,21 +154,21 @@ def build_parser():
     p.add_argument("file", nargs="?", default=None, help="DSL file with spectrum blocks")
     p.add_argument("--spectrum", default=None, help="spectrum block name from the file")
     p.add_argument("--model", choices=("circle", "torus"), default=None)
-    p.add_argument("--length", type=float, default=None)
+    p.add_argument("--length", type=_finite_float, default=None)
     p.add_argument("--tau", default=None)
     p.add_argument("--method", default="auto",
                    choices=("auto", "closed_form", "euler_maclaurin", "mellin_theta"))
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_finite_float, default=1.0)
     p = add("bcov")
     p.add_argument("--tau", required=True)
-    p.add_argument("--area", type=float, default=1.0)
+    p.add_argument("--area", type=_positive_float, default=1.0)
     p.add_argument("--chi", type=int, default=0)
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_finite_float, default=1.0)
     p = add("quillen")
-    p.add_argument("--l2", type=float, required=True)
+    p.add_argument("--l2", type=_finite_float, required=True)
     p.add_argument("--dets", required=True, help="degree:value pairs like 0:1.0,1:2.5")
     p = add("crosscheck")
-    p.add_argument("--length", type=float, required=True)
+    p.add_argument("--length", type=_positive_float, required=True)
     p.add_argument("--n", type=int, default=64)
     return parser
 
@@ -202,11 +215,21 @@ def _named(table, name, option, kind):
     return table[name]
 
 
-def _parse_table(text):
+def _parse_table(text, option, value, bare_degree=False):
+    """A degree:value table like 0:1,1:2.5; with bare_degree, an item
+    without a colon is the value in degree 0."""
     table = {}
     for item in text.split(","):
-        k, v = item.split(":")
-        table[int(k)] = float(v)
+        k, colon, v = item.partition(":")
+        if bare_degree and not colon:
+            k, v = "0", item
+        try:
+            degree, entry = int(k), value(v)
+        except (ValueError, argparse.ArgumentTypeError):
+            raise ParseError(f"{option}: {item!r} is not a degree:value pair") from None
+        if degree in table:
+            raise ParseError(f"{option}: degree {degree} is given twice")
+        table[degree] = entry
     return table
 
 
@@ -296,6 +319,7 @@ def dispatch(args):
             "coefficients": poincare_series(sys_, args.order),
         }
     elif cmd == "classify":
+        _check_classify_options(args)
         doc, text = _load_document(args)
         sys_ = _pick_system(doc, args)
         source_hash = input_hash(text)
@@ -405,11 +429,15 @@ def dispatch(args):
             "breakdown": report.breakdown,
         }
     elif cmd == "boundary-index":
-        interior = _parse_int_table(args.interior)
-        boundary = _parse_int_table(args.boundary) if args.boundary else None
+        interior = _parse_table(args.interior, "--interior", int, bare_degree=True)
+        boundary = (_parse_table(args.boundary, "--boundary", int, bare_degree=True)
+                    if args.boundary else None)
         ind, ind_b, ind_rel = boundary_index(interior, boundary)
         payload = {"index": ind, "boundary_index": ind_b, "relative_index": ind_rel}
     elif cmd == "torsion":
+        from .spectra import SpectrumModel
+        from .torsion import ray_singer_torsion
+
         if args.model == "circle":
             if args.length is None:
                 raise PreconditionError("--length required for the circle model")
@@ -431,6 +459,9 @@ def dispatch(args):
             {d["method"] for d in report.per_degree.values()}
         )
     elif cmd == "det":
+        from .spectra import SpectrumModel
+        from .zeta import regularized_det, zeta_at
+
         if args.spectrum is not None:
             if args.file is None:
                 raise PreconditionError("--spectrum needs a DSL file argument")
@@ -467,14 +498,22 @@ def dispatch(args):
                 f"error bound {err} exceeds requested tolerance {args.tolerance}"
             )
     elif cmd == "bcov":
+        from .torsion import bcov_invariant_model
+
         payload = bcov_invariant_model(
             _parse_tau(args.tau), area=args.area, chi=args.chi, lattice_scale=args.scale
         )
     elif cmd == "quillen":
+        from .torsion import quillen_norm
+
         payload = {
-            "quillen_norm": quillen_norm(args.l2, _parse_table(args.dets)),
+            "quillen_norm": quillen_norm(
+                args.l2, _parse_table(args.dets, "--dets", _finite_float)
+            ),
         }
     elif cmd == "crosscheck":
+        from .torsion import fd_spectrum_crosscheck
+
         payload = fd_spectrum_crosscheck(args.length, args.n)
     else:  # pragma: no cover - argparse guards the command set
         raise PreconditionError(f"unknown command {cmd!r}")
@@ -491,24 +530,31 @@ def dispatch(args):
     )
 
 
-def _parse_int_table(text):
-    table = {}
-    for item in text.split(","):
-        if ":" in item:
-            k, v = item.split(":")
-            table[int(k)] = int(v)
-        else:
-            table[0] = int(item)
-    return table
+def _check_classify_options(args):
+    """Options that only the labels mode reads are an error in the other
+    modes; --grid falls back to its default only after this check."""
+    if args.mode != "labels":
+        given = [opt for opt in ("region", "cones", "grid")
+                 if getattr(args, opt) is not None]
+        if args.mode == "elliptic" and args.direction is not None:
+            given.append("direction")
+        if given:
+            options = ", ".join(f"--{opt}" for opt in given)
+            raise ParseError(f"{options}: not used by --mode {args.mode}")
+    if args.grid is None:
+        args.grid = 4
 
 
 def _parse_tau(text):
     if text is None:
         raise PreconditionError("--tau required for the torus model")
-    parts = str(text).split(",")
-    if len(parts) == 1:
-        return complex(0.0, float(parts[0]))
-    return complex(float(parts[0]), float(parts[1]))
+    try:
+        parts = [_finite_float(x) for x in str(text).split(",")]
+    except argparse.ArgumentTypeError:
+        parts = []
+    if len(parts) not in (1, 2):
+        raise ParseError(f"--tau: {text!r} is not 'im' or 're,im' in finite numbers")
+    return complex(0.0, parts[0]) if len(parts) == 1 else complex(*parts)
 
 
 def main(argv=None):
@@ -518,7 +564,7 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        report = dispatch(args)
+        out = emit_report(dispatch(args), args.format)
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 2
@@ -531,7 +577,7 @@ def main(argv=None):
     except SpencerLabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    sys.stdout.buffer.write(emit_report(report, args.format))
+    sys.stdout.buffer.write(out)
     sys.stdout.write("\n")
     return 0
 

@@ -31,7 +31,6 @@ from .errors import ParseError
 from .microlocal import ConeSpec, Region
 from .poly import MultiPoly
 from .scalars import QQi
-from .spectra import SpectrumModel
 from .systems import Equation, PdeSystem
 
 PUNCT = ("{", "}", "(", ")", "[", "]", ",", ";", ":", "=", "+", "-", "*", "^",
@@ -500,6 +499,8 @@ class Parser:
         return name, spec
 
     def build_spectrum(self, kind, params):
+        from .spectra import SpectrumModel
+
         if kind == "circle":
             return SpectrumModel.circle(params["length"][0])
         if kind == "torus":
@@ -657,7 +658,7 @@ def _poly_text(poly: MultiPoly):
     return out
 
 
-def _spectrum_lines(name, spec: SpectrumModel):
+def _spectrum_lines(name, spec):
     lines = [f"spectrum {name} {{"]
     if spec.kind == "circle":
         lines.append("  kind circle;")

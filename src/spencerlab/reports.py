@@ -2,16 +2,18 @@
 
 Canonicalization rules: keys sorted, compact separators, exact rationals as
 "num/den" strings (never floats), reals rounded to 15 significant digits
-before encoding.  Identical inputs produce byte-identical reports.
+before encoding; a non-finite real is a NumericError, not a report.
+Identical inputs produce byte-identical reports.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
+import math
 from dataclasses import dataclass, field, is_dataclass, asdict
 from fractions import Fraction
 
+from .errors import NumericError
 from .scalars import QQi
 
 TOOL_VERSION = "0.1.0"
@@ -27,6 +29,8 @@ def _canon(value):
     if isinstance(value, int):
         return value
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise NumericError(f"result {value!r} is not a finite number")
         return float(format(value, ".15g"))
     if isinstance(value, complex):
         return {"re": _canon(value.real), "im": _canon(value.imag)}
@@ -45,6 +49,8 @@ def _canon(value):
 
 
 def input_hash(*chunks) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     for chunk in chunks:
         if isinstance(chunk, str):

@@ -126,23 +126,6 @@ class PdeSystem:
         pt = self.base_point if point is None else point
         return {v: Fraction(p) for v, p in zip(self.indep_vars, pt)}
 
-    def coeff_ring_poly(self, value):
-        return MultiPoly.constant(self.indep_vars, value)
-
-    def equation(self, jet_terms):
-        """Build an Equation over this system's coefficient ring.
-
-        jet_terms: iterable of (coeff, unknown index, multi-index); coeff may
-        be a scalar or a MultiPoly over indep_vars.
-        """
-        terms = {}
-        for coeff, a, alpha in jet_terms:
-            if not isinstance(coeff, MultiPoly):
-                coeff = MultiPoly.constant(self.indep_vars, coeff)
-            key = (a, tuple(alpha))
-            terms[key] = terms.get(key, MultiPoly.zero(self.indep_vars)) + coeff
-        return Equation(terms)
-
 
 def make_system(indep_vars, unknowns, eq_specs, order=None, base_point=None, name=""):
     """eq_specs: list of lists of (coeff, unknown index, multi-index)."""

@@ -462,3 +462,82 @@ def test_explicit_spectrum_multiplicity_mismatch(capsys, tmp_path):
     assert main(["det", str(pde), "--spectrum", "p"]) == 2
     err = capsys.readouterr().err
     assert "1 multiplicities for 2 values at 1:" in err
+
+
+@pytest.mark.parametrize("mode, option, value", [
+    ("elliptic", "--cones", "ahead,behind"),
+    ("elliptic", "--grid", "99"),
+    ("elliptic", "--region", "lower"),
+    ("elliptic", "--direction", "1,0"),
+    ("hyperbolic", "--cones", "ahead,behind"),
+    ("hyperbolic", "--grid", "4"),
+    ("hyperbolic", "--region", "lower"),
+], ids=["elliptic-cones", "elliptic-grid", "elliptic-region", "elliptic-direction",
+        "hyperbolic-cones", "hyperbolic-grid", "hyperbolic-region"])
+def test_cli_classify_rejects_unused_option(capsys, tmp_path, mode, option, value):
+    pde = tmp_path / "tricomi.pde"
+    pde.write_text(TRICOMI + "cone ahead { generators (1, 1), (1, -1); kind closed; }\n"
+                   "cone behind { generators (-1, 1), (-1, -1); kind closed; }\n")
+    argv = ["classify", str(pde), "--mode", mode, option, value]
+    if mode == "hyperbolic":
+        argv += ["--direction", "0,1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{option}: not used by --mode {mode}" in err
+    assert "Traceback" not in err
+
+
+def test_cli_classify_reports_default_grid(capsys, tmp_path):
+    pde = tmp_path / "wave.pde"
+    pde.write_text(WAVE)
+    assert main(["classify", str(pde), "--mode", "elliptic"]) == 0
+    assert json.loads(capsys.readouterr().out)["arguments"]["grid"] == 4
+    assert main(["classify", str(pde), "--mode", "hyperbolic", "--direction", "1,0"]) == 0
+    assert json.loads(capsys.readouterr().out)["arguments"]["grid"] == 4
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["quillen", "--l2", "1", "--dets", "0-1"], "--dets: '0-1' is not a degree:value pair"),
+    (["quillen", "--l2", "1", "--dets", "0:1,0:2"], "--dets: degree 0 is given twice"),
+    (["crosscheck", "--length", "0"], "argument --length: '0' is not a positive number"),
+    (["det", "--model", "circle", "--length", "nan"],
+     "argument --length: 'nan' is not a finite number"),
+    (["torsion", "--model", "circle", "--length", "inf"],
+     "argument --length: 'inf' is not a finite number"),
+    (["bcov", "--tau=0,1", "--scale", "inf"], "argument --scale: 'inf' is not a finite number"),
+    (["bcov", "--tau=0,1", "--area", "0"], "argument --area: '0' is not a positive number"),
+    (["det", "--model", "torus", "--tau=nan,1"], "--tau: 'nan,1' is not 'im' or 're,im'"),
+    (["det", "--model", "torus", "--tau=0,1,2"], "--tau: '0,1,2' is not 'im' or 're,im'"),
+    (["boundary-index", "--interior", "0:a"], "--interior: '0:a' is not a degree:value pair"),
+], ids=["quillen-dets", "quillen-dets-twice", "crosscheck-length", "det-length",
+        "torsion-length", "bcov-scale", "bcov-area", "tau-nan", "tau-three", "boundary-interior"])
+def test_cli_bad_numeric_argument(capsys, argv, message):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_cli_non_finite_result_is_numeric_error(capsys):
+    assert main(["det", "--model", "circle", "--length", "1e300"]) == 4
+    assert "numeric error: result inf is not a finite number" in capsys.readouterr().err
+
+
+MIXED = (WAVE + "spectrum circ { kind circle; length 6.283185307179586; }\n"
+         "spectrum tor { kind torus; tau 0.25, 1.25; }\n")
+
+
+@pytest.mark.parametrize("name, result", [
+    ("circ", {"det": 39.4784176043574, "error_bound": 7.99568352087149e-24,
+              "method": "closed_form", "model": "circ", "zero_modes": 1, "zeta0": -1.0}),
+    ("tor", {"det": 1.68806926476889, "error_bound": 1.85913867437073e-16,
+             "method": "mellin_theta", "model": "tor", "zero_modes": 1, "zeta0": -1.0}),
+])
+def test_system_and_spectrum_document(capsys, tmp_path, name, result):
+    doc = parse_pde_dsl(MIXED)
+    assert sorted(doc.systems) == ["wave"] and sorted(doc.spectra) == ["circ", "tor"]
+    assert parse_pde_dsl(print_document(doc)) == doc
+    pde = tmp_path / "mixed.pde"
+    pde.write_text(MIXED)
+    assert main(["det", str(pde), "--spectrum", name]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == result
