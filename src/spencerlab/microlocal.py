@@ -11,6 +11,14 @@ Real decisions are exact where we can make them exact (definite quadratic
 forms, saturation certificates, Sturm sequences on univariate slices) and
 grid-verified otherwise, with the verification mode always recorded in the
 certificate.
+
+Grid classification runs on Python ints.  The symbol is compiled once per
+system into integer coefficients in (x, xi) over one common denominator
+(`_IntSymbol`) and specialised once per base point; covectors are scaled to
+integers.  Sturm sequences are primitive pseudo-remainder sequences on int
+lists (Collins 1967), which differ from the rational Sturm chain only by
+positive factors and so give the same root counts.  Only the saturation
+certificate still builds a frozen `PdeSystem`.
 """
 
 from __future__ import annotations
@@ -19,10 +27,11 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 from .errors import PreconditionError
 from .groebner import PolyIdeal, saturation_is_unit
-from .linalg import ExactMatrix, gram_is_positive_definite
+from .linalg import ExactMatrix
 from .poly import MultiPoly
 from .scalars import QQi
 from .systems import PdeSystem, make_system
@@ -155,6 +164,12 @@ def default_grid(sys: PdeSystem, base_count=4, xi_count=4, seed=0, region=None):
 
 
 # -- exact univariate real-root machinery --------------------------------------------
+#
+# Polynomials are ascending coefficient lists.  A Sturm sequence is built as
+# a primitive pseudo-remainder sequence on ints: each pseudo-division scales
+# by a positive integer and each content division is by a positive gcd, so
+# every element is a positive multiple of the classical rational Sturm
+# chain's and the sign variations are the same.
 
 
 def _poly_trim(c):
@@ -168,7 +183,7 @@ def _poly_deriv(c):
 
 
 def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -176,65 +191,170 @@ def _poly_mul(a, b):
     return out
 
 
-def _poly_divmod(a, b):
-    """(quotient, remainder) of ascending coefficient lists, b nonzero."""
+def _int_vector(values):
+    """Rationals times their positive common denominator, as ints."""
+    fr = [Fraction(v) for v in values]
+    d = lcm(*(v.denominator for v in fr))
+    return [v.numerator * (d // v.denominator) for v in fr]
+
+
+def _primitive(p):
+    """p divided by the gcd of its coefficients."""
+    g = gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _prem(a, b):
+    """Remainder of |lc(b)|^k * a by b, b nonzero: a pseudo-division that
+    scales by a positive integer only."""
     a = a[:]
     db, lb = len(b) - 1, b[-1]
-    q = [Fraction(0)] * (len(a) - db)
-    while len(a) - 1 >= db and a:
-        shift = len(a) - 1 - db
-        f = a[-1] / lb
-        q[shift] = f
-        for i in range(len(b)):
-            a[shift + i] -= f * b[i]
-        _poly_trim(a)
-    return _poly_trim(q), a
+    scale, sign = abs(lb), (1 if lb > 0 else -1)
+    for shift in range(len(a) - 1 - db, -1, -1):
+        top = sign * a[shift + db]
+        if top:
+            if scale != 1:
+                a = [scale * c for c in a]
+            for i, c in enumerate(b):
+                a[shift + i] -= top * c
+    return _poly_trim(a[:db])
 
 
-def _poly_gcd(a, b):
-    a, b = a[:], b[:]
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    return a
+def _sturm_chain(p):
+    """Sturm sequence of an int polynomial of degree >= 1, ending in a
+    multiple of gcd(p, p')."""
+    chain = [_primitive(p), _primitive(_poly_deriv(p))]
+    while True:
+        r = _prem(chain[-2], chain[-1])
+        if not r:
+            return chain
+        chain.append([-c for c in _primitive(r)])
+
+
+def _real_root_count(chain):
+    """Distinct real roots of chain[0]: sign variations at -inf minus +inf."""
+    at_plus = [1 if q[-1] > 0 else -1 for q in chain]
+    at_minus = [s if len(q) % 2 else -s for s, q in zip(at_plus, chain)]
+    return _variations(at_minus) - _variations(at_plus)
+
+
+def _variations(signs):
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _real_rooted(p, strict):
+    if len(p) <= 1:
+        return bool(p)  # nonzero constants have no roots to fail
+    chain = _sturm_chain(p)
+    # p has deg p - deg gcd(p, p') distinct complex roots
+    distinct = len(p) - 1 - (0 if strict else len(chain[-1]) - 1)
+    return _real_root_count(chain) == distinct
 
 
 def sturm_distinct_real_roots(coeffs):
     """Number of distinct real roots via a Sturm chain, exact arithmetic."""
-    p = _poly_trim([Fraction(c) for c in coeffs])
-    if len(p) <= 1:
-        return 0
-    chain = [p, _poly_deriv(p)]
-    while chain[-1]:
-        r = _poly_divmod(chain[-2], chain[-1])[1]
-        if not r:
-            break
-        chain.append([-c for c in r])
-
-    def variations(at_plus):
-        signs = []
-        for q in chain:
-            if not q:
-                continue
-            lc = q[-1]
-            deg = len(q) - 1
-            s = lc if at_plus else lc * (-1) ** deg
-            if s:
-                signs.append(1 if s > 0 else -1)
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    return variations(False) - variations(True)
+    p = _poly_trim(_int_vector(coeffs))
+    return _real_root_count(_sturm_chain(p)) if len(p) > 1 else 0
 
 
 def all_roots_real(coeffs, strict=False):
     """Real-rootedness: strict demands simple roots; weak allows multiplicity."""
-    p = _poly_trim([Fraction(c) for c in coeffs])
-    if len(p) <= 1:
-        return bool(p)  # nonzero constants have no roots to fail
-    if strict:
-        return sturm_distinct_real_roots(p) == len(p) - 1
-    g = _poly_gcd(p, _poly_deriv(p))
-    q = _poly_divmod(p, g)[0] if len(g) > 1 else p
-    return sturm_distinct_real_roots(q) == len(q) - 1
+    return _real_rooted(_poly_trim(_int_vector(coeffs)), strict)
+
+
+# -- the symbol over Z --------------------------------------------------------------
+
+
+class _IntSymbol:
+    """Polynomials in (x, xi) with integer coefficients, specialised at base
+    points x on demand.
+
+    Each polynomial is a list of terms (x exponents, xi exponents, re, im),
+    re and im integers over one common denominator.  At x = (p_i / q_i)
+    every term is multiplied by the same positive constant, the denominator
+    times prod q_i^top_i (top_i the largest exponent of x_i), so the
+    specialised xi-coefficients are integers.  A positive constant changes
+    no zero test, no definiteness test and no real-root count.
+    Specialisations are cached per x.
+    """
+
+    def __init__(self, polys, n):
+        """polys: per polynomial, (x exponents, xi exponents, QQi) triples."""
+        den = lcm(*(v.denominator for p in polys for _, _, c in p for v in (c.re, c.im)))
+        self.polys = [
+            [(xe, ke, c.re.numerator * (den // c.re.denominator),
+              c.im.numerator * (den // c.im.denominator)) for xe, ke, c in p]
+            for p in polys
+        ]
+        self.tops = [max((xe[i] for p in self.polys for xe, _, _, _ in p), default=0)
+                     for i in range(n)]
+        self._cache = {}
+
+    def at(self, point):
+        """Per polynomial, its nonzero terms (xi exponents, re, im) at the
+        point given by its _rational_key."""
+        spec = self._cache.get(point)
+        if spec is None:
+            powers = [[p**e * q ** (top - e) for e in range(top + 1)]
+                      for (p, q), top in zip(point, self.tops)]
+            spec = self._cache[point] = [_specialise(poly, powers) for poly in self.polys]
+        return spec
+
+
+def _specialise(terms, powers):
+    acc = {}
+    for xe, ke, re, im in terms:
+        f = 1
+        for table, e in zip(powers, xe):
+            f *= table[e]
+        c = acc.setdefault(ke, [0, 0])
+        c[0] += re * f
+        c[1] += im * f
+    return [(ke, re, im) for ke, (re, im) in acc.items() if re or im]
+
+
+def _rational_key(values):
+    """Rationals as (numerator, denominator) pairs: a cheap exact dict key."""
+    return tuple((v.numerator, v.denominator) for v in values)
+
+
+def _poly_terms(poly, n):
+    """Terms (x exponents, xi exponents, coefficient) of a polynomial over (x, xi)."""
+    return [(m[:n], m[n:], c) for m, c in poly.terms.items()]
+
+
+def _equation_terms(eq):
+    """The same for the full symbol of a scalar equation, every order included."""
+    return [(m, alpha, c) for (_, alpha), coeff in eq.terms.items()
+            for m, c in coeff.terms.items()]
+
+
+def _vanishes(terms, xi):
+    """Whether integer terms (xi exponents, re, im) sum to 0 at the int covector xi."""
+    re = im = 0
+    for e, a, b in terms:
+        m = 1
+        for v, k in zip(xi, e):
+            if k:
+                m *= v**k
+        re += a * m
+        im += b * m
+    return not re and not im
+
+
+def _positive_definite(gram):
+    """Sylvester's criterion on an integer symmetric matrix.  In fraction-free
+    (Bareiss) elimination the k-th pivot is the k-th leading principal minor."""
+    a = [row[:] for row in gram]
+    n, prev = len(a), 1
+    for k in range(n):
+        if a[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return True
 
 
 # -- ellipticity ------------------------------------------------------------------------
@@ -247,25 +367,21 @@ def _scalar_symbol(sys: PdeSystem):
     return rows[0][0]
 
 
-def _xi_gram(symbol: MultiPoly, n):
-    """Exact Gram matrix of a real quadratic form in the xi block, or None."""
-    gram = [[Fraction(0)] * n for _ in range(n)]
-    for mono, c in symbol.terms.items():
-        if any(mono[:len(mono) - n][i] for i in range(len(mono) - n)):
-            return None  # variable coefficients
-        if not c.is_real:
-            return None
-        xi = mono[len(mono) - n :]
-        if sum(xi) != 2:
-            return None
-        hot = [i for i, e in enumerate(xi) if e]
-        if len(hot) == 1:
-            gram[hot[0]][hot[0]] += c.re
-        else:
-            i, j = hot
-            gram[i][j] += c.re / 2
-            gram[j][i] += c.re / 2
-    return gram
+def _definiteness(terms, n):
+    """"positive" or "negative" for a definite real quadratic form given as
+    integer terms (xi exponents, re, im), "" for any other real quadratic
+    form, None if the terms are not a real quadratic form."""
+    if any(im or sum(e) != 2 for e, _, im in terms):
+        return None
+    gram = [[0] * n for _ in range(n)]  # twice the Gram matrix
+    for e, re, _ in terms:
+        i, j = [i for i, k in enumerate(e) for _ in range(k)]
+        gram[i][j] += re
+        gram[j][i] += re
+    for sign, tag in ((1, "positive"), (-1, "negative")):
+        if _positive_definite([[sign * v for v in row] for row in gram]):
+            return tag
+    return ""
 
 
 def is_elliptic(sys: PdeSystem, grid=None, seed=0):
@@ -285,13 +401,12 @@ def is_elliptic(sys: PdeSystem, grid=None, seed=0):
     n = sys.n
     sym = _scalar_symbol(sys)
     if sym is not None and sys.constant_coefficient:
-        gram = _xi_gram(sym, n)
-        if gram is not None:
-            for signed, tag in ((gram, "positive"), ([[-x for x in row] for row in gram], "negative")):
-                if gram_is_positive_definite(ExactMatrix(signed)):
-                    return True, {"kind": "definite", "sign": tag}
-            # not definite: a real characteristic covector exists
-            return False, _grid_counterexample(sys, grid, cv) or {"kind": "indefinite"}
+        frozen = _IntSymbol([_poly_terms(sym, n)], n).at(_rational_key(sys.base_point))[0]
+        sign = _definiteness(frozen, n)
+        if sign:
+            return True, {"kind": "definite", "sign": sign}
+        if sign is not None:  # not definite: a real characteristic covector exists
+            return False, _grid_counterexample(grid, cv) or {"kind": "indefinite"}
     amb = cv.ambient
     norm2 = MultiPoly.zero(amb)
     for xi in cv.xi_vars:
@@ -299,29 +414,23 @@ def is_elliptic(sys: PdeSystem, grid=None, seed=0):
         norm2 = norm2 + v * v
     if cv.ideal.generators and saturation_is_unit(cv.ideal, norm2):
         return True, {"kind": "saturation"}
-    cert = _grid_counterexample(sys, grid, cv)
+    cert = _grid_counterexample(grid, cv)
     return (False, cert) if cert else (True, {"kind": "grid", "samples": len(grid)})
 
 
-def _grid_counterexample(sys, grid, cv):
+def _grid_counterexample(grid, cv):
     """Certificate for the first grid covector where every generator vanishes."""
+    n = len(cv.base_vars)
+    symbol = _IntSymbol([_poly_terms(g, n) for g in cv.ideal.generators], n)
     for sample in grid:
-        point = _sample_point(sys, sample)
-        if all(not g.evaluate(point) for g in cv.ideal.generators):
+        xi = _int_vector(sample.xi)
+        if all(_vanishes(g, xi) for g in symbol.at(_rational_key(sample.x))):
             return {
                 "kind": "counterexample",
                 "x": [str(v) for v in sample.x],
                 "xi": [str(v) for v in sample.xi],
             }
     return None
-
-
-def _sample_point(sys, sample):
-    point = {v: Fraction(p) for v, p in zip(sys.indep_vars, sample.x)}
-    point.update(
-        {xi_name(v): Fraction(p) for v, p in zip(sys.indep_vars, sample.xi)}
-    )
-    return point
 
 
 def frozen_system(sys: PdeSystem, x) -> PdeSystem:
@@ -343,6 +452,33 @@ def frozen_system(sys: PdeSystem, x) -> PdeSystem:
                      base_point=x, name=sys.name)
 
 
+def _frozen_elliptic(symbols, x, covectors, n):
+    """is_elliptic(frozen_system(sys, x), grid of covectors) for a scalar system,
+    from the integer full symbol of each equation at x; None where the frozen
+    system itself must decide (a saturation certificate, or a frozen order of
+    0, which PdeSystem rejects).
+
+    frozen_system freezes per equation: an equation whose top-order
+    coefficients vanish at x keeps its highest nonvanishing order.
+    """
+    rows = []
+    for terms in symbols:
+        if terms:
+            k = max(sum(e) for e, _, _ in terms)
+            rows.append([t for t in terms if sum(t[0]) == k])
+    sign = _definiteness(rows[0], n) if len(rows) == 1 else None
+    if sign:
+        return True, {"kind": "definite", "sign": sign}
+    cert = next(({"kind": "counterexample", "x": [str(v) for v in x],
+                  "xi": [str(v) for v in xi]}
+                 for xi, vec in covectors  # (rational, integer) pairs
+                 if all(_vanishes(row, vec) for row in rows)), None)
+    if sign is not None:
+        return False, cert or {"kind": "indefinite"}
+    # a real grid zero off xi = 0 rules saturation out
+    return (False, cert) if cert else None
+
+
 # -- hyperbolicity -------------------------------------------------------------------------
 
 
@@ -353,38 +489,21 @@ class HyperbolicityReport:
     certificate: dict = field(default_factory=dict)
 
 
-def _frozen_scalar_symbol(sys: PdeSystem, x=None):
-    sym = _scalar_symbol(sys)
-    if sym is None:
-        raise PreconditionError("hyperbolicity test implemented for single scalar equations")
-    point = sys.point_map(x)
-    xi_vars = tuple(xi_name(v) for v in sys.indep_vars)
-    frozen = MultiPoly.zero(xi_vars)
-    for mono, c in sym.terms.items():
-        xpart = mono[: sys.n]
-        xipart = mono[sys.n :]
-        val = c
-        for e, v in zip(xpart, sys.indep_vars):
-            for _ in range(e):
-                val = val * QQi(point[v])
-        if val:
-            frozen = frozen + MultiPoly.monomial(xi_vars, xipart, val)
-    return frozen
-
-
-def _direction_polynomial(frozen, theta, eta):
-    """sigma(t*theta + eta) as an ascending coefficient list in t: each term
-    c*xi^alpha expands as c times the product of (eta_i + theta_i*t)^alpha_i."""
-    lines = [[Fraction(eta[i]), Fraction(theta[i])] for i in range(len(frozen.vars))]
+def _direction_polynomial(terms, theta, eta):
+    """sigma(t*theta + eta) as an ascending coefficient list in t, for sigma
+    given as terms (xi exponents, re, im): each term expands as its
+    coefficient times the product of (eta_i + theta_i*t)^alpha_i.  Exact on
+    ints and on Fractions alike."""
+    lines = [[e, th] for e, th in zip(eta, theta)]
     re, im = [], []
-    for mono, c in frozen.terms.items():
-        prod = [Fraction(1)]
+    for mono, cre, cim in terms:
+        prod = [1]
         for line, e in zip(lines, mono):
             for _ in range(e):
                 prod = _poly_mul(prod, line)
-        for acc, part in ((re, c.re), (im, c.im)):
+        for acc, part in ((re, cre), (im, cim)):
             if part:
-                acc.extend([Fraction(0)] * (len(prod) - len(acc)))
+                acc.extend([0] * (len(prod) - len(acc)))
                 for j, x in enumerate(prod):
                     acc[j] += part * x
     if _poly_trim(im):
@@ -410,31 +529,45 @@ def is_hyperbolic(sys: PdeSystem, direction, grid=None, seed=0, strict=False, x=
         raise PreconditionError("direction covector must be nonzero")
     if grid is None:
         grid = default_grid(sys, seed=seed)
-    frozen = _frozen_scalar_symbol(sys, x)
-    k = frozen.total_degree()
-    lead = _direction_polynomial(frozen, theta, tuple(Fraction(0) for _ in theta))
+    sym = _scalar_symbol(sys)
+    if sym is None:
+        raise PreconditionError("hyperbolicity test implemented for single scalar equations")
+    point = _rational_key(Fraction(v) for v in (sys.base_point if x is None else x))
+    frozen = _IntSymbol([_poly_terms(sym, sys.n)], sys.n).at(point)[0]
+    return _hyperbolicity(frozen, theta, [s.xi for s in grid], strict)
+
+
+def _hyperbolicity(frozen, theta, xis, strict):
+    """is_hyperbolic for a frozen symbol given as integer terms (xi exponents,
+    re, im).  theta and every transverse part are scaled to integer vectors by
+    positive factors, which rescale t and leave the root counts as they are."""
+    th = _int_vector(theta)
+    k = max((sum(e) for e, _, _ in frozen), default=-1)
+    lead = _direction_polynomial(frozen, th, [0] * len(th))
     if len(lead) - 1 < k or not lead:
         reason = (
             "principal symbol independent of the direction coordinate"
-            if all(m[i] == 0 for m in frozen.terms
-                   for i in range(len(theta)) if theta[i])
+            if all(e[i] == 0 for e, _, _ in frozen for i in range(len(th)) if th[i])
             else "direction is characteristic"
         )
         return HyperbolicityReport(None, "degenerate", {"reason": reason})
+    nn = sum(t * t for t in th)
     tested = 0
-    for sample in grid:
-        eta = _transverse_part(sample.xi, theta)
+    for xi in xis:
+        v = _int_vector(xi)
+        dot = sum(a * b for a, b in zip(v, th))
+        eta = [nn * a - dot * b for a, b in zip(v, th)]  # |theta|^2 times the transverse part
         if not any(eta):
             continue
-        coeffs = _direction_polynomial(frozen, theta, eta)
+        coeffs = _direction_polynomial(frozen, th, eta)
         tested += 1
-        if not all_roots_real(coeffs, strict=strict):
+        if not _real_rooted(coeffs, strict):
             return HyperbolicityReport(
                 False,
                 "not_hyperbolic",
                 {
                     "kind": "sturm_counterexample",
-                    "eta": [str(v) for v in eta],
+                    "eta": [str(v) for v in _transverse_part(xi, theta)],
                     "distinct_real_roots": sturm_distinct_real_roots(coeffs),
                     "degree": len(coeffs) - 1,
                 },
@@ -561,53 +694,66 @@ def classify_mixed(
     """
     if directions is None:
         directions = axis_covectors(sys.n)[::2]  # +e_i directions
-    for s in grid:
-        if not region.contains(s.x):
-            raise PreconditionError(f"grid sample {s.x} lies outside the region")
+    keys = [(_rational_key(s.x), _rational_key(s.xi)) for s in grid]
+    bases, pool = {}, {}
+    for (xk, xik), s in zip(keys, grid):
+        bases.setdefault(xk, s.x)
+        pool.setdefault(xik, s.xi)
+    for base in bases.values():
+        if not region.contains(base):
+            raise PreconditionError(f"grid sample {base} lies outside the region")
     cv = characteristic_ideal(sys)
+    gens = cv.ideal.generators
+    scalar = sys.m == 1
+    # one integer symbol: the characteristic generators, then (scalar
+    # systems) the full symbol of each equation, all orders, for freezing
+    symbol = _IntSymbol([_poly_terms(g, sys.n) for g in gens]
+                        + [_equation_terms(eq) for eq in sys.equations if scalar], sys.n)
+    # a single scalar equation has a principal symbol to test for hyperbolicity
+    principal_order = sys.equations[0].order() if scalar and len(sys.equations) == 1 else None
+    xi_pool = list(pool.values())
+    xi_int = {k: _int_vector(xi) for k, xi in pool.items()}
+    covectors = [(xi, xi_int[k]) for k, xi in pool.items()]
+    thetas = [tuple(Fraction(t) for t in theta) for theta in directions]
     elliptic_cache = {}
     hyperbolic_cache = {}
-    xi_pool = []
-    seen_xi = set()
-    for s in grid:
-        if s.xi not in seen_xi:
-            seen_xi.add(s.xi)
-            xi_pool.append(s.xi)
 
-    def elliptic_at(x):
-        if x not in elliptic_cache:
-            sub_grid = [CovectorSample(x, xi) for xi in xi_pool]
-            try:
-                frozen = frozen_system(sys, x)
-                verdict, cert = is_elliptic(frozen, sub_grid)
-            except PreconditionError:
-                verdict, cert = False, {"kind": "skipped"}
-            elliptic_cache[x] = (verdict, cert)
-        return elliptic_cache[x]
+    def elliptic_at(key, x):
+        if key not in elliptic_cache:
+            decision = None
+            if scalar:
+                decision = _frozen_elliptic(symbol.at(key)[len(gens):], x, covectors, sys.n)
+            if decision is None:  # a saturation certificate: decide on the frozen system
+                sub_grid = [CovectorSample(x, xi) for xi in xi_pool]
+                try:
+                    decision = is_elliptic(frozen_system(sys, x), sub_grid)
+                except PreconditionError:
+                    decision = False, {"kind": "skipped"}
+            elliptic_cache[key] = decision
+        return elliptic_cache[key]
 
-    def hyperbolic_at(x, theta):
-        key = (x, theta)
-        if key not in hyperbolic_cache:
-            sub_grid = [CovectorSample(x, xi) for xi in xi_pool]
-            try:
-                rep = is_hyperbolic(sys, theta, grid=sub_grid, strict=True, x=x)
-            except PreconditionError:
-                rep = HyperbolicityReport(None, "degenerate", {"reason": "skipped"})
-            hyperbolic_cache[key] = rep
-        return hyperbolic_cache[key]
+    def hyperbolic_at(key, j):
+        """Whether is_hyperbolic(sys, thetas[j], strict=True, x=x) over the pool says True."""
+        if (key, j) not in hyperbolic_cache:
+            value = False
+            if principal_order is not None:
+                frozen = [t for t in symbol.at(key)[len(gens)] if sum(t[0]) == principal_order]
+                try:
+                    value = _hyperbolicity(frozen, thetas[j], xi_pool, True).value is True
+                except PreconditionError:
+                    pass
+            hyperbolic_cache[key, j] = value
+        return hyperbolic_cache[key, j]
 
     def classify_sample(idx, sample):
-        point = _sample_point(sys, sample)
-        if cv.ideal.generators and all(
-            not g.evaluate(point) for g in cv.ideal.generators
-        ):
+        key, xi = keys[idx][0], xi_int[keys[idx][1]]
+        if gens and all(_vanishes(g, xi) for g in symbol.at(key)[: len(gens)]):
             return {"index": idx, "label": "characteristic"}
-        verdict, cert = elliptic_at(sample.x)
+        verdict, cert = elliptic_at(key, sample.x)
         if verdict:
             return {"index": idx, "label": "elliptic", "certificate": cert}
-        for theta in directions:
-            rep = hyperbolic_at(sample.x, tuple(Fraction(t) for t in theta))
-            if rep.value is True:
+        for j, theta in enumerate(directions):
+            if hyperbolic_at(key, j):
                 return {
                     "index": idx,
                     "label": "hyperbolic",

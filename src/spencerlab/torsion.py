@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from mpmath import exp, log, mp, mpf
 
-from .errors import PreconditionError
+from .errors import NumericError, PreconditionError
 from .linalg import ExactMatrix, gram_is_positive_definite
 from .spectra import SpectrumModel
 from .zeta import regularized_det, zeta_at, zeta_prime_at_zero
@@ -207,8 +207,16 @@ def fd_spectrum_crosscheck(length, n_points):
     """
     if n_points < 8:
         raise PreconditionError("crosscheck needs N >= 8")
-    L = float(length)
-    n = n_points
+    try:
+        return _fd_crosscheck(float(length), n_points)
+    except OverflowError:
+        raise NumericError(
+            f"crosscheck --length {length!r}: the eigenvalues, the mesh size "
+            "or the error bounds overflow double precision"
+        ) from None
+
+
+def _fd_crosscheck(L, n):
     h = L / n
     fd = sorted(4 * math.sin(math.pi * k / n) ** 2 * (n / L) ** 2 for k in range(n))[1:]
     exact = []

@@ -386,25 +386,103 @@ def test_cli_det_rejects_inapplicable_method(capsys, tmp_path):
     assert "explicit" in err and "mellin_theta" in err
 
 
-def test_thread_cap_does_not_change_results(monkeypatch, tmp_path):
+@pytest.mark.parametrize("length", ["1e-300", "1e-100", "1e300"])
+def test_cli_crosscheck_overflow_is_numeric_error(capsys, length):
+    # (n / L)^2 and lambda^2 overflow for tiny L, (L / N)^2 for huge L
+    assert main(["crosscheck", "--length", length]) == 4
+    err = capsys.readouterr().err
+    assert "--length" in err and "overflow" in err and "Traceback" not in err
+
+
+def _reference_labels(sys_, grid, directions):
+    """classify_mixed labels by the per-x route it takes without a compiled
+    symbol: characteristic generators evaluated through MultiPoly,
+    is_elliptic on frozen_system(sys, x) and is_hyperbolic(..., x=x)."""
+    from spencerlab.errors import PreconditionError
+    from spencerlab.microlocal import (CovectorSample, characteristic_ideal,
+                                       frozen_system, is_elliptic, is_hyperbolic)
+
+    cv = characteristic_ideal(sys_)
+    xi_pool = list(dict.fromkeys(s.xi for s in grid))
+    labels = []
+    for idx, sample in enumerate(grid):
+        point = dict(zip(cv.ambient, sample.x + sample.xi))
+        gens = cv.ideal.generators
+        if gens and all(not g.evaluate(point) for g in gens):
+            labels.append({"index": idx, "label": "characteristic"})
+            continue
+        sub_grid = [CovectorSample(sample.x, xi) for xi in xi_pool]
+        try:
+            verdict, cert = is_elliptic(frozen_system(sys_, sample.x), sub_grid)
+        except PreconditionError:
+            verdict, cert = False, {"kind": "skipped"}
+        if verdict:
+            labels.append({"index": idx, "label": "elliptic", "certificate": cert})
+            continue
+        label = {"index": idx, "label": "degenerate"}
+        for theta in directions:
+            try:
+                rep = is_hyperbolic(sys_, theta, grid=sub_grid, strict=True, x=sample.x)
+            except PreconditionError:
+                continue
+            if rep.value is True:
+                label = {"index": idx, "label": "hyperbolic",
+                         "direction": [str(t) for t in theta]}
+                break
+        labels.append(label)
+    return labels
+
+
+def _classify_grid(bases, xis):
     from fractions import Fraction
 
-    from spencerlab.microlocal import CovectorSample, Region, classify_mixed
-    from spencerlab.systems import tricomi_system
+    from spencerlab.microlocal import CovectorSample
 
-    grid = [
-        CovectorSample((Fraction(x), Fraction(y, 2)), (Fraction(1), Fraction(1)))
-        for x in range(3)
-        for y in (-2, 0, 2)
-    ]
-    monkeypatch.setenv("SPENCER_LAB_THREADS", "1")
-    seq = classify_mixed(tricomi_system(), Region.everywhere(), grid,
-                         directions=[(0, 1)])
-    monkeypatch.setenv("SPENCER_LAB_THREADS", "4")
-    par = classify_mixed(tricomi_system(), Region.everywhere(), grid,
-                         directions=[(0, 1)])
-    assert seq.labels == par.labels
-    assert seq.strata == par.strata
+    return [CovectorSample(tuple(Fraction(v) for v in b), tuple(Fraction(v) for v in xi))
+            for b in bases for xi in xis]
+
+
+_CLASSIFY_XIS = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (2, 2), (1, -1),
+                 ("1/2", "3/4"), ("1/2", 1), (-3, "5/2"), (2, -5)]
+
+
+@pytest.mark.parametrize("text, bases, directions", [
+    # Tricomi, across the fold line y = 0
+    (TRICOMI, [(x, y) for x in (0, "1/2", -3) for y in (-2, "-1/3", 0, "1/2", 3)],
+     [(0, 1)]),
+    (LAPLACE, [(0, 0), ("7/3", -1)], None),
+    (WAVE, [(0, 0), (1, "-1/2")], [(1, 0), (0, 1), (1, 1)]),
+    # characteristic at the rational covector (1/2, 1)
+    ("system w4 { vars t, x; unknowns u; eq: 4*D[t,t](u) - D[x,x](u) = 0; }",
+     [(0, 0)], [(1, 0)]),
+    # indefinite only through the mixed term
+    ("system mixed { vars x, y; unknowns u; eq: D[x,x](u) + 3*D[x,y](u) + D[y,y](u) = 0; }",
+     [(0, 0)], None),
+    # negative definite, with a mixed term
+    ("system neg { vars x, y; unknowns u; eq: -D[x,x](u) + D[x,y](u) - D[y,y](u) = 0; }",
+     [(1, 1)], None),
+    # non-real coefficients
+    ("system cr { vars x, y; unknowns u; eq: 1/2*D[x](u) + 1/2*i*D[y](u) = 0; }",
+     [(0, 0), (1, 2)], None),
+    # order drop: the top-order coefficient vanishes on x = 0
+    ("system drop { vars x, y; unknowns u; eq: x*D[x,x](u) + D[y](u) = 0; }",
+     [(0, 0), (0, "3/2"), (1, 0), ("-1/2", 2)], None),
+    # on x = 0 the first equation freezes to first order (saturation certificate)
+    ("system drop2 { vars x, y; unknowns u; eq: x*D[x,x](u) + D[y](u) = 0; "
+     "eq: D[x](u) = 0; }", [(0, 0), (0, -1), (2, 1)], None),
+    # on x = 0 the frozen system has order 0
+    ("system drop0 { vars x, y; unknowns u; eq: x*D[x](u) + u = 0; eq: u = 0; }",
+     [(0, 0), (0, 1), ("1/3", 1)], None),
+])
+def test_classify_matches_per_x_reference(text, bases, directions):
+    from spencerlab.microlocal import Region, axis_covectors, classify_mixed
+
+    sys_ = next(iter(parse_pde_dsl(text).systems.values()))
+    grid = _classify_grid(bases, _CLASSIFY_XIS)
+    report = classify_mixed(sys_, Region.everywhere(), grid, directions=directions)
+    expected = _reference_labels(sys_, grid, directions or axis_covectors(sys_.n)[::2])
+    assert report.labels == expected
+    assert sum(report.strata.values()) == len(grid)
 
 
 def test_cli_remaining_commands_smoke(capsys, tmp_path):

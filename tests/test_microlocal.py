@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spencerlab.errors import PreconditionError
+from spencerlab.linalg import ExactMatrix, gram_is_positive_definite
 from spencerlab.microlocal import (
     CovectorSample,
     ConeSpec,
@@ -113,6 +114,134 @@ def test_products_of_linear_factors_are_real_rooted(roots):
     assert sturm_distinct_real_roots(poly) == distinct
 
 
+# Fraction oracles: the rational Sturm chain that the integer pseudo-remainder
+# sequences replaced, kept to cross-check them.
+
+
+def _oracle_trim(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _oracle_deriv(c):
+    return _oracle_trim([c[i] * i for i in range(1, len(c))])
+
+
+def _oracle_divmod(a, b):
+    a = a[:]
+    db, lb = len(b) - 1, b[-1]
+    q = [Fraction(0)] * (len(a) - db)
+    while len(a) - 1 >= db and a:
+        shift = len(a) - 1 - db
+        f = a[-1] / lb
+        q[shift] = f
+        for i in range(len(b)):
+            a[shift + i] -= f * b[i]
+        _oracle_trim(a)
+    return _oracle_trim(q), a
+
+
+def _oracle_gcd(a, b):
+    a, b = a[:], b[:]
+    while b:
+        a, b = b, _oracle_divmod(a, b)[1]
+    return a
+
+
+def _oracle_distinct_real_roots(coeffs):
+    p = _oracle_trim([Fraction(c) for c in coeffs])
+    if len(p) <= 1:
+        return 0
+    chain = [p, _oracle_deriv(p)]
+    while chain[-1]:
+        r = _oracle_divmod(chain[-2], chain[-1])[1]
+        if not r:
+            break
+        chain.append([-c for c in r])
+
+    def variations(at_plus):
+        signs = []
+        for q in chain:
+            if not q:
+                continue
+            lc = q[-1]
+            deg = len(q) - 1
+            s = lc if at_plus else lc * (-1) ** deg
+            if s:
+                signs.append(1 if s > 0 else -1)
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    return variations(False) - variations(True)
+
+
+def _oracle_all_roots_real(coeffs, strict=False):
+    p = _oracle_trim([Fraction(c) for c in coeffs])
+    if len(p) <= 1:
+        return bool(p)
+    if strict:
+        return _oracle_distinct_real_roots(p) == len(p) - 1
+    g = _oracle_gcd(p, _oracle_deriv(p))
+    q = _oracle_divmod(p, g)[0] if len(g) > 1 else p
+    return _oracle_distinct_real_roots(q) == len(q) - 1
+
+
+def _int_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def root_structured_poly_st(draw):
+    """(integer polynomial, its distinct real roots): an integer content times
+    powers of (q*t - p) with repeated rational roots and powers of
+    irreducible quadratics a*t^2 + b*t + c (b^2 < 4ac)."""
+    poly = [draw(st.integers(1, 12)) * draw(st.sampled_from((1, -1)))]
+    roots = set()
+    for _ in range(draw(st.integers(0, 4))):
+        p, q = draw(st.integers(-6, 6)), draw(st.integers(1, 4))
+        roots.add(Fraction(p, q))
+        for _ in range(draw(st.integers(1, 3))):
+            poly = _int_mul(poly, [-p, q])
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.integers(1, 5)), draw(st.integers(-6, 6))
+        c = draw(st.integers(b * b // (4 * a) + 1, b * b // (4 * a) + 6))
+        sign = draw(st.sampled_from((1, -1)))
+        for _ in range(draw(st.integers(1, 2))):
+            poly = _int_mul(poly, [sign * c, sign * b, sign * a])
+    return poly, len(roots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(root_structured_poly_st(), st.integers(1, 7))
+def test_integer_sturm_matches_fraction_oracle(case, denominator):
+    poly, real_roots = case
+    assert sturm_distinct_real_roots(poly) == real_roots
+    assert sturm_distinct_real_roots(poly) == _oracle_distinct_real_roots(poly)
+    for strict in (False, True):
+        assert all_roots_real(poly, strict) == _oracle_all_roots_real(poly, strict)
+    # rational input is scaled to integers first
+    scaled = [Fraction(c, denominator) for c in poly]
+    assert sturm_distinct_real_roots(scaled) == real_roots
+    assert all_roots_real(scaled, True) == _oracle_all_roots_real(scaled, True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-20, 20), max_size=7))
+def test_integer_sturm_matches_oracle_on_arbitrary_polynomials(poly):
+    assert sturm_distinct_real_roots(poly) == _oracle_distinct_real_roots(poly)
+    for strict in (False, True):
+        assert all_roots_real(poly, strict) == _oracle_all_roots_real(poly, strict)
+
+
+def _terms(frozen):
+    """A frozen symbol as the (xi exponents, re, im) terms the library works on."""
+    return [(m, c.re, c.im) for m, c in frozen.terms.items()]
+
+
 def _direction_polynomial_by_substitution(frozen, theta, eta):
     """Oracle: substitute xi = t*theta + eta and read off the t-coefficients."""
     t = MultiPoly.variable(("t",), "t")
@@ -146,8 +275,8 @@ def frozen_direction_st(draw):
 @given(frozen_direction_st())
 def test_direction_polynomial_matches_substitution(case):
     frozen, theta, eta = case
-    assert _direction_polynomial(frozen, theta, eta) == _direction_polynomial_by_substitution(
-        frozen, theta, eta)
+    assert _direction_polynomial(_terms(frozen), theta, eta) == (
+        _direction_polynomial_by_substitution(frozen, theta, eta))
 
 
 def test_direction_polynomial_non_real_coefficients():
@@ -155,10 +284,10 @@ def test_direction_polynomial_non_real_coefficients():
     zero = (Fraction(0), Fraction(0))
     i_xx = MultiPoly.monomial(xi, (2, 0), QQi(0, 1))
     with pytest.raises(PreconditionError, match="real coefficients"):
-        _direction_polynomial(i_xx, (1, 0), zero)
+        _direction_polynomial(_terms(i_xx), (1, 0), zero)
     # imaginary parts that cancel along the line leave a real polynomial
     cancelling = i_xx - MultiPoly.monomial(xi, (0, 2), QQi(0, 1))
-    assert _direction_polynomial(cancelling, (1, 1), zero) == []
+    assert _direction_polynomial(_terms(cancelling), (1, 1), zero) == []
     assert _direction_polynomial_by_substitution(cancelling, (1, 1), zero) == []
 
 
@@ -180,6 +309,38 @@ def test_heat_not_elliptic_counterexample():
 def test_cauchy_riemann_elliptic():
     ok, cert = is_elliptic(cauchy_riemann_system())
     assert ok and cert["kind"] == "saturation"
+
+
+@st.composite
+def quadratic_form_st(draw):
+    n = draw(st.integers(1, 3))
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    gram = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = draw(entry)
+    return gram
+
+
+@settings(max_examples=150, deadline=None)
+@given(quadratic_form_st())
+def test_is_elliptic_definiteness_matches_exact_gram(gram):
+    """The integer Sylvester test against ExactMatrix determinants."""
+    n = len(gram)
+    spec = []
+    for i in range(n):
+        for j in range(i, n):
+            alpha = tuple((k == i) + (k == j) for k in range(n))
+            spec.append((gram[i][j] * (1 if i == j else 2), 0, alpha))
+    assume(any(c for c, _, _ in spec))
+    sys = make_system(tuple(f"x{i + 1}" for i in range(n)), ("u",), [spec])
+    ok, cert = is_elliptic(sys)
+    tags = [tag for sign, tag in ((1, "positive"), (-1, "negative"))
+            if gram_is_positive_definite(ExactMatrix([[sign * v for v in row] for row in gram]))]
+    if tags:
+        assert ok and cert == {"kind": "definite", "sign": tags[0]}
+    else:
+        assert not ok and cert["kind"] in ("counterexample", "indefinite")
 
 
 def test_wave_not_elliptic():
