@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParseError
-from .microlocal import ConeSpec, Region
 from .poly import MultiPoly
 from .scalars import QQi
 from .systems import Equation, PdeSystem
@@ -391,6 +390,8 @@ class Parser:
     # -- auxiliary blocks --------------------------------------------------------------
 
     def parse_region(self):
+        from .microlocal import Region
+
         self.expect("region")
         name = self.expect(kind="name").text
         self.expect("{")
@@ -457,6 +458,8 @@ class Parser:
         return tuple(nums)
 
     def parse_cone(self):
+        from .microlocal import ConeSpec
+
         self.expect("cone")
         name = self.expect(kind="name").text
         self.expect("{")

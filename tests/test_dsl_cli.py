@@ -278,6 +278,36 @@ def test_cli_kunneth_rejects_fewer_than_two_copies(capsys, tmp_path, copies):
     assert f"argument --copies: '{copies}' is not an integer >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["prolong", "--count", "-1"], "argument --count: '-1' is not an integer >= 0"),
+    (["poincare", "--order", "-1"], "argument --order: '-1' is not an integer >= 0"),
+    (["classify", "--grid", "0"], "argument --grid: '0' is not an integer >= 1"),
+    (["classify", "--grid", "-1"], "argument --grid: '-1' is not an integer >= 1"),
+], ids=["prolong-count", "poincare-order", "classify-grid-0", "classify-grid-negative"])
+def test_cli_rejects_out_of_range_integer_option(capsys, tmp_path, argv, message):
+    pde = tmp_path / "wave.pde"
+    pde.write_text(WAVE)
+    assert main([argv[0], str(pde)] + argv[1:]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_zero_prolongations_and_order_zero_series(capsys, tmp_path):
+    pde = tmp_path / "wave.pde"
+    pde.write_text(WAVE)
+    assert main(["prolong", str(pde), "--count", "0"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["dimensions"], result["orders"]) == ([2], [2])
+    assert main(["poincare", str(pde), "--order", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["coefficients"] == [1]
+
+
+def test_cli_spencer_has_no_depth_option(capsys, tmp_path):
+    pde = tmp_path / "wave.pde"
+    pde.write_text(WAVE)
+    assert main(["spencer", str(pde), "--depth", "1"]) == 2
+    assert "unrecognized arguments: --depth 1" in capsys.readouterr().err
+
+
 def test_cli_entry_point_subprocess(tmp_path):
     out = subprocess.run(
         [sys.executable, "-m", "spencerlab.cli", "grr", "--model", "P2", "--twist", "2"],

@@ -1,5 +1,7 @@
-"""The exact subcommands start without the numeric layer: mpmath is loaded
-only by the commands that evaluate zeta functions or torsion."""
+"""Each subcommand loads only the layer it runs: mpmath is loaded only by
+the commands that evaluate zeta functions or torsion, the numeric commands
+start without the exact stack, and the DSL is loaded exactly when a
+document is read."""
 
 import os
 import subprocess
@@ -15,31 +17,40 @@ import spencerlab
 SRC = str(Path(spencerlab.__file__).resolve().parent.parent)
 
 # Runs one CLI invocation in a fresh interpreter, then prints whether mpmath
-# was imported on the way.
+# was imported on the way and which spencerlab modules were.
 PROBE = (
     "import sys\n"
     "from spencerlab.cli import main\n"
     "code = main(sys.argv[1:])\n"
     "sys.stdout.flush()\n"
     "sys.stderr.write('mpmath loaded: %s\\n' % ('mpmath' in sys.modules))\n"
+    "sys.stderr.write('spencerlab modules: %s\\n' % ' '.join(sorted(\n"
+    "    m.partition('.')[2] for m in sys.modules if m.startswith('spencerlab.'))))\n"
     "sys.exit(code)\n"
 )
 
+# The exact stack that no numeric command runs, and the part of it that no
+# jet command (symbol spaces, Spencer cohomology) runs.
+EXACT_STACK = {"microlocal", "groebner", "spencer", "symbols", "chern", "index", "dsl"}
+NOT_JET = {"microlocal", "groebner", "chern", "index"}
+
+# (argv, spencerlab modules the command must not load)
 SYMBOLIC = [
-    ["symbol", "wave.pde"],
-    ["prolong", "wave.pde"],
-    ["spencer", "wave.pde", "--order", "3"],
-    ["involutivity", "wave.pde", "--bound", "1"],
-    ["finite-type", "wave.pde", "--bound", "1"],
-    ["poincare", "wave.pde", "--order", "4"],
-    ["classify", "tricomi.pde", "--direction", "0,1", "--grid", "1"],
-    ["classify", "wave.pde", "--mode", "elliptic"],
-    ["classify", "wave.pde", "--mode", "hyperbolic", "--direction", "1,0"],
-    ["restrict", "wave.pde", "--subspace", "1,0"],
-    ["kunneth", "wave.pde"],
-    ["index", "--model", "P1"],
-    ["grr", "--model", "P1", "--twist", "2"],
-    ["boundary-index", "--interior", "0:1", "--boundary", "0:2"],
+    (["symbol", "wave.pde"], NOT_JET),
+    (["prolong", "wave.pde"], NOT_JET),
+    (["spencer", "wave.pde", "--order", "3"], NOT_JET),
+    (["involutivity", "wave.pde", "--bound", "1"], NOT_JET),
+    (["finite-type", "wave.pde", "--bound", "1"], NOT_JET),
+    (["poincare", "wave.pde", "--order", "4"], NOT_JET),
+    (["classify", "tricomi.pde", "--direction", "0,1", "--grid", "1"], set()),
+    (["classify", "wave.pde", "--mode", "elliptic"], set()),
+    (["classify", "wave.pde", "--mode", "hyperbolic", "--direction", "1,0"], set()),
+    (["restrict", "wave.pde", "--subspace", "1,0"], set()),
+    (["kunneth", "wave.pde"], set()),
+    (["index", "--model", "P1"], set()),
+    (["grr", "--model", "P1", "--twist", "2"], set()),
+    (["boundary-index", "--interior", "0:1", "--boundary", "0:2"], set()),
+    (["crosscheck", "--length", "6.28"], EXACT_STACK),
 ]
 
 
@@ -59,19 +70,35 @@ def workdir(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("argv", SYMBOLIC, ids=[
-    " ".join(a for a in argv if not a.endswith(".pde")) for argv in SYMBOLIC])
-def test_symbolic_command_does_not_load_mpmath(workdir, argv):
-    out = _run(argv, workdir)
+def _check_layers(out, argv, absent):
+    """The command succeeded, loaded the DSL exactly when it read a
+    document, and loaded none of the modules in absent."""
     assert out.returncode == 0, out.stderr
+    line = next(x for x in out.stderr.splitlines() if x.startswith("spencerlab modules:"))
+    loaded = set(line.split(":", 1)[1].split())
+    assert ("dsl" in loaded) == any(a.endswith(".pde") for a in argv), loaded
+    assert not loaded & absent, loaded & absent
+
+
+@pytest.mark.parametrize("argv, absent", SYMBOLIC, ids=[
+    " ".join(a for a in argv if not a.endswith(".pde")) for argv, _ in SYMBOLIC])
+def test_symbolic_command_does_not_load_mpmath(workdir, argv, absent):
+    out = _run(argv, workdir)
+    _check_layers(out, argv, absent)
     assert "mpmath loaded: False" in out.stderr
 
 
-@pytest.mark.parametrize("argv", [
-    ["det", "both.pde", "--spectrum", "circ"],
-    ["symbol", "both.pde"],
-], ids=["det", "symbol-on-spectrum-document"])
-def test_numeric_command_or_spectrum_block_loads_mpmath(workdir, argv):
+@pytest.mark.parametrize("argv, absent", [
+    (["det", "both.pde", "--spectrum", "circ"], {"microlocal", "groebner"}),
+    (["symbol", "both.pde"], NOT_JET),
+    (["det", "--model", "circle", "--length", "2"], EXACT_STACK),
+    (["det", "--model", "torus", "--tau", "0,1"], EXACT_STACK),
+    (["torsion", "--model", "circle", "--length", "2"], EXACT_STACK),
+    (["bcov", "--tau", "0,1"], EXACT_STACK),
+    (["quillen", "--l2", "1", "--dets", "1:2"], EXACT_STACK),
+], ids=["det", "symbol-on-spectrum-document", "det-circle", "det-torus", "torsion",
+        "bcov", "quillen"])
+def test_numeric_command_or_spectrum_block_loads_mpmath(workdir, argv, absent):
     out = _run(argv, workdir)
-    assert out.returncode == 0, out.stderr
+    _check_layers(out, argv, absent)
     assert "mpmath loaded: True" in out.stderr

@@ -3,12 +3,12 @@ import math
 import pytest
 from mpmath import gamma, mp, mpf, pi, qp, exp as mexp, mpc
 
+from spencerlab.crosscheck import fd_spectrum_crosscheck
 from spencerlab.errors import PoleError, PreconditionError
 from spencerlab.spectra import SpectrumModel
 from spencerlab.torsion import (
     bcov_invariant_model,
     bcov_torsion,
-    fd_spectrum_crosscheck,
     l2_covolume,
     quillen_norm,
     ray_singer_torsion,
