@@ -66,7 +66,6 @@ def build_parser():
             p.add_argument("--system", help="system name (default: the only one)")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tolerance", type=_finite_float, default=None)
         return p
 
     p = add("symbol", needs_file=True)
@@ -126,6 +125,7 @@ def build_parser():
     p.add_argument("--method", default="auto",
                    choices=("auto", "closed_form", "euler_maclaurin", "mellin_theta"))
     p.add_argument("--scale", type=_finite_float, default=1.0)
+    p.add_argument("--tolerance", type=_finite_float, default=None)
     p = add("bcov")
     p.add_argument("--tau", required=True)
     p.add_argument("--area", type=_positive_float, default=1.0)
@@ -405,6 +405,8 @@ def _index(args, job):
     from .index import (atiyah_singer_index, de_rham_class, dolbeault_class, grr_index,
                         twisted_dolbeault_class)
 
+    if args.system is not None and args.file is None:
+        raise ParseError("--system: needs a DSL file argument")
     model = get_model(args.model)
     if args.twist is not None or args.symbol_class == "twist":
         symbol_class = twisted_dolbeault_class(model, args.twist or 0)
@@ -468,6 +470,10 @@ def _det(args, job):
     from .zeta import regularized_det, zeta_at
 
     if args.spectrum is not None:
+        given = [opt for opt in ("model", "length", "tau") if getattr(args, opt) is not None]
+        if given:
+            options = ", ".join(f"--{opt}" for opt in given)
+            raise ParseError(f"{options}: not used with --spectrum")
         if args.file is None:
             raise PreconditionError("--spectrum needs a DSL file argument")
         spectra = job.doc.spectra

@@ -1,9 +1,9 @@
-"""Explicit Laplacian spectra: circles, flat tori, rectangles, products,
-direct sums, scalings, and user-supplied lists.
+"""Explicit Laplacian spectra: circles, flat tori, rectangles, direct sums,
+scalings, and user-supplied lists.
 
 Eigenvalues carry multiplicities; zero modes are excluded from enumeration
 (primed-determinant convention) and reported separately via zero_modes.
-Lattice-backed kinds expose their quadratic form so the zeta machinery can
+Lattice-backed kinds expose their quadratic forms so the zeta machinery can
 run the theta/Mellin continuation exactly on Q(v) = v^T M v.
 
 Normalization: flat_torus(tau) is the lattice torus on Z + tau Z (area
@@ -112,10 +112,6 @@ class SpectrumModel:
         )
 
     @staticmethod
-    def product(a, b):
-        return SpectrumModel("product", {}, [a, b])
-
-    @staticmethod
     def direct_sum(*specs):
         return SpectrumModel("sum", {}, list(specs))
 
@@ -142,8 +138,6 @@ class SpectrumModel:
             return self.children[0].zero_modes
         if self.kind == "sum":
             return sum(c.zero_modes for c in self.children)
-        if self.kind == "product":
-            return self.children[0].zero_modes * self.children[1].zero_modes
         raise PreconditionError(f"unknown spectrum kind {self.kind}")
 
     def lattice_form(self):
@@ -160,14 +154,18 @@ class SpectrumModel:
                 [base, base * re],
                 [base * re, base * (re**2 + im**2)],
             ], 2
-        if self.kind == "scaled":
-            inner = self.children[0].lattice_form()
-            if inner is None:
-                return None
-            m, d = inner
-            f = self.params["factor"]
-            return [[x * f for x in row] for row in m], d
         return None
+
+    def lattice_terms(self):
+        """(terms, divisor) with zeta = sum(sign * zeta_M) / divisor over the
+        (sign, M, d) terms, if the spectrum is a signed combination of
+        lattice forms.  The Dirichlet rectangle is 4 Z_rect = Z_2d - Z_a - Z_b:
+        the full lattice less its two axis circles."""
+        if self.kind == "rectangle":
+            ma, mb = (mp.pi / self.params["a"]) ** 2, (mp.pi / self.params["b"]) ** 2
+            return [(1, [[ma, mpf(0)], [mpf(0), mb]], 2), (-1, [[ma]], 1), (-1, [[mb]], 1)], 4
+        form = self.lattice_form()
+        return None if form is None else ([(1, *form)], 1)
 
     # -- enumeration --------------------------------------------------------------
 
@@ -208,51 +206,9 @@ class SpectrumModel:
             for child in self.children:
                 for v, m in child.eigenvalues(cutoff):
                     add(v, m)
-        elif self.kind == "product":
-            a, b = self.children
-            evs_a = [(mpf(0), a.zero_modes)] + a.eigenvalues(cutoff)
-            evs_b = [(mpf(0), b.zero_modes)] + b.eigenvalues(cutoff)
-            for va, ma in evs_a:
-                for vb, mb in evs_b:
-                    if ma and mb and va + vb > 0:
-                        add(va + vb, ma * mb)
         else:
             raise PreconditionError(f"unknown spectrum kind {self.kind}")
         return sorted(acc.values(), key=lambda vm: vm[0])
 
     def count_up_to(self, cutoff):
         return sum(m for _, m in self.eigenvalues(cutoff))
-
-    def describe(self):
-        if self.kind == "circle":
-            return {"kind": "circle", "length": float(self.params["length"])}
-        if self.kind == "flat_torus":
-            tau = self.params["tau"]
-            return {
-                "kind": "flat_torus",
-                "tau": [tau.real, tau.imag],
-                "lattice_scale": float(self.params["lattice_scale"]),
-            }
-        if self.kind == "rectangle":
-            return {
-                "kind": "rectangle",
-                "a": float(self.params["a"]),
-                "b": float(self.params["b"]),
-            }
-        if self.kind == "explicit":
-            return {
-                "kind": "explicit",
-                "values": [float(v) for v in self.params["values"]],
-                "multiplicities": list(self.params["multiplicities"]),
-                "zero_modes": self.params["zero_modes"],
-            }
-        if self.kind == "scaled":
-            return {
-                "kind": "scaled",
-                "factor": float(self.params["factor"]),
-                "inner": self.children[0].describe(),
-            }
-        return {
-            "kind": self.kind,
-            "children": [c.describe() for c in self.children],
-        }

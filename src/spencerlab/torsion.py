@@ -54,6 +54,23 @@ def _degree_data(spec):
     }
 
 
+def _torsion_report(terms, convention, inputs, weight_type):
+    """exp(sum_k w_k log det'_k) over (key, w_k, spectrum) terms; each
+    per-degree entry carries its weight as weight_type."""
+    per_degree = {}
+    log_t = mpf(0)
+    err = mpf(0)
+    for key, weight, spec in terms:
+        data = _degree_data(spec)
+        data["weight"] = weight_type(weight)
+        per_degree[key] = data
+        w = mpf(weight)
+        log_t += w * mpf(data["log_det"])
+        err += abs(w) * mpf(data["error_bound"])
+    torsion = exp(log_t)
+    return TorsionReport(float(torsion), convention, per_degree, float(err * torsion * 2), inputs)
+
+
 def ray_singer_torsion(spectra, convention="exp_full", weights=None) -> TorsionReport:
     """Weighted combination of log-determinants across the degree range.
 
@@ -67,28 +84,19 @@ def ray_singer_torsion(spectra, convention="exp_full", weights=None) -> TorsionR
     degrees = sorted(spectra)
     if weights is not None and sorted(weights) != degrees:
         raise PreconditionError("weights must cover exactly the spectrum degrees")
-    per_degree = {}
-    log_t = mpf(0)
-    err = mpf(0)
-    for k in degrees:
-        data = _degree_data(spectra[k])
-        per_degree[k] = data
+
+    def weight(k):
         if weights is not None:
-            w = mpf(str(weights[k]))
-        elif convention == "exp_full":
-            w = mpf((-1) ** k * k)
-        else:
-            w = mpf((-1) ** k) * mpf(k) / 2
-        data["weight"] = float(w)
-        log_t += w * mpf(data["log_det"])
-        err += abs(w) * mpf(data["error_bound"])
-    torsion = exp(log_t)
-    return TorsionReport(
-        float(torsion),
+            return mpf(str(weights[k]))
+        if convention == "exp_full":
+            return mpf((-1) ** k * k)
+        return mpf((-1) ** k) * mpf(k) / 2
+
+    return _torsion_report(
+        [(k, weight(k), spectra[k]) for k in degrees],
         convention if weights is None else "explicit_weights",
-        per_degree,
-        float(err * torsion * 2),
         {"degrees": degrees},
+        float,
     )
 
 
@@ -104,24 +112,13 @@ def bcov_torsion(hodge_spectra) -> TorsionReport:
         raise PreconditionError(
             f"(p,q) range must be the full rectangle {max(ps)}x{max(qs)}"
         )
-    log_t = mpf(0)
-    err = mpf(0)
-    per_degree = {}
-    for (p, q), spec in sorted(hodge_spectra.items()):
-        data = _degree_data(spec)
-        weight = (-1) ** (p + q) * p * q
-        data["weight"] = weight
-        per_degree[f"{p},{q}"] = data
-        # log T += -(-1)^{p+q} p q zeta'(0) = weight * log_det
-        log_t += mpf(weight) * mpf(data["log_det"])
-        err += abs(mpf(weight)) * mpf(data["error_bound"])
-    torsion = exp(log_t)
-    return TorsionReport(
-        float(torsion),
+    # weight * log_det = -(-1)^{p+q} p q zeta'(0), the term of log T
+    return _torsion_report(
+        [(f"{p},{q}", (-1) ** (p + q) * p * q, spec)
+         for (p, q), spec in sorted(hodge_spectra.items())],
         "bcov",
-        per_degree,
-        float(err * torsion * 2),
         {"p_max": max(ps), "q_max": max(qs)},
+        int,
     )
 
 

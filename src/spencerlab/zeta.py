@@ -5,16 +5,24 @@ For lattice-backed spectra {Q(v) = v^T M v, v in Z^d \\ 0} the continuation
 splits the Mellin integral at t = 1 and applies the modular transform of
 the theta function on (0, 1):
 
-  zeta(s) Gamma(s) = -1/s + pi^{d/2} det(M)^{-1/2} / (s - d/2)
+  zeta(s) Gamma(s) = -1/s + g(s),
+  g(s) = pi^{d/2} det(M)^{-1/2} / (s - d/2)
       + sum'_v Gamma(s, Q(v)) Q(v)^{-s}
       + pi^{d/2} det(M)^{-1/2} sum'_w Gamma(d/2 - s, Q*(w)) Q*(w)^{s - d/2},
 
-with Q*(w) = pi^2 w^T M^{-1} w.  Both tails converge like exp(-Q), so a
-cutoff of Q <= 80 puts the truncation error far below every tolerance used
-here; the reported error bound is a conservative multiple of exp(-cutoff/2).
+with Q*(w) = pi^2 w^T M^{-1} w.  One function, _regular_part, computes g:
+zeta(s) = (g(s) - 1/s) / Gamma(s), and at s = 0 the -1/s pole cancels
+against 1/Gamma(s), so zeta(0) = -(number of lattice zero modes) = -1 and
+zeta'(0) = g(0) - euler_gamma, memoised per form.  Both tails converge
+like exp(-Q), so a cutoff of Q <= 80 puts the truncation error far below
+every tolerance used here; each form reports a conservative multiple of
+exp(-cutoff/2).
 
-At s = 0 this gives zeta(0) = -(number of lattice zero modes) = -1 and
-zeta'(0) = g(0) - euler_gamma where g collects all terms except -1/s.
+A spectrum is continued this way when it is a signed combination of
+lattice forms (SpectrumModel.lattice_terms): the circle and the torus are
+one form, and the Dirichlet rectangle is 4 Z_rect = Z_2d - Z_a - Z_b, the
+full lattice less its two axis circles.  The combination is summed in
+order and divided once, and its bound is one tail bound per form.
 
 An Euler-Maclaurin continuation is provided for circle-type spectra as an
 independent cross-check, and closed forms (Riemann zeta) where they exist.
@@ -73,18 +81,18 @@ def _inverse(M, d):
     return inv, det
 
 
-def _theta_mellin_F(s, M, d):
-    """zeta(s) * Gamma(s) with the pole terms written explicitly."""
+def _regular_part(s, M, d):
+    """g(s) = zeta(s) Gamma(s) + 1/s: the theta/Mellin sum without the zero-mode pole."""
     Minv, detM = _inverse(M, d)
     half_d = mpf(d) / 2
     dual = pi**half_d / sqrt(detM)
-    total = -1 / s + dual / (s - half_d)
+    g = dual / (s - half_d)
     for q, k in lattice_points(M, d, LATTICE_CUTOFF):
-        total += k * gammainc(s, q) * q ** (-s)
+        g += k * gammainc(s, q) * q ** (-s)
     Mstar = [[pi**2 * Minv[i][j] for j in range(d)] for i in range(d)]
     for qs, k in lattice_points(Mstar, d, LATTICE_CUTOFF):
-        total += k * dual * gammainc(half_d - s, qs) * qs ** (s - half_d)
-    return total
+        g += k * dual * gammainc(half_d - s, qs) * qs ** (s - half_d)
+    return g
 
 
 def _theta_mellin_zeta(s, M, d):
@@ -95,30 +103,12 @@ def _theta_mellin_zeta(s, M, d):
         raise PoleError(f"zeta has a simple pole at s = {half_d}", residue=float(residue))
     if abs(s) < mpf("1e-12"):
         return mpf(-1)
-    return _theta_mellin_F(s, M, d) / gamma(s)
+    return (_regular_part(s, M, d) - 1 / s) / gamma(s)
 
 
-# zeta'(0) per exact form (entries, d, mp.prec): torsion and BCOV reports
-# combine det' of the same Laplacian several times per job
+# zeta'(0) = g(0) - euler_gamma per exact form (entries, d, mp.prec): torsion
+# and BCOV reports combine det' of the same Laplacian several times per job
 _ZETA_PRIME0 = {}
-
-
-def _theta_mellin_zeta_prime0(M, d):
-    """zeta'(0) = g(0) - euler_gamma, g the regular part of zeta*Gamma."""
-    key = (tuple(x for row in M for x in row), d, mp.prec)
-    if key in _ZETA_PRIME0:
-        return _ZETA_PRIME0[key]
-    Minv, detM = _inverse(M, d)
-    half_d = mpf(d) / 2
-    dual = pi**half_d / sqrt(detM)
-    g0 = -dual / half_d
-    for q, k in lattice_points(M, d, LATTICE_CUTOFF):
-        g0 += k * gammainc(0, q)
-    Mstar = [[pi**2 * Minv[i][j] for j in range(d)] for i in range(d)]
-    for qs, k in lattice_points(Mstar, d, LATTICE_CUTOFF):
-        g0 += k * dual * gammainc(half_d, qs) * qs ** (-half_d)
-    _ZETA_PRIME0[key] = g0 - euler_gamma
-    return _ZETA_PRIME0[key]
 
 
 def _em_zeta(s, c, mult=2, N=60, K=8):
@@ -174,31 +164,15 @@ def zeta_at(spec: SpectrumModel, s, method="auto") -> ZetaValue:
         L = spec.params["length"]
         c = (2 * pi / L) ** 2
         return ZetaValue(complex(s), _realify(_em_zeta(s, c)), "euler_maclaurin", _em_error())
-    form = spec.lattice_form()
-    if form is not None and method in ("auto", "mellin_theta"):
-        M, d = form
+    terms = spec.lattice_terms()
+    if terms is not None and method in ("auto", "mellin_theta"):
+        forms, divisor = terms
+        val = sum(sign * _theta_mellin_zeta(s, M, d) for sign, M, d in forms) / divisor
         return ZetaValue(
-            complex(s), _realify(_theta_mellin_zeta(s, M, d)), "mellin_theta", float(TAIL_BOUND)
+            complex(s), _realify(val), "mellin_theta", float(len(forms) * TAIL_BOUND)
         )
-    if spec.kind == "rectangle" and method in ("auto", "mellin_theta"):
-        return _rectangle_zeta(spec, s)
     raise NumericError(
         f"no continuation available for spectrum kind {spec.kind!r} with method {method!r}"
-    )
-
-
-def _rectangle_zeta(spec, s):
-    """Dirichlet rectangle via inclusion-exclusion over the full lattice:
-    4 Z_rect = Z_2d - Z_a - Z_b with the two axis circles."""
-    a, b = spec.params["a"], spec.params["b"]
-    M2 = [[(pi / a) ** 2, mpf(0)], [mpf(0), (pi / b) ** 2]]
-    Ma = [[(pi / a) ** 2]]
-    Mb = [[(pi / b) ** 2]]
-    z2 = _theta_mellin_zeta(s, M2, 2)
-    za = _theta_mellin_zeta(s, Ma, 1)
-    zb = _theta_mellin_zeta(s, Mb, 1)
-    return ZetaValue(
-        complex(s), _realify((z2 - za - zb) / 4), "mellin_theta", float(3 * TAIL_BOUND)
     )
 
 
@@ -225,17 +199,16 @@ def zeta_prime_at_zero(spec: SpectrumModel, method="auto"):
         c = (2 * pi / spec.params["length"]) ** 2
         val = _realify(diff(lambda t: _em_zeta(t, c), 0))
         return val, max(_em_error() * 10, 1e-12), "euler_maclaurin"
-    form = spec.lattice_form()
-    if form is not None and method in ("auto", "mellin_theta"):
-        M, d = form
-        return _theta_mellin_zeta_prime0(M, d), float(TAIL_BOUND), "mellin_theta"
-    if spec.kind == "rectangle" and method in ("auto", "mellin_theta"):
-        a, b = spec.params["a"], spec.params["b"]
-        M2 = [[(pi / a) ** 2, mpf(0)], [mpf(0), (pi / b) ** 2]]
-        z2 = _theta_mellin_zeta_prime0(M2, 2)
-        za = _theta_mellin_zeta_prime0([[(pi / a) ** 2]], 1)
-        zb = _theta_mellin_zeta_prime0([[(pi / b) ** 2]], 1)
-        return (z2 - za - zb) / 4, float(3 * TAIL_BOUND), "mellin_theta"
+    terms = spec.lattice_terms()
+    if terms is not None and method in ("auto", "mellin_theta"):
+        forms, divisor = terms
+        val = 0
+        for sign, M, d in forms:
+            key = (tuple(x for row in M for x in row), d, mp.prec)
+            if key not in _ZETA_PRIME0:
+                _ZETA_PRIME0[key] = _regular_part(0, M, d) - euler_gamma
+            val += sign * _ZETA_PRIME0[key]
+        return val / divisor, float(len(forms) * TAIL_BOUND), "mellin_theta"
     raise NumericError(
         f"no zeta'(0) continuation for spectrum kind {spec.kind!r} with method {method!r}"
     )

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from dsl_corpus import LAPLACE, TRICOMI, WAVE, corpus
 
-from spencerlab.cli import build_parser, dispatch, main
+from spencerlab.cli import COMMANDS, build_parser, dispatch, main
 from spencerlab.dsl import parse_pde_dsl, print_document
 from spencerlab.errors import ParseError
 from spencerlab.reports import ReportDocument, emit_report
@@ -366,6 +366,50 @@ def test_cli_det_from_dsl_spectrum(capsys, tmp_path):
     data = json.loads(capsys.readouterr().out)
     assert abs(data["result"]["det"] - 39.4784176043574) < 1e-6
     assert data["input_hash"]
+
+
+@pytest.mark.parametrize("extra, named", [
+    (["--model", "torus"], "--model"),
+    (["--model", "circle", "--length", "2"], "--model, --length"),
+    (["--length", "2"], "--length"),
+    (["--tau=0,1"], "--tau"),
+], ids=["model", "model-length", "length", "tau"])
+def test_cli_det_spectrum_rejects_model_options(capsys, tmp_path, extra, named):
+    pde = tmp_path / "spec.pde"
+    pde.write_text("spectrum circ { kind circle; length 6.283185307179586; }")
+    assert main(["det", str(pde), "--spectrum", "circ"] + extra) == 2
+    err = capsys.readouterr().err
+    assert f"{named}: not used with --spectrum" in err
+    assert "Traceback" not in err
+
+
+# the required arguments of each subcommand other than det
+REQUIRED = {
+    "symbol": ["s.pde"], "prolong": ["s.pde"], "spencer": ["s.pde"],
+    "involutivity": ["s.pde"], "finite-type": ["s.pde"], "poincare": ["s.pde"],
+    "classify": ["s.pde"], "restrict": ["s.pde", "--subspace", "1,0"],
+    "kunneth": ["s.pde"], "index": ["--model", "P1"], "grr": ["--model", "P1"],
+    "boundary-index": ["--interior", "0:1"], "torsion": ["--model", "circle"],
+    "bcov": ["--tau=0,1"], "quillen": ["--l2", "1", "--dets", "0:1"],
+    "crosscheck": ["--length", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED))
+def test_cli_tolerance_is_a_det_option(capsys, command):
+    assert main([command] + REQUIRED[command] + ["--tolerance=1e-30"]) == 2
+    assert "unrecognized arguments: --tolerance=1e-30" in capsys.readouterr().err
+
+
+def test_cli_tolerance_covers_every_other_command():
+    assert sorted(REQUIRED) == sorted(set(COMMANDS) - {"det"})
+
+
+def test_cli_index_system_needs_a_file(capsys):
+    assert main(["index", "--model", "P1", "--system", "nope"]) == 2
+    err = capsys.readouterr().err
+    assert "--system: needs a DSL file argument" in err
+    assert "Traceback" not in err
 
 
 # (mode, exact, finite_difference, residual, bound, within_bound) as reported

@@ -54,24 +54,6 @@ def test_torus_enumeration_is_exhaustive():
     assert count == brute == 12
 
 
-def test_product_spectrum_pairwise_sums():
-    a = SpectrumModel.explicit([1, 2])
-    b = SpectrumModel.explicit([10])
-    prod = SpectrumModel.product(a, b)
-    evs = prod.eigenvalues(100)
-    assert [(float(v), m) for v, m in evs] == [(11.0, 1), (12.0, 1)]
-
-
-def test_product_with_zero_modes():
-    a = SpectrumModel.explicit([0, 1, 1, 4, 4])
-    single = SpectrumModel.explicit([0, 3])
-    prod = SpectrumModel.product(a, single)
-    evs = dict((int(round(float(v))), m) for v, m in prod.eigenvalues(5))
-    # 1 = 1+0mode (mult 2); 3 = 0mode+3 (mult 1); 4 = 4+0mode and 1+3 (mult 4)
-    assert evs == {1: 2, 3: 1, 4: 4}
-    assert prod.zero_modes == 1
-
-
 # -- zeta values -----------------------------------------------------------------------
 
 
