@@ -224,12 +224,25 @@ def _parse_tau(text):
     return complex(0.0, parts[0]) if len(parts) == 1 else complex(*parts)
 
 
-def _circle(args):
+def _reject_unused(args, options, mode):
+    """A parse error naming each of the options given although mode does
+    not read them."""
+    given = [f"--{opt}" for opt in options if getattr(args, opt) is not None]
+    if given:
+        raise ParseError(f"{', '.join(given)}: not used {mode}")
+
+
+def _model_spectrum(args):
+    """The --model spectrum: the circle of --length or the flat torus of --tau."""
     from .spectra import SpectrumModel
 
-    if args.length is None:
-        raise PreconditionError("--length required for the circle model")
-    return SpectrumModel.circle(args.length)
+    if args.model == "circle":
+        _reject_unused(args, ("tau",), "by --model circle")
+        if args.length is None:
+            raise PreconditionError("--length required for the circle model")
+        return SpectrumModel.circle(args.length)
+    _reject_unused(args, ("length",), "by --model torus")
+    return SpectrumModel.flat_torus(_parse_tau(args.tau))
 
 
 # -- handlers: (args, job) -> report payload -------------------------------------------
@@ -314,13 +327,8 @@ def _check_classify_options(args):
     """Options that only the labels mode reads are an error in the other
     modes; --grid falls back to its default only after this check."""
     if args.mode != "labels":
-        given = [opt for opt in ("region", "cones", "grid")
-                 if getattr(args, opt) is not None]
-        if args.mode == "elliptic" and args.direction is not None:
-            given.append("direction")
-        if given:
-            options = ", ".join(f"--{opt}" for opt in given)
-            raise ParseError(f"{options}: not used by --mode {args.mode}")
+        unused = ("region", "cones", "grid") + (("direction",) if args.mode == "elliptic" else ())
+        _reject_unused(args, unused, f"by --mode {args.mode}")
     if args.grid is None:
         args.grid = 4
 
@@ -448,11 +456,10 @@ def _torsion(args, job):
     from .spectra import SpectrumModel
     from .torsion import ray_singer_torsion
 
+    base = _model_spectrum(args)
     if args.model == "circle":
-        base = _circle(args)
         spectra = {0: base, 1: base}
     else:
-        base = SpectrumModel.flat_torus(_parse_tau(args.tau))
         spectra = {0: base, 1: SpectrumModel.direct_sum(base, base), 2: base}
     report = ray_singer_torsion(spectra, convention=args.convention)
     job.provenance["methods"] = sorted({d["method"] for d in report.per_degree.values()})
@@ -466,14 +473,10 @@ def _torsion(args, job):
 
 
 def _det(args, job):
-    from .spectra import SpectrumModel
     from .zeta import regularized_det, zeta_at
 
     if args.spectrum is not None:
-        given = [opt for opt in ("model", "length", "tau") if getattr(args, opt) is not None]
-        if given:
-            options = ", ".join(f"--{opt}" for opt in given)
-            raise ParseError(f"{options}: not used with --spectrum")
+        _reject_unused(args, ("model", "length", "tau"), "with --spectrum")
         if args.file is None:
             raise PreconditionError("--spectrum needs a DSL file argument")
         spectra = job.doc.spectra
@@ -482,10 +485,8 @@ def _det(args, job):
                 f"no spectrum named {args.spectrum!r}; have {sorted(spectra)}"
             )
         spec = spectra[args.spectrum]
-    elif args.model == "circle":
-        spec = _circle(args)
-    elif args.model == "torus":
-        spec = SpectrumModel.flat_torus(_parse_tau(args.tau))
+    elif args.model is not None:
+        spec = _model_spectrum(args)
     else:
         raise PreconditionError("det needs --model or a --spectrum block")
     if args.scale != 1.0:

@@ -32,13 +32,6 @@ from .poly import MultiPoly
 from .scalars import QQi
 from .systems import Equation, PdeSystem
 
-PUNCT = ("{", "}", "(", ")", "[", "]", ",", ";", ":", "=", "+", "-", "*", "^",
-         ">=", "<=", ">", "<")
-KEYWORDS = {
-    "system", "region", "cone", "spectrum", "model",
-    "vars", "unknowns", "eq", "point", "generators", "kind",
-}
-
 
 @dataclass
 class Token:

@@ -213,11 +213,17 @@ class ExactMatrix:
         return self._zero + (-factor if inversions % 2 else factor)
 
 
-def gram_is_positive_definite(gram):
-    """Sylvester criterion on an exact symmetric matrix (real entries)."""
-    for k in range(1, gram.rows + 1):
-        minor = ExactMatrix([[gram[i, j] for j in range(k)] for i in range(k)])
-        d = minor.det()
-        if isinstance(d, QQi) or d <= 0:
+def positive_definite(gram):
+    """Sylvester's criterion on a square integer matrix: every leading
+    principal minor is positive.  In fraction-free (Bareiss) elimination the
+    k-th pivot is the k-th leading principal minor."""
+    a = [row[:] for row in gram]
+    n, prev = len(a), 1
+    for k in range(n):
+        if a[k][k] <= 0:
             return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
     return True

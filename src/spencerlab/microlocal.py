@@ -31,7 +31,7 @@ from math import gcd, lcm
 
 from .errors import PreconditionError
 from .groebner import PolyIdeal, saturation_is_unit
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, positive_definite
 from .poly import MultiPoly
 from .scalars import QQi
 from .systems import PdeSystem, make_system
@@ -342,21 +342,6 @@ def _vanishes(terms, xi):
     return not re and not im
 
 
-def _positive_definite(gram):
-    """Sylvester's criterion on an integer symmetric matrix.  In fraction-free
-    (Bareiss) elimination the k-th pivot is the k-th leading principal minor."""
-    a = [row[:] for row in gram]
-    n, prev = len(a), 1
-    for k in range(n):
-        if a[k][k] <= 0:
-            return False
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return True
-
-
 # -- ellipticity ------------------------------------------------------------------------
 
 
@@ -367,70 +352,80 @@ def _scalar_symbol(sys: PdeSystem):
     return rows[0][0]
 
 
-def _definiteness(terms, n):
+def _definiteness(terms):
     """"positive" or "negative" for a definite real quadratic form given as
-    integer terms (xi exponents, re, im), "" for any other real quadratic
-    form, None if the terms are not a real quadratic form."""
+    nonempty integer terms (xi exponents, re, im), "" for any other real
+    quadratic form, None if the terms are not a real quadratic form."""
     if any(im or sum(e) != 2 for e, _, im in terms):
         return None
+    n = len(terms[0][0])
     gram = [[0] * n for _ in range(n)]  # twice the Gram matrix
     for e, re, _ in terms:
         i, j = [i for i, k in enumerate(e) for _ in range(k)]
         gram[i][j] += re
         gram[j][i] += re
     for sign, tag in ((1, "positive"), (-1, "negative")):
-        if _positive_definite([[sign * v for v in row] for row in gram]):
+        if positive_definite([[sign * v for v in row] for row in gram]):
             return tag
     return ""
 
 
-def is_elliptic(sys: PdeSystem, grid=None, seed=0):
-    """(verdict, certificate): no real characteristic covectors off xi = 0.
+def _ellipticity(quadratic, samples, saturates, count):
+    """The one ellipticity ladder: (verdict, certificate).
 
-    Decision ladder: exact definiteness decides constant real quadratic
-    scalar symbols in both directions (a non-definite quadratic form always
-    has a real zero off the origin, rational or not); then an exact
-    saturation certificate V(I) inside V(|xi|^2); then grid falsification.
-    A grid pass is an honest 'verified on grid' verdict.
+    quadratic: the integer terms of the one frozen principal symbol, or
+    None.  samples: (x, xi, integer generators at x, integer xi) tuples,
+    read lazily.  saturates: the saturation test, called only when no
+    sample is a counterexample.  count: the samples a grid verdict covers.
+
+    Exact definiteness decides a real quadratic form in both directions (a
+    non-definite one always has a real zero off the origin, rational or
+    not).  Otherwise the first sample where every generator vanishes
+    refutes ellipticity.  Such a real zero off xi = 0 also rules out the
+    exact saturation certificate V(I) inside V(|xi|^2), which is why the
+    grid runs first.  A grid pass is an honest 'verified on grid' verdict.
     """
-    if grid is None:
-        grid = default_grid(sys, seed=seed)
-    if not grid:
-        raise PreconditionError("is_elliptic needs a nonempty grid")
-    cv = characteristic_ideal(sys)
-    n = sys.n
-    sym = _scalar_symbol(sys)
-    if sym is not None and sys.constant_coefficient:
-        frozen = _IntSymbol([_poly_terms(sym, n)], n).at(_rational_key(sys.base_point))[0]
-        sign = _definiteness(frozen, n)
-        if sign:
-            return True, {"kind": "definite", "sign": sign}
-        if sign is not None:  # not definite: a real characteristic covector exists
-            return False, _grid_counterexample(grid, cv) or {"kind": "indefinite"}
+    sign = None if quadratic is None else _definiteness(quadratic)
+    if sign:
+        return True, {"kind": "definite", "sign": sign}
+    for x, xi, gens, vec in samples:
+        if all(_vanishes(g, vec) for g in gens):
+            return False, {"kind": "counterexample", "x": [str(v) for v in x],
+                           "xi": [str(v) for v in xi]}
+    if sign is not None:  # not definite: a real characteristic covector exists
+        return False, {"kind": "indefinite"}
+    if saturates():
+        return True, {"kind": "saturation"}
+    return True, {"kind": "grid", "samples": count}
+
+
+def _saturates(cv: CharVariety):
+    """Whether saturating the characteristic ideal by |xi|^2 gives the unit ideal."""
     amb = cv.ambient
     norm2 = MultiPoly.zero(amb)
     for xi in cv.xi_vars:
         v = MultiPoly.variable(amb, xi)
         norm2 = norm2 + v * v
-    if cv.ideal.generators and saturation_is_unit(cv.ideal, norm2):
-        return True, {"kind": "saturation"}
-    cert = _grid_counterexample(grid, cv)
-    return (False, cert) if cert else (True, {"kind": "grid", "samples": len(grid)})
+    return saturation_is_unit(cv.ideal, norm2)
 
 
-def _grid_counterexample(grid, cv):
-    """Certificate for the first grid covector where every generator vanishes."""
-    n = len(cv.base_vars)
-    symbol = _IntSymbol([_poly_terms(g, n) for g in cv.ideal.generators], n)
-    for sample in grid:
-        xi = _int_vector(sample.xi)
-        if all(_vanishes(g, xi) for g in symbol.at(_rational_key(sample.x))):
-            return {
-                "kind": "counterexample",
-                "x": [str(v) for v in sample.x],
-                "xi": [str(v) for v in sample.xi],
-            }
-    return None
+def is_elliptic(sys: PdeSystem, grid=None, seed=0):
+    """(verdict, certificate): no real characteristic covectors off xi = 0,
+    decided by _ellipticity over the grid.  Only a constant-coefficient
+    single scalar equation has a frozen quadratic symbol to test for
+    definiteness."""
+    if grid is None:
+        grid = default_grid(sys, seed=seed)
+    if not grid:
+        raise PreconditionError("is_elliptic needs a nonempty grid")
+    cv = characteristic_ideal(sys)
+    symbol = _IntSymbol([_poly_terms(g, sys.n) for g in cv.ideal.generators], sys.n)
+    quadratic = None
+    if sys.m == 1 and len(sys.equations) == 1 and sys.constant_coefficient:
+        # the one generator is the principal symbol
+        quadratic = symbol.at(_rational_key(sys.base_point))[0]
+    samples = ((s.x, s.xi, symbol.at(_rational_key(s.x)), _int_vector(s.xi)) for s in grid)
+    return _ellipticity(quadratic, samples, lambda: _saturates(cv), len(grid))
 
 
 def frozen_system(sys: PdeSystem, x) -> PdeSystem:
@@ -450,33 +445,6 @@ def frozen_system(sys: PdeSystem, x) -> PdeSystem:
     order = max((eq.order() for eq in eqs), default=sys.order)
     return PdeSystem(sys.indep_vars, sys.unknowns, max(order, 1), eqs,
                      base_point=x, name=sys.name)
-
-
-def _frozen_elliptic(symbols, x, covectors, n):
-    """is_elliptic(frozen_system(sys, x), grid of covectors) for a scalar system,
-    from the integer full symbol of each equation at x; None where the frozen
-    system itself must decide (a saturation certificate, or a frozen order of
-    0, which PdeSystem rejects).
-
-    frozen_system freezes per equation: an equation whose top-order
-    coefficients vanish at x keeps its highest nonvanishing order.
-    """
-    rows = []
-    for terms in symbols:
-        if terms:
-            k = max(sum(e) for e, _, _ in terms)
-            rows.append([t for t in terms if sum(t[0]) == k])
-    sign = _definiteness(rows[0], n) if len(rows) == 1 else None
-    if sign:
-        return True, {"kind": "definite", "sign": sign}
-    cert = next(({"kind": "counterexample", "x": [str(v) for v in x],
-                  "xi": [str(v) for v in xi]}
-                 for xi, vec in covectors  # (rational, integer) pairs
-                 if all(_vanishes(row, vec) for row in rows)), None)
-    if sign is not None:
-        return False, cert or {"kind": "indefinite"}
-    # a real grid zero off xi = 0 rules saturation out
-    return (False, cert) if cert else None
 
 
 # -- hyperbolicity -------------------------------------------------------------------------
@@ -674,9 +642,6 @@ class ClassificationReport:
     counterexamples: list
     cone_check: dict = None
 
-    def label_of(self, i):
-        return self.labels[i]["label"]
-
 
 def classify_mixed(
     sys: PdeSystem,
@@ -719,17 +684,28 @@ def classify_mixed(
     hyperbolic_cache = {}
 
     def elliptic_at(key, x):
+        """is_elliptic(frozen_system(sys, x)) over the pool.  A scalar system
+        freezes per equation: one whose top-order coefficients vanish at x
+        keeps its highest nonvanishing order."""
         if key not in elliptic_cache:
-            decision = None
-            if scalar:
-                decision = _frozen_elliptic(symbol.at(key)[len(gens):], x, covectors, sys.n)
-            if decision is None:  # a saturation certificate: decide on the frozen system
-                sub_grid = [CovectorSample(x, xi) for xi in xi_pool]
-                try:
-                    decision = is_elliptic(frozen_system(sys, x), sub_grid)
-                except PreconditionError:
-                    decision = False, {"kind": "skipped"}
-            elliptic_cache[key] = decision
+            try:
+                if scalar:
+                    rows = []
+                    for terms in symbol.at(key)[len(gens):]:
+                        if terms:
+                            k = max(sum(e) for e, _, _ in terms)
+                            rows.append([t for t in terms if sum(t[0]) == k])
+                    elliptic_cache[key] = _ellipticity(
+                        rows[0] if len(rows) == 1 else None,
+                        ((x, xi, rows, vec) for xi, vec in covectors),
+                        lambda: _saturates(characteristic_ideal(frozen_system(sys, x))),
+                        len(covectors),
+                    )
+                else:
+                    elliptic_cache[key] = is_elliptic(
+                        frozen_system(sys, x), [CovectorSample(x, xi) for xi in xi_pool])
+            except PreconditionError:  # PdeSystem rejects a frozen order of 0
+                elliptic_cache[key] = False, {"kind": "skipped"}
         return elliptic_cache[key]
 
     def hyperbolic_at(key, j):
@@ -925,69 +901,43 @@ def _pullback_system(sys: PdeSystem, cols):
 # -- external products and factorization ----------------------------------------------------------------
 
 
-def _extend_char_to(cv: CharVariety, amb, base_map, xi_map):
-    out = []
-    for g in cv.ideal.generators:
-        renamed = g.rename(
-            tuple(base_map[v] for v in cv.base_vars)
-            + tuple(xi_map[v] for v in cv.xi_vars)
-        )
-        out.append(renamed.extend(amb))
-    return out
+def _kunneth_equal(cv: CharVariety, factors):
+    """Whether the characteristic ideal of an external product equals the
+    join of its factors' ideals, each renamed onto the next block of the
+    product's variables: two-sided Groebner containment."""
+    amb, gens, at = cv.ambient, [], 0
+    for f in factors:
+        k = len(f.base_vars)
+        block = cv.base_vars[at : at + k] + cv.xi_vars[at : at + k]
+        gens.extend(g.rename(block).extend(amb) for g in f.ideal.generators)
+        at += k
+    join = PolyIdeal(amb, gens)
+    return cv.ideal.contains_ideal(join) and join.contains_ideal(cv.ideal)
 
 
 def external_product_char(a: PdeSystem, b: PdeSystem):
-    """Characteristic ideal of the external product plus a Kunneth check:
-    two-sided Groebner containment against the join of the factors."""
+    """Characteristic ideal of the external product plus the Kunneth check
+    against the join of the factors."""
     from .systems import external_product
 
-    prod = external_product(a, b)
-    cv_prod = characteristic_ideal(prod)
-    amb = cv_prod.ambient
-
-    def block_maps(sys, suffix):
-        base_map = {v: f"{v}{suffix}" for v in sys.indep_vars}
-        ximap = {xi_name(v): xi_name(f"{v}{suffix}") for v in sys.indep_vars}
-        return base_map, ximap
-
-    cv_a, cv_b = characteristic_ideal(a), characteristic_ideal(b)
-    join_gens = _extend_char_to(cv_a, amb, *block_maps(a, 1)) + _extend_char_to(
-        cv_b, amb, *block_maps(b, 2)
-    )
-    join = PolyIdeal(amb, join_gens)
-    kunneth_ok = cv_prod.ideal.contains_ideal(join) and join.contains_ideal(
-        cv_prod.ideal
-    )
-    return cv_prod, kunneth_ok
+    cv = characteristic_ideal(external_product(a, b))
+    return cv, _kunneth_equal(cv, [characteristic_ideal(a), characteristic_ideal(b)])
 
 
 def factorization_check(sys: PdeSystem, max_copies=3):
     """Disjoint-partition factorization and diagonal-pullback containment
     for external powers of a single scalar generator system."""
-    from .systems import external_power
+    from .systems import external_product
 
     report = {"partition_checks": [], "diagonal_checks": [], "all_passed": True}
-    powers = {s: external_power(sys, s) for s in range(1, max_copies + 1)}
-    chars = {s: characteristic_ideal(powers[s]) for s in powers}
+    chars = {s: characteristic_ideal(external_product(*[sys] * s))
+             for s in range(1, max_copies + 1)}
     for s in range(2, max_copies + 1):
-        cv = chars[s]
-        amb = cv.ambient
-        blocks = list(range(1, s + 1))
         for cut in range(1, s):
-            left, right = blocks[:cut], blocks[cut:]
-            gens = []
-            for part in (left, right):
-                cv_part = chars[len(part)]
-                base_map, xi_map = {}, {}
-                for bi, block in enumerate(part):
-                    for v in sys.indep_vars:
-                        base_map[f"{v}{bi+1}"] = f"{v}{block}"
-                        xi_map[xi_name(f"{v}{bi+1}")] = xi_name(f"{v}{block}")
-                gens.extend(_extend_char_to(cv_part, amb, base_map, xi_map))
-            join = PolyIdeal(amb, gens)
-            ok = cv.ideal.contains_ideal(join) and join.contains_ideal(cv.ideal)
+            ok = _kunneth_equal(chars[s], [chars[cut], chars[s - cut]])
             report["partition_checks"].append(
-                {"copies": s, "partition": [left, right], "equal": ok}
+                {"copies": s, "partition": [list(range(1, cut + 1)),
+                                            list(range(cut + 1, s + 1))], "equal": ok}
             )
             report["all_passed"] = report["all_passed"] and ok
     # diagonal pullback: collapse all copies onto one, covectors restricted to

@@ -94,22 +94,9 @@ class MultiPoly:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def degree_in(self, indices):
-        """Max total degree in the given variable positions."""
-        if not self.terms:
-            return -1
-        return max(sum(m[i] for i in indices) for m in self.terms)
-
     def is_homogeneous_in(self, indices):
         degs = {sum(m[i] for i in indices) for m in self.terms}
         return len(degs) <= 1
-
-    def homogeneous_part(self, degree, indices=None):
-        if indices is None:
-            sel = {m: c for m, c in self.terms.items() if sum(m) == degree}
-        else:
-            sel = {m: c for m, c in self.terms.items() if sum(m[i] for i in indices) == degree}
-        return MultiPoly(self.vars, sel, _clean=False)
 
     def coefficient(self, mono):
         return self.terms.get(tuple(mono), QQi(0))

@@ -40,11 +40,6 @@ class QQi:
     def is_real(self) -> bool:
         return self.im == 0
 
-    def as_fraction(self) -> Fraction:
-        if self.im != 0:
-            raise ValueError(f"{self!r} is not real")
-        return self.re
-
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
@@ -91,13 +86,6 @@ class QQi:
 
     def __rtruediv__(self, other):
         return QQi.of(other) / self
-
-    def conj(self) -> "QQi":
-        return QQi(self.re, -self.im)
-
-    def abs2(self) -> Fraction:
-        """|z|^2 as an exact rational."""
-        return self.re * self.re + self.im * self.im
 
     # -- comparison / hashing ----------------------------------------------
 

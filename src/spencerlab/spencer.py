@@ -35,7 +35,6 @@ class SpencerComplex:
     n: int
     m: int
     max_order: int
-    depth: int  # requested reporting depth; maps are always built to i = n
     symbols: dict  # q -> SymbolSpace
     differentials: dict = field(default_factory=dict)  # (q, i) -> ExactMatrix
     ranks: dict = field(default_factory=dict)  # (q, i) -> rank of that differential
@@ -89,17 +88,15 @@ def _delta_matrix(coords, dim_lo, n, i):
     return ExactMatrix.sparse(rows, len(subsets_src) * dim_hi)
 
 
-def spencer_complex(sys: PdeSystem, depth=None, max_order=None, point=None) -> SpencerComplex:
+def spencer_complex(sys: PdeSystem, max_order=None, point=None) -> SpencerComplex:
     """Assemble symbol spaces, delta maps and their ranks; delta^2 = 0 is asserted."""
     n = sys.n
-    if depth is None:
-        depth = n
     if max_order is None:
         max_order = sys.order + 2
     if max_order < sys.order and sys.equations:
         raise PreconditionError("max_order must be at least the system order")
     symbols = {q: symbol_space(sys, q, point) for q in range(max_order + 1)}
-    cx = SpencerComplex(n, sys.m, max_order, min(n, max(depth, 0)), symbols)
+    cx = SpencerComplex(n, sys.m, max_order, symbols)
     for q in range(1, max_order + 1):
         coords = _shift_coordinates(symbols[q], symbols[q - 1], n)
         for i in range(0, n):
@@ -122,7 +119,6 @@ def _assert_delta_squared(cx: SpencerComplex):
 class DeltaCohomologyTable:
     entries: dict  # (q, i) -> dim H^{q,i}
     max_order: int
-    depth: int
 
     def dim(self, q, i):
         return self.entries.get((q, i), 0)
@@ -151,7 +147,7 @@ def delta_cohomology(cx: SpencerComplex) -> DeltaCohomologyTable:
             rank_out = cx.ranks.get((q, i), 0)
             rank_in = cx.ranks.get((q + 1, i - 1), 0)
             entries[(q, i)] = dim_c - rank_out - rank_in
-    return DeltaCohomologyTable(entries, cx.max_order, cx.depth)
+    return DeltaCohomologyTable(entries, cx.max_order)
 
 
 def involutivity_degree(sys: PdeSystem, search_bound=6, window=None, point=None):
@@ -167,7 +163,7 @@ def involutivity_degree(sys: PdeSystem, search_bound=6, window=None, point=None)
     if window is None:
         window = sys.n + 2
     max_order = k + search_bound + window
-    cx = spencer_complex(sys, depth=sys.n, max_order=max_order, point=point)
+    cx = spencer_complex(sys, max_order=max_order, point=point)
     table = delta_cohomology(cx)
     for ell in range(0, search_bound + 1):
         if table.is_zero_for(k + ell, max_order - 1):

@@ -252,55 +252,25 @@ def linear_change_of_vars(sys: PdeSystem, a_rows):
                        base_point=sys.base_point, name=sys.name + "_chg")
 
 
-def external_product(a: PdeSystem, b: PdeSystem):
-    """External product of two scalar systems on disjoint variable blocks."""
-    if a.m != 1 or b.m != 1:
+def external_product(*factors: PdeSystem):
+    """External product of scalar systems on disjoint variable blocks:
+    factor i lives on the variables {v}{i+1}."""
+    if any(f.m != 1 for f in factors):
         raise PreconditionError("external products implemented for scalar systems")
-    av = tuple(f"{v}1" for v in a.indep_vars)
-    bv = tuple(f"{v}2" for v in b.indep_vars)
-    joint = av + bv
-    eqs = []
-    for eq in a.equations:
-        spec = []
-        for (unk, alpha), c in eq.terms.items():
-            spec.append((c.rename(av).extend(joint), 0, tuple(alpha) + (0,) * b.n))
-        eqs.append(spec)
-    for eq in b.equations:
-        spec = []
-        for (unk, alpha), c in eq.terms.items():
-            spec.append((c.rename(bv).extend(joint), 0, (0,) * a.n + tuple(alpha)))
-        eqs.append(spec)
-    return make_system(
-        joint,
-        ("w",),
-        eqs,
-        order=max(a.order, b.order),
-        base_point=tuple(a.base_point) + tuple(b.base_point),
-        name=f"{a.name or 'a'}_x_{b.name or 'b'}",
-    )
-
-
-def external_power(sys: PdeSystem, copies: int):
-    """External power of a scalar system with one variable block per copy."""
-    if sys.m != 1:
-        raise PreconditionError("external powers implemented for scalar systems")
-    blocks = [tuple(f"{v}{i+1}" for v in sys.indep_vars) for i in range(copies)]
+    blocks = [tuple(f"{v}{i+1}" for v in f.indep_vars) for i, f in enumerate(factors)]
     joint = tuple(v for block in blocks for v in block)
-    n = sys.n
-    eqs = []
-    for i in range(copies):
-        for eq in sys.equations:
-            spec = []
-            for (_, alpha), c in eq.terms.items():
-                full = [0] * (n * copies)
-                full[n * i : n * (i + 1)] = list(alpha)
-                spec.append((c.rename(blocks[i]).extend(joint), 0, tuple(full)))
-            eqs.append(spec)
+    eqs, offset = [], 0
+    for f, block in zip(factors, blocks):
+        pad = len(joint) - offset - f.n
+        for eq in f.equations:
+            eqs.append([(c.rename(block).extend(joint), 0, (0,) * offset + alpha + (0,) * pad)
+                        for (_, alpha), c in eq.terms.items()])
+        offset += f.n
     return make_system(
         joint,
         ("w",),
         eqs,
-        order=sys.order,
-        base_point=tuple(sys.base_point) * copies,
-        name=f"{sys.name or 'sys'}_pow{copies}",
+        order=max(f.order for f in factors),
+        base_point=tuple(x for f in factors for x in f.base_point),
+        name="_x_".join(f.name or "sys" for f in factors),
     )

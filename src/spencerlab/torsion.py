@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from mpmath import exp, log, mp, mpf
 
 from .errors import PreconditionError
-from .linalg import ExactMatrix, gram_is_positive_definite
+from .linalg import ExactMatrix, positive_definite
 from .spectra import SpectrumModel
 from .zeta import regularized_det, zeta_at, zeta_prime_at_zero
 
@@ -124,10 +125,13 @@ def bcov_torsion(hodge_spectra) -> TorsionReport:
 
 def l2_covolume(lattice_basis, gram) -> Fraction:
     """det of the Gram matrix in the given integer lattice basis, exact."""
-    g = ExactMatrix([[Fraction(x) for x in row] for row in gram])
+    rows = [[Fraction(x) for x in row] for row in gram]
+    g = ExactMatrix(rows)
     if g.rows != g.cols:
         raise PreconditionError("gram matrix must be square")
-    if not gram_is_positive_definite(g):
+    den = lcm(*(v.denominator for row in rows for v in row))  # a positive scale
+    if not positive_definite([[v.numerator * (den // v.denominator) for v in row]
+                              for row in rows]):
         raise PreconditionError("gram matrix must be positive definite")
     b = ExactMatrix([[Fraction(x) for x in row] for row in lattice_basis])
     if b.rows != g.rows:

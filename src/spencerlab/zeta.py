@@ -167,7 +167,15 @@ def zeta_at(spec: SpectrumModel, s, method="auto") -> ZetaValue:
     terms = spec.lattice_terms()
     if terms is not None and method in ("auto", "mellin_theta"):
         forms, divisor = terms
-        val = sum(sign * _theta_mellin_zeta(s, M, d) for sign, M, d in forms) / divisor
+        val, pole, residue = 0, None, 0
+        for sign, M, d in forms:
+            try:
+                val += sign * _theta_mellin_zeta(s, M, d)
+            except PoleError as exc:  # the combination's residue sums every term's
+                pole, residue = pole or exc, residue + sign * exc.residue
+        if pole is not None:
+            raise PoleError(str(pole), residue=residue / divisor)
+        val /= divisor
         return ZetaValue(
             complex(s), _realify(val), "mellin_theta", float(len(forms) * TAIL_BOUND)
         )

@@ -13,7 +13,7 @@ from spencerlab.groebner import (
     normal_form,
     saturation_is_unit,
 )
-from spencerlab.linalg import ExactMatrix, gram_is_positive_definite
+from spencerlab.linalg import ExactMatrix, positive_definite
 from spencerlab.poly import MultiPoly
 from spencerlab.scalars import QQi
 
@@ -136,8 +136,8 @@ def test_solve_in_span():
 
 
 def test_positive_definite():
-    assert gram_is_positive_definite(ExactMatrix([[2, 1], [1, 2]]))
-    assert not gram_is_positive_definite(ExactMatrix([[1, 2], [2, 1]]))
+    assert positive_definite([[2, 1], [1, 2]])
+    assert not positive_definite([[1, 2], [2, 1]])
 
 
 # -- Groebner -----------------------------------------------------------------

@@ -383,6 +383,19 @@ def test_cli_det_spectrum_rejects_model_options(capsys, tmp_path, extra, named):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, named, model", [
+    (["det", "--model", "torus", "--tau=0,1", "--length", "2"], "--length", "torus"),
+    (["det", "--model", "circle", "--length", "2", "--tau=0,1"], "--tau", "circle"),
+    (["torsion", "--model", "circle", "--length", "2", "--tau=0,1"], "--tau", "circle"),
+    (["torsion", "--model", "torus", "--tau=0,1", "--length", "3"], "--length", "torus"),
+], ids=["det-torus-length", "det-circle-tau", "torsion-circle-tau", "torsion-torus-length"])
+def test_cli_model_rejects_unused_option(capsys, argv, named, model):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{named}: not used by --model {model}" in err
+    assert "Traceback" not in err
+
+
 # the required arguments of each subcommand other than det
 REQUIRED = {
     "symbol": ["s.pde"], "prolong": ["s.pde"], "spencer": ["s.pde"],

@@ -1,15 +1,23 @@
-"""Golden values of the spectral layer, bit for bit.
+"""Golden values of the spectral and microlocal layers, bit for bit.
 
-The literals are the mpf reprs (which round-trip at 30 digits) and the float
-reports computed by the theta/Mellin engine before its lattice sum, its
-rectangle combination and its torsion loop each became one code path.  Any
-change that moves a bit of zeta'(0), zeta(0), det', an error bound or a
-torsion report fails here; the other tests only check tolerances.
+The spectral literals are the mpf reprs (which round-trip at 30 digits) and
+the float reports computed by the theta/Mellin engine before its lattice
+sum, its rectangle combination and its torsion loop each became one code
+path.  Any change that moves a bit of zeta'(0), zeta(0), det', an error
+bound or a torsion report fails here; the other tests only check
+tolerances.
+
+The microlocal digests are sha256 sums of whole CLI reports (labels,
+certificates, Kunneth checks), computed before the ellipticity ladder, the
+external product and the Kunneth join each became one code path.
 """
+
+import hashlib
 
 import pytest
 from mpmath import mp, mpf
 
+from spencerlab.cli import main
 from spencerlab.spectra import SpectrumModel
 from spencerlab.torsion import bcov_torsion, ray_singer_torsion
 from spencerlab.zeta import regularized_det, zeta_at, zeta_prime_at_zero
@@ -116,3 +124,86 @@ def test_ray_singer_report_is_bit_identical(kwargs, torsion, convention, error_b
         2: _degree(-1.0, ZP1, ERR1, 1, weights[2]),
     }
     assert all(type(d["weight"]) is float for d in report.per_degree.values())
+
+
+# -- microlocal reports --------------------------------------------------------------
+
+MICROLOCAL_DOCUMENT = """
+system tricomi { vars x, y; unknowns u; eq: y*D[x,x](u) + D[y,y](u) = 0; }
+system heat { vars t, x; unknowns u; eq: D[t](u) - D[x,x](u) = 0; }
+system wave { vars t, x; unknowns u; eq: D[t,t](u) - D[x,x](u) = 0; }
+system laplace { vars x, y; unknowns u; eq: D[x,x](u) + D[y,y](u) = 0; }
+system dx { vars x; unknowns u; eq: D[x](u) = 0; }
+system cr { vars x, y; unknowns u; eq: 1/2*D[x](u) + 1/2*i*D[y](u) = 0; }
+system euler { vars x, y; unknowns u; eq: x*D[x](u) + y*D[y](u) + u = 0; }
+system killing {
+  vars x, y, z; unknowns u, v, w;
+  eq: D[x](u) = 0; eq: D[y](v) = 0; eq: D[z](w) = 0;
+  eq: D[y](u) + D[x](v) = 0; eq: D[z](u) + D[x](w) = 0; eq: D[z](v) + D[y](w) = 0;
+}
+system lame {
+  vars x, y; unknowns u, v;
+  eq: D[y,y](u) - D[x,y](v) = 0;
+  eq: -1*D[x,y](u) + D[x,x](v) = 0;
+}
+"""
+
+# name: (argv after the document, sha256 of the report on stdout).  lame is
+# the degenerate Lame operator lambda = -2 mu, mu = 1; euler reaches the
+# saturation test and then the grid verdict at every base point but 0, and
+# cr the saturation certificate.
+MICROLOCAL = {
+    "classify-tricomi": (
+        ["classify", "--system", "tricomi", "--grid", "40", "--seed", "7"],
+        "0a54e50b6b7e760d4d705519731661f0052cfea81ce16874473a984016a9ca97"),
+    "classify-tricomi-direction": (
+        ["classify", "--system", "tricomi", "--grid", "40", "--direction", "0,1", "--seed", "7"],
+        "b77a9b1fb6fd0112b522ca0b2d333fafd4e2035a5e5cab47b376888d91a7c17c"),
+    "classify-cr": (
+        ["classify", "--system", "cr", "--grid", "3"],
+        "18fb8e232431e479ebccc99abab624221d1efc40db119d7bbded9ddb27fec3c8"),
+    "classify-euler": (
+        ["classify", "--system", "euler", "--grid", "6", "--seed", "3"],
+        "3cf5050e176f9e76bc9833a22980b15cfa84da8c70c39cc509f66de16f926417"),
+    "classify-lame": (
+        ["classify", "--system", "lame", "--grid", "2"],
+        "8489fc448547fb8e106b117373157275e58629d31433e969cff4703d3f9b8bd1"),
+    "elliptic-heat": (
+        ["classify", "--system", "heat", "--mode", "elliptic"],
+        "65c983881801279186e8f45517dfa53501742234de7038809d9dbc81aaf8d9d8"),
+    "elliptic-killing": (
+        ["classify", "--system", "killing", "--mode", "elliptic"],
+        "cc8fdebeb8d4e0a625b15e50d1d484252dbc6dc12a1b19148d60fa5f219dc055"),
+    "elliptic-tricomi": (
+        ["classify", "--system", "tricomi", "--mode", "elliptic"],
+        "e753a6140969bd58a6873d29d72ae93c0217af92f1377bb55b143c8a5a083e17"),
+    "elliptic-lame-degenerate": (
+        ["classify", "--system", "lame", "--mode", "elliptic"],
+        "29392433df3b0b4032271c4bfe68e60745ec4f712d7d7b26cbd6917e975a7d4d"),
+    "elliptic-cr": (
+        ["classify", "--system", "cr", "--mode", "elliptic"],
+        "cca125e586e7b98aa86624e87bf67e876868f79419b96001aa3bf30ae90530a5"),
+    "hyperbolic-wave": (
+        ["classify", "--system", "wave", "--mode", "hyperbolic", "--direction", "1,0"],
+        "9d95c2d774100c105b9d0f8bdf732b97c4326212c0c93342285dca081871adeb"),
+    "kunneth-wave-4": (
+        ["kunneth", "--system", "wave", "--copies", "4"],
+        "050c582b0b5f94d2044922e7eb7a70973dad6a98e6c14bb81e3968c907337f9a"),
+    "kunneth-dx-laplace": (
+        ["kunneth", "--system", "dx", "--other", "laplace"],
+        "ce066f5acf90be505f32ee31b197ea066fc2bbe3f6e6b21c016c5d449906b9f9"),
+    "restrict-tricomi": (
+        ["restrict", "--system", "tricomi", "--subspace", "1,0"],
+        "bb7e6abfe3960be2e2ad5c1fc005a2f58c505252300050c5510eb4804c92bdb7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MICROLOCAL))
+def test_microlocal_report_is_byte_identical(name, capsys, tmp_path, monkeypatch):
+    # a relative file name keeps the report's "arguments" independent of tmp_path
+    (tmp_path / "micro.pde").write_text(MICROLOCAL_DOCUMENT, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    command, *options = MICROLOCAL[name][0]
+    assert main([command, "micro.pde", *options]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == MICROLOCAL[name][1]

@@ -118,7 +118,7 @@ def test_prolongation_monotonicity(n, m, k):
 
 
 def test_delta_squared_laplace():
-    spencer_complex(laplace_system(), depth=2, max_order=4)  # asserts internally
+    spencer_complex(laplace_system(), max_order=4)  # asserts internally
 
 
 def test_corrupted_differential_fails_delta_squared():

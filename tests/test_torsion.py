@@ -93,6 +93,16 @@ def test_pole_detected():
         zeta_at(SpectrumModel.circle(TWO_PI), 0.5)
 
 
+@pytest.mark.parametrize("s, residue", [(1, 2 / (4 * math.pi)), (0.5, -3 / (4 * math.pi))],
+                         ids=["full-lattice", "axis-circles"])
+def test_rectangle_pole_residue(s, residue):
+    """4 Z_rect = Z_2d - Z_a - Z_b: ab/(4 pi) at s = 1 from the full lattice,
+    -(a + b)/(4 pi) at s = 1/2 from the two axis circles (a, b = 1, 2)."""
+    with pytest.raises(PoleError) as exc:
+        zeta_at(SpectrumModel.rectangle(1, 2), s)
+    assert exc.value.residue == pytest.approx(residue, rel=1e-12)
+
+
 # -- determinants ----------------------------------------------------------------------
 
 
