@@ -17,9 +17,11 @@ Grammar sketch (semicolon-terminated declarations, C-style blocks):
     spectrum := "spectrum" NAME "{" "kind" NAME ";" (param numbers ";")* "}"
     model    := "model" NAME "{" "kind" NAME ";" ["twist" INT ";"] "}"
 
-Every equation must be linear: exactly one jet factor per term.  All errors
-carry line/column and an expected-token set; fuzzed input must produce a
-ParseError, never anything else.
+One sum grammar serves equations and regions: a term carries exactly one
+jet factor when its block declares unknowns (so every equation is linear),
+and none in a region, whose sum must also be real.  Block names are unique
+per kind.  All errors carry line/column and an expected-token set; fuzzed
+input must produce a ParseError, never anything else.
 """
 
 from __future__ import annotations
@@ -154,29 +156,22 @@ class Parser:
     # -- document --------------------------------------------------------------
 
     def parse_document(self) -> PdeDslDocument:
+        """Each block's header is read here; its body parser (BLOCKS) reads
+        from after "NAME {" through the closing "}"."""
         doc = PdeDslDocument(source=self.source)
         while self.peek().kind != "eof":
             tok = self.peek()
-            if tok.text == "system":
-                name, sys = self.parse_system()
-                doc.systems[name] = sys
-            elif tok.text == "region":
-                name, region = self.parse_region()
-                doc.regions[name] = region
-            elif tok.text == "cone":
-                name, cone = self.parse_cone()
-                doc.cones[name] = cone
-            elif tok.text == "spectrum":
-                name, spec = self.parse_spectrum()
-                doc.spectra[name] = spec
-            elif tok.text == "model":
-                name, model = self.parse_model()
-                doc.models[name] = model
-            else:
-                raise ParseError(
-                    f"unexpected {tok.text!r}", tok.line, tok.col,
-                    {"system", "region", "cone", "spectrum", "model"},
-                )
+            if tok.text not in BLOCKS:
+                raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col, set(BLOCKS))
+            self.advance()
+            name = self.expect(kind="name")
+            self.expect("{")
+            field_name, body = BLOCKS[tok.text]
+            block = body(self, name.text)
+            blocks = getattr(doc, field_name)
+            if name.text in blocks:
+                raise ParseError(f"duplicate {tok.text} {name.text!r}", name.line, name.col)
+            blocks[name.text] = block
         return doc
 
     def parse_name_list(self):
@@ -201,12 +196,16 @@ class Parser:
         tok = self.expect(kind="number", expected={"number"})
         return sign * parse_number(tok)
 
+    def parse_zero(self, message):
+        """The '0 ;' that closes an equation or a sign condition."""
+        zero = self.expect(kind="number", expected={"0"})
+        if parse_number(zero) != 0:
+            raise ParseError(message, zero.line, zero.col, {"0"})
+        self.expect(";")
+
     # -- systems ------------------------------------------------------------------
 
-    def parse_system(self):
-        self.expect("system")
-        name = self.expect(kind="name").text
-        self.expect("{")
+    def parse_system(self, name):
         variables, unknowns, point = None, None, None
         raw_equations = []
         while not self.at("}"):
@@ -231,15 +230,9 @@ class Parser:
                         "vars and unknowns must be declared before equations",
                         eq_tok.line, eq_tok.col,
                     )
-                raw_equations.append(self.parse_equation(variables, unknowns))
+                raw_equations.append(Equation(self.parse_sum(variables, unknowns)))
                 self.expect("=")
-                zero = self.expect(kind="number", expected={"0"})
-                if parse_number(zero) != 0:
-                    raise ParseError(
-                        "equations must be homogeneous: right side is 0",
-                        zero.line, zero.col, {"0"},
-                    )
-                self.expect(";")
+                self.parse_zero("equations must be homogeneous: right side is 0")
             else:
                 raise ParseError(
                     f"unexpected {tok.text!r}", tok.line, tok.col,
@@ -263,49 +256,43 @@ class Parser:
                 f"system {name!r} is an order-0 equation set", close.line, close.col
             )
         try:
-            system = PdeSystem(variables, unknowns, order, raw_equations,
-                               base_point=point, name=name)
+            return PdeSystem(variables, unknowns, order, raw_equations,
+                             base_point=point, name=name)
         except Exception as exc:  # surface as a positioned semantic error
             raise ParseError(str(exc), close.line, close.col) from None
-        return name, system
 
-    def parse_equation(self, variables, unknowns) -> Equation:
+    def parse_sum(self, variables, unknowns):
+        """{jet or None: coefficient} of a signed sum of terms."""
         terms = {}
-
-        def add(key, coeff):
-            if key in terms:
-                terms[key] = terms[key] + coeff
-            else:
-                terms[key] = coeff
-
-        sign = QQi(1)
+        sign = 1
         if self.at("-"):
             self.advance()
-            sign = QQi(-1)
-        key, coeff = self.parse_term(variables, unknowns)
-        add(key, coeff * sign)
-        while self.peek().text in ("+", "-"):
-            op = self.advance()
-            sign = QQi(1) if op.text == "+" else QQi(-1)
-            key, coeff = self.parse_term(variables, unknowns)
-            add(key, coeff * sign)
-        return Equation(terms)
+            sign = -1
+        while True:
+            jet, coeff = self.parse_term(variables, unknowns)
+            terms[jet] = terms[jet] + coeff * sign if jet in terms else coeff * sign
+            if self.peek().text not in ("+", "-"):
+                return terms
+            sign = 1 if self.advance().text == "+" else -1
 
     def parse_term(self, variables, unknowns):
-        """One linear term: coefficient factors times exactly one jet factor."""
+        """(jet, coefficient) of one term: number, i and variable factors
+        times one jet factor, which a term carries exactly when the block
+        declares unknowns (a region declares none, and its jet is None)."""
         coeff = MultiPoly.constant(variables, 1)
         jet = None
         first = self.peek()
         while True:
             tok = self.peek()
+            factor = None
             if tok.kind == "number":
                 self.advance()
                 coeff = coeff * parse_number(tok)
             elif tok.text == "i" and "i" not in variables and "i" not in unknowns:
                 self.advance()
                 coeff = coeff * QQi(0, 1)
-            elif tok.text == "D":
-                d_tok = self.advance()
+            elif tok.text == "D" and unknowns:
+                self.advance()
                 self.expect("[")
                 index_names = self.parse_name_list()
                 self.expect("]")
@@ -322,44 +309,38 @@ class Parser:
                     if nm not in variables:
                         raise ParseError(
                             f"unknown variable {nm!r} in derivative index",
-                            d_tok.line, d_tok.col, set(variables),
+                            tok.line, tok.col, set(variables),
                         )
                     alpha[variables.index(nm)] += 1
+                factor = (unknowns.index(u_tok.text), tuple(alpha))
+            elif tok.kind == "name" and tok.text in unknowns:
+                self.advance()
+                factor = (unknowns.index(tok.text), (0,) * len(variables))
+            elif tok.kind == "name" and tok.text in variables:
+                self.advance()
+                coeff = coeff * MultiPoly.variable(variables, tok.text) ** self.parse_power()
+            elif tok.kind == "name":
+                raise ParseError(
+                    f"unknown identifier {tok.text!r}", tok.line, tok.col,
+                    {*variables, *unknowns, "D"} if unknowns else {*variables, "number"},
+                )
+            else:
+                raise ParseError(
+                    f"unexpected {tok.text!r} in term", tok.line, tok.col,
+                    {"number", "name", "D["} if unknowns else {"number", "name"},
+                )
+            if factor is not None:
                 if jet is not None:
                     raise ParseError(
                         "non-linear term: products of jet factors are not "
                         "allowed in a linear system",
-                        d_tok.line, d_tok.col,
+                        tok.line, tok.col,
                     )
-                jet = (unknowns.index(u_tok.text), tuple(alpha))
-            elif tok.kind == "name":
-                self.advance()
-                if tok.text in unknowns:
-                    if jet is not None:
-                        raise ParseError(
-                            "non-linear term: products of jet factors are not "
-                            "allowed in a linear system",
-                            tok.line, tok.col,
-                        )
-                    jet = (unknowns.index(tok.text), (0,) * len(variables))
-                elif tok.text in variables:
-                    power = self.parse_power()
-                    coeff = coeff * MultiPoly.variable(variables, tok.text) ** power
-                else:
-                    raise ParseError(
-                        f"unknown identifier {tok.text!r}", tok.line, tok.col,
-                        set(variables) | set(unknowns) | {"D"},
-                    )
-            else:
-                raise ParseError(
-                    f"unexpected {tok.text!r} in term", tok.line, tok.col,
-                    {"number", "name", "D["},
-                )
-            if self.at("*"):
-                self.advance()
-                continue
-            break
-        if jet is None:
+                jet = factor
+            if not self.at("*"):
+                break
+            self.advance()
+        if unknowns and jet is None:
             raise ParseError(
                 "term carries no unknown: inhomogeneous or constant terms are "
                 "not part of a linear homogeneous system",
@@ -382,67 +363,27 @@ class Parser:
 
     # -- auxiliary blocks --------------------------------------------------------------
 
-    def parse_region(self):
+    def parse_region(self, name):
         from .microlocal import Region
 
-        self.expect("region")
-        name = self.expect(kind="name").text
-        self.expect("{")
         self.expect("vars", expected={"vars"})
         variables = tuple(self.parse_name_list())
         self.expect(";")
         conditions = []
-        ops = {">": "gt", ">=": "ge", "<": "lt", "<=": "le"}
         while not self.at("}"):
-            poly = self.parse_region_poly(variables)
+            first = self.peek()
+            poly = self.parse_sum(variables, ())[None]
+            if not all(c.is_real for c in poly.terms.values()):
+                raise ParseError("region polynomials must be real", first.line, first.col)
             op_tok = self.advance()
-            if op_tok.text not in ops:
+            if op_tok.text not in REGION_OPS:
                 raise ParseError(
-                    f"unexpected {op_tok.text!r}", op_tok.line, op_tok.col, set(ops)
+                    f"unexpected {op_tok.text!r}", op_tok.line, op_tok.col, set(REGION_OPS)
                 )
-            zero = self.expect(kind="number", expected={"0"})
-            if parse_number(zero) != 0:
-                raise ParseError("sign conditions compare against 0",
-                                 zero.line, zero.col, {"0"})
-            self.expect(";")
-            conditions.append((poly, ops[op_tok.text]))
+            self.parse_zero("sign conditions compare against 0")
+            conditions.append((poly, REGION_OPS[op_tok.text]))
         self.expect("}")
-        return name, Region(conditions)
-
-    def parse_region_poly(self, variables):
-        total = MultiPoly.zero(variables)
-        sign = 1
-        if self.at("-"):
-            self.advance()
-            sign = -1
-        total = total + self.parse_region_term(variables) * sign
-        while self.peek().text in ("+", "-"):
-            op = self.advance()
-            sign = 1 if op.text == "+" else -1
-            total = total + self.parse_region_term(variables) * sign
-        return total
-
-    def parse_region_term(self, variables):
-        coeff = MultiPoly.constant(variables, 1)
-        while True:
-            tok = self.peek()
-            if tok.kind == "number":
-                self.advance()
-                coeff = coeff * parse_number(tok)
-            elif tok.kind == "name" and tok.text in variables:
-                self.advance()
-                power = self.parse_power()
-                coeff = coeff * MultiPoly.variable(variables, tok.text) ** power
-            else:
-                raise ParseError(
-                    f"unexpected {tok.text!r} in region polynomial",
-                    tok.line, tok.col, set(variables) | {"number"},
-                )
-            if self.at("*"):
-                self.advance()
-                continue
-            break
-        return coeff
+        return Region(conditions)
 
     def parse_vector(self):
         self.expect("(")
@@ -450,12 +391,9 @@ class Parser:
         self.expect(")")
         return tuple(nums)
 
-    def parse_cone(self):
+    def parse_cone(self, name):
         from .microlocal import ConeSpec
 
-        self.expect("cone")
-        name = self.expect(kind="name").text
-        self.expect("{")
         self.expect("generators", expected={"generators"})
         gens = [self.parse_vector()]
         while self.at(","):
@@ -468,15 +406,11 @@ class Parser:
         self.expect(";")
         self.expect("}")
         try:
-            cone = ConeSpec(gens, kind)
+            return ConeSpec(gens, kind)
         except Exception as exc:
             raise ParseError(str(exc), kind_tok.line, kind_tok.col) from None
-        return name, cone
 
-    def parse_spectrum(self):
-        self.expect("spectrum")
-        name = self.expect(kind="name").text
-        self.expect("{")
+    def parse_spectrum(self, name):
         self.expect("kind", expected={"kind"})
         kind_tok = self.expect(kind="name")
         self.expect(";")
@@ -487,12 +421,11 @@ class Parser:
             self.expect(";")
         self.expect("}")
         try:
-            spec = self.build_spectrum(kind_tok.text, params)
+            return self.build_spectrum(kind_tok.text, params)
         except ParseError:
             raise
         except Exception as exc:
             raise ParseError(str(exc), kind_tok.line, kind_tok.col) from None
-        return name, spec
 
     def build_spectrum(self, kind, params):
         from .spectra import SpectrumModel
@@ -518,10 +451,7 @@ class Parser:
             )
         raise ValueError(f"unknown spectrum kind {kind!r}")
 
-    def parse_model(self):
-        self.expect("model")
-        name = self.expect(kind="name").text
-        self.expect("{")
+    def parse_model(self, name):
         self.expect("kind", expected={"kind"})
         kind = self.expect(kind="name").text
         self.expect(";")
@@ -533,7 +463,18 @@ class Parser:
             twist = int(self.parse_signed_number())
             self.expect(";")
         self.expect("}")
-        return name, ModelDecl(kind, twist)
+        return ModelDecl(kind, twist)
+
+
+# keyword: (PdeDslDocument field, body parser); a block's name is unique per kind
+BLOCKS = {
+    "system": ("systems", Parser.parse_system),
+    "region": ("regions", Parser.parse_region),
+    "cone": ("cones", Parser.parse_cone),
+    "spectrum": ("spectra", Parser.parse_spectrum),
+    "model": ("models", Parser.parse_model),
+}
+REGION_OPS = {">": "gt", ">=": "ge", "<": "lt", "<=": "le"}
 
 
 def parse_pde_dsl(text) -> PdeDslDocument:
@@ -543,48 +484,31 @@ def parse_pde_dsl(text) -> PdeDslDocument:
 # -- canonical printing ---------------------------------------------------------------
 
 
-def _frac_factor(f: Fraction):
-    """'3', '3/2', or None when the factor is 1 (omitted)."""
-    if f == 1:
-        return None
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def print_equation(eq: Equation, variables, unknowns):
+def _sum_text(pairs):
+    """Signed sum of the (suffix, coefficient) pairs, one term per nonzero
+    real or imaginary part of each coefficient monomial; "0" if empty."""
     pieces = []
-    for (a, alpha), coeff in sorted(eq.terms.items()):
-        if any(alpha):
-            idx = []
-            for v, e in zip(variables, alpha):
-                idx.extend([v] * e)
-            jet = f"D[{','.join(idx)}]({unknowns[a]})"
-        else:
-            jet = unknowns[a]
+    for suffix, coeff in pairs:
         for mono, c in sorted(coeff.terms.items()):
-            # real and imaginary parts print as separate DSL terms
             for value, imag in ((c.re, False), (c.im, True)):
                 if value == 0:
                     continue
-                sign = "-" if value < 0 else "+"
-                bits = []
-                mag = _frac_factor(abs(value))
-                if mag is not None:
-                    bits.append(mag)
-                if imag:
-                    bits.append("i")
-                for v, e in zip(variables, mono):
-                    if e == 1:
-                        bits.append(v)
-                    elif e > 1:
-                        bits.append(f"{v}^{e}")
-                bits.append(jet)
-                pieces.append((sign, "*".join(bits)))
+                bits = [] if abs(value) == 1 else [str(abs(value))]
+                bits += ["i"] if imag else []
+                bits += [v if e == 1 else f"{v}^{e}" for v, e in zip(coeff.vars, mono) if e]
+                bits += [suffix] if suffix else []
+                pieces.append(("-" if value < 0 else "+", "*".join(bits) or "1"))
     if not pieces:
-        return "0 = 0"
+        return "0"
     out = ("-" if pieces[0][0] == "-" else "") + pieces[0][1]
-    for sign, text in pieces[1:]:
-        out += f" {sign} {text}"
-    return out + " = 0"
+    return out + "".join(f" {sign} {text}" for sign, text in pieces[1:])
+
+
+def _jet_text(jet, variables, unknowns):
+    a, alpha = jet
+    if not any(alpha):
+        return unknowns[a]
+    return f"D[{','.join(v for v, e in zip(variables, alpha) for _ in range(e))}]({unknowns[a]})"
 
 
 def print_document(doc: PdeDslDocument) -> str:
@@ -594,23 +518,22 @@ def print_document(doc: PdeDslDocument) -> str:
         lines.append(f"  vars {', '.join(sys.indep_vars)};")
         lines.append(f"  unknowns {', '.join(sys.unknowns)};")
         if any(b != 0 for b in sys.base_point):
-            pts = ", ".join(_frac_text(b) for b in sys.base_point)
-            lines.append(f"  point {pts};")
+            lines.append(f"  point {', '.join(str(b) for b in sys.base_point)};")
         for eq in sys.equations:
-            lines.append(f"  eq: {print_equation(eq, sys.indep_vars, sys.unknowns)};")
+            pairs = [(_jet_text(jet, sys.indep_vars, sys.unknowns), c)
+                     for jet, c in sorted(eq.terms.items())]
+            lines.append(f"  eq: {_sum_text(pairs)} = 0;")
         lines.append("}")
+    op_text = {op: text for text, op in REGION_OPS.items()}
     for name, region in doc.regions.items():
         lines.append(f"region {name} {{")
         if region.conditions:
             lines.append(f"  vars {', '.join(region.conditions[0][0].vars)};")
-        ops = {"gt": ">", "ge": ">=", "lt": "<", "le": "<="}
         for poly, op in region.conditions:
-            lines.append(f"  {_poly_text(poly)} {ops[op]} 0;")
+            lines.append(f"  {_sum_text([(None, poly)])} {op_text[op]} 0;")
         lines.append("}")
     for name, cone in doc.cones.items():
-        gens = ", ".join(
-            "(" + ", ".join(_frac_text(x) for x in g) + ")" for g in cone.generators
-        )
+        gens = ", ".join("(" + ", ".join(str(x) for x in g) + ")" for g in cone.generators)
         kind = cone.kind.replace("-", "_")
         lines.append(f"cone {name} {{")
         lines.append(f"  generators {gens};")
@@ -625,33 +548,6 @@ def print_document(doc: PdeDslDocument) -> str:
             lines.append(f"  twist {model.twist};")
         lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _frac_text(x):
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def _poly_text(poly: MultiPoly):
-    bits = []
-    for mono, c in sorted(poly.terms.items()):
-        neg = c.re < 0
-        factors = []
-        mag = _frac_factor(abs(c.re))
-        if mag is not None or not any(mono):
-            factors.append(mag or "1")
-        for v, e in zip(poly.vars, mono):
-            if e == 1:
-                factors.append(v)
-            elif e > 1:
-                factors.append(f"{v}^{e}")
-        bits.append(("-" if neg else "+", "*".join(factors)))
-    if not bits:
-        return "0"
-    out = ("-" if bits[0][0] == "-" else "") + bits[0][1]
-    for sign, text in bits[1:]:
-        out += f" {sign} {text}"
-    return out
 
 
 def _spectrum_lines(name, spec):

@@ -1,10 +1,9 @@
 """Polynomial ideals: Buchberger completion, normal forms, membership,
-Krull dimension from leading terms, and saturation via elimination.
+Krull dimension from leading terms, and the Rabinowitsch saturation test.
 
-Orders: degrevlex (default, tie break last-variable-smallest) and lex, plus
-an internal block order used only for eliminating a fresh first variable in
-saturation.  Bases are reduced and monic, so re-running completion on a
-cached basis is the identity.
+One monomial order throughout: degrevlex (tie break last-variable-smallest).
+Bases are reduced and monic, so re-running completion on a cached basis is
+the identity.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import AmbientMismatchError
-from .poly import ORDER_KEYS, MultiPoly, degrevlex_key
+from .poly import MultiPoly, degrevlex_key
 from .scalars import QQi
 
 
@@ -31,13 +30,13 @@ def _mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def normal_form(p: MultiPoly, basis, key=degrevlex_key) -> MultiPoly:
+def normal_form(p: MultiPoly, basis) -> MultiPoly:
     """Remainder of p under multivariate division by basis (any generating list)."""
     rem = MultiPoly.zero(p.vars)
     work = p
-    lms = [(g.leading_monomial(key), g.leading_coefficient(key), g) for g in basis if g]
+    lms = [(g.leading_monomial(), g.leading_coefficient(), g) for g in basis if g]
     while work:
-        lm = work.leading_monomial(key)
+        lm = work.leading_monomial()
         lc = work.terms[lm]
         hit = False
         for glm, glc, g in lms:
@@ -52,37 +51,36 @@ def normal_form(p: MultiPoly, basis, key=degrevlex_key) -> MultiPoly:
     return rem
 
 
-def s_polynomial(f, g, key=degrevlex_key):
-    lf, lg = f.leading_monomial(key), g.leading_monomial(key)
+def s_polynomial(f, g):
+    lf, lg = f.leading_monomial(), g.leading_monomial()
     l = _mono_lcm(lf, lg)
-    return f.term_mul(_mono_div(l, lf), QQi(1) / f.leading_coefficient(key)) - g.term_mul(
-        _mono_div(l, lg), QQi(1) / g.leading_coefficient(key)
+    return f.term_mul(_mono_div(l, lf), QQi(1) / f.leading_coefficient()) - g.term_mul(
+        _mono_div(l, lg), QQi(1) / g.leading_coefficient()
     )
 
 
-def _interreduce(basis, key):
-    basis = [g.monic(key) for g in basis if g]
+def _interreduce(basis):
+    basis = [g.monic() for g in basis if g]
     changed = True
     while changed:
         changed = False
         for i in range(len(basis)):
             others = basis[:i] + basis[i + 1 :]
-            r = normal_form(basis[i], others, key) if others else basis[i]
+            r = normal_form(basis[i], others) if others else basis[i]
             if r != basis[i]:
                 changed = True
                 if r:
-                    basis[i] = r.monic(key)
+                    basis[i] = r.monic()
                 else:
                     basis.pop(i)
                 break
-    basis.sort(key=lambda g: key(g.leading_monomial(key)))
+    basis.sort(key=lambda g: degrevlex_key(g.leading_monomial()))
     return basis
 
 
-def buchberger(generators, order="degrevlex"):
-    """Reduced Groebner basis of <generators> under the named order."""
-    key = ORDER_KEYS[order]
-    basis = _interreduce([g for g in generators if g], key)
+def buchberger(generators):
+    """Reduced Groebner basis of <generators> in degrevlex."""
+    basis = _interreduce([g for g in generators if g])
     if not basis:
         return []
     pairs = list(combinations(range(len(basis)), 2))
@@ -90,30 +88,30 @@ def buchberger(generators, order="degrevlex"):
         pairs.sort(
             key=lambda ij: degrevlex_key(
                 _mono_lcm(
-                    basis[ij[0]].leading_monomial(key), basis[ij[1]].leading_monomial(key)
+                    basis[ij[0]].leading_monomial(), basis[ij[1]].leading_monomial()
                 )
             )
         )
         i, j = pairs.pop(0)
         fi, fj = basis[i], basis[j]
-        li, lj = fi.leading_monomial(key), fj.leading_monomial(key)
+        li, lj = fi.leading_monomial(), fj.leading_monomial()
         # product criterion: coprime leading monomials reduce to zero
         if all(a == 0 or b == 0 for a, b in zip(li, lj)):
             continue
-        r = normal_form(s_polynomial(fi, fj, key), basis, key)
+        r = normal_form(s_polynomial(fi, fj), basis)
         if r:
-            basis.append(r.monic(key))
+            basis.append(r.monic())
             pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
-    return _interreduce(basis, key)
+    return _interreduce(basis)
 
 
 @dataclass
 class PolyIdeal:
-    """Ideal in a named polynomial ring, with a Groebner cache per order."""
+    """Ideal in a named polynomial ring, with its Groebner basis cached."""
 
     ambient: tuple
     generators: list
-    groebner_cache: dict = field(default_factory=dict)
+    _basis: list = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.ambient = tuple(self.ambient)
@@ -124,17 +122,17 @@ class PolyIdeal:
                 )
         self.generators = [g for g in self.generators if g]
 
-    def groebner(self, order="degrevlex"):
-        if order not in self.groebner_cache:
-            self.groebner_cache[order] = buchberger(self.generators, order)
-        return self.groebner_cache[order]
+    def groebner(self):
+        if self._basis is None:
+            self._basis = buchberger(self.generators)
+        return self._basis
 
-    def contains(self, p: MultiPoly, order="degrevlex") -> bool:
+    def contains(self, p: MultiPoly) -> bool:
         if p.vars != self.ambient:
             raise AmbientMismatchError(f"polynomial over {p.vars}, ideal over {self.ambient}")
         if not p:
             return True
-        return not normal_form(p, self.groebner(order), ORDER_KEYS[order])
+        return not normal_form(p, self.groebner())
 
     def is_unit(self) -> bool:
         gb = self.groebner()
@@ -161,7 +159,7 @@ class PolyIdeal:
         if self.is_unit():
             return None  # empty variety sentinel
         n = len(self.ambient)
-        lms = [g.leading_monomial(degrevlex_key) for g in gb]
+        lms = [g.leading_monomial() for g in gb]
         supports = [frozenset(i for i, e in enumerate(lm) if e) for lm in lms]
         return n - _min_hitting_set(supports, n)
 
@@ -193,5 +191,5 @@ def saturation_is_unit(ideal: PolyIdeal, f: MultiPoly) -> bool:
     gens = [g.extend(new_vars) for g in ideal.generators]
     t = MultiPoly.variable(new_vars, "t_sat")
     gens.append(MultiPoly.constant(new_vars, 1) - t * f.extend(new_vars))
-    gb = buchberger(gens, "elim_first")
+    gb = buchberger(gens)
     return len(gb) == 1 and gb[0].is_constant()

@@ -66,11 +66,16 @@ class CharVariety:
     xi_vars: tuple
     ideal: PolyIdeal
     conic: bool
-    dimension: object  # natural, or None for the empty variety
 
     @property
     def ambient(self):
         return self.base_vars + self.xi_vars
+
+    @property
+    def dimension(self):
+        """Krull dimension (a natural, or None for the empty variety), computed
+        when read: classification never needs it."""
+        return self.ideal.dimension()
 
 
 def characteristic_ideal(sys: PdeSystem) -> CharVariety:
@@ -94,7 +99,7 @@ def characteristic_ideal(sys: PdeSystem) -> CharVariety:
     conic = all(g.is_homogeneous_in(xi_positions) for g in ideal.generators)
     if not conic:
         raise AssertionError("characteristic generators must be xi-homogeneous")
-    return CharVariety(tuple(sys.indep_vars), amb[sys.n :], ideal, conic, ideal.dimension())
+    return CharVariety(tuple(sys.indep_vars), amb[sys.n :], ideal, conic)
 
 
 def poly_det(rows):

@@ -20,22 +20,6 @@ def degrevlex_key(mono):
     return (sum(mono), tuple(-e for e in reversed(mono)))
 
 
-def lex_key(mono):
-    return tuple(mono)
-
-
-def elim_first_key(mono):
-    """Block order eliminating variable 0: compare exp[0], then degrevlex on the rest."""
-    return (mono[0], degrevlex_key(mono[1:]))
-
-
-ORDER_KEYS = {
-    "degrevlex": degrevlex_key,
-    "lex": lex_key,
-    "elim_first": elim_first_key,
-}
-
-
 class MultiPoly:
     __slots__ = ("vars", "terms")
 
@@ -254,19 +238,19 @@ class MultiPoly:
             res[tuple(nm)] = c
         return MultiPoly(new_vars, res, _clean=False)
 
-    # -- leading data (parametric in the order) ----------------------------------
+    # -- leading data in degrevlex ----------------------------------------------
 
-    def leading_monomial(self, key=degrevlex_key):
+    def leading_monomial(self):
         if not self.terms:
             return None
-        return max(self.terms, key=key)
+        return max(self.terms, key=degrevlex_key)
 
-    def leading_coefficient(self, key=degrevlex_key):
-        lm = self.leading_monomial(key)
+    def leading_coefficient(self):
+        lm = self.leading_monomial()
         return self.terms[lm] if lm is not None else QQi(0)
 
-    def monic(self, key=degrevlex_key):
-        lc = self.leading_coefficient(key)
+    def monic(self):
+        lc = self.leading_coefficient()
         if not lc or lc == 1:
             return self
         return self * (QQi(1) / lc)

@@ -31,6 +31,10 @@ def _to_mpf(x):
     return mpf(str(x))
 
 
+# candidate points (rows times widest row) lattice_points may visit
+LATTICE_BUDGET = 10**6
+
+
 def lattice_points(M, d, cutoff):
     """(q, k) for the nonzero v in Z^d with q = v^T M v <= cutoff, sorted by q.
 
@@ -39,15 +43,29 @@ def lattice_points(M, d, cutoff):
     |a| <= sqrt(cutoff (M^-1)_00); within a row, b runs over the interval
     where |m11 b + m01 a| <= sqrt(m11 cutoff - det(M) a^2).  Both bounds get
     one unit of slack for rounding, which the q <= cutoff test removes.
+    A form that needs more than LATTICE_BUDGET candidates (a thin, huge or
+    tiny lattice), or whose determinant cancels to 0 at the working
+    precision, raises PreconditionError before anything is enumerated.
     """
     if d == 1:
         m00 = M[0][0]
-        cands = [m00 * a * a for a in range(1, int(sqrt(cutoff / m00)) + 2)]
+        rows, width = int(sqrt(cutoff / m00)) + 2, 1
     else:
         (m00, m01), (_, m11) = M
         det = m00 * m11 - m01 * m01
+        if det <= 0:
+            raise PreconditionError("lattice form is degenerate at the working precision")
+        rows, width = int(sqrt(cutoff * m11 / det)) + 2, int(2 * sqrt(cutoff / m11)) + 2
+    if rows * width > LATTICE_BUDGET:
+        raise PreconditionError(
+            f"lattice sum needs more than {LATTICE_BUDGET} candidate points: "
+            "the form is too thin, too large or too small"
+        )
+    if d == 1:
+        cands = [m00 * a * a for a in range(1, rows)]
+    else:
         cands = []
-        for a in range(int(sqrt(cutoff * m11 / det)) + 2):
+        for a in range(rows):
             centre = -m01 * a / m11
             half = sqrt(max(m11 * cutoff - det * a * a, 0)) / m11
             lo = int(floor(centre - half)) if a else 1
@@ -148,7 +166,8 @@ class SpectrumModel:
         if self.kind == "flat_torus":
             tau = self.params["tau"]
             c = self.params["lattice_scale"]
-            re, im = mpf(tau.real), mpf(tau.imag)
+            # tau - round(Re tau) spans the same lattice Z + tau Z
+            re, im = mpf(tau.real) - round(tau.real), mpf(tau.imag)
             base = mp.pi**2 / (im * c) ** 2
             return [
                 [base, base * re],

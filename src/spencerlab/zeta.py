@@ -83,11 +83,12 @@ def _inverse(M, d):
 
 def _regular_part(s, M, d):
     """g(s) = zeta(s) Gamma(s) + 1/s: the theta/Mellin sum without the zero-mode pole."""
+    primal = lattice_points(M, d, LATTICE_CUTOFF)  # refuses a degenerate form before _inverse
     Minv, detM = _inverse(M, d)
     half_d = mpf(d) / 2
     dual = pi**half_d / sqrt(detM)
     g = dual / (s - half_d)
-    for q, k in lattice_points(M, d, LATTICE_CUTOFF):
+    for q, k in primal:
         g += k * gammainc(s, q) * q ** (-s)
     Mstar = [[pi**2 * Minv[i][j] for j in range(d)] for i in range(d)]
     for qs, k in lattice_points(Mstar, d, LATTICE_CUTOFF):

@@ -255,13 +255,6 @@ def test_saturation_unit_detects_containment():
     assert not saturation_is_unit(PolyIdeal(XY, [y_() ** 2]), f)
 
 
-def test_lex_order_elimination_shape():
-    # lex Groebner basis of the twisted pair contains a univariate in y
-    ideal = PolyIdeal(XY, [x_() ** 2 - y_(), y_() ** 2 - x_()])
-    gb = ideal.groebner("lex")
-    assert any(all(m[0] == 0 for m in g.terms) for g in gb)
-
-
 def test_normal_form_is_canonical():
     ideal = PolyIdeal(XY, [x_() ** 2 - y_()])
     gb = ideal.groebner()

@@ -21,13 +21,6 @@ from spencerlab.cli import COMMANDS, build_parser, main
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "docs" / "report-schema.json").read_text(encoding="utf-8"))
 
-# The values of --tau, --scale and --length are never fuzzed: until the
-# lattice enumeration has a work budget, a thin or huge torus (or a scaled
-# one) starts an unbounded lattice sum.  These options appear only with the
-# values the README gives them, and a mutation moves or drops the option
-# together with its value.
-UNFUZZED = ("--tau", "--scale", "--length")
-
 GRAD = "system grad { vars x, y; unknowns u; eq: D[x](u) = 0; eq: D[y](u) = 0; }\n"
 CONES = ("cone ahead { generators (1, 1), (1, -1); kind closed; }\n"
          "cone behind { generators (-1, 1), (-1, -1); kind closed; }\n")
@@ -47,9 +40,12 @@ FILES = [*DOCUMENTS, "missing.pde"]
 
 # Every fuzzed value comes from this list or from an option's choices, so
 # --count, --order, --copies, --bound, --grid, --n, --twist and --chi only
-# get small values and every case runs well under a second.
+# get small values and every case runs well under a second.  The extreme
+# values give --tau, --scale and --length thin, huge and far-off lattices,
+# which the lattice budget refuses before enumerating.
 VALUES = [
     "0", "1", "2", "3", "-1", "a", "", "1,0", "0,1", "1,-1/2", "1,0;0,1", "0:1", "1:2",
+    "1e-300", "1e300", "1e20,1",
     "0:1,1:2", "P1", "P2", "circle", "torus", "wave", "laplace", "grad", "lower", "ahead",
     "ahead,behind", "circ", "tor", "listy", "labels", "elliptic", "hyperbolic",
     "closed_form", "euler_maclaurin", "mellin_theta", "product_half", "de-rham", "twist",
@@ -58,11 +54,11 @@ VALUES = [
 
 
 SUBPARSERS = build_parser()._subparsers._group_actions[0].choices
-# Each subcommand's options, except --help and the unfuzzed ones; the
+# Each subcommand's options, except --help; the
 # options (of any subcommand) that take a value; the allowed values of the
 # options that have choices.
 OPTIONS = {name: sorted(opt for action in p._actions for opt in action.option_strings
-                        if opt.startswith("--") and opt not in ("--help", *UNFUZZED))
+                        if opt.startswith("--") and opt != "--help")
            for name, p in SUBPARSERS.items()}
 TAKES_VALUE = {opt for p in SUBPARSERS.values() for action in p._actions if action.nargs != 0
                for opt in action.option_strings}
@@ -103,22 +99,22 @@ def _unit(command):
     option = st.sampled_from(OPTIONS[command]).flatmap(
         lambda opt: st.tuples(st.just(opt), _value(opt)) if opt in TAKES_VALUE
         else st.just((opt,)))
-    bare = st.sampled_from(sorted({*TOKENS, *TAKES_VALUE} - set(UNFUZZED)))
+    bare = st.sampled_from(sorted({*TOKENS, *TAKES_VALUE}))
     return st.one_of(option, option, option, bare.map(lambda t: (t,)))
 
 
 @st.composite
 def readme_mutation(draw):
     """One README invocation with each unit kept, dropped, duplicated or
-    (unless unfuzzed) given another value, up to two new units inserted,
-    and now and then another subcommand."""
+    given another value, up to two new units inserted, and now and then
+    another subcommand."""
     command, units = draw(st.sampled_from(README))
     if draw(st.integers(0, 7)) == 0:
         command = draw(st.sampled_from(sorted(COMMANDS)))
     mutated = []
     for unit in units:
         kind = draw(st.sampled_from(("keep", "keep", "drop", "duplicate", "value")))
-        if kind == "value" and len(unit) == 2 and unit[0] not in UNFUZZED:
+        if kind == "value" and len(unit) == 2:
             unit = (unit[0], draw(_value(unit[0])))
         mutated += [] if kind == "drop" else [unit] * (2 if kind == "duplicate" else 1)
     for unit in draw(st.lists(_unit(command), max_size=2)):

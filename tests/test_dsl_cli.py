@@ -706,3 +706,69 @@ def test_system_and_spectrum_document(capsys, tmp_path, name, result):
     pde.write_text(MIXED)
     assert main(["det", str(pde), "--spectrum", name]) == 0
     assert json.loads(capsys.readouterr().out)["result"] == result
+
+
+@pytest.mark.parametrize("block", [
+    "system a { vars x; unknowns u; eq: D[x](u) = 0; }",
+    "region a { vars x; x > 0; }",
+    "cone a { generators (1, 0); kind closed; }",
+    "spectrum a { kind circle; length 1; }",
+    "model a { kind P1; }",
+], ids=["system", "region", "cone", "spectrum", "model"])
+def test_duplicate_block_name_rejected(capsys, tmp_path, block):
+    # a name may repeat across kinds, but not within one
+    system = "system a { vars x; unknowns u; eq: D[x](u) = 0; }"
+    text = f"{block}\n{system if block != system else 'model a { kind P2; }'}\n{block}\n"
+    with pytest.raises(ParseError) as err:
+        parse_pde_dsl(text)
+    assert "duplicate" in str(err.value)
+    assert (err.value.line, err.value.col) == (3, block.index(" a ") + 2)
+    pde = tmp_path / "dup.pde"
+    pde.write_text(text)
+    assert main(["symbol", str(pde), "--system", "a"]) == 2
+    assert "at 3:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("condition, col", [
+    ("i*x > 0", 23), ("x + 2*i > 0", 23), ("-1/2*i*y <= 0", 23),
+], ids=["leading", "constant", "negative"])
+def test_region_rejects_non_real_sum(condition, col):
+    with pytest.raises(ParseError) as err:
+        parse_pde_dsl(f"region r {{ vars x, y; {condition}; }}")
+    assert "region polynomials must be real" in str(err.value)
+    assert (err.value.line, err.value.col) == (1, col)
+
+
+def test_region_sum_uses_the_equation_grammar():
+    # D and i are names like any other in a region that declares them
+    doc = parse_pde_dsl("region r { vars D, i; -D^2*i + 3*D - 1 < 0; }")
+    assert print_document(doc) == "region r {\n  vars D, i;\n  -1 + 3*D - D^2*i < 0;\n}\n"
+    assert parse_pde_dsl(print_document(doc)) == doc
+
+
+def _cli_subprocess(*argv):
+    return subprocess.run([sys.executable, "-m", "spencerlab.cli", *argv],
+                          capture_output=True, text=True, timeout=20)
+
+
+def test_cli_torus_far_real_part_is_the_same_lattice():
+    # Z + (1e20 + i) Z = Z + i Z; without reducing Re tau, det M cancels to 0
+    far, unit = (_cli_subprocess("det", "--model", "torus", f"--tau={tau}")
+                 for tau in ("1e20,1", "0,1"))
+    assert far.returncode == 0, far.stderr
+    assert json.loads(far.stdout)["result"] == json.loads(unit.stdout)["result"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["det", "--model", "torus", "--tau", "0,1e-300"], "candidate points"),
+    (["det", "--model", "torus", "--tau", "0,1e300"], "candidate points"),
+    (["bcov", "--tau=0,1", "--scale", "1e300"], "candidate points"),
+    (["det", "--model", "circle", "--length", "1e300", "--method", "mellin_theta"],
+     "candidate points"),
+    (["det", "--model", "torus", "--tau=0.5,1e-20"], "degenerate at the working precision"),
+], ids=["thin-torus", "tall-torus", "bcov-huge-scale", "huge-circle", "cancelled-det"])
+def test_cli_extreme_lattice_is_refused_before_enumeration(argv, message):
+    out = _cli_subprocess(*argv)
+    assert out.returncode == 3, out.stderr
+    assert "precondition error: " in out.stderr and message in out.stderr
+    assert "Traceback" not in out.stderr

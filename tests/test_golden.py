@@ -10,6 +10,10 @@ tolerances.
 The microlocal digests are sha256 sums of whole CLI reports (labels,
 certificates, Kunneth checks), computed before the ellipticity ladder, the
 external product and the Kunneth join each became one code path.
+
+The DSL digest is the sha256 of the canonical printing of the corpus and of
+region documents with constants, powers and negative terms, computed while
+equations and regions still had a term parser and a printer each.
 """
 
 import hashlib
@@ -17,7 +21,10 @@ import hashlib
 import pytest
 from mpmath import mp, mpf
 
+from dsl_corpus import corpus
+
 from spencerlab.cli import main
+from spencerlab.dsl import parse_pde_dsl, print_document
 from spencerlab.spectra import SpectrumModel
 from spencerlab.torsion import bcov_torsion, ray_singer_torsion
 from spencerlab.zeta import regularized_det, zeta_at, zeta_prime_at_zero
@@ -207,3 +214,18 @@ def test_microlocal_report_is_byte_identical(name, capsys, tmp_path, monkeypatch
     assert main([command, "micro.pde", *options]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digest == MICROLOCAL[name][1]
+
+
+# -- DSL printing ---------------------------------------------------------------------
+
+REGIONS = """
+region consts { vars x, y; 1 > 0; -2 < 0; 3/2 + x >= 0; 7 - 1/4*y <= 0; }
+region powers { vars x, y; x^2 + y^3 - 1 <= 0; -x^2*y > 0; 2*x^3*y^2 - 5 > 0; }
+region negatives { vars x, y, z; -1*y >= 0; -x - 2*y - 1/3*z < 0; x - x + 1 > 0; -z^2 - 1 < 0; }
+"""
+DSL_PRINTED = "3a62ee0f5ffee3988d9538abe5a432126e71142c108c70bd826f191d9595cbfa"
+
+
+def test_printed_dsl_is_byte_identical():
+    printed = "".join(print_document(parse_pde_dsl(text)) for text in [*corpus(), REGIONS])
+    assert hashlib.sha256(printed.encode("utf-8")).hexdigest() == DSL_PRINTED
