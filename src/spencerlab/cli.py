@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import NumericError, ParseError, PreconditionError, SpencerLabError
-from .reports import ReportDocument, emit_report, input_hash
+from .reports import ReportDocument, emit_report, input_hash, to_float
 
 
 def _int_at_least(low):
@@ -69,7 +69,7 @@ def build_parser():
         return p
 
     p = add("symbol", needs_file=True)
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=_int_at_least(0), default=None)
     p = add("prolong", needs_file=True)
     p.add_argument("--count", type=_int_at_least(0), default=1)
     p = add("spencer", needs_file=True)
@@ -302,17 +302,19 @@ def _involutivity(args, job):
 
 
 def _finite_type(args, job):
-    from .spencer import is_finite_type, solution_dim_bound, to_flat_connection
+    from .spencer import finite_type_dimensions, to_flat_connection
 
     sys_ = job.system
-    finite, l0 = is_finite_type(sys_, bound=args.bound)
-    payload = {"system": sys_.name, "finite_type": finite, "l0": l0}
+    dims = finite_type_dimensions(sys_, bound=args.bound)
+    finite = dims[-1] == 0
+    payload = {"system": sys_.name, "finite_type": finite,
+               "l0": len(dims) - 2 if finite else None}
     if finite:
-        payload["solution_dimension_bound"] = solution_dim_bound(sys_)
+        payload["solution_dimension_bound"] = sum(dims)
         if args.connection:
-            flat = to_flat_connection(sys_)
-            payload["flat_rank"] = flat.rank
-            payload["flat"] = flat.flatness_checked
+            # to_flat_connection returns only connections whose curvature vanishes
+            payload["flat_rank"] = to_flat_connection(sys_, bound=args.bound).rank
+            payload["flat"] = True
     return payload
 
 
@@ -500,7 +502,7 @@ def _det(args, job):
         )
     return {
         "model": args.model or args.spectrum,
-        "det": float(value),
+        "det": to_float(value),
         "zeta0": float(zeta0.value.real if hasattr(zeta0.value, "real") else zeta0.value),
         "error_bound": err,
         "method": method,

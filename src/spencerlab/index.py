@@ -14,7 +14,7 @@ from .chern import (
 )
 from .errors import NonIntegerIndexError, PreconditionError
 from .microlocal import is_elliptic
-from .spencer import DeltaCohomologyTable, SpencerComplex, solution_dim_bound
+from .spencer import DeltaCohomologyTable, solution_dim_bound
 from .systems import PdeSystem
 
 
@@ -28,19 +28,12 @@ class IndexReport:
 def spencer_euler_characteristic(source) -> int:
     """Alternating sum of cohomology dimensions.
 
-    Accepts a DeltaCohomologyTable or SpencerComplex (alternating sums over
-    the form degree i, equal by rank-nullity), a plain {degree: dim}
-    mapping, or a finite-type PdeSystem, for which the solution complex
-    contributes only in degree zero (dim Sol).
+    Accepts a DeltaCohomologyTable (alternating sum over the form degree
+    i), a plain {degree: dim} mapping, or a finite-type PdeSystem, for
+    which the solution complex contributes only in degree zero (dim Sol).
     """
     if isinstance(source, DeltaCohomologyTable):
         return source.euler_characteristic()
-    if isinstance(source, SpencerComplex):
-        return sum(
-            (-1) ** i * source.space_dim(q, i)
-            for q in range(source.max_order + 1)
-            for i in range(source.n + 1)
-        )
     if isinstance(source, PdeSystem):
         return solution_dim_bound(source)
     if isinstance(source, dict):

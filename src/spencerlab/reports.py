@@ -2,7 +2,8 @@
 
 Canonicalization rules: keys sorted, compact separators, exact rationals as
 "num/den" strings (never floats), reals rounded to 15 significant digits
-before encoding; a non-finite real is a NumericError, not a report.
+before encoding; a non-finite real, or a nonzero one that underflows to
+0.0 or a subnormal, is a NumericError, not a report.
 Identical inputs produce byte-identical reports.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, is_dataclass, asdict
 from fractions import Fraction
 
@@ -17,6 +19,16 @@ from .errors import NumericError
 from .scalars import QQi
 
 TOOL_VERSION = "0.1.0"
+
+
+def to_float(value):
+    """A real (an mpf or a float) as a double.  A nonzero value that becomes
+    0.0 or a subnormal is a NumericError: like a non-finite one, it would be
+    a silently wrong number."""
+    x = float(value)
+    if value and abs(x) < sys.float_info.min:
+        raise NumericError(f"result {value} underflows the double range")
+    return x
 
 
 def _canon(value):
@@ -44,7 +56,7 @@ def _canon(value):
     if value is None or isinstance(value, str):
         return value
     if hasattr(value, "_mpf_") or hasattr(value, "_mpc_"):
-        return _canon(complex(value)) if hasattr(value, "_mpc_") else _canon(float(value))
+        return _canon(complex(value)) if hasattr(value, "_mpc_") else _canon(to_float(value))
     return str(value)
 
 

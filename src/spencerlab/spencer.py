@@ -15,7 +15,7 @@ acceptance suite).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, islice, repeat
 
 from .errors import ObstructionError, PreconditionError
 from .linalg import ExactMatrix
@@ -171,32 +171,45 @@ def involutivity_degree(sys: PdeSystem, search_bound=6, window=None, point=None)
     return None, table
 
 
-def is_finite_type(sys: PdeSystem, bound=6, point=None):
-    """(finite, l0): finite iff some symbol space vanishes within the bound;
-    l0 is then the largest order with a nonzero symbol."""
+def symbol_dimensions(sys: PdeSystem, point=None):
+    """dim g^0, dim g^1, ... through the first zero, or without end when no
+    symbol space vanishes.  After a zero every later dimension is zero too:
+    the shifts of an order-(q+1) symbol lie in g^q, and a vector whose shifts
+    all vanish is zero."""
+    q = 0
+    while dim := symbol_space(sys, q, point).dim:
+        yield dim
+        q += 1
+    yield 0
+
+
+def finite_type_dimensions(sys: PdeSystem, bound=6, point=None):
+    """dim g^q for q <= order + bound, through the first zero: the system is of
+    finite type within the bound iff the list ends in 0, and then l0, the
+    largest order with a nonzero symbol, is its length minus 2."""
     if bound < 1:
         raise PreconditionError("bound must be >= 1")
-    dims = []
-    for q in range(0, sys.order + bound + 1):
-        d = symbol_space(sys, q, point).dim
-        dims.append(d)
-        if d == 0:
-            return True, q - 1
-    return False, None
+    return list(islice(symbol_dimensions(sys, point), sys.order + bound + 1))
+
+
+def is_finite_type(sys: PdeSystem, bound=6, point=None):
+    """(finite, l0): finite iff some symbol space vanishes within the bound."""
+    dims = finite_type_dimensions(sys, bound, point)
+    return (True, len(dims) - 2) if dims[-1] == 0 else (False, None)
 
 
 def solution_dim_bound(sys: PdeSystem, bound=6, point=None) -> int:
     """Sum of symbol dimensions through the stabilization order: the upper
     bound on dim Sol, exact for flat closed systems."""
-    finite, l0 = is_finite_type(sys, bound, point)
-    if not finite:
+    dims = finite_type_dimensions(sys, bound, point)
+    if dims[-1]:
         raise PreconditionError("solution_dim_bound requires a finite-type system")
-    return sum(symbol_space(sys, q, point).dim for q in range(0, l0 + 1))
+    return sum(dims)
 
 
 def poincare_series(sys: PdeSystem, max_k=8, point=None):
     """Coefficient at z^k = growth of the solution-jet fiber = dim g^k."""
-    return [symbol_space(sys, q, point).dim for q in range(0, max_k + 1)]
+    return list(islice(chain(symbol_dimensions(sys, point), repeat(0)), max_k + 1))
 
 
 # -- finite type -> flat connection ------------------------------------------
@@ -208,7 +221,6 @@ class FlatConnectionSystem:
     variables: tuple
     coordinates: list  # jet labels (a, alpha) forming the fiber basis
     connection_matrices: dict  # var name -> rank x rank matrix of MultiPoly
-    flatness_checked: bool = False
 
     def matrix(self, var):
         return self.connection_matrices[var]
@@ -236,69 +248,40 @@ def _prolonged_equations(sys: PdeSystem, up_to):
     return [e for e in unique if e.order() <= up_to]
 
 
-def _solve_by_constant_pivots(rows, solve_cols, all_cols, variables):
-    """Gaussian elimination using unit (constant) pivots only.
+def _solve_by_constant_pivots(rows):
+    """Gauss-Jordan over rows {jet: MultiPoly} = 0, with constant pivots only.
 
-    rows: list of dicts col -> MultiPoly.  Returns (expressions, leftovers):
-    expressions maps each solved column to a dict over unsolved columns;
-    leftovers are rows with no solve_col support left.
+    The pivot is taken from the first pending row with a constant entry, at
+    its highest-order such jet, and cleared from the other pending rows and
+    from every stored expression, so the pending rows stay zero at every
+    solved jet and each expression runs over unsolved jets only (the
+    invariant of linalg._gauss_jordan).  Returns (solved, leftovers): solved
+    maps each pivot jet to {jet: coefficient} with jet = sum coefficient *
+    jet; leftovers are the nonzero rows that no constant pivot reaches.
     """
-    zero = MultiPoly.zero(variables)
-    work = [dict(r) for r in rows]
+    pending = [dict(r) for r in rows]
     solved = {}
-    solve_set = set(solve_cols)
-
-    def pivot_rank(col):
-        a, alpha = col
-        return (-sum(alpha), a, alpha)
-
-    progress = True
-    while progress:
-        progress = False
-        for ri, row in enumerate(work):
-            pivot_col = None
-            for c in sorted(row, key=pivot_rank):
-                if c in solve_set and c not in solved and row[c].is_constant() and row[c]:
-                    pivot_col = c
-                    break
-            if pivot_col is None:
-                continue
-            pc = row[pivot_col].constant_coefficient()
-            expr = {
-                c: v * (QQi(-1) / pc)
-                for c, v in row.items()
-                if c != pivot_col and v
-            }
-            solved[pivot_col] = expr
-            rest = work[:ri] + work[ri + 1 :]
-            new_work = []
-            for r2 in rest:
-                if pivot_col in r2:
-                    f = r2.pop(pivot_col)
-                    for c, v in expr.items():
-                        r2[c] = r2.get(c, zero) + f * v
-                    r2 = {c: v for c, v in r2.items() if v}
-                new_work.append(r2)
-            work = new_work
-            progress = True
-            break
-    # back-substitute solved columns inside the stored expressions
-    changed = True
-    while changed:
-        changed = False
-        for col, expr in solved.items():
-            for c in list(expr):
-                if c in solved:
-                    f = expr.pop(c)
-                    for c2, v2 in solved[c].items():
-                        expr[c2] = expr.get(c2, zero) + f * v2
-                    solved[col] = {k: v for k, v in expr.items() if v}
-                    changed = True
-    leftovers = [r for r in work if any(v for v in r.values())]
-    unsolvable = [
-        r for r in leftovers if any(c in solve_set and c not in solved for c in r)
-    ]
-    return solved, leftovers, unsolvable
+    while True:
+        for ri, row in enumerate(pending):
+            constants = [c for c, v in row.items() if v.is_constant()]
+            if constants:
+                break
+        else:
+            return solved, [r for r in pending if r]
+        row = pending.pop(ri)
+        pivot = min(constants, key=lambda c: (-sum(c[1]), c))
+        scale = QQi(-1) / row.pop(pivot).constant_coefficient()
+        expr = {c: v * scale for c, v in row.items()}
+        for other in [*pending, *solved.values()]:
+            f = other.pop(pivot, None)
+            if f is not None:
+                for c, v in expr.items():
+                    x = other[c] + f * v if c in other else f * v
+                    if x:
+                        other[c] = x
+                    else:
+                        del other[c]
+        solved[pivot] = expr
 
 
 def to_flat_connection(sys: PdeSystem, bound=6) -> FlatConnectionSystem:
@@ -316,24 +299,16 @@ def to_flat_connection(sys: PdeSystem, bound=6) -> FlatConnectionSystem:
     n, variables = sys.n, sys.indep_vars
     zero = MultiPoly.zero(variables)
 
-    jets = [(a, alpha) for q in range(0, l0 + 1) for a in range(sys.m)
-            for alpha in multiindices(n, q)]
-    top_jets = [(a, alpha) for a in range(sys.m) for alpha in multiindices(n, l0 + 1)]
-
-    eq_rows = []
-    for eq in _prolonged_equations(sys, l0 + 1):
-        eq_rows.append({key: c for key, c in eq.terms.items() if c})
-
-    solved, leftovers, unsolvable = _solve_by_constant_pivots(
-        eq_rows, top_jets + jets, jets + top_jets, variables
-    )
-    if unsolvable:
+    eq_rows = [{key: c for key, c in eq.terms.items() if c}
+               for eq in _prolonged_equations(sys, l0 + 1)]
+    solved, leftovers = _solve_by_constant_pivots(eq_rows)
+    if leftovers:
         raise ObstructionError(
             "jet elimination needs a non-constant pivot; no polynomial "
             "connection normal form",
-            obstruction=unsolvable[0],
+            obstruction=leftovers[0],
         )
-    for key in top_jets:
+    for key in [(a, alpha) for a in range(sys.m) for alpha in multiindices(n, l0 + 1)]:
         if key not in solved:
             # finite type guarantees the symbol dies; the affine solve must too
             raise ObstructionError(
@@ -341,65 +316,42 @@ def to_flat_connection(sys: PdeSystem, bound=6) -> FlatConnectionSystem:
                 obstruction=key,
             )
 
-    fiber = [key for key in jets if key not in solved]
+    fiber = [(a, alpha) for q in range(0, l0 + 1) for a in range(sys.m)
+             for alpha in multiindices(n, q) if (a, alpha) not in solved]
     index = {key: i for i, key in enumerate(fiber)}
     rank = len(fiber)
+    one = MultiPoly.constant(variables, 1)
 
     def expression_of(key):
         """key as a linear combination over fiber coordinates."""
-        if key in index:
-            e = [zero] * rank
-            e[index[key]] = MultiPoly.constant(variables, 1)
-            return e
-        expr = solved.get(key)
-        if expr is None:
-            raise ObstructionError(f"jet {key} escaped the elimination", obstruction=key)
         out = [zero] * rank
-        for c, coeff in expr.items():
-            if c in index:
-                out[index[c]] = out[index[c]] + coeff
-            else:
-                sub = expression_of(c)
-                for i2 in range(rank):
-                    if sub[i2]:
-                        out[i2] = out[i2] + coeff * sub[i2]
+        for c, coeff in solved.get(key, {key: one}).items():
+            out[index[c]] = coeff
         return out
 
-    matrices = {}
-    for j, var in enumerate(variables):
-        rows = []
-        for (a, alpha) in fiber:
-            rows.append(expression_of((a, add_index(alpha, j))))
-        matrices[var] = rows
-
-    _check_flatness(matrices, variables, rank, zero)
-    return FlatConnectionSystem(rank, variables, fiber, matrices, True)
+    matrices = {
+        var: [expression_of((a, add_index(alpha, j))) for (a, alpha) in fiber]
+        for j, var in enumerate(variables)
+    }
+    _check_flatness(matrices, variables, rank)
+    return FlatConnectionSystem(rank, variables, fiber, matrices)
 
 
-def _check_flatness(matrices, variables, rank, zero):
-    def mat_mul(A, B):
-        return [
-            [
-                sum((A[i][k] * B[k][j] for k in range(rank)), zero)
-                for j in range(rank)
-            ]
-            for i in range(rank)
-        ]
-
-    def mat_d(A, v):
-        return [[A[i][j].derivative(v) for j in range(rank)] for i in range(rank)]
-
+def _check_flatness(matrices, variables, rank):
+    """Each curvature entry d_i A_j - d_j A_i - [A_i, A_j] must vanish."""
     for i, vi in enumerate(variables):
-        for j in range(i + 1, len(variables)):
-            vj = variables[j]
+        for vj in variables[i + 1:]:
             Ai, Aj = matrices[vi], matrices[vj]
-            dAj = mat_d(Aj, vi)
-            dAi = mat_d(Ai, vj)
-            com1 = mat_mul(Ai, Aj)
-            com2 = mat_mul(Aj, Ai)
             for r in range(rank):
+                # [A_i, A_j][r][c] summed over the nonzero entries of row r only
+                row_i = [(k, a) for k, a in enumerate(Ai[r]) if a]
+                row_j = [(k, a) for k, a in enumerate(Aj[r]) if a]
                 for c in range(rank):
-                    curv = dAj[r][c] - dAi[r][c] - (com1[r][c] - com2[r][c])
+                    curv = Aj[r][c].derivative(vi) - Ai[r][c].derivative(vj)
+                    for k, a in row_i:
+                        curv = curv - a * Aj[k][c]
+                    for k, a in row_j:
+                        curv = curv + a * Ai[k][c]
                     if curv:
                         raise ObstructionError(
                             f"nonvanishing curvature in ({vi},{vj}) at entry "

@@ -21,6 +21,7 @@ from mpmath import exp, log, mp, mpf
 
 from .errors import PreconditionError
 from .linalg import ExactMatrix, positive_definite
+from .reports import to_float
 from .spectra import SpectrumModel
 from .zeta import regularized_det, zeta_at, zeta_prime_at_zero
 
@@ -69,7 +70,7 @@ def _torsion_report(terms, convention, inputs, weight_type):
         log_t += w * mpf(data["log_det"])
         err += abs(w) * mpf(data["error_bound"])
     torsion = exp(log_t)
-    return TorsionReport(float(torsion), convention, per_degree, float(err * torsion * 2), inputs)
+    return TorsionReport(to_float(torsion), convention, per_degree, float(err * torsion * 2), inputs)
 
 
 def ray_singer_torsion(spectra, convention="exp_full", weights=None) -> TorsionReport:

@@ -283,7 +283,9 @@ def test_cli_kunneth_rejects_fewer_than_two_copies(capsys, tmp_path, copies):
     (["poincare", "--order", "-1"], "argument --order: '-1' is not an integer >= 0"),
     (["classify", "--grid", "0"], "argument --grid: '0' is not an integer >= 1"),
     (["classify", "--grid", "-1"], "argument --grid: '-1' is not an integer >= 1"),
-], ids=["prolong-count", "poincare-order", "classify-grid-0", "classify-grid-negative"])
+    (["symbol", "--order", "-1"], "argument --order: '-1' is not an integer >= 0"),
+], ids=["prolong-count", "poincare-order", "classify-grid-0", "classify-grid-negative",
+        "symbol-order"])
 def test_cli_rejects_out_of_range_integer_option(capsys, tmp_path, argv, message):
     pde = tmp_path / "wave.pde"
     pde.write_text(WAVE)
@@ -686,6 +688,23 @@ def test_cli_bad_numeric_argument(capsys, argv, message):
 def test_cli_non_finite_result_is_numeric_error(capsys):
     assert main(["det", "--model", "circle", "--length", "1e300"]) == 4
     assert "numeric error: result inf is not a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["det", "--model", "circle", "--length", "1e-200"],  # det' = L^2 = 1e-400
+    ["det", "two.pde", "--spectrum", "two", "--scale", "1e-300"],  # 4 s^3 = 4e-900
+    ["det", "two.pde", "--spectrum", "two", "--scale", "1e-103"],  # 4e-309, a subnormal
+    ["torsion", "--model", "circle", "--length", "1e200"],  # T = L^-2
+    ["torsion", "--model", "circle", "--length", "1e300"],
+], ids=["det-circle", "det-explicit", "det-explicit-subnormal", "torsion-1e200",
+        "torsion-1e300"])
+def test_cli_underflowing_result_is_numeric_error(capsys, tmp_path, monkeypatch, argv):
+    (tmp_path / "two.pde").write_text(
+        "spectrum two { kind explicit; values 1, 2; multiplicities 1, 2; }")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert "underflows the double range" in err and "Traceback" not in err
 
 
 MIXED = (WAVE + "spectrum circ { kind circle; length 6.283185307179586; }\n"

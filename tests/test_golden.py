@@ -11,6 +11,12 @@ The microlocal digests are sha256 sums of whole CLI reports (labels,
 certificates, Kunneth checks), computed before the ellipticity ladder, the
 external product and the Kunneth join each became one code path.
 
+The jet digests are sha256 sums of whole CLI reports (symbol, prolong,
+spencer, involutivity, poincare and finite-type, with and without the flat
+connection) on corpus systems, finite-type systems and Killing's equations
+of R^3, computed before the flat connection, the curvature check and the
+symbol-dimension loops each became one code path.
+
 The DSL digest is the sha256 of the canonical printing of the corpus and of
 region documents with constants, powers and negative terms, computed while
 equations and regions still had a term parser and a printer each.
@@ -229,3 +235,66 @@ DSL_PRINTED = "3a62ee0f5ffee3988d9538abe5a432126e71142c108c70bd826f191d9595cbfa"
 def test_printed_dsl_is_byte_identical():
     printed = "".join(print_document(parse_pde_dsl(text)) for text in [*corpus(), REGIONS])
     assert hashlib.sha256(printed.encode("utf-8")).hexdigest() == DSL_PRINTED
+
+
+# -- jet reports ----------------------------------------------------------------------
+
+JET_DOCUMENT = """
+system laplace { vars x, y; unknowns u; eq: D[x,x](u) + D[y,y](u) = 0; }
+system tricomi { vars x, y; unknowns u; eq: y*D[x,x](u) + D[y,y](u) = 0; }
+system cr { vars x, y; unknowns u; eq: 1/2*D[x](u) + 1/2*i*D[y](u) = 0; }
+system shifted { vars x, y; unknowns u; point 1, -2; eq: x^2*D[x,x](u) + D[y,y](u) + 3*u = 0; }
+system twou { vars x, y; unknowns u, v; eq: D[x](u) - D[y](v) = 0; eq: D[y](u) + D[x](v) = 0; }
+system ord3 { vars x, y; unknowns u; eq: D[x,x,x](u) + u = 0; }
+system grad { vars x, y; unknowns u; eq: D[x](u) = 0; eq: D[y](u) = 0; }
+system frobenius { vars x, y; unknowns u; eq: D[x](u) - y*u = 0; eq: D[y](u) - x*u = 0; }
+system uxx { vars x; unknowns u; eq: D[x,x](u) = 0; }
+system airy { vars x; unknowns u, v; eq: D[x](u) - v = 0; eq: D[x](v) - x*u = 0; }
+system cubes { vars x, y; unknowns u; eq: D[x,x,x](u) = 0; eq: D[y,y,y](u) = 0; }
+system killing {
+  vars x, y, z; unknowns u, v, w;
+  eq: D[x](u) = 0; eq: D[y](v) = 0; eq: D[z](w) = 0;
+  eq: D[y](u) + D[x](v) = 0; eq: D[z](u) + D[x](w) = 0; eq: D[z](v) + D[y](w) = 0;
+}
+"""
+JET_SYSTEMS = ("laplace", "tricomi", "cr", "shifted", "twou", "ord3", "grad", "frobenius",
+               "uxx", "airy", "cubes", "killing")
+FINITE_SYSTEMS = ("grad", "frobenius", "uxx", "airy", "cubes", "killing")
+
+# name: (options, systems, sha256 of the reports on stdout of the command on
+# each system in turn); the name is the command, with a suffix for a variant.
+JET = {
+    "symbol": (["--order", "3"], JET_SYSTEMS,
+        "9b27403c4527f7869d1e0aa5fe589b5765a8da384363b4dc4249bae96b995a41"),
+    "symbol-default": ([], JET_SYSTEMS,
+        "26436e1209ded35bffa1edc2260ac0fa19a03dd2b26524796aed28c99afb7abe"),
+    "prolong": (["--count", "2"], JET_SYSTEMS,
+        "e22fde51c5fdfc6514a5adabe35534ba91632b2d44445c4bea18d4775b9292b2"),
+    "spencer": ([], JET_SYSTEMS,
+        "234b2383c9d81921ca02e6f3b8a14e3d3be9b6fa148c8f664169f761e8b81584"),
+    "involutivity": (["--bound", "2"], JET_SYSTEMS,
+        "07f34b6acf37c27d49569821eef942cc1a5c363c9c9dbb59499e7ed204342fe2"),
+    "poincare": (["--order", "6"], JET_SYSTEMS,
+        "b8cc122af5f550f159e7e56b01fa0367188db410f690ae36664c781a593b009e"),
+    "finite-type": ([], JET_SYSTEMS,
+        "92986f188e7c943a9b683a5d4558466d49943f02bae8862a932f25be0eac12bb"),
+    "finite-type-connection": (["--connection"], FINITE_SYSTEMS,
+        "ef56649d3266a1168975753c64921435280cb331c7c191067d63b63d3855ca82"),
+}
+
+
+def _jet_digest(name, capsys):
+    command = name.removesuffix("-default").removesuffix("-connection")
+    options, systems, _ = JET[name]
+    h = hashlib.sha256()
+    for system in systems:
+        assert main([command, "jet.pde", "--system", system, *options]) == 0
+        h.update(capsys.readouterr().out.encode("utf-8"))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(JET))
+def test_jet_report_is_byte_identical(name, capsys, tmp_path, monkeypatch):
+    (tmp_path / "jet.pde").write_text(JET_DOCUMENT, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert _jet_digest(name, capsys) == JET[name][2]

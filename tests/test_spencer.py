@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spencerlab import spencer
+from spencerlab.cli import main
+from spencerlab.dsl import parse_pde_dsl
 from spencerlab.errors import DegenerateSymbolError, ObstructionError, PreconditionError
 from spencerlab.linalg import ExactMatrix
 from spencerlab.spencer import (
@@ -33,6 +37,7 @@ from spencerlab.systems import (
     wave_system,
 )
 from spencerlab.poly import MultiPoly
+from spencerlab.scalars import QQi
 
 
 # -- geometric symbols ----------------------------------------------------------
@@ -334,6 +339,218 @@ def test_random_flat_ode_matches_rank():
 def test_non_finite_type_rejected():
     with pytest.raises(PreconditionError):
         to_flat_connection(laplace_system())
+
+
+def test_finite_type_bound_reaches_every_field(capsys, tmp_path):
+    # the symbol of u_{x^8} = u_{y^8} = 0 dies at order 15 = 8 + 7
+    pde = tmp_path / "m8.pde"
+    pde.write_text("system m8 { vars x, y; unknowns u; "
+                   "eq: D[x,x,x,x,x,x,x,x](u) = 0; eq: D[y,y,y,y,y,y,y,y](u) = 0; }")
+    assert main(["finite-type", str(pde), "--bound", "7", "--connection"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["l0"], result["solution_dimension_bound"], result["flat_rank"]) == (14, 64, 64)
+    assert main(["finite-type", str(pde), "--bound", "6"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["finite_type"] is False
+
+
+def test_finite_type_connection_builds_few_symbol_spaces(capsys, tmp_path, monkeypatch):
+    # one dimension sequence g^0, g^1, g^2 = 0 for the report, one for the connection
+    orders = []
+
+    def counting_symbol_space(sys, q, point=None):
+        orders.append(q)
+        return symbol_space(sys, q, point)
+
+    monkeypatch.setattr(spencer, "symbol_space", counting_symbol_space)
+    pde = tmp_path / "killing.pde"
+    pde.write_text(KILLING)
+    assert main(["finite-type", str(pde), "--connection"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["flat_rank"] == 6
+    assert len(orders) <= 6
+    assert set(orders) == {0, 1, 2}
+
+
+# -- the flat connection against the former elimination --------------------------------
+#
+# The connection was computed by the elimination and curvature check below
+# (clear each pivot from the pending rows only, then back-substitute the
+# stored expressions to a fixpoint; full products [A_i A_j], [A_j A_i]).
+# They stay here as an oracle: the Gauss-Jordan elimination and the direct
+# curvature pass must return the same fibers, matrices and obstructions.
+
+
+def _former_solve_by_constant_pivots(rows, solve_cols, all_cols, variables):
+    """Gaussian elimination using unit (constant) pivots only.
+
+    rows: list of dicts col -> MultiPoly.  Returns (expressions, leftovers):
+    expressions maps each solved column to a dict over unsolved columns;
+    leftovers are rows with no solve_col support left.
+    """
+    zero = MultiPoly.zero(variables)
+    work = [dict(r) for r in rows]
+    solved = {}
+    solve_set = set(solve_cols)
+
+    def pivot_rank(col):
+        a, alpha = col
+        return (-sum(alpha), a, alpha)
+
+    progress = True
+    while progress:
+        progress = False
+        for ri, row in enumerate(work):
+            pivot_col = None
+            for c in sorted(row, key=pivot_rank):
+                if c in solve_set and c not in solved and row[c].is_constant() and row[c]:
+                    pivot_col = c
+                    break
+            if pivot_col is None:
+                continue
+            pc = row[pivot_col].constant_coefficient()
+            expr = {
+                c: v * (QQi(-1) / pc)
+                for c, v in row.items()
+                if c != pivot_col and v
+            }
+            solved[pivot_col] = expr
+            rest = work[:ri] + work[ri + 1 :]
+            new_work = []
+            for r2 in rest:
+                if pivot_col in r2:
+                    f = r2.pop(pivot_col)
+                    for c, v in expr.items():
+                        r2[c] = r2.get(c, zero) + f * v
+                    r2 = {c: v for c, v in r2.items() if v}
+                new_work.append(r2)
+            work = new_work
+            progress = True
+            break
+    # back-substitute solved columns inside the stored expressions
+    changed = True
+    while changed:
+        changed = False
+        for col, expr in solved.items():
+            for c in list(expr):
+                if c in solved:
+                    f = expr.pop(c)
+                    for c2, v2 in solved[c].items():
+                        expr[c2] = expr.get(c2, zero) + f * v2
+                    solved[col] = {k: v for k, v in expr.items() if v}
+                    changed = True
+    leftovers = [r for r in work if any(v for v in r.values())]
+    unsolvable = [
+        r for r in leftovers if any(c in solve_set and c not in solved for c in r)
+    ]
+    return solved, leftovers, unsolvable
+
+
+def _former_check_flatness(matrices, variables, rank, zero):
+    def mat_mul(A, B):
+        return [
+            [
+                sum((A[i][k] * B[k][j] for k in range(rank)), zero)
+                for j in range(rank)
+            ]
+            for i in range(rank)
+        ]
+
+    def mat_d(A, v):
+        return [[A[i][j].derivative(v) for j in range(rank)] for i in range(rank)]
+
+    for i, vi in enumerate(variables):
+        for j in range(i + 1, len(variables)):
+            vj = variables[j]
+            Ai, Aj = matrices[vi], matrices[vj]
+            dAj = mat_d(Aj, vi)
+            dAi = mat_d(Ai, vj)
+            com1 = mat_mul(Ai, Aj)
+            com2 = mat_mul(Aj, Ai)
+            for r in range(rank):
+                for c in range(rank):
+                    curv = dAj[r][c] - dAi[r][c] - (com1[r][c] - com2[r][c])
+                    if curv:
+                        raise ObstructionError(
+                            f"nonvanishing curvature in ({vi},{vj}) at entry "
+                            f"({r},{c})",
+                            obstruction=curv,
+                        )
+
+
+def _flat_outcome(sys_):
+    """(rank, fiber, matrices) of the connection, or its obstruction."""
+    try:
+        flat = to_flat_connection(sys_)
+    except ObstructionError as exc:
+        return str(exc), exc.obstruction
+    return flat.rank, flat.coordinates, flat.connection_matrices
+
+
+def _former_flat_outcome(sys_):
+    def solve(rows):
+        cols = sorted({c for r in rows for c in r})
+        variables = next(iter(rows[0].values())).vars
+        solved, _, unsolvable = _former_solve_by_constant_pivots(rows, cols, cols, variables)
+        return solved, unsolvable
+
+    def check(matrices, variables, rank):
+        _former_check_flatness(matrices, variables, rank, MultiPoly.zero(variables))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spencer, "_solve_by_constant_pivots", solve)
+        patch.setattr(spencer, "_check_flatness", check)
+        return _flat_outcome(sys_)
+
+
+KILLING = """
+system killing {
+  vars x, y, z; unknowns u, v, w;
+  eq: D[x](u) = 0; eq: D[y](v) = 0; eq: D[z](w) = 0;
+  eq: D[y](u) + D[x](v) = 0; eq: D[z](u) + D[x](w) = 0; eq: D[z](v) + D[y](w) = 0;
+}
+"""
+FLAT_DOCUMENT = KILLING + """
+system airy { vars x; unknowns u, v; eq: D[x](u) - v = 0; eq: D[x](v) - x*u = 0; }
+system cubes { vars x, y; unknowns u; eq: D[x,x,x](u) = 0; eq: D[y,y,y](u) = 0; }
+system mixed { vars x, y; unknowns u; eq: D[x,x](u) - u = 0; eq: D[y](u) - D[x](u) = 0; }
+system frobenius { vars x, y; unknowns u; eq: D[x](u) - y*u = 0; eq: D[y](u) - x*u = 0; }
+system curved { vars x, y; unknowns u; eq: D[x](u) - y*u = 0; eq: D[y](u) = 0; }
+system pivot { vars x, y; unknowns u; eq: x*D[x](u) + D[x](u) = 0; eq: D[y](u) = 0; }
+system grad { vars x, y; unknowns u; eq: D[x](u) = 0; eq: D[y](u) = 0; }
+system uxx { vars x; unknowns u; eq: D[x,x](u) = 0; }
+"""
+FLAT_SYSTEMS = parse_pde_dsl(FLAT_DOCUMENT).systems
+
+
+def _first_order_pair(a, b):
+    """u_x = A u and u_y = B u on the plane: flat iff A and B commute."""
+    m = len(a)
+    return make_system(("x", "y"), tuple(f"u{i+1}" for i in range(m)), [
+        [(1, i, alpha)] + [(-mat[i][j], j, (0, 0)) for j in range(m)]
+        for alpha, mat in (((1, 0), a), ((0, 1), b)) for i in range(m)
+    ])
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_SYSTEMS))
+def test_flat_connection_matches_former_elimination(name):
+    sys_ = FLAT_SYSTEMS[name]
+    assert _flat_outcome(sys_) == _former_flat_outcome(sys_)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_random_flat_connections_match_former_elimination(seed):
+    rng = random.Random(seed)
+    m = rng.randint(1, 4)
+    a = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m)] for _ in range(m)]
+    sys_ = first_order_flat_system(a)
+    assert _flat_outcome(sys_) == _former_flat_outcome(sys_)
+    # B = c A + d I commutes with A; a random B almost never does
+    c, d = rng.randint(-2, 2), rng.randint(-2, 2)
+    commuting = [[c * a[i][j] + d * (i == j) for j in range(m)] for i in range(m)]
+    other = [[Fraction(rng.randint(-2, 2)) for _ in range(m)] for _ in range(m)]
+    for b in (commuting, other):
+        pair = _first_order_pair(a, b)
+        assert _flat_outcome(pair) == _former_flat_outcome(pair)
 
 
 # -- coordinate invariance -------------------------------------------------------------
