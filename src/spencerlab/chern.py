@@ -9,7 +9,7 @@ exact rationals and integrality is a check rather than a hope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -33,17 +33,14 @@ def bernoulli_numbers(count):
     return tuple(b)
 
 
-@dataclass(frozen=True)
-class CohomologyRingModel:
-    name: str
-    generators: tuple
-    degrees: tuple
-    nilpotency: tuple  # max allowed exponent per generator
-    top_degree: int
-    top_monomial: tuple
-    tangent_roots: tuple = ()  # rows of generator-coefficients, one per root
-    tangent_classes: tuple = ()  # (c1, c2, ...) as generator polynomials
-    polarization: str = None  # generator playing the hyperplane class
+class CohomologyRingModel(namedtuple(
+        "CohomologyRingModel", "name generators degrees nilpotency top_degree top_monomial "
+        "tangent_roots tangent_classes polarization", defaults=((), (), None))):
+    """nilpotency: the largest exponent per generator; tangent_roots: rows of
+    generator coefficients, one per root; tangent_classes: (c1, c2, ...) as
+    generator polynomials; polarization: the hyperplane class's generator."""
+
+    __slots__ = ()
 
     def zero(self):
         return CharacterClass(self, MultiPoly.zero(self.generators))
@@ -67,13 +64,11 @@ class CohomologyRingModel:
             keep[mono] = c
         return MultiPoly(self.generators, keep, _clean=False)
 
-@dataclass
 class CharacterClass:
-    model: CohomologyRingModel
-    poly: MultiPoly
+    __slots__ = ("model", "poly")
 
-    def __post_init__(self):
-        self.poly = self.model.reduce_poly(self.poly)
+    def __init__(self, model: CohomologyRingModel, poly: MultiPoly):
+        self.model, self.poly = model, model.reduce_poly(poly)
 
     def _check(self, other):
         if isinstance(other, CharacterClass) and other.model.name != self.model.name:

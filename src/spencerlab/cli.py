@@ -51,15 +51,29 @@ def _positive_float(text):
     return value
 
 
-def build_parser():
+class _Unbuilt:
+    """Stands in for a subparser that build_parser leaves out."""
+
+    def add_argument(self, *args, **kwargs):
+        pass
+
+
+def build_parser(command=None):
+    """The CLI parser.  Given a subcommand name, only its subparser is built
+    (the others cost start-up time); the top-level usage still spells every
+    choice, so usage and error text are those of the full parser."""
     parser = argparse.ArgumentParser(
         prog="spencerlab",
         description="jet calculus, microlocal classification, index integrals "
         "and zeta-regularized torsion for linear PDE systems",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    only = command in COMMANDS
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{%s}" % ",".join(COMMANDS) if only else None)
 
     def add(name, needs_file=False, **kwargs):
+        if only and name != command:
+            return _Unbuilt()
         p = sub.add_parser(name, **kwargs)
         if needs_file:
             p.add_argument("file", help="PDE DSL document")
@@ -142,10 +156,11 @@ def build_parser():
 
 class _Job:
     """One invocation: the document it names, read, parsed and hashed on
-    first use, and the provenance its report carries."""
+    first use, and the arguments and provenance its report carries."""
 
     def __init__(self, args):
         self.args = args
+        self.arguments = {k: v for k, v in vars(args).items() if k != "command" and v is not None}
         self.source_hash = ""
         self.provenance = {"threads": 1}
 
@@ -325,20 +340,20 @@ def _poincare(args, job):
     return {"system": sys_.name, "coefficients": poincare_series(sys_, args.order)}
 
 
-def _check_classify_options(args):
+def _check_classify_options(args, job):
     """Options that only the labels mode reads are an error in the other
-    modes; --grid falls back to its default only after this check."""
+    modes; --grid falls back to its default only after this check, in the
+    report's arguments and not in args, so args can be dispatched again."""
     if args.mode != "labels":
         unused = ("region", "cones", "grid") + (("direction",) if args.mode == "elliptic" else ())
         _reject_unused(args, unused, f"by --mode {args.mode}")
-    if args.grid is None:
-        args.grid = 4
+    job.arguments.setdefault("grid", 4)
 
 
 def _classify(args, job):
     from .microlocal import Region, classify_mixed, default_grid, is_elliptic, is_hyperbolic
 
-    _check_classify_options(args)
+    _check_classify_options(args, job)
     sys_, doc = job.system, job.doc
     region = Region.everywhere()
     if args.region:
@@ -356,7 +371,7 @@ def _classify(args, job):
         rep = is_hyperbolic(sys_, direction, seed=args.seed)
         return {"system": sys_.name, "hyperbolic": rep.value, "status": rep.status,
                 "certificate": rep.certificate}
-    grid = default_grid(sys_, base_count=args.grid, seed=args.seed,
+    grid = default_grid(sys_, base_count=job.arguments["grid"], seed=args.seed,
                         region=region if args.region else None)
     cones = None
     if args.cones:
@@ -547,7 +562,7 @@ def dispatch(args):
     payload = COMMANDS[args.command](args, job)
     return ReportDocument(
         command=args.command,
-        arguments={k: v for k, v in vars(args).items() if k != "command" and v is not None},
+        arguments=job.arguments,
         payload=payload,
         source_hash=job.source_hash,
         seed=getattr(args, "seed", None),
@@ -556,7 +571,8 @@ def dispatch(args):
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -26,7 +26,7 @@ input must produce a ParseError, never anything else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ParseError
@@ -35,12 +35,7 @@ from .scalars import QQi
 from .systems import Equation, PdeSystem
 
 
-@dataclass
-class Token:
-    kind: str  # name | number | punct | eof
-    text: str
-    line: int
-    col: int
+Token = namedtuple("Token", "kind text line col")  # kind: name | number | punct | eof
 
 
 def tokenize(text):
@@ -103,20 +98,20 @@ def parse_number(tok: Token) -> Fraction:
         raise ParseError(f"bad number {tok.text!r}", tok.line, tok.col) from None
 
 
-@dataclass
-class ModelDecl:
-    kind: str
-    twist: int = 0
+ModelDecl = namedtuple("ModelDecl", "kind twist", defaults=(0,))
 
 
-@dataclass
 class PdeDslDocument:
-    systems: dict = field(default_factory=dict)
-    regions: dict = field(default_factory=dict)
-    cones: dict = field(default_factory=dict)
-    spectra: dict = field(default_factory=dict)
-    models: dict = field(default_factory=dict)
-    source: str = field(default="", compare=False)
+    """One name -> block dict per block kind (BLOCKS), and the source text,
+    which equality ignores."""
+
+    def __init__(self, source=""):
+        self.systems, self.regions, self.cones, self.spectra, self.models = {}, {}, {}, {}, {}
+        self.source = source
+
+    def __eq__(self, other):
+        return isinstance(other, PdeDslDocument) and all(
+            getattr(self, f) == getattr(other, f) for f, _ in BLOCKS.values())
 
 
 class Parser:

@@ -4,12 +4,28 @@ Krull dimension from leading terms, and the Rabinowitsch saturation test.
 One monomial order throughout: degrevlex (tie break last-variable-smallest).
 Bases are reduced and monic, so re-running completion on a cached basis is
 the identity.
+
+Completion follows Gebauer and Moeller ("On an installation of Buchberger's
+algorithm", J. Symb. Comp. 6, 1988).  Pending pairs sit in a heap keyed once,
+when made, by the degrevlex key of their lcm: least lcm first, ties in the
+order made.  Adding h drops each new pair (g, h) whose lcm another new
+pair's lcm divides (one of equal lcms kept) or whose leading monomials are
+coprime; each old pair whose lcm lm(h) divides unless its lcm with h is
+the lcm of one of its members with h; and each basis element whose leading
+monomial lm(h) divides.
+
+A join of ideals in disjoint blocks of variables (`PolyIdeal.join`) needs no
+completion.  Each block keeps its variables in the ambient's order, so the
+ambient degrevlex restricts to the block's own and a block's Groebner basis
+stays one in the larger ring; leading monomials from two blocks are coprime,
+so every cross S-pair reduces to zero (Buchberger's first criterion), and the
+union of the blocks' bases is a Groebner basis of the join.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from heapq import heapify, heappop, heappush
+from itertools import count
 
 from .errors import AmbientMismatchError
 from .poly import MultiPoly, degrevlex_key
@@ -30,25 +46,42 @@ def _mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def _coprime(a, b):
+    return not any(x and y for x, y in zip(a, b))
+
+
 def normal_form(p: MultiPoly, basis) -> MultiPoly:
-    """Remainder of p under multivariate division by basis (any generating list)."""
-    rem = MultiPoly.zero(p.vars)
-    work = p
-    lms = [(g.leading_monomial(), g.leading_coefficient(), g) for g in basis if g]
-    while work:
-        lm = work.leading_monomial()
-        lc = work.terms[lm]
-        hit = False
-        for glm, glc, g in lms:
+    """Remainder of p under multivariate division by basis (any generating
+    list): the largest monomial left is cancelled by the first element whose
+    leading monomial divides it, or else moves to the remainder.  Division
+    only makes monomials below the one it cancels, so they come off a heap."""
+    lms = [(g.leading_monomial(), g.leading_coefficient(), g.terms) for g in basis if g]
+    work = dict(p.terms)
+    heap = [(-sum(m), m[::-1], m) for m in work]  # degrevlex-largest pops first
+    heapify(heap)
+    rem = {}
+    while heap:
+        lm = heappop(heap)[2]
+        lc = work.pop(lm)
+        if not lc:
+            continue
+        for glm, glc, gterms in lms:
             q = _mono_div(lm, glm)
             if q is not None:
-                work = work - g.term_mul(q, lc / glc)
-                hit = True
+                f = lc / glc
+                for m, c in gterms.items():
+                    if m != glm:
+                        m = tuple(a + b for a, b in zip(m, q))
+                        old = work.get(m)
+                        if old is None:
+                            work[m] = -(f * c)
+                            heappush(heap, (-sum(m), m[::-1], m))
+                        else:
+                            work[m] = old - f * c  # a zero stays until popped
                 break
-        if not hit:
-            rem = rem + MultiPoly.monomial(p.vars, lm, lc)
-            work = work - MultiPoly.monomial(p.vars, lm, lc)
-    return rem
+        else:
+            rem[lm] = lc
+    return MultiPoly(p.vars, rem, _clean=False)
 
 
 def s_polynomial(f, g):
@@ -60,67 +93,84 @@ def s_polynomial(f, g):
 
 
 def _interreduce(basis):
-    basis = [g.monic() for g in basis if g]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            others = basis[:i] + basis[i + 1 :]
-            r = normal_form(basis[i], others) if others else basis[i]
-            if r != basis[i]:
-                changed = True
-                if r:
-                    basis[i] = r.monic()
-                else:
-                    basis.pop(i)
-                break
-    basis.sort(key=lambda g: degrevlex_key(g.leading_monomial()))
-    return basis
+    """The reduced basis of a Groebner basis, ascending: drop each element
+    whose leading monomial another's divides, then reduce each one left by
+    the others.  Leading monomials stay, so every tail comes out reduced."""
+    basis = sorted((g.monic() for g in basis if g),
+                   key=lambda g: degrevlex_key(g.leading_monomial()))
+    minimal = []
+    for g in basis:  # a divisor of a leading monomial is never the larger one
+        if all(_mono_div(g.leading_monomial(), h.leading_monomial()) is None for h in minimal):
+            minimal.append(g)
+    return [normal_form(g, minimal[:i] + minimal[i + 1 :]) for i, g in enumerate(minimal)]
 
 
 def buchberger(generators):
     """Reduced Groebner basis of <generators> in degrevlex."""
-    basis = _interreduce([g for g in generators if g])
-    if not basis:
-        return []
-    pairs = list(combinations(range(len(basis)), 2))
+    polys, live, pairs, made = [], [], [], count()
+
+    def add(h):
+        """The Gebauer-Moeller update for h (see the module docstring)."""
+        t, lh = len(polys), h.leading_monomial()
+        polys.append(h)
+        pairs[:] = [p for p in pairs if _mono_div(p[4], lh) is None
+                    or p[4] in (_mono_lcm(polys[p[2]].leading_monomial(), lh),
+                                _mono_lcm(polys[p[3]].leading_monomial(), lh))]
+        new = [(i, _mono_lcm(polys[i].leading_monomial(), lh)) for i in live]
+        kept = []
+        for k, (i, l) in enumerate(new):
+            if _coprime(polys[i].leading_monomial(), lh) or all(
+                    _mono_div(l, l2) is None for _, l2 in new[k + 1 :] + kept):
+                kept.append((i, l))
+        for i, l in kept:
+            if not _coprime(polys[i].leading_monomial(), lh):
+                pairs.append((degrevlex_key(l), next(made), i, t, l))
+        heapify(pairs)
+        live[:] = [i for i in live if _mono_div(polys[i].leading_monomial(), lh) is None]
+        live.append(t)
+
+    for g in generators:
+        if g:
+            add(g.monic())
     while pairs:
-        pairs.sort(
-            key=lambda ij: degrevlex_key(
-                _mono_lcm(
-                    basis[ij[0]].leading_monomial(), basis[ij[1]].leading_monomial()
-                )
-            )
-        )
-        i, j = pairs.pop(0)
-        fi, fj = basis[i], basis[j]
-        li, lj = fi.leading_monomial(), fj.leading_monomial()
-        # product criterion: coprime leading monomials reduce to zero
-        if all(a == 0 or b == 0 for a, b in zip(li, lj)):
-            continue
-        r = normal_form(s_polynomial(fi, fj), basis)
+        _, _, i, j, _ = heappop(pairs)
+        r = normal_form(s_polynomial(polys[i], polys[j]), [polys[k] for k in live])
         if r:
-            basis.append(r.monic())
-            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
-    return _interreduce(basis)
+            add(r.monic())
+    return _interreduce([polys[k] for k in live])
 
 
-@dataclass
 class PolyIdeal:
-    """Ideal in a named polynomial ring, with its Groebner basis cached."""
+    """Ideal in a named polynomial ring, with its reduced Groebner basis
+    cached, or given as basis when it is already known."""
 
-    ambient: tuple
-    generators: list
-    _basis: list = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("ambient", "generators", "_basis")
 
-    def __post_init__(self):
-        self.ambient = tuple(self.ambient)
-        for g in self.generators:
+    def __init__(self, ambient, generators, basis=None):
+        self.ambient = tuple(ambient)
+        for g in generators:
             if g.vars != self.ambient:
                 raise AmbientMismatchError(
                     f"generator over {g.vars} in ideal over {self.ambient}"
                 )
-        self.generators = [g for g in self.generators if g]
+        self.generators = [g for g in generators if g]
+        self._basis = basis
+
+    @classmethod
+    def join(cls, ambient, parts):
+        """The ideal over ambient generated by each ideal of parts, an
+        (ideal, block) list, renamed onto its block of ambient's variables.
+        The blocks are disjoint and in ambient's order, so the union of the
+        renamed bases is a Groebner basis (see the module docstring)."""
+        gens, basis, used = [], [], set()
+        for ideal, block in parts:
+            pos = [ambient.index(v) for v in block]
+            if pos != sorted(set(pos)) or used & set(pos):
+                raise ValueError(f"block {block} is not disjoint and in ambient order")
+            used.update(pos)
+            gens.extend(g.rename(block).extend(ambient) for g in ideal.generators)
+            basis.extend(g.rename(block).extend(ambient) for g in ideal.groebner())
+        return cls(ambient, gens, _interreduce(basis))
 
     def groebner(self):
         if self._basis is None:
@@ -140,9 +190,6 @@ class PolyIdeal:
 
     def is_zero(self) -> bool:
         return not self.groebner()
-
-    def contains_ideal(self, other: "PolyIdeal") -> bool:
-        return all(self.contains(g) for g in other.generators)
 
     def dimension(self):
         """Krull dimension of the quotient ring; None for the unit ideal.

@@ -1,9 +1,12 @@
 """Index computations: Euler characteristics, ch.Td integrals on model
-rings, boundary decomposition, additivity, fiberwise constancy."""
+rings, boundary decomposition, additivity, fiberwise constancy.
+
+The microlocal and jet layers are imported by the functions that use them,
+so the integral commands (grr, boundary-index) start without them."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .chern import (
     CharacterClass,
@@ -13,16 +16,8 @@ from .chern import (
     twist_class,
 )
 from .errors import NonIntegerIndexError, PreconditionError
-from .microlocal import is_elliptic
-from .spencer import DeltaCohomologyTable, solution_dim_bound
-from .systems import PdeSystem
 
-
-@dataclass
-class IndexReport:
-    index: int
-    method: str
-    breakdown: dict = field(default_factory=dict)
+IndexReport = namedtuple("IndexReport", "index method breakdown")
 
 
 def spencer_euler_characteristic(source) -> int:
@@ -32,12 +27,15 @@ def spencer_euler_characteristic(source) -> int:
     i), a plain {degree: dim} mapping, or a finite-type PdeSystem, for
     which the solution complex contributes only in degree zero (dim Sol).
     """
+    if isinstance(source, dict):
+        return sum((-1) ** int(i) * int(d) for i, d in source.items())
+    from .spencer import DeltaCohomologyTable, solution_dim_bound
+    from .systems import PdeSystem
+
     if isinstance(source, DeltaCohomologyTable):
         return source.euler_characteristic()
     if isinstance(source, PdeSystem):
         return solution_dim_bound(source)
-    if isinstance(source, dict):
-        return sum((-1) ** int(i) * int(d) for i, d in source.items())
     raise PreconditionError(f"cannot take an Euler characteristic of {type(source)}")
 
 
@@ -67,8 +65,10 @@ def grr_index(symbol_class: CharacterClass, tangent_todd: CharacterClass, model=
     return IndexReport(int(total.re), "grr_integral", breakdown)
 
 
-def atiyah_singer_index(sys: PdeSystem, model, symbol_class: CharacterClass, grid=None) -> IndexReport:
+def atiyah_singer_index(sys, model, symbol_class: CharacterClass, grid=None) -> IndexReport:
     """Zero-section pullback integral for a certified-elliptic system."""
+    from .microlocal import is_elliptic
+
     if isinstance(model, str):
         model = get_model(model)
     verdict, certificate = is_elliptic(sys, grid=grid)

@@ -24,7 +24,7 @@ certificate still builds a frozen `PdeSystem`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -60,12 +60,8 @@ def principal_symbol_entries(sys: PdeSystem):
     return rows
 
 
-@dataclass
-class CharVariety:
-    base_vars: tuple
-    xi_vars: tuple
-    ideal: PolyIdeal
-    conic: bool
+class CharVariety(namedtuple("CharVariety", "base_vars xi_vars ideal conic")):
+    __slots__ = ()
 
     @property
     def ambient(self):
@@ -124,16 +120,21 @@ def poly_det(rows):
 # -- samples and grids -------------------------------------------------------------
 
 
-@dataclass
 class CovectorSample:
-    x: tuple
-    xi: tuple
+    """A base point x and a covector xi != 0, as Fraction tuples (kept as given)."""
 
-    def __post_init__(self):
-        self.x = tuple(Fraction(v) for v in self.x)
-        self.xi = tuple(Fraction(v) for v in self.xi)
+    __slots__ = ("x", "xi")
+
+    def __init__(self, x, xi):
+        self.x, self.xi = _fractions(x), _fractions(xi)
         if not any(self.xi):
             raise PreconditionError("covector samples need xi != 0")
+
+
+def _fractions(values):
+    if type(values) is tuple and all(type(v) is Fraction for v in values):
+        return values
+    return tuple(Fraction(v) for v in values)
 
 
 def axis_covectors(n):
@@ -260,11 +261,6 @@ def sturm_distinct_real_roots(coeffs):
     """Number of distinct real roots via a Sturm chain, exact arithmetic."""
     p = _poly_trim(_int_vector(coeffs))
     return _real_root_count(_sturm_chain(p)) if len(p) > 1 else 0
-
-
-def all_roots_real(coeffs, strict=False):
-    """Real-rootedness: strict demands simple roots; weak allows multiplicity."""
-    return _real_rooted(_poly_trim(_int_vector(coeffs)), strict)
 
 
 # -- the symbol over Z --------------------------------------------------------------
@@ -455,11 +451,9 @@ def frozen_system(sys: PdeSystem, x) -> PdeSystem:
 # -- hyperbolicity -------------------------------------------------------------------------
 
 
-@dataclass
-class HyperbolicityReport:
-    value: object  # True / False / None (degenerate)
-    status: str  # "hyperbolic" / "not_hyperbolic" / "degenerate"
-    certificate: dict = field(default_factory=dict)
+# value: True, False or None (degenerate); status: "hyperbolic",
+# "not_hyperbolic" or "degenerate"
+HyperbolicityReport = namedtuple("HyperbolicityReport", "value status certificate")
 
 
 def _direction_polynomial(terms, theta, eta):
@@ -507,13 +501,14 @@ def is_hyperbolic(sys: PdeSystem, direction, grid=None, seed=0, strict=False, x=
         raise PreconditionError("hyperbolicity test implemented for single scalar equations")
     point = _rational_key(Fraction(v) for v in (sys.base_point if x is None else x))
     frozen = _IntSymbol([_poly_terms(sym, sys.n)], sys.n).at(point)[0]
-    return _hyperbolicity(frozen, theta, [s.xi for s in grid], strict)
+    return _hyperbolicity(frozen, theta, [(s.xi, _int_vector(s.xi)) for s in grid], strict)
 
 
-def _hyperbolicity(frozen, theta, xis, strict):
+def _hyperbolicity(frozen, theta, covectors, strict):
     """is_hyperbolic for a frozen symbol given as integer terms (xi exponents,
-    re, im).  theta and every transverse part are scaled to integer vectors by
-    positive factors, which rescale t and leave the root counts as they are."""
+    re, im), over (xi, xi scaled to an int vector) pairs.  theta and every
+    transverse part are scaled to integer vectors by positive factors, which
+    rescale t and leave the root counts as they are."""
     th = _int_vector(theta)
     k = max((sum(e) for e, _, _ in frozen), default=-1)
     lead = _direction_polynomial(frozen, th, [0] * len(th))
@@ -526,8 +521,7 @@ def _hyperbolicity(frozen, theta, xis, strict):
         return HyperbolicityReport(None, "degenerate", {"reason": reason})
     nn = sum(t * t for t in th)
     tested = 0
-    for xi in xis:
-        v = _int_vector(xi)
+    for xi, v in covectors:
         dot = sum(a * b for a, b in zip(v, th))
         eta = [nn * a - dot * b for a, b in zip(v, th)]  # |theta|^2 times the transverse part
         if not any(eta):
@@ -555,24 +549,22 @@ def _hyperbolicity(frozen, theta, xis, strict):
 # -- cones ------------------------------------------------------------------------------------
 
 
-@dataclass
-class ConeSpec:
-    generators: list
-    kind: str = "closed"  # or "open-convex"
+class ConeSpec(namedtuple("ConeSpec", "generators kind")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.generators = [tuple(Fraction(v) for v in g) for g in self.generators]
-        if not self.generators:
+    def __new__(cls, generators, kind="closed"):  # kind: closed or open-convex
+        generators = [tuple(Fraction(v) for v in g) for g in generators]
+        if not generators:
             raise PreconditionError("cones need at least one generator")
-        if self.kind not in ("closed", "open-convex"):
-            raise PreconditionError(f"unknown cone kind {self.kind!r}")
-        if self.kind == "open-convex":
-            mat = ExactMatrix(self.generators)
-            if mat.rank() != len(self.generators):
+        if kind not in ("closed", "open-convex"):
+            raise PreconditionError(f"unknown cone kind {kind!r}")
+        if kind == "open-convex":
+            if ExactMatrix(generators).rank() != len(generators):
                 raise PreconditionError("open-convex cones need independent generators")
-            for g, h in combinations(self.generators, 2):
+            for g, h in combinations(generators, 2):
                 if _opposite(g, h):
                     raise PreconditionError("open-convex cone contains an opposite pair")
+        return super().__new__(cls, generators, kind)
 
     def contains(self, xi):
         xi = [Fraction(v) for v in xi]
@@ -618,11 +610,11 @@ def cones_intersect_trivially(a: ConeSpec, b: ConeSpec):
 # -- mixed-type classification -------------------------------------------------------------------
 
 
-@dataclass
-class Region:
-    """Polynomial sign conditions over the base variables."""
+class Region(namedtuple("Region", "conditions")):
+    """Polynomial sign conditions over the base variables: (MultiPoly over
+    the base variables, op in {gt, ge, lt, le}) pairs."""
 
-    conditions: list  # (MultiPoly over base vars, op in {gt, ge, lt, le})
+    __slots__ = ()
 
     def contains(self, x):
         for poly, op in self.conditions:
@@ -640,12 +632,9 @@ class Region:
         return Region([])
 
 
-@dataclass
-class ClassificationReport:
-    labels: list  # per sample: dict with label and details
-    strata: dict  # label -> count
-    counterexamples: list
-    cone_check: dict = None
+# labels: per sample, a dict with its label and details; strata: label -> count
+ClassificationReport = namedtuple("ClassificationReport",
+                                  "labels strata counterexamples cone_check")
 
 
 def classify_mixed(
@@ -714,17 +703,19 @@ def classify_mixed(
         return elliptic_cache[key]
 
     def hyperbolic_at(key, j):
-        """Whether is_hyperbolic(sys, thetas[j], strict=True, x=x) over the pool says True."""
-        if (key, j) not in hyperbolic_cache:
-            value = False
-            if principal_order is not None:
-                frozen = [t for t in symbol.at(key)[len(gens)] if sum(t[0]) == principal_order]
-                try:
-                    value = _hyperbolicity(frozen, thetas[j], xi_pool, True).value is True
-                except PreconditionError:
-                    pass
-            hyperbolic_cache[key, j] = value
-        return hyperbolic_cache[key, j]
+        """Whether is_hyperbolic(sys, thetas[j], strict=True, x=x) over the pool
+        says True.  That depends on x only through the frozen principal
+        symbol, so base points that freeze to the same terms share it."""
+        if principal_order is None:
+            return False
+        frozen = tuple(t for t in symbol.at(key)[len(gens)] if sum(t[0]) == principal_order)
+        if (frozen, j) not in hyperbolic_cache:
+            try:
+                value = _hyperbolicity(frozen, thetas[j], covectors, True).value is True
+            except PreconditionError:
+                value = False
+            hyperbolic_cache[frozen, j] = value
+        return hyperbolic_cache[frozen, j]
 
     def classify_sample(idx, sample):
         key, xi = keys[idx][0], xi_int[keys[idx][1]]
@@ -909,15 +900,16 @@ def _pullback_system(sys: PdeSystem, cols):
 def _kunneth_equal(cv: CharVariety, factors):
     """Whether the characteristic ideal of an external product equals the
     join of its factors' ideals, each renamed onto the next block of the
-    product's variables: two-sided Groebner containment."""
-    amb, gens, at = cv.ambient, [], 0
+    product's variables: two ideals are equal exactly when their reduced
+    Groebner bases are.  The join's basis is the union of the factors'
+    (PolyIdeal.join); the product's ideal is completed on its own, so the
+    two sides stay independent computations."""
+    parts, at = [], 0
     for f in factors:
         k = len(f.base_vars)
-        block = cv.base_vars[at : at + k] + cv.xi_vars[at : at + k]
-        gens.extend(g.rename(block).extend(amb) for g in f.ideal.generators)
+        parts.append((f.ideal, cv.base_vars[at : at + k] + cv.xi_vars[at : at + k]))
         at += k
-    join = PolyIdeal(amb, gens)
-    return cv.ideal.contains_ideal(join) and join.contains_ideal(cv.ideal)
+    return PolyIdeal.join(cv.ambient, parts).groebner() == cv.ideal.groebner()
 
 
 def external_product_char(a: PdeSystem, b: PdeSystem):

@@ -21,7 +21,7 @@ def degrevlex_key(mono):
 
 
 class MultiPoly:
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "_lm")  # _lm: the leading monomial, set on first use
 
     def __init__(self, variables, terms=None, _clean=True):
         self.vars = tuple(variables)
@@ -72,11 +72,6 @@ class MultiPoly:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
 
     def is_homogeneous_in(self, indices):
         degs = {sum(m[i] for i in indices) for m in self.terms}
@@ -241,9 +236,11 @@ class MultiPoly:
     # -- leading data in degrevlex ----------------------------------------------
 
     def leading_monomial(self):
-        if not self.terms:
-            return None
-        return max(self.terms, key=degrevlex_key)
+        try:
+            return self._lm
+        except AttributeError:
+            self._lm = max(self.terms, key=degrevlex_key) if self.terms else None
+            return self._lm
 
     def leading_coefficient(self):
         lm = self.leading_monomial()

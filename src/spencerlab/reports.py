@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, is_dataclass, asdict
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import NumericError
@@ -31,33 +31,30 @@ def to_float(value):
     return x
 
 
+def _canon_float(value):
+    if not math.isfinite(value):
+        raise NumericError(f"result {value!r} is not a finite number")
+    return float(format(value, ".15g"))
+
+
+# the canonical form of a value by its type, or by the first of its bases listed
+_CANON = {
+    str: str, int: int, bool: bool, type(None): lambda v: v, float: _canon_float,
+    Fraction: lambda v: f"{v.numerator}/{v.denominator}", QQi: QQi.serialize,
+    complex: lambda v: {"re": _canon_float(v.real), "im": _canon_float(v.imag)},
+    dict: lambda v: {k if isinstance(k, str) else str(_canon(k)): _canon(x) for k, x in v.items()},
+    list: lambda v: [_canon(x) for x in v], tuple: lambda v: [_canon(x) for x in v],
+}
+
+
 def _canon(value):
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, QQi):
-        return value.serialize()
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise NumericError(f"result {value!r} is not a finite number")
-        return float(format(value, ".15g"))
-    if isinstance(value, complex):
-        return {"re": _canon(value.real), "im": _canon(value.imag)}
-    if isinstance(value, dict):
-        return {str(_canon(k)) if not isinstance(k, str) else k: _canon(v)
-                for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_canon(v) for v in value]
-    if is_dataclass(value) and not isinstance(value, type):
-        return _canon(asdict(value))
-    if value is None or isinstance(value, str):
-        return value
-    if hasattr(value, "_mpf_") or hasattr(value, "_mpc_"):
-        return _canon(complex(value)) if hasattr(value, "_mpc_") else _canon(to_float(value))
-    return str(value)
+    canon = _CANON.get(type(value)) or next(
+        (_CANON[t] for t in type(value).__mro__ if t in _CANON), None)
+    if canon is not None:
+        return canon(value)
+    if hasattr(value, "_mpc_"):
+        return _canon(complex(value))
+    return _canon_float(to_float(value)) if hasattr(value, "_mpf_") else str(value)
 
 
 def input_hash(*chunks) -> str:
@@ -72,15 +69,10 @@ def input_hash(*chunks) -> str:
     return h.hexdigest()
 
 
-@dataclass
-class ReportDocument:
-    command: str
-    arguments: dict
-    payload: dict
-    source_hash: str = ""
-    seed: object = None
-    tool_version: str = TOOL_VERSION
-    provenance: dict = field(default_factory=dict)
+class ReportDocument(namedtuple(
+        "ReportDocument", "command arguments payload source_hash seed tool_version provenance",
+        defaults=("", None, TOOL_VERSION, None))):
+    __slots__ = ()
 
     def body(self):
         return {
@@ -89,7 +81,7 @@ class ReportDocument:
             "arguments": _canon(self.arguments),
             "input_hash": self.source_hash,
             "seed": self.seed,
-            "provenance": _canon(self.provenance),
+            "provenance": _canon(self.provenance or {}),
             "result": _canon(self.payload),
         }
 

@@ -15,7 +15,7 @@ all torsion values in this package are pinned to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from mpmath import ceil, floor, mp, mpf, sqrt
@@ -74,11 +74,8 @@ def lattice_points(M, d, cutoff):
     return sorted((q, 2) for q in cands if q <= cutoff)
 
 
-@dataclass
-class SpectrumModel:
-    kind: str
-    params: dict = field(default_factory=dict)
-    children: list = field(default_factory=list)
+class SpectrumModel(namedtuple("SpectrumModel", "kind params children", defaults=((),))):
+    __slots__ = ()
 
     # -- constructors -----------------------------------------------------------
 
@@ -228,6 +225,3 @@ class SpectrumModel:
         else:
             raise PreconditionError(f"unknown spectrum kind {self.kind}")
         return sorted(acc.values(), key=lambda vm: vm[0])
-
-    def count_up_to(self, cutoff):
-        return sum(m for _, m in self.eigenvalues(cutoff))

@@ -14,7 +14,7 @@ acceptance suite).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import chain, combinations, islice, repeat
 
 from .errors import ObstructionError, PreconditionError
@@ -30,14 +30,11 @@ def _wedge_sign(j, subset):
     return -1 if sum(1 for s in subset if s < j) % 2 else 1
 
 
-@dataclass
-class SpencerComplex:
-    n: int
-    m: int
-    max_order: int
-    symbols: dict  # q -> SymbolSpace
-    differentials: dict = field(default_factory=dict)  # (q, i) -> ExactMatrix
-    ranks: dict = field(default_factory=dict)  # (q, i) -> rank of that differential
+class SpencerComplex(namedtuple("SpencerComplex", "n m max_order symbols differentials ranks")):
+    """symbols: q -> SymbolSpace; differentials: (q, i) -> ExactMatrix;
+    ranks: (q, i) -> rank of that differential."""
+
+    __slots__ = ()
 
     def space_dim(self, q, i):
         if q < 0 or q > self.max_order or i < 0 or i > self.n:
@@ -45,12 +42,6 @@ class SpencerComplex:
         from math import comb
 
         return self.symbols[q].dim * comb(self.n, i)
-
-    def euler_characteristic_row(self, q_top):
-        """Alternating sum over the complex of total degree q_top."""
-        return sum(
-            (-1) ** i * self.space_dim(q_top - i, i) for i in range(0, self.n + 1)
-        )
 
 
 def _shift_coordinates(g_hi, g_lo, n):
@@ -96,7 +87,7 @@ def spencer_complex(sys: PdeSystem, max_order=None, point=None) -> SpencerComple
     if max_order < sys.order and sys.equations:
         raise PreconditionError("max_order must be at least the system order")
     symbols = {q: symbol_space(sys, q, point) for q in range(max_order + 1)}
-    cx = SpencerComplex(n, sys.m, max_order, symbols)
+    cx = SpencerComplex(n, sys.m, max_order, symbols, {}, {})
     for q in range(1, max_order + 1):
         coords = _shift_coordinates(symbols[q], symbols[q - 1], n)
         for i in range(0, n):
@@ -115,10 +106,10 @@ def _assert_delta_squared(cx: SpencerComplex):
                 raise AssertionError(f"delta^2 != 0 at slot {(q, i)}")
 
 
-@dataclass
-class DeltaCohomologyTable:
-    entries: dict  # (q, i) -> dim H^{q,i}
-    max_order: int
+class DeltaCohomologyTable(namedtuple("DeltaCohomologyTable", "entries max_order")):
+    """entries: (q, i) -> dim H^{q,i}."""
+
+    __slots__ = ()
 
     def dim(self, q, i):
         return self.entries.get((q, i), 0)
@@ -215,12 +206,12 @@ def poincare_series(sys: PdeSystem, max_k=8, point=None):
 # -- finite type -> flat connection ------------------------------------------
 
 
-@dataclass
-class FlatConnectionSystem:
-    rank: int
-    variables: tuple
-    coordinates: list  # jet labels (a, alpha) forming the fiber basis
-    connection_matrices: dict  # var name -> rank x rank matrix of MultiPoly
+class FlatConnectionSystem(namedtuple("FlatConnectionSystem",
+                                      "rank variables coordinates connection_matrices")):
+    """coordinates: the jet labels (a, alpha) forming the fiber basis;
+    connection_matrices: var name -> rank x rank matrix of MultiPoly."""
+
+    __slots__ = ()
 
     def matrix(self, var):
         return self.connection_matrices[var]
@@ -363,21 +354,12 @@ def _check_flatness(matrices, variables, rank):
 # -- logarithmic complexes -----------------------------------------------------
 
 
-@dataclass
-class LogSpencerComplex:
-    n: int
-    rank: int
-    divisor_axes: tuple
-    degree_bound: int
-    spaces: dict  # p -> dimension
-    differentials: dict  # p -> ExactMatrix C_p -> C_{p-1}
-    ranks: dict  # p -> rank of that differential
+class LogSpencerComplex(namedtuple("LogSpencerComplex",
+                                   "n rank divisor_axes degree_bound spaces differentials ranks")):
+    """spaces: p -> dimension; differentials: p -> ExactMatrix C_p -> C_{p-1};
+    ranks: p -> rank of that differential."""
 
-    def homology_dims(self):
-        return {
-            p: self.spaces[p] - self.ranks.get(p, 0) - self.ranks.get(p + 1, 0)
-            for p in sorted(self.spaces)
-        }
+    __slots__ = ()
 
     def euler_characteristic(self):
         return sum((-1) ** p * d for p, d in self.spaces.items())

@@ -14,7 +14,7 @@ sum_a sum_{|alpha| = r} c_{a,alpha}(x0) t_{a, alpha + beta} = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, cached_property
 
 from .errors import DegenerateSymbolError
@@ -71,13 +71,10 @@ def symbol_rows(sys: PdeSystem, q, point=None):
     return rows
 
 
-@dataclass
-class SymbolSpace:
-    degree: int
-    n: int
-    m: int
-    basis: list  # kernel basis over sym_basis(n, m, degree), free-column form
-    presentation: ExactMatrix  # matrix whose kernel this is
+class SymbolSpace(namedtuple("SymbolSpace", "degree n m basis presentation")):
+    """basis: a kernel basis over sym_basis(n, m, degree), in free-column
+    form; presentation: the ExactMatrix whose kernel this is.  No __slots__:
+    the cached property free lives in the instance dict."""
 
     @property
     def dim(self):

@@ -8,7 +8,7 @@ point at which variable-coefficient symbols are evaluated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import PreconditionError
@@ -77,36 +77,27 @@ class Equation:
         return " + ".join(bits) or "0"
 
 
-@dataclass
-class PdeSystem:
-    indep_vars: tuple
-    unknowns: tuple
-    order: int
-    equations: list
-    base_point: tuple = None
-    name: str = ""
+class PdeSystem(namedtuple("PdeSystem", "indep_vars unknowns order equations base_point name")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.indep_vars = tuple(self.indep_vars)
-        self.unknowns = tuple(self.unknowns)
-        if self.base_point is None:
-            self.base_point = tuple(Fraction(0) for _ in self.indep_vars)
-        else:
-            self.base_point = tuple(Fraction(b) for b in self.base_point)
-        if self.order < 1:
+    def __new__(cls, indep_vars, unknowns, order, equations, base_point=None, name=""):
+        indep_vars, unknowns = tuple(indep_vars), tuple(unknowns)
+        if base_point is None:
+            base_point = [0] * len(indep_vars)
+        base_point = tuple(Fraction(b) for b in base_point)
+        if order < 1:
             raise PreconditionError("system order must be >= 1")
-        if self.equations:
-            top = max(eq.order() for eq in self.equations)
-            if top != self.order:
-                raise PreconditionError(
-                    f"declared order {self.order} but equations attain {top}"
-                )
-            for eq in self.equations:
+        if equations:
+            top = max(eq.order() for eq in equations)
+            if top != order:
+                raise PreconditionError(f"declared order {order} but equations attain {top}")
+            for eq in equations:
                 for (a, alpha) in eq.terms:
-                    if a >= len(self.unknowns):
+                    if a >= len(unknowns):
                         raise PreconditionError(f"unknown index {a} out of range")
-                    if sum(alpha) > self.order:
+                    if sum(alpha) > order:
                         raise PreconditionError("jet order exceeds system order")
+        return super().__new__(cls, indep_vars, unknowns, order, equations, base_point, name)
 
     @property
     def n(self):

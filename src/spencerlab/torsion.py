@@ -13,9 +13,9 @@ No canonical choice is asserted; reports always carry the tag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-from math import lcm
+from math import lcm, ulp
 
 from mpmath import exp, log, mp, mpf
 
@@ -30,23 +30,14 @@ mp.dps = 30
 CONVENTIONS = ("exp_full", "product_half")
 
 
-@dataclass
-class TorsionReport:
-    torsion: float
-    convention: str
-    per_degree: dict = field(default_factory=dict)
-    error_bound: float = 0.0
-    inputs: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.torsion <= 0:
-            raise AssertionError("torsion values are positive by construction")
+TorsionReport = namedtuple("TorsionReport", "torsion convention per_degree error_bound inputs")
 
 
 def _degree_data(spec):
+    """(zeta'(0) as an mpf, the per-degree report entry)."""
     zp0, err, method = zeta_prime_at_zero(spec)
     z0 = zeta_at(spec, 0).value
-    return {
+    return zp0, {
         "zeta0": float(z0.real if hasattr(z0, "real") else z0),
         "zeta_prime0": float(zp0),
         "log_det": float(-zp0),
@@ -58,19 +49,24 @@ def _degree_data(spec):
 
 def _torsion_report(terms, convention, inputs, weight_type):
     """exp(sum_k w_k log det'_k) over (key, w_k, spectrum) terms; each
-    per-degree entry carries its weight as weight_type."""
+    per-degree entry carries its weight as weight_type.  The sum runs in
+    mpf on each -zeta'_k(0) as computed: the doubles in the entries are for
+    display, and rounding them first would put an error of up to
+    |log T| 2^-53 into T that the bound does not count.  A nonzero bound
+    too small for a double is reported as the least positive double."""
     per_degree = {}
     log_t = mpf(0)
     err = mpf(0)
     for key, weight, spec in terms:
-        data = _degree_data(spec)
+        zp0, data = _degree_data(spec)
         data["weight"] = weight_type(weight)
         per_degree[key] = data
         w = mpf(weight)
-        log_t += w * mpf(data["log_det"])
+        log_t -= w * zp0
         err += abs(w) * mpf(data["error_bound"])
     torsion = exp(log_t)
-    return TorsionReport(to_float(torsion), convention, per_degree, float(err * torsion * 2), inputs)
+    bound = float(err * torsion * 2) or (ulp(0.0) if err else 0.0)
+    return TorsionReport(to_float(torsion), convention, per_degree, bound, inputs)
 
 
 def ray_singer_torsion(spectra, convention="exp_full", weights=None) -> TorsionReport:

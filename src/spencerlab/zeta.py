@@ -30,7 +30,7 @@ independent cross-check, and closed forms (Riemann zeta) where they exist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from mpmath import (
     bernoulli,
@@ -58,12 +58,7 @@ LATTICE_CUTOFF = mpf(80)
 TAIL_BOUND = mpf(10) * exp(-LATTICE_CUTOFF / 2)
 
 
-@dataclass
-class ZetaValue:
-    s: complex
-    value: complex
-    method: str
-    error_bound: float
+ZetaValue = namedtuple("ZetaValue", "s value method error_bound")
 
 
 def _realify(v):

@@ -663,6 +663,45 @@ def test_cli_classify_reports_default_grid(capsys, tmp_path):
     assert json.loads(capsys.readouterr().out)["arguments"]["grid"] == 4
 
 
+@pytest.mark.parametrize("options", [
+    ["--mode", "elliptic"],
+    ["--mode", "hyperbolic", "--direction", "1,0"],
+    ["--grid", "2"],
+    [],
+], ids=["elliptic", "hyperbolic", "labels-grid", "labels-default-grid"])
+def test_dispatching_one_namespace_twice_gives_the_same_bytes(tmp_path, options):
+    """The default --grid goes into the report, not into args."""
+    pde = tmp_path / "wave.pde"
+    pde.write_text(WAVE)
+    args = build_parser().parse_args(["classify", str(pde), *options])
+    first = emit_report(dispatch(args))
+    assert emit_report(dispatch(args)) == first
+    assert json.loads(first)["arguments"]["grid"] == (2 if options == ["--grid", "2"] else 4)
+
+
+def _parse_output(parser, argv, capsys):
+    """(exit code or None, stdout, stderr) of parsing argv with parser."""
+    try:
+        parser.parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_one_subparser_parser_prints_what_the_full_parser_prints(command, capsys):
+    """build_parser(command) builds one subparser, yet its help, usage and
+    error text are byte for byte those of the full parser."""
+    for argv in ([command, "-h"], [command], [command, "--bogus"],
+                 [command, "--format", "yaml"], [command, "a.pde", "--model", "P1", "x", "y"]):
+        full = _parse_output(build_parser(), argv, capsys)
+        assert _parse_output(build_parser(command), argv, capsys) == full, argv
+    parser = build_parser(command)
+    assert list(parser._subparsers._group_actions[0].choices) == [command]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["quillen", "--l2", "1", "--dets", "0-1"], "--dets: '0-1' is not a degree:value pair"),
     (["quillen", "--l2", "1", "--dets", "0:1,0:2"], "--dets: degree 0 is given twice"),

@@ -109,7 +109,10 @@ def test_bcov_torsion_report_is_bit_identical():
     report = bcov_torsion({(p, q): spec for p in (0, 1) for q in (0, 1)})
     assert report.torsion == 0.956795973939578
     assert report.convention == "bcov"
-    assert report.error_bound == 8.129616494664133e-17
+    # 2 * (sum |w| bound) * T, with T from the unrounded zeta'(0): the
+    # double nearest the same product at 50 digits (...133e-17 before, when
+    # T came from log-determinants rounded to doubles)
+    assert report.error_bound == 8.129616494664132e-17
     assert report.inputs == {"p_max": 1, "q_max": 1}
     assert report.per_degree == {
         "0,0": _degree(-1.0, ZP1, ERR1, 1, 0),

@@ -1,7 +1,9 @@
 """Each subcommand loads only the layer it runs: mpmath is loaded only by
 the commands that evaluate zeta functions or torsion, the numeric commands
-start without the exact stack, and the DSL is loaded exactly when a
-document is read."""
+start without the exact stack, the integral commands without the microlocal
+and jet layers, no command loads dataclasses or inspect, and the DSL is
+loaded exactly when a document is read.  The Kunneth checks complete only
+the products' own ideals."""
 
 import os
 import subprocess
@@ -13,6 +15,9 @@ import pytest
 from dsl_corpus import TRICOMI, WAVE
 
 import spencerlab
+import spencerlab.groebner as groebner
+from spencerlab.dsl import parse_pde_dsl
+from spencerlab.microlocal import factorization_check
 
 SRC = str(Path(spencerlab.__file__).resolve().parent.parent)
 
@@ -24,6 +29,8 @@ PROBE = (
     "code = main(sys.argv[1:])\n"
     "sys.stdout.flush()\n"
     "sys.stderr.write('mpmath loaded: %s\\n' % ('mpmath' in sys.modules))\n"
+    "sys.stderr.write('stdlib loaded: %s\\n' % ' '.join(\n"
+    "    m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
     "sys.stderr.write('spencerlab modules: %s\\n' % ' '.join(sorted(\n"
     "    m.partition('.')[2] for m in sys.modules if m.startswith('spencerlab.'))))\n"
     "sys.exit(code)\n"
@@ -33,6 +40,8 @@ PROBE = (
 # jet command (symbol spaces, Spencer cohomology) runs.
 EXACT_STACK = {"microlocal", "groebner", "spencer", "symbols", "chern", "index", "dsl"}
 NOT_JET = {"microlocal", "groebner", "chern", "index"}
+# what the integral commands (ch.Td on a model ring) do not run
+NOT_INTEGRAL = {"microlocal", "groebner", "spencer", "symbols"}
 
 # (argv, spencerlab modules the command must not load)
 SYMBOLIC = [
@@ -47,9 +56,9 @@ SYMBOLIC = [
     (["classify", "wave.pde", "--mode", "hyperbolic", "--direction", "1,0"], set()),
     (["restrict", "wave.pde", "--subspace", "1,0"], set()),
     (["kunneth", "wave.pde"], set()),
-    (["index", "--model", "P1"], set()),
-    (["grr", "--model", "P1", "--twist", "2"], set()),
-    (["boundary-index", "--interior", "0:1", "--boundary", "0:2"], set()),
+    (["index", "--model", "P1"], NOT_INTEGRAL),
+    (["grr", "--model", "P1", "--twist", "2"], NOT_INTEGRAL),
+    (["boundary-index", "--interior", "0:1", "--boundary", "0:2"], NOT_INTEGRAL),
     (["crosscheck", "--length", "6.28"], EXACT_STACK),
 ]
 
@@ -72,8 +81,10 @@ def workdir(tmp_path_factory):
 
 def _check_layers(out, argv, absent):
     """The command succeeded, loaded the DSL exactly when it read a
-    document, and loaded none of the modules in absent."""
+    document, loaded neither dataclasses nor inspect, and loaded none of
+    the modules in absent."""
     assert out.returncode == 0, out.stderr
+    assert "stdlib loaded: \n" in out.stderr, out.stderr
     line = next(x for x in out.stderr.splitlines() if x.startswith("spencerlab modules:"))
     loaded = set(line.split(":", 1)[1].split())
     assert ("dsl" in loaded) == any(a.endswith(".pde") for a in argv), loaded
@@ -102,3 +113,16 @@ def test_numeric_command_or_spectrum_block_loads_mpmath(workdir, argv, absent):
     out = _run(argv, workdir)
     _check_layers(out, argv, absent)
     assert "mpmath loaded: True" in out.stderr
+
+
+def test_kunneth_checks_complete_only_the_products(monkeypatch):
+    """factorization_check(wave, 7) completes the characteristic ideals of
+    the 1..7-fold products, and none of the 21 joins: a join's basis is the
+    union of its factors' bases."""
+    calls = []
+    complete = groebner.buchberger
+    monkeypatch.setattr(groebner, "buchberger", lambda gens: calls.append(1) or complete(gens))
+    wave = next(iter(parse_pde_dsl(WAVE).systems.values()))
+    report = factorization_check(wave, 7)
+    assert report["all_passed"] and len(report["partition_checks"]) == 21
+    assert len(calls) == 7

@@ -31,20 +31,25 @@ def eta_abs4(tau):
 # -- spectra ------------------------------------------------------------------------
 
 
+def count_up_to(spec, cutoff):
+    """Nonzero eigenvalues up to cutoff, with multiplicity."""
+    return sum(m for _, m in spec.eigenvalues(cutoff))
+
+
 def test_circle_enumeration_matches_closed_count():
     spec = SpectrumModel.circle(TWO_PI)
     # eigenvalues n^2, multiplicity 2: up to 30 -> n in 1..5
     evs = spec.eigenvalues(30)
     assert [int(round(float(v))) for v, _ in evs] == [1, 4, 9, 16, 25]
     assert all(m == 2 for _, m in evs)
-    assert spec.count_up_to(30) == 10
+    assert count_up_to(spec, 30) == 10
     assert spec.zero_modes == 1
 
 
 def test_torus_enumeration_is_exhaustive():
     spec = SpectrumModel.flat_torus(1j)
     # eigenvalues pi^2 (m^2 + n^2): count lattice points with m^2+n^2 <= 4
-    count = spec.count_up_to(float(4 * pi**2) + 1e-9)
+    count = count_up_to(spec, float(4 * pi**2) + 1e-9)
     brute = sum(
         1
         for m in range(-3, 4)
@@ -173,6 +178,19 @@ def test_circle_de_rham_torsion_exp_full():
         report = ray_singer_torsion({0: circle, 1: circle}, convention="exp_full")
         assert abs(report.torsion - L**-2) < 1e-9
         assert report.convention == "exp_full"
+
+
+@pytest.mark.parametrize("L", [1e10, 1e50, 1e100, 1e150])
+def test_long_circle_torsion_is_rounded_once(L):
+    """T = L^-2 to 15 digits at every scale, within the declared bound plus
+    the one rounding to a double: the log-determinants are summed before
+    anything is rounded, and a bound below the double range stays nonzero."""
+    circle = SpectrumModel.circle(L)
+    report = ray_singer_torsion({0: circle, 1: circle}, convention="exp_full")
+    exact = mpf(str(L)) ** -2  # the length is read as its decimal string
+    assert float(format(report.torsion, ".15g")) == float(mp.nstr(exact, 15))
+    assert abs(mpf(report.torsion) - exact) <= report.error_bound + exact * 2.0**-53
+    assert report.error_bound > 0
 
 
 def test_circle_torsion_product_half():

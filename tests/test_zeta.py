@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
-from test_torsion import eta_abs4
+from test_torsion import count_up_to, eta_abs4
 
 from spencerlab import zeta
 from spencerlab.cli import main
@@ -78,13 +78,13 @@ def test_skewed_torus_determinant_matches_eta(tau):
 @pytest.mark.parametrize("tau", [1j, 0.25 + 0.7j, 0.5 + 0.6j, -0.375 + 1.2j])
 def test_torus_count_invariant_under_translation(tau):
     for cutoff in (10, 40, 200):
-        assert (SpectrumModel.flat_torus(tau + 5).count_up_to(cutoff)
-                == SpectrumModel.flat_torus(tau).count_up_to(cutoff))
+        assert (count_up_to(SpectrumModel.flat_torus(tau + 5), cutoff)
+                == count_up_to(SpectrumModel.flat_torus(tau), cutoff))
 
 
 def test_skewed_torus_counts_every_point():
-    assert SpectrumModel.flat_torus(5 + 1j).count_up_to(40) == 12
-    assert SpectrumModel.flat_torus(1j).count_up_to(40) == 12
+    assert count_up_to(SpectrumModel.flat_torus(5 + 1j), 40) == 12
+    assert count_up_to(SpectrumModel.flat_torus(1j), 40) == 12
 
 
 @pytest.mark.parametrize("argv", [
