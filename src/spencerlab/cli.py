@@ -6,7 +6,9 @@ and the seed is echoed in the report.
 
 ``COMMANDS`` maps each subcommand to one handler, and each handler imports
 the engine layer it runs: the numeric commands start without the exact
-stack, and the exact commands start without mpmath.
+stack, and the exact commands without the spectral layer.  No command
+needs anything beyond the standard library: the spectral layer computes
+in ``decimal``.
 """
 
 from __future__ import annotations
@@ -518,7 +520,7 @@ def _det(args, job):
     return {
         "model": args.model or args.spectrum,
         "det": to_float(value),
-        "zeta0": float(zeta0.value.real if hasattr(zeta0.value, "real") else zeta0.value),
+        "zeta0": float(zeta0.value),
         "error_bound": err,
         "method": method,
         "zero_modes": spec.zero_modes,

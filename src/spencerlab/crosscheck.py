@@ -1,7 +1,7 @@
 """Finite-difference cross-check of the circle spectrum.
 
 The periodic second-difference Laplacian on N points is compared with the
-exact circle modes in double precision, so this module needs no mpmath.
+exact circle modes in double precision.
 """
 
 from __future__ import annotations

@@ -653,7 +653,17 @@ def classify_mixed(
     """
     if directions is None:
         directions = axis_covectors(sys.n)[::2]  # +e_i directions
-    keys = [(_rational_key(s.x), _rational_key(s.xi)) for s in grid]
+    # samples share their base and covector tuples (default_grid builds them
+    # so), and the grid keeps each alive: key each tuple object once
+    key_of = {}
+
+    def rational_key(values):
+        key = key_of.get(id(values))
+        if key is None:
+            key = key_of[id(values)] = _rational_key(values)
+        return key
+
+    keys = [(rational_key(s.x), rational_key(s.xi)) for s in grid]
     bases, pool = {}, {}
     for (xk, xik), s in zip(keys, grid):
         bases.setdefault(xk, s.x)

@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from collections import namedtuple
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import NumericError
@@ -22,7 +23,7 @@ TOOL_VERSION = "0.1.0"
 
 
 def to_float(value):
-    """A real (an mpf or a float) as a double.  A nonzero value that becomes
+    """A real (a Decimal or a float) as a double.  A nonzero value that becomes
     0.0 or a subnormal is a NumericError: like a non-finite one, it would be
     a silently wrong number."""
     x = float(value)
@@ -41,6 +42,7 @@ def _canon_float(value):
 _CANON = {
     str: str, int: int, bool: bool, type(None): lambda v: v, float: _canon_float,
     Fraction: lambda v: f"{v.numerator}/{v.denominator}", QQi: QQi.serialize,
+    Decimal: lambda v: _canon_float(to_float(v)),
     complex: lambda v: {"re": _canon_float(v.real), "im": _canon_float(v.imag)},
     dict: lambda v: {k if isinstance(k, str) else str(_canon(k)): _canon(x) for k, x in v.items()},
     list: lambda v: [_canon(x) for x in v], tuple: lambda v: [_canon(x) for x in v],
@@ -50,11 +52,7 @@ _CANON = {
 def _canon(value):
     canon = _CANON.get(type(value)) or next(
         (_CANON[t] for t in type(value).__mro__ if t in _CANON), None)
-    if canon is not None:
-        return canon(value)
-    if hasattr(value, "_mpc_"):
-        return _canon(complex(value))
-    return _canon_float(to_float(value)) if hasattr(value, "_mpf_") else str(value)
+    return str(value) if canon is None else canon(value)
 
 
 def input_hash(*chunks) -> str:

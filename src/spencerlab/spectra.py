@@ -16,25 +16,17 @@ all torsion values in this package are pinned to it.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
-
-from mpmath import ceil, floor, mp, mpf, sqrt
+from decimal import Decimal
+from math import ceil, floor
 
 from .errors import PreconditionError
-
-mp.dps = 30
-
-
-def _to_mpf(x):
-    if isinstance(x, Fraction):
-        return mpf(x.numerator) / mpf(x.denominator)
-    return mpf(str(x))
-
+from .special import PI, to_decimal, working_precision
 
 # candidate points (rows times widest row) lattice_points may visit
 LATTICE_BUDGET = 10**6
 
 
+@working_precision
 def lattice_points(M, d, cutoff):
     """(q, k) for the nonzero v in Z^d with q = v^T M v <= cutoff, sorted by q.
 
@@ -49,13 +41,13 @@ def lattice_points(M, d, cutoff):
     """
     if d == 1:
         m00 = M[0][0]
-        rows, width = int(sqrt(cutoff / m00)) + 2, 1
+        rows, width = int((cutoff / m00).sqrt()) + 2, 1
     else:
         (m00, m01), (_, m11) = M
         det = m00 * m11 - m01 * m01
         if det <= 0:
             raise PreconditionError("lattice form is degenerate at the working precision")
-        rows, width = int(sqrt(cutoff * m11 / det)) + 2, int(2 * sqrt(cutoff / m11)) + 2
+        rows, width = int((cutoff * m11 / det).sqrt()) + 2, int(2 * (cutoff / m11).sqrt()) + 2
     if rows * width > LATTICE_BUDGET:
         raise PreconditionError(
             f"lattice sum needs more than {LATTICE_BUDGET} candidate points: "
@@ -67,9 +59,9 @@ def lattice_points(M, d, cutoff):
         cands = []
         for a in range(rows):
             centre = -m01 * a / m11
-            half = sqrt(max(m11 * cutoff - det * a * a, 0)) / m11
-            lo = int(floor(centre - half)) if a else 1
-            for b in range(lo, int(ceil(centre + half)) + 1):
+            half = (m11 * cutoff - det * a * a).max(0).sqrt() / m11
+            lo = floor(centre - half) if a else 1
+            for b in range(lo, ceil(centre + half) + 1):
                 cands.append(m00 * a * a + 2 * m01 * a * b + m11 * b * b)
     return sorted((q, 2) for q in cands if q <= cutoff)
 
@@ -81,7 +73,7 @@ class SpectrumModel(namedtuple("SpectrumModel", "kind params children", defaults
 
     @staticmethod
     def circle(length):
-        length = _to_mpf(length)
+        length = to_decimal(length)
         if length <= 0:
             raise PreconditionError("circle length must be positive")
         return SpectrumModel("circle", {"length": length})
@@ -91,21 +83,21 @@ class SpectrumModel(namedtuple("SpectrumModel", "kind params children", defaults
         tau = complex(tau)
         if tau.imag <= 0:
             raise PreconditionError("tau must lie in the upper half plane")
-        c = _to_mpf(lattice_scale)
+        c = to_decimal(lattice_scale)
         if c <= 0:
             raise PreconditionError("lattice scale must be positive")
         return SpectrumModel("flat_torus", {"tau": tau, "lattice_scale": c})
 
     @staticmethod
     def rectangle(a, b):
-        a, b = _to_mpf(a), _to_mpf(b)
+        a, b = to_decimal(a), to_decimal(b)
         if a <= 0 or b <= 0:
             raise PreconditionError("rectangle sides must be positive")
         return SpectrumModel("rectangle", {"a": a, "b": b})
 
     @staticmethod
     def explicit(values, multiplicities=None):
-        values = [_to_mpf(v) for v in values]
+        values = [to_decimal(v) for v in values]
         if multiplicities is None:
             multiplicities = [1] * len(values)
         if len(multiplicities) != len(values):
@@ -130,8 +122,9 @@ class SpectrumModel(namedtuple("SpectrumModel", "kind params children", defaults
     def direct_sum(*specs):
         return SpectrumModel("sum", {}, list(specs))
 
+    @working_precision
     def scaled(self, c):
-        c = _to_mpf(c)
+        c = to_decimal(c)
         if c <= 0:
             raise PreconditionError("scaling factor must be positive")
         if self.kind == "scaled":
@@ -155,44 +148,48 @@ class SpectrumModel(namedtuple("SpectrumModel", "kind params children", defaults
             return sum(c.zero_modes for c in self.children)
         raise PreconditionError(f"unknown spectrum kind {self.kind}")
 
+    @working_precision
     def lattice_form(self):
         """(M, d) with eigenvalues {v^T M v : v in Z^d, v != 0}, if lattice-backed."""
         if self.kind == "circle":
             L = self.params["length"]
-            return [[(2 * mp.pi / L) ** 2]], 1
+            return [[(2 * PI / L) ** 2]], 1
         if self.kind == "flat_torus":
             tau = self.params["tau"]
             c = self.params["lattice_scale"]
             # tau - round(Re tau) spans the same lattice Z + tau Z
-            re, im = mpf(tau.real) - round(tau.real), mpf(tau.imag)
-            base = mp.pi**2 / (im * c) ** 2
+            re, im = Decimal(tau.real) - round(tau.real), Decimal(tau.imag)
+            base = PI**2 / (im * c) ** 2
             return [
                 [base, base * re],
                 [base * re, base * (re**2 + im**2)],
             ], 2
         return None
 
+    @working_precision
     def lattice_terms(self):
         """(terms, divisor) with zeta = sum(sign * zeta_M) / divisor over the
         (sign, M, d) terms, if the spectrum is a signed combination of
         lattice forms.  The Dirichlet rectangle is 4 Z_rect = Z_2d - Z_a - Z_b:
         the full lattice less its two axis circles."""
         if self.kind == "rectangle":
-            ma, mb = (mp.pi / self.params["a"]) ** 2, (mp.pi / self.params["b"]) ** 2
-            return [(1, [[ma, mpf(0)], [mpf(0), mb]], 2), (-1, [[ma]], 1), (-1, [[mb]], 1)], 4
+            ma, mb = (PI / self.params["a"]) ** 2, (PI / self.params["b"]) ** 2
+            zero = Decimal(0)
+            return [(1, [[ma, zero], [zero, mb]], 2), (-1, [[ma]], 1), (-1, [[mb]], 1)], 4
         form = self.lattice_form()
         return None if form is None else ([(1, *form)], 1)
 
     # -- enumeration --------------------------------------------------------------
 
+    @working_precision
     def eigenvalues(self, cutoff):
         """Nonzero eigenvalues <= cutoff as sorted (value, multiplicity) pairs."""
-        cutoff = _to_mpf(cutoff)
+        cutoff = to_decimal(cutoff)
         acc = {}
 
         def add(v, m):
             if 0 < v <= cutoff:
-                key = mp.nstr(v, 20)
+                key = format(v, ".19e")
                 if key in acc:
                     acc[key] = (v, acc[key][1] + m)
                 else:
@@ -205,10 +202,10 @@ class SpectrumModel(namedtuple("SpectrumModel", "kind params children", defaults
         elif self.kind == "rectangle":
             a, b = self.params["a"], self.params["b"]
             mi = 1
-            while (mp.pi * mi / a) ** 2 <= cutoff:
+            while (PI * mi / a) ** 2 <= cutoff:
                 ni = 1
-                while (mp.pi * mi / a) ** 2 + (mp.pi * ni / b) ** 2 <= cutoff:
-                    add((mp.pi * mi / a) ** 2 + (mp.pi * ni / b) ** 2, 1)
+                while (PI * mi / a) ** 2 + (PI * ni / b) ** 2 <= cutoff:
+                    add((PI * mi / a) ** 2 + (PI * ni / b) ** 2, 1)
                     ni += 1
                 mi += 1
         elif self.kind == "explicit":

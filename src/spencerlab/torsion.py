@@ -14,18 +14,16 @@ No canonical choice is asserted; reports always carry the tag.
 from __future__ import annotations
 
 from collections import namedtuple
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm, ulp
-
-from mpmath import exp, log, mp, mpf
 
 from .errors import PreconditionError
 from .linalg import ExactMatrix, positive_definite
 from .reports import to_float
+from .special import to_decimal, working_precision
 from .spectra import SpectrumModel
 from .zeta import regularized_det, zeta_at, zeta_prime_at_zero
-
-mp.dps = 30
 
 CONVENTIONS = ("exp_full", "product_half")
 
@@ -34,11 +32,10 @@ TorsionReport = namedtuple("TorsionReport", "torsion convention per_degree error
 
 
 def _degree_data(spec):
-    """(zeta'(0) as an mpf, the per-degree report entry)."""
+    """(zeta'(0) as a Decimal, the per-degree report entry)."""
     zp0, err, method = zeta_prime_at_zero(spec)
-    z0 = zeta_at(spec, 0).value
     return zp0, {
-        "zeta0": float(z0.real if hasattr(z0, "real") else z0),
+        "zeta0": float(zeta_at(spec, 0).value),
         "zeta_prime0": float(zp0),
         "log_det": float(-zp0),
         "method": method,
@@ -50,25 +47,25 @@ def _degree_data(spec):
 def _torsion_report(terms, convention, inputs, weight_type):
     """exp(sum_k w_k log det'_k) over (key, w_k, spectrum) terms; each
     per-degree entry carries its weight as weight_type.  The sum runs in
-    mpf on each -zeta'_k(0) as computed: the doubles in the entries are for
+    Decimal on each -zeta'_k(0) as computed: the doubles in the entries are for
     display, and rounding them first would put an error of up to
     |log T| 2^-53 into T that the bound does not count.  A nonzero bound
     too small for a double is reported as the least positive double."""
     per_degree = {}
-    log_t = mpf(0)
-    err = mpf(0)
+    log_t = Decimal(0)
+    err = Decimal(0)
     for key, weight, spec in terms:
         zp0, data = _degree_data(spec)
         data["weight"] = weight_type(weight)
         per_degree[key] = data
-        w = mpf(weight)
-        log_t -= w * zp0
-        err += abs(w) * mpf(data["error_bound"])
-    torsion = exp(log_t)
+        log_t -= weight * zp0
+        err += abs(weight) * Decimal(data["error_bound"])
+    torsion = log_t.exp()
     bound = float(err * torsion * 2) or (ulp(0.0) if err else 0.0)
     return TorsionReport(to_float(torsion), convention, per_degree, bound, inputs)
 
 
+@working_precision
 def ray_singer_torsion(spectra, convention="exp_full", weights=None) -> TorsionReport:
     """Weighted combination of log-determinants across the degree range.
 
@@ -85,10 +82,10 @@ def ray_singer_torsion(spectra, convention="exp_full", weights=None) -> TorsionR
 
     def weight(k):
         if weights is not None:
-            return mpf(str(weights[k]))
+            return to_decimal(weights[k])
         if convention == "exp_full":
-            return mpf((-1) ** k * k)
-        return mpf((-1) ** k) * mpf(k) / 2
+            return Decimal((-1) ** k * k)
+        return Decimal((-1) ** k * k) / 2
 
     return _torsion_report(
         [(k, weight(k), spectra[k]) for k in degrees],
@@ -98,6 +95,7 @@ def ray_singer_torsion(spectra, convention="exp_full", weights=None) -> TorsionR
     )
 
 
+@working_precision
 def bcov_torsion(hodge_spectra) -> TorsionReport:
     """exp{- sum (-1)^{p+q} p q zeta'_{p,q}(0)} over a complete rectangular
     (p,q) range."""
@@ -137,6 +135,7 @@ def l2_covolume(lattice_basis, gram) -> Fraction:
     return m.det()
 
 
+@working_precision
 def bcov_invariant_model(tau, area=1.0, chi=0, lattice_scale=1, gram=None):
     """Diagnostic assembly Vol^e * Vol_L2^{-1} * T_BCOV * A with A = 1 (flat
     metric) and e = -3 + chi/12; itemizes every factor.  This is the model
@@ -146,19 +145,17 @@ def bcov_invariant_model(tau, area=1.0, chi=0, lattice_scale=1, gram=None):
     tau = complex(tau)
     if tau.imag <= 0:
         raise PreconditionError("tau must lie in the upper half plane")
+    vol = to_decimal(area)
+    if vol <= 0:
+        raise PreconditionError("area must be positive")
     spec = SpectrumModel.flat_torus(tau, lattice_scale)
     hodge = {(p, q): spec for p in (0, 1) for q in (0, 1)}
     t_bcov = bcov_torsion(hodge)
     if gram is None:
         gram = [[Fraction(1)]]
     vol_l2 = l2_covolume([[1]], gram)
-    vol = mpf(str(area))
     exponent = Fraction(-3) + Fraction(chi, 12)
-    combination = (
-        vol ** mpf(f"{exponent.numerator}/{exponent.denominator}")
-        / mpf(str(vol_l2))
-        * mpf(t_bcov.torsion)
-    )
+    combination = vol ** to_decimal(exponent) / to_decimal(vol_l2) * Decimal(t_bcov.torsion)
     det_value, det_err, det_method = regularized_det(spec)
     # the exploratory comparison: de Rham torsion of the same model, reported
     # alongside the Dolbeault-weighted combination without claiming equality
@@ -181,15 +178,16 @@ def bcov_invariant_model(tau, area=1.0, chi=0, lattice_scale=1, gram=None):
     }
 
 
+@working_precision
 def quillen_norm(l2_norm, dets) -> float:
     """l2 * exp[(1/2) sum (-1)^{k+1} k log det'_k]."""
-    l2_norm = mpf(str(l2_norm))
+    l2_norm = to_decimal(l2_norm)
     if l2_norm <= 0:
         raise PreconditionError("l2 norm must be positive")
-    total = mpf(0)
+    total = Decimal(0)
     for k, det in sorted(dets.items()):
-        det = mpf(str(det))
+        det = to_decimal(det)
         if det <= 0:
             raise PreconditionError("determinants must be positive")
-        total += (-1) ** (k + 1) * k * log(det)
-    return float(l2_norm * exp(total / 2))
+        total += (-1) ** (k + 1) * k * det.ln()
+    return float(l2_norm * (total / 2).exp())

@@ -1,10 +1,14 @@
 """Golden values of the spectral and microlocal layers, bit for bit.
 
-The spectral literals are the mpf reprs (which round-trip at 30 digits) and
-the float reports computed by the theta/Mellin engine before its lattice
-sum, its rectangle combination and its torsion loop each became one code
-path.  Any change that moves a bit of zeta'(0), zeta(0), det', an error
-bound or a torsion report fails here; the other tests only check
+The float reports were computed by the theta/Mellin engine before its
+lattice sum, its rectangle combination and its torsion loop each became one
+code path, and the engine's move from mpmath to decimal kept every one of
+them.  The zeta'(0), zeta(0) and det' literals are the decimal engine's
+38-digit results, compared as Decimals, digit for digit; they agree with the
+former mpmath engine run at 40 digits (tests/former_zeta.py) to 1e-37
+relative, where its 30-digit results, the literals before, were off by up to
+1.3e-30.  Any change that moves a digit of zeta'(0), zeta(0), det', a bit of
+an error bound or of a torsion report fails here; the other tests only check
 tolerances.
 
 The microlocal digests are sha256 sums of whole CLI reports (labels,
@@ -23,10 +27,12 @@ equations and regions still had a term parser and a printer each.
 """
 
 import hashlib
+from decimal import Decimal
 
 import pytest
 from mpmath import mp, mpf
 
+import former_zeta
 from dsl_corpus import corpus
 
 from spencerlab.cli import main
@@ -43,37 +49,37 @@ THETA = "mellin_theta"
 CASES = {
     "circle": (
         lambda: SpectrumModel.circle(2 * mp.pi), "auto",
-        "-3.67575413281869096712131894562285", "-1.0",
-        "39.4784176043574344753379639995218", 1e-25, 7.995683520871487e-24, "closed_form",
+        "-3.6757541328186909671213189456227870332", "-1.0",
+        "39.478417604357434475337963999517098424", 1e-25, 7.995683520871487e-24, "closed_form",
     ),
     "circle_theta": (
         lambda: SpectrumModel.circle(2 * mp.pi), THETA,
-        "-3.67575413281869096712131894562285", "-1.0",
-        "39.4784176043574344753379639995218", 4.248354255291589e-17, 3.3968496109859216e-15,
+        "-3.6757541328186909671213189456227870334", "-1.0",
+        "39.478417604357434475337963999517098432", 4.248354255291589e-17, 3.3968496109859216e-15,
         THETA,
     ),
     "torus_i": (
         lambda: SpectrumModel.flat_torus(1j), "auto",
-        "-0.331606080124218688217695463903076", "-1.0",
-        "1.39320392968567685918424626032501", 4.248354255291589e-17, 1.6086001941629806e-16,
+        "-0.33160608012421868821769546390333991281", "-1.0",
+        "1.3932039296856768591842462603253682429", 4.248354255291589e-17, 1.6086001941629806e-16,
         THETA,
     ),
     "torus_skew_scale2": (
         lambda: SpectrumModel.flat_torus(0.3 + 0.7j, 2), "auto",
-        "-1.34212925748619807649326135930814", "-1.0",
-        "3.82718389575831205928777372242368", 4.248354255291589e-17, 3.676682023394812e-16,
+        "-1.3421292574861980764932613593081440307", "-1.0",
+        "3.8271838957583120592877737224235178981", 4.248354255291589e-17, 3.676682023394812e-16,
         THETA,
     ),
     "torus_scaled": (
         lambda: SpectrumModel.flat_torus(1j).scaled(1.7), "auto",
-        "0.199022170937951708013847699285682", "-1.0",
-        "0.819531723344515799520144859014734", 8.496708510583178e-17, 2.242335284745167e-16,
+        "0.19902217093795170801384769928542241518", "-1.0",
+        "0.81953172334451579952014485901492249584", 8.496708510583178e-17, 2.242335284745167e-16,
         THETA,
     ),
     "rectangle": (
         lambda: SpectrumModel.rectangle(1, 2), "auto",
-        "0.870175853238870128394270301029412", "0.25",
-        "0.418877881738299028956182998501511", 1.2745062765874767e-16, 2.3422312553857345e-16,
+        "0.87017585323887012839427030102915780298", "0.25",
+        "0.41887788173829902895618299850160618783", 1.2745062765874767e-16, 2.3422312553857345e-16,
         THETA,
     ),
 }
@@ -83,10 +89,20 @@ CASES = {
 def test_spectral_values_are_bit_identical(name):
     build, method, zp0, z0, det, zp0_err, det_err, used = CASES[name]
     spec = build()
-    assert zeta_prime_at_zero(spec, method) == (mpf(zp0), zp0_err, used)
+    assert zeta_prime_at_zero(spec, method) == (Decimal(zp0), zp0_err, used)
     zeta0 = zeta_at(spec, 0, method)
-    assert (zeta0.value, zeta0.error_bound, zeta0.method) == (mpf(z0), zp0_err, used)
-    assert regularized_det(spec, method) == (mpf(det), det_err, used)
+    assert (zeta0.value, zeta0.error_bound, zeta0.method) == (Decimal(z0), zp0_err, used)
+    assert regularized_det(spec, method) == (Decimal(det), det_err, used)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_spectral_literals_match_former_engine(name):
+    build, method, zp0, _, det, *_ = CASES[name]
+    spec = build()
+    with mp.workdps(former_zeta.DPS):
+        for literal, reference in ((zp0, former_zeta.zeta_prime_at_zero(spec, method)),
+                                   (det, former_zeta.regularized_det(spec, method))):
+            assert abs(mpf(literal) - reference) <= mpf("1e-37") * abs(reference), literal
 
 
 def _degree(zeta0, zeta_prime0, error_bound, zero_modes, weight):

@@ -1,6 +1,6 @@
-"""Each subcommand loads only the layer it runs: mpmath is loaded only by
-the commands that evaluate zeta functions or torsion, the numeric commands
-start without the exact stack, the integral commands without the microlocal
+"""Each subcommand loads only the layer it runs: no command loads mpmath
+(the spectral layer computes in decimal), the numeric commands start
+without the exact stack, the integral commands without the microlocal
 and jet layers, no command loads dataclasses or inspect, and the DSL is
 loaded exactly when a document is read.  The Kunneth checks complete only
 the products' own ideals."""
@@ -22,13 +22,15 @@ from spencerlab.microlocal import factorization_check
 SRC = str(Path(spencerlab.__file__).resolve().parent.parent)
 
 # Runs one CLI invocation in a fresh interpreter, then prints whether mpmath
-# was imported on the way and which spencerlab modules were.
+# was imported on the way and which spencerlab modules were.  BLOCKED first
+# makes every import of mpmath fail.
+BLOCKED = "import sys\nsys.modules['mpmath'] = None\n"
 PROBE = (
     "import sys\n"
     "from spencerlab.cli import main\n"
     "code = main(sys.argv[1:])\n"
     "sys.stdout.flush()\n"
-    "sys.stderr.write('mpmath loaded: %s\\n' % ('mpmath' in sys.modules))\n"
+    "sys.stderr.write('mpmath loaded: %s\\n' % (sys.modules.get('mpmath') is not None))\n"
     "sys.stderr.write('stdlib loaded: %s\\n' % ' '.join(\n"
     "    m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
     "sys.stderr.write('spencerlab modules: %s\\n' % ' '.join(sorted(\n"
@@ -63,10 +65,10 @@ SYMBOLIC = [
 ]
 
 
-def _run(argv, cwd):
+def _run(argv, cwd, probe=PROBE):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-c", PROBE, *argv], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, "-c", probe, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
 
 
@@ -110,9 +112,25 @@ def test_symbolic_command_does_not_load_mpmath(workdir, argv, absent):
 ], ids=["det", "symbol-on-spectrum-document", "det-circle", "det-torus", "torsion",
         "bcov", "quillen"])
 def test_numeric_command_or_spectrum_block_loads_mpmath(workdir, argv, absent):
+    """The numeric commands, and a jet command on a document with a spectrum
+    block, load the spectral layer and do not load mpmath."""
     out = _run(argv, workdir)
     _check_layers(out, argv, absent)
-    assert "mpmath loaded: True" in out.stderr
+    assert "mpmath loaded: False" in out.stderr
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["det", "--model", "circle", "--length", "1e-200"], 4, "numeric error"),
+    (["det", "--model", "torus", "--tau=0.2,0.0001"], 3, "more than 1000000 candidate points"),
+], ids=["underflow", "lattice-budget"])
+def test_spectral_error_paths_run_without_mpmath(workdir, argv, code, message):
+    """With every import of mpmath made to fail, a det' below the double
+    range still exits 4 and a torus past LATTICE_BUDGET still exits 3, each
+    with its diagnostic and no traceback."""
+    out = _run(argv, workdir, BLOCKED + PROBE)
+    assert out.returncode == code, out.stderr
+    assert message in out.stderr and "Traceback" not in out.stderr, out.stderr
+    assert "mpmath loaded: False" in out.stderr
 
 
 def test_kunneth_checks_complete_only_the_products(monkeypatch):

@@ -65,7 +65,7 @@ def test_torus_enumeration_is_exhaustive():
 def test_explicit_zeta_finite_sum():
     spec = SpectrumModel.explicit([1, 1, 2])
     val = zeta_at(spec, 1)
-    assert abs(val.value - mpf("2.5")) < 1e-25
+    assert abs(mpf(str(val.value)) - mpf("2.5")) < 1e-25
 
 
 def test_circle_zeta_zero():
@@ -297,6 +297,12 @@ def test_bcov_invariant_model_scaling():
 def test_bcov_invariant_model_rejects_lower_half():
     with pytest.raises(PreconditionError):
         bcov_invariant_model(-1j)
+
+
+@pytest.mark.parametrize("area", [0.0, -1.0])
+def test_bcov_invariant_model_rejects_nonpositive_area(area):
+    with pytest.raises(PreconditionError):
+        bcov_invariant_model(1j, area=area, chi=1)
 
 
 def test_quillen_norm():

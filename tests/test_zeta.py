@@ -1,26 +1,35 @@
-"""Half-lattice enumeration, skewed tori and one lattice sum per job."""
+"""Half-lattice enumeration, skewed tori, one lattice sum per job, the
+decimal engine against the former mpmath one, its special functions
+against mpmath, and its scoped working precision."""
 
+import decimal
+import random
 from collections import Counter
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
+import former_zeta
 from test_torsion import count_up_to, eta_abs4
 
-from spencerlab import zeta
+from spencerlab import special, zeta
 from spencerlab.cli import main
+from spencerlab.errors import PreconditionError
 from spencerlab.spectra import SpectrumModel, lattice_points
-from spencerlab.zeta import regularized_det
+from spencerlab.torsion import ray_singer_torsion
+from spencerlab.zeta import regularized_det, zeta_at, zeta_prime_at_zero
 
 mp.dps = 30
 
 
-def _mp(x):
+def _dec(x):
     x = Fraction(x)
-    return mpf(x.numerator) / x.denominator
+    return special.CONTEXT.divide(Decimal(x.numerator), x.denominator)
 
 
 def _q(M, v):
@@ -56,13 +65,14 @@ def forms(draw):
 def test_half_lattice_matches_brute_force(case):
     M, cutoff, lam_min = case
     d = len(M)
-    Mm = [[_mp(x) for x in row] for row in M]
-    cut = _mp(cutoff)
+    Mm = [[_dec(x) for x in row] for row in M]
+    cut = _dec(cutoff)
     # every v with Q(v) <= cutoff has |v|^2 <= cutoff / lam_min
     radius = int((cutoff / lam_min) ** 0.5) + 1
     box = range(-radius, radius + 1)
     vs = [(a,) for a in box] if d == 1 else [(a, b) for a in box for b in box]
-    brute = sorted(q for q in (_q(Mm, v) for v in vs if any(v)) if q <= cut)
+    with localcontext(special.CONTEXT):  # the arithmetic lattice_points does
+        brute = sorted(q for q in (_q(Mm, v) for v in vs if any(v)) if q <= cut)
     found = lattice_points(Mm, d, cut)
     assert all(k == 2 for _, k in found)
     assert sorted(q for q, k in found for _ in range(k)) == brute
@@ -72,7 +82,7 @@ def test_half_lattice_matches_brute_force(case):
 def test_skewed_torus_determinant_matches_eta(tau):
     det, err, method = regularized_det(SpectrumModel.flat_torus(tau))
     assert method == "mellin_theta"
-    assert abs(det - 4 * mpc(tau).imag ** 2 * eta_abs4(tau)) <= err
+    assert abs(mpf(str(det)) - 4 * mpc(tau).imag ** 2 * eta_abs4(tau)) <= err
 
 
 @pytest.mark.parametrize("tau", [1j, 0.25 + 0.7j, 0.5 + 0.6j, -0.375 + 1.2j])
@@ -104,3 +114,154 @@ def test_lattice_sum_evaluated_once_per_job(monkeypatch, capsys, argv):
     capsys.readouterr()
     assert len(calls) == 2  # the torus form and its dual
     assert set(calls.values()) == {1}
+
+
+# -- the decimal engine against the former mpmath engine ---------------------------------
+
+ORACLE_S = (2, 1.3, 0.25, -0.5, 0.01)
+# name: (spectrum, method)
+ORACLE_SPECTRA = {
+    "circle": (lambda: SpectrumModel.circle(2), "closed_form"),
+    "circle-em": (lambda: SpectrumModel.circle(2), "euler_maclaurin"),
+    "rectangle": (lambda: SpectrumModel.rectangle(1, 2), "auto"),
+    "explicit": (lambda: SpectrumModel.explicit([0, 1, 2, 3.5], [1, 2, 1, 3]), "auto"),
+    "scaled": (lambda: SpectrumModel.flat_torus(1j).scaled(1.7), "auto"),
+    "sum": (lambda: SpectrumModel.direct_sum(SpectrumModel.circle(3),
+                                             SpectrumModel.flat_torus(0.3 + 0.7j)), "auto"),
+    "tau=i": (lambda: SpectrumModel.flat_torus(1j), "auto"),
+    "tau=0.3+0.7i": (lambda: SpectrumModel.flat_torus(0.3 + 0.7j), "auto"),
+    "tau=-0.41+0.61i": (lambda: SpectrumModel.flat_torus(-0.41 + 0.61j), "auto"),
+    "tau=0.3+0.05i": (lambda: SpectrumModel.flat_torus(0.3 + 0.05j), "auto"),
+}
+
+
+def _close(got, want, rel=1e-27):
+    """got (a Decimal) within rel of want (an mpf), relatively."""
+    with mp.workdps(40):
+        return abs(mpf(str(got)) - want) <= rel * abs(want)
+
+
+@pytest.mark.parametrize("name", ORACLE_SPECTRA)
+def test_decimal_engine_matches_former_mpmath_engine(name):
+    build, method = ORACLE_SPECTRA[name]
+    spec = build()
+    zp0 = zeta_prime_at_zero(spec, method)[0]
+    assert _close(zp0, former_zeta.zeta_prime_at_zero(spec, method)), zp0
+    det = regularized_det(spec, method)[0]
+    assert _close(det, former_zeta.regularized_det(spec, method)), det
+    for s in ORACLE_S:
+        value = zeta_at(spec, s, method).value
+        assert _close(value, former_zeta.zeta_at(spec, s, method)), (s, value)
+
+
+@pytest.mark.parametrize("s", [0.5 + 1j, 2 + 0j, mpc(1, 1)])
+def test_complex_s_is_a_precondition_error(s):
+    with pytest.raises(PreconditionError):
+        zeta_at(SpectrumModel.flat_torus(1j), s)
+
+
+@pytest.mark.parametrize("x", ["1e-9999999999999999999", "1e9999999999999999999"])
+def test_input_outside_the_exponent_range_is_a_precondition_error(x):
+    with pytest.raises(PreconditionError):
+        SpectrumModel.circle(x)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SpectrumModel.circle(6.283185307179586),
+    lambda: SpectrumModel.flat_torus(0.3 + 0.7j, 1.7),
+    lambda: SpectrumModel.rectangle(1.1, 2.3),
+    lambda: SpectrumModel.explicit([0, 0.1, 3.7], [1, 2, 1]),
+])
+def test_constructors_do_not_depend_on_the_callers_context(build):
+    """The constructors only read their inputs (in special.CONTEXT) and
+    compare them, so a 12-digit caller context with an Inexact trap changes
+    nothing and gains no flags."""
+    expected = regularized_det(build())
+    with localcontext() as ctx:
+        ctx.prec, ctx.traps[decimal.Inexact] = 12, True
+        ctx.clear_flags()
+        spec = build()
+        assert not any(ctx.flags.values())
+    assert regularized_det(spec) == expected
+
+
+# -- special functions against mpmath ------------------------------------------------------
+
+
+def _rel_error(got, want):
+    with mp.workdps(60):
+        want = mpmath.mpmathify(want)
+        return abs(mpf(str(got)) - want) / abs(want)
+
+
+def test_constants_and_bernoulli_numbers_match_mpmath():
+    with mp.workdps(90):
+        for got, want in [(special.PI, mpmath.pi), (special.EULER_GAMMA, mpmath.euler),
+                          (special.LOG_SQRT_2PI, mpmath.log(mpmath.sqrt(2 * mpmath.pi)))]:
+            assert abs(mpf(str(got)) - want) < 1e-80
+    bern = special.bernoulli_numbers(special.STIRLING_TERMS)
+    assert bern == tuple(Fraction(*mpmath.bernfrac(2 * k))
+                         for k in range(1, special.STIRLING_TERMS + 1))
+
+
+def test_rgamma_matches_mpmath():
+    rng = random.Random(7)
+    with localcontext(special.CONTEXT):
+        for x in [Decimal(rng.uniform(-12, 12)).quantize(Decimal("1e-6")) for _ in range(200)]:
+            with mp.workdps(60):
+                want = mpmath.rgamma(mpf(str(x)))
+            assert _rel_error(special.rgamma(x), want) < 1e-35, x
+        assert special.rgamma(Decimal(-3)) == 0 and special.rgamma(Decimal(0)) == 0
+        assert special.gamma(Decimal(5)) == 24
+
+
+# the orders a the continuation passes at the tested s: s, 1/2 - s and 1 - s
+GAMMAINC_ORDERS = ["0", "1", "0.5", "-1", "-2", "2", "-0.5", "-1.5", "0.25", "0.75", "1.5",
+                   "-0.3", "-0.8", "0.01", "0.49", "0.99", "-0.01", "11", "-10.5", "3.7"]
+
+
+@pytest.mark.parametrize("a", GAMMAINC_ORDERS)
+def test_gammainc_scaled_matches_mpmath(a):
+    rng = random.Random(f"gammainc:{a}")
+    a = Decimal(a)
+    xs = [rng.uniform(1e-6, 1e-2), rng.uniform(0.01, 2), rng.uniform(0.01, 2),
+          rng.uniform(2, 12), rng.uniform(2, 12), rng.uniform(12, 80), 2, a + 1]
+    with localcontext(special.CONTEXT):
+        for x in (Decimal(x).quantize(Decimal("1e-9")) for x in xs):
+            if x <= 0:
+                continue
+            with mp.workdps(60):
+                want = mpmath.gammainc(mpf(str(a)), mpf(str(x))) * mpf(str(x)) ** -mpf(str(a))
+            assert _rel_error(special.gammainc_scaled(a, x), want) < 1e-35, x
+
+
+@pytest.mark.parametrize("s", ["4", "2.6", "2", "1.3", "0.5", "0.25", "0.02", "1e-10",
+                               "1.000001", "0.999999", "30", "-1e-10", "-0.5", "-1", "-2",
+                               "-3", "-7.5"])
+def test_riemann_zeta_matches_mpmath(s):
+    with localcontext(special.CONTEXT):
+        got = special.riemann_zeta(Decimal(s))
+    with mp.workdps(60):
+        want = mpmath.zeta(mpf(s))
+    assert got == 0 if want == 0 else _rel_error(got, want) < 1e-35
+
+
+# -- scoped precision ----------------------------------------------------------------------
+
+
+def test_entry_points_leave_the_decimal_context_unchanged():
+    """regularized_det and ray_singer_torsion run at their own precision:
+    the caller's context keeps its settings and gains no flags, and the
+    results do not depend on it."""
+    spec = SpectrumModel.flat_torus(0.3 + 0.7j)
+    expected = regularized_det(spec), ray_singer_torsion({0: spec, 1: spec})
+    with localcontext() as ctx:
+        ctx.prec, ctx.traps[decimal.Inexact] = 12, True
+        ctx.clear_flags()
+        state = (ctx.prec, ctx.Emax, ctx.Emin, ctx.rounding, dict(ctx.traps))
+        zeta._ZETA_PRIME0.clear()
+        got = regularized_det(spec), ray_singer_torsion({0: spec, 1: spec})
+        assert getcontext() is ctx
+        assert (ctx.prec, ctx.Emax, ctx.Emin, ctx.rounding, dict(ctx.traps)) == state
+        assert not any(ctx.flags.values())
+    assert got == expected
