@@ -11,34 +11,18 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import PreconditionError
 from .poly import MultiPoly
 from .scalars import QQi
 
 
-@lru_cache(maxsize=None)
-def bernoulli_numbers(count):
-    """B_0..B_count (B_1 = -1/2) by the classic recurrence, exact."""
-    from math import comb
-
-    b = [Fraction(0)] * (count + 1)
-    b[0] = Fraction(1)
-    for m in range(1, count + 1):
-        s = Fraction(0)
-        for j in range(m):
-            s += comb(m + 1, j) * b[j]
-        b[m] = -s / (m + 1)
-    return tuple(b)
-
-
 class CohomologyRingModel(namedtuple(
         "CohomologyRingModel", "name generators degrees nilpotency top_degree top_monomial "
-        "tangent_roots tangent_classes polarization", defaults=((), (), None))):
-    """nilpotency: the largest exponent per generator; tangent_roots: rows of
-    generator coefficients, one per root; tangent_classes: (c1, c2, ...) as
-    generator polynomials; polarization: the hyperplane class's generator."""
+        "tangent_classes polarization", defaults=((), None))):
+    """nilpotency: the largest exponent per generator; tangent_classes:
+    (c1, c2, ...) as generator polynomials; polarization: the hyperplane
+    class's generator."""
 
     __slots__ = ()
 
@@ -230,35 +214,12 @@ def get_model(name) -> CohomologyRingModel:
 # -- characteristic classes -----------------------------------------------------
 
 
-def chern_character(model, rank=None, roots=None, classes=None) -> CharacterClass:
-    """ch = rank + sum of exponentials of roots, or the Newton expansion in
-    Chern classes; additive over direct sums and multiplicative over tensor
-    products by construction."""
-    if roots is not None:
-        out = model.zero()
-        for r in roots:
-            out = out + _as_class(model, r).exp()
-        return out
-    if classes is None:
-        classes = []
-    if rank is None:
-        raise PreconditionError("chern_character needs a rank with class input")
-    cs = [_as_class(model, c) for c in classes]
-    top = model.top_degree
-    p = []
-    for k in range(1, top + 1):
-        term = model.zero()
-        for i in range(1, k):
-            if i <= len(cs):
-                term = term + cs[i - 1] * p[k - i - 1] * QQi((-1) ** (i - 1))
-        if k <= len(cs):
-            term = term + cs[k - 1] * QQi((-1) ** (k - 1) * k)
-        p.append(term)
-    out = model.unit() * rank
-    fact = 1
-    for k in range(1, top + 1):
-        fact *= k
-        out = out + p[k - 1] * Fraction(1, fact)
+def chern_character(model, roots) -> CharacterClass:
+    """ch = sum of exponentials of the Chern roots; additive over direct
+    sums and multiplicative over tensor products by construction."""
+    out = model.zero()
+    for r in roots:
+        out = out + _as_class(model, r).exp()
     return out
 
 
@@ -305,17 +266,19 @@ def todd_class(model, roots=None, classes=None) -> CharacterClass:
 
 
 def _todd_of_root(model, r: CharacterClass):
-    # x/(1 - e^{-x}) = 1 + x/2 + sum B_{2k} x^{2k} / (2k)!
-    top = model.top_degree
-    bern = bernoulli_numbers(top + 2)
+    """x/(1 - e^{-x}) = 1 + x/2 + sum_k B_2k x^2k / (2k)! at x = r, through
+    the top degree.  The Bernoulli numbers come from the spectral layer's
+    generator, imported here: the index commands take the Todd class from
+    Chern classes and start without the spectral layer."""
+    from math import factorial
+
+    from .special import bernoulli_numbers
+
     out = model.unit() + r * Fraction(1, 2)
-    power = r
-    fact = 1
-    for k in range(2, top + 1):
-        power = power * r
-        fact *= k
-        if k % 2 == 0:
-            out = out + power * (bern[k] / fact)
+    square, power = r * r, model.unit()
+    for k, b in enumerate(bernoulli_numbers(model.top_degree // 2), 1):
+        power = power * square
+        out = out + power * (b / factorial(2 * k))
     return out
 
 

@@ -398,7 +398,7 @@ def _restrict(args, job):
 
     sys_ = job.system
     columns = [_parse_vector(c, "--subspace", sys_.n) for c in args.subspace.split(";")]
-    restricted, ok, cert = noncharacteristic_restrict(sys_, columns)
+    restricted, ok, cert = noncharacteristic_restrict(sys_, columns, grid_seed=args.seed)
     payload = {"system": sys_.name, "noncharacteristic": ok, "certificate": cert}
     if restricted is not None:
         payload["restricted_order"] = restricted.order
@@ -442,7 +442,7 @@ def _index(args, job):
     else:
         symbol_class = dolbeault_class(model)
     if args.file:
-        report = atiyah_singer_index(job.system, model, symbol_class)
+        report = atiyah_singer_index(job.system, model, symbol_class, seed=args.seed)
     else:
         report = grr_index(symbol_class, model_tangent_todd(model), model)
     return {"model": args.model, "index": report.index, "method": report.method,

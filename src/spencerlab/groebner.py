@@ -19,7 +19,11 @@ completion.  Each block keeps its variables in the ambient's order, so the
 ambient degrevlex restricts to the block's own and a block's Groebner basis
 stays one in the larger ring; leading monomials from two blocks are coprime,
 so every cross S-pair reduces to zero (Buchberger's first criterion), and the
-union of the blocks' bases is a Groebner basis of the join.
+union of the blocks' bases is a Groebner basis of the join.  It is already
+reduced: a monomial of one block's element has no variable of another
+block, so no other block's leading monomial divides it unless that
+leading monomial is 1.  The union only needs sorting, and a unit-ideal
+part makes the join the unit ideal.
 """
 
 from __future__ import annotations
@@ -161,7 +165,8 @@ class PolyIdeal:
         """The ideal over ambient generated by each ideal of parts, an
         (ideal, block) list, renamed onto its block of ambient's variables.
         The blocks are disjoint and in ambient's order, so the union of the
-        renamed bases is a Groebner basis (see the module docstring)."""
+        renamed reduced bases, sorted ascending, is the reduced basis, or
+        [1] when a part is the unit ideal (see the module docstring)."""
         gens, basis, used = [], [], set()
         for ideal, block in parts:
             pos = [ambient.index(v) for v in block]
@@ -170,7 +175,10 @@ class PolyIdeal:
             used.update(pos)
             gens.extend(g.rename(block).extend(ambient) for g in ideal.generators)
             basis.extend(g.rename(block).extend(ambient) for g in ideal.groebner())
-        return cls(ambient, gens, _interreduce(basis))
+        if any(g.is_constant() for g in basis):
+            basis = [MultiPoly.constant(ambient, 1)]
+        basis.sort(key=lambda g: degrevlex_key(g.leading_monomial()))
+        return cls(ambient, gens, basis)
 
     def groebner(self):
         if self._basis is None:

@@ -65,13 +65,14 @@ def grr_index(symbol_class: CharacterClass, tangent_todd: CharacterClass, model=
     return IndexReport(int(total.re), "grr_integral", breakdown)
 
 
-def atiyah_singer_index(sys, model, symbol_class: CharacterClass, grid=None) -> IndexReport:
-    """Zero-section pullback integral for a certified-elliptic system."""
+def atiyah_singer_index(sys, model, symbol_class: CharacterClass, seed=0) -> IndexReport:
+    """Zero-section pullback integral for a system certified elliptic on the
+    default grid of the given seed."""
     from .microlocal import is_elliptic
 
     if isinstance(model, str):
         model = get_model(model)
-    verdict, certificate = is_elliptic(sys, grid=grid)
+    verdict, certificate = is_elliptic(sys, seed=seed)
     if not verdict:
         raise PreconditionError(f"system is not elliptic: {certificate}")
     report = grr_index(symbol_class, model_tangent_todd(model), model)

@@ -145,8 +145,9 @@ def axis_covectors(n):
     return out
 
 
-def default_grid(sys: PdeSystem, base_count=4, xi_count=4, seed=0, region=None):
-    """Deterministic rational grid: axis covectors plus seeded random ones."""
+def default_grid(sys: PdeSystem, base_count=4, seed=0, region=None):
+    """Deterministic rational grid: the origin plus seeded random base
+    points, times the 2n axis covectors plus 4 seeded random ones."""
     rng = random.Random(seed)
     n = sys.n
     bases = [tuple(Fraction(0) for _ in range(n))]
@@ -162,7 +163,7 @@ def default_grid(sys: PdeSystem, base_count=4, xi_count=4, seed=0, region=None):
         if not bases:
             raise PreconditionError("no grid base points inside the region")
     xis = axis_covectors(n)
-    while len(xis) < 2 * n + xi_count:
+    while len(xis) < 2 * n + 4:
         cand = tuple(Fraction(rng.randint(-5, 5)) for _ in range(n))
         if any(cand):
             xis.append(cand)

@@ -79,14 +79,15 @@ def _delta_matrix(coords, dim_lo, n, i):
     return ExactMatrix.sparse(rows, len(subsets_src) * dim_hi)
 
 
-def spencer_complex(sys: PdeSystem, max_order=None, point=None) -> SpencerComplex:
-    """Assemble symbol spaces, delta maps and their ranks; delta^2 = 0 is asserted."""
+def spencer_complex(sys: PdeSystem, max_order=None) -> SpencerComplex:
+    """Assemble the symbol spaces at the base point, the delta maps and their
+    ranks; delta^2 = 0 is asserted."""
     n = sys.n
     if max_order is None:
         max_order = sys.order + 2
     if max_order < sys.order and sys.equations:
         raise PreconditionError("max_order must be at least the system order")
-    symbols = {q: symbol_space(sys, q, point) for q in range(max_order + 1)}
+    symbols = {q: symbol_space(sys, q) for q in range(max_order + 1)}
     cx = SpencerComplex(n, sys.m, max_order, symbols, {}, {})
     for q in range(1, max_order + 1):
         coords = _shift_coordinates(symbols[q], symbols[q - 1], n)
@@ -141,9 +142,10 @@ def delta_cohomology(cx: SpencerComplex) -> DeltaCohomologyTable:
     return DeltaCohomologyTable(entries, cx.max_order)
 
 
-def involutivity_degree(sys: PdeSystem, search_bound=6, window=None, point=None):
+def involutivity_degree(sys: PdeSystem, search_bound=6):
     """Smallest l0 <= search_bound with vanishing delta-cohomology at and
-    above order k + l0, checked by brute-force ranks on a stability window.
+    above order k + l0, checked by brute-force ranks on a stability window
+    of n + 2 orders above k + search_bound.
 
     Returns (l0 or None, DeltaCohomologyTable).  None is the not-found
     sentinel; the table is returned either way.
@@ -151,10 +153,8 @@ def involutivity_degree(sys: PdeSystem, search_bound=6, window=None, point=None)
     if search_bound < 0:
         raise PreconditionError("search_bound must be >= 0")
     k = sys.order
-    if window is None:
-        window = sys.n + 2
-    max_order = k + search_bound + window
-    cx = spencer_complex(sys, max_order=max_order, point=point)
+    max_order = k + search_bound + sys.n + 2
+    cx = spencer_complex(sys, max_order=max_order)
     table = delta_cohomology(cx)
     for ell in range(0, search_bound + 1):
         if table.is_zero_for(k + ell, max_order - 1):
@@ -162,45 +162,46 @@ def involutivity_degree(sys: PdeSystem, search_bound=6, window=None, point=None)
     return None, table
 
 
-def symbol_dimensions(sys: PdeSystem, point=None):
-    """dim g^0, dim g^1, ... through the first zero, or without end when no
-    symbol space vanishes.  After a zero every later dimension is zero too:
-    the shifts of an order-(q+1) symbol lie in g^q, and a vector whose shifts
-    all vanish is zero."""
+def symbol_dimensions(sys: PdeSystem):
+    """dim g^0, dim g^1, ... at the base point through the first zero, or
+    without end when no symbol space vanishes.  After a zero every later
+    dimension is zero too: the shifts of an order-(q+1) symbol lie in g^q,
+    and a vector whose shifts all vanish is zero."""
     q = 0
-    while dim := symbol_space(sys, q, point).dim:
+    while dim := symbol_space(sys, q).dim:
         yield dim
         q += 1
     yield 0
 
 
-def finite_type_dimensions(sys: PdeSystem, bound=6, point=None):
+def finite_type_dimensions(sys: PdeSystem, bound=6):
     """dim g^q for q <= order + bound, through the first zero: the system is of
     finite type within the bound iff the list ends in 0, and then l0, the
     largest order with a nonzero symbol, is its length minus 2."""
     if bound < 1:
         raise PreconditionError("bound must be >= 1")
-    return list(islice(symbol_dimensions(sys, point), sys.order + bound + 1))
+    return list(islice(symbol_dimensions(sys), sys.order + bound + 1))
 
 
-def is_finite_type(sys: PdeSystem, bound=6, point=None):
+def is_finite_type(sys: PdeSystem, bound=6):
     """(finite, l0): finite iff some symbol space vanishes within the bound."""
-    dims = finite_type_dimensions(sys, bound, point)
+    dims = finite_type_dimensions(sys, bound)
     return (True, len(dims) - 2) if dims[-1] == 0 else (False, None)
 
 
-def solution_dim_bound(sys: PdeSystem, bound=6, point=None) -> int:
-    """Sum of symbol dimensions through the stabilization order: the upper
-    bound on dim Sol, exact for flat closed systems."""
-    dims = finite_type_dimensions(sys, bound, point)
+def solution_dim_bound(sys: PdeSystem) -> int:
+    """Sum of symbol dimensions through the stabilization order, searched up
+    to the system order plus 6: the upper bound on dim Sol, exact for flat
+    closed systems."""
+    dims = finite_type_dimensions(sys)
     if dims[-1]:
         raise PreconditionError("solution_dim_bound requires a finite-type system")
     return sum(dims)
 
 
-def poincare_series(sys: PdeSystem, max_k=8, point=None):
+def poincare_series(sys: PdeSystem, max_k=8):
     """Coefficient at z^k = growth of the solution-jet fiber = dim g^k."""
-    return list(islice(chain(symbol_dimensions(sys, point), repeat(0)), max_k + 1))
+    return list(islice(chain(symbol_dimensions(sys), repeat(0)), max_k + 1))
 
 
 # -- finite type -> flat connection ------------------------------------------

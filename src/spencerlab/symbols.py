@@ -9,7 +9,8 @@ delta-complex well defined.
 
 Rows of the order-q symbol matrix are prolonged principal parts: for an
 equation of intrinsic order r and every |beta| = q - r, the condition
-sum_a sum_{|alpha| = r} c_{a,alpha}(x0) t_{a, alpha + beta} = 0.
+sum_a sum_{|alpha| = r} c_{a,alpha}(x0) t_{a, alpha + beta} = 0, at the
+system's base point x0 (`frozen_system(sys, x)` moves it to x).
 """
 
 from __future__ import annotations
@@ -46,11 +47,11 @@ def shift_vector(vec, n, m, q, j):
     return [vec[i] for i in _shift_sources(n, m, q, j)]
 
 
-def symbol_rows(sys: PdeSystem, q, point=None):
-    """Evaluated prolonged principal-symbol rows at jet order q, as dicts
-    column -> coefficient."""
+def symbol_rows(sys: PdeSystem, q):
+    """Prolonged principal-symbol rows at jet order q, evaluated at the
+    system's base point, as dicts column -> coefficient."""
     n, m = sys.n, sys.m
-    pt = sys.point_map(point)
+    pt = sys.point_map()
     cols = basis_index(n, m, q)
     rows = []
     for eq in sys.equations:
@@ -99,17 +100,19 @@ class SymbolSpace(namedtuple("SymbolSpace", "degree n m basis presentation")):
         return [vec[f] for f in self.free]
 
 
-def symbol_space(sys: PdeSystem, q, point=None) -> SymbolSpace:
-    """Symbol space of the system at jet order q (kernel of prolonged rows)."""
+def symbol_space(sys: PdeSystem, q) -> SymbolSpace:
+    """Symbol space of the system at jet order q and its base point (kernel
+    of the prolonged rows)."""
     n, m = sys.n, sys.m
-    mat = ExactMatrix.sparse(symbol_rows(sys, q, point), len(sym_basis(n, m, q)))
+    mat = ExactMatrix.sparse(symbol_rows(sys, q), len(sym_basis(n, m, q)))
     return SymbolSpace(q, n, m, mat.kernel_basis(), mat)
 
 
-def geometric_symbol(sys: PdeSystem, point=None) -> SymbolSpace:
-    """Order-k symbol; degenerate when the principal part dies at the point."""
+def geometric_symbol(sys: PdeSystem) -> SymbolSpace:
+    """Order-k symbol at the base point; degenerate when the principal part
+    dies there."""
     if sys.equations:
-        pt = sys.point_map(point)
+        pt = sys.point_map()
         top_rows_alive = False
         for eq in sys.equations:
             if eq.order() == sys.order and any(
@@ -121,7 +124,7 @@ def geometric_symbol(sys: PdeSystem, point=None) -> SymbolSpace:
             raise DegenerateSymbolError(
                 f"principal part of order {sys.order} vanishes at {pt}"
             )
-    return symbol_space(sys, sys.order, point)
+    return symbol_space(sys, sys.order)
 
 
 def prolong_subspace(space: SymbolSpace) -> SymbolSpace:

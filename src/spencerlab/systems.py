@@ -113,9 +113,9 @@ class PdeSystem(namedtuple("PdeSystem", "indep_vars unknowns order equations bas
             c.is_constant() for eq in self.equations for c in eq.terms.values()
         )
 
-    def point_map(self, point=None):
-        pt = self.base_point if point is None else point
-        return {v: Fraction(p) for v, p in zip(self.indep_vars, pt)}
+    def point_map(self):
+        """The base point as {variable: Fraction}, where symbols are evaluated."""
+        return dict(zip(self.indep_vars, self.base_point))
 
 
 def make_system(indep_vars, unknowns, eq_specs, order=None, base_point=None, name=""):

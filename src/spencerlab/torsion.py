@@ -136,11 +136,12 @@ def l2_covolume(lattice_basis, gram) -> Fraction:
 
 
 @working_precision
-def bcov_invariant_model(tau, area=1.0, chi=0, lattice_scale=1, gram=None):
+def bcov_invariant_model(tau, area=1.0, chi=0, lattice_scale=1):
     """Diagnostic assembly Vol^e * Vol_L2^{-1} * T_BCOV * A with A = 1 (flat
-    metric) and e = -3 + chi/12; itemizes every factor.  This is the model
-    combination on the flat one-dimensional complex torus, not a threefold
-    invariant.
+    metric) and e = -3 + chi/12; itemizes every factor.  Vol_L2 is the
+    covolume of the rank-one lattice Z under the Gram matrix [[1]].  This is
+    the model combination on the flat one-dimensional complex torus, not a
+    threefold invariant.
     """
     tau = complex(tau)
     if tau.imag <= 0:
@@ -151,9 +152,7 @@ def bcov_invariant_model(tau, area=1.0, chi=0, lattice_scale=1, gram=None):
     spec = SpectrumModel.flat_torus(tau, lattice_scale)
     hodge = {(p, q): spec for p in (0, 1) for q in (0, 1)}
     t_bcov = bcov_torsion(hodge)
-    if gram is None:
-        gram = [[Fraction(1)]]
-    vol_l2 = l2_covolume([[1]], gram)
+    vol_l2 = l2_covolume([[1]], [[1]])
     exponent = Fraction(-3) + Fraction(chi, 12)
     combination = vol ** to_decimal(exponent) / to_decimal(vol_l2) * Decimal(t_bcov.torsion)
     det_value, det_err, det_method = regularized_det(spec)
@@ -180,7 +179,8 @@ def bcov_invariant_model(tau, area=1.0, chi=0, lattice_scale=1, gram=None):
 
 @working_precision
 def quillen_norm(l2_norm, dets) -> float:
-    """l2 * exp[(1/2) sum (-1)^{k+1} k log det'_k]."""
+    """l2 * exp[(1/2) sum (-1)^{k+1} k log det'_k]; a norm below the double
+    range is a NumericError, as for det' and torsion."""
     l2_norm = to_decimal(l2_norm)
     if l2_norm <= 0:
         raise PreconditionError("l2 norm must be positive")
@@ -190,4 +190,4 @@ def quillen_norm(l2_norm, dets) -> float:
         if det <= 0:
             raise PreconditionError("determinants must be positive")
         total += (-1) ** (k + 1) * k * det.ln()
-    return float(l2_norm * (total / 2).exp())
+    return to_float(l2_norm * (total / 2).exp())

@@ -746,6 +746,56 @@ def test_cli_underflowing_result_is_numeric_error(capsys, tmp_path, monkeypatch,
     assert "underflows the double range" in err and "Traceback" not in err
 
 
+def test_cli_quillen_norm_below_the_double_range_is_numeric_error(capsys):
+    # norm = (1e300)^-2 = 1e-600
+    assert main(["quillen", "--l2", "1", "--dets", "4:1e300"]) == 4
+    err = capsys.readouterr().err
+    assert "underflows the double range" in err and "Traceback" not in err
+
+
+def test_cli_quillen_small_norm_in_range(capsys):
+    # norm = (1e100)^-2 = 1e-200, a normal double
+    assert main(["quillen", "--l2", "1", "--dets", "4:1e100"]) == 0
+    norm = json.loads(capsys.readouterr().out)["result"]["quillen_norm"]
+    assert abs(norm - 1e-200) <= 1e-213
+
+
+def test_cli_restrict_passes_the_seed_to_the_grid(capsys, tmp_path):
+    """Along the characteristic line t = x of the wave equation the symbol
+    vanishes on the conormal, so no saturation certificate exists and the
+    seeded grid search reports a violating base point, which the seed picks."""
+    from spencerlab.microlocal import noncharacteristic_restrict
+
+    pde = tmp_path / "wave.pde"
+    pde.write_text(WAVE)
+    wave = next(iter(parse_pde_dsl(WAVE).systems.values()))
+    certificates = {}
+    for seed in (0, 3):
+        assert main(["restrict", str(pde), "--subspace", "1,1", "--seed", str(seed)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["seed"] == seed
+        _, ok, cert = noncharacteristic_restrict(wave, [(1, 1)], grid_seed=seed)
+        assert data["result"]["certificate"] == cert and not ok
+        certificates[seed] = cert
+    assert certificates[0]["kind"] == "violating-conormal"
+    assert certificates[0]["base"] != certificates[3]["base"]
+
+
+def test_cli_index_passes_the_seed_to_is_elliptic(capsys, tmp_path, monkeypatch):
+    import spencerlab.microlocal as microlocal
+
+    seeds = []
+    is_elliptic = microlocal.is_elliptic
+    monkeypatch.setattr(microlocal, "is_elliptic",
+                        lambda sys_, seed=0: seeds.append(seed) or is_elliptic(sys_, seed=seed))
+    pde = tmp_path / "cr.pde"
+    pde.write_text("system cr { vars x, y; unknowns u; "
+                   "eq: 1/2*D[x](u) + 1/2*i*D[y](u) = 0; }")
+    assert main(["index", str(pde), "--model", "P1", "--seed", "3"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["seed"], data["result"]["index"], seeds) == (3, 1, [3])
+
+
 MIXED = (WAVE + "spectrum circ { kind circle; length 6.283185307179586; }\n"
          "spectrum tor { kind torus; tau 0.25, 1.25; }\n")
 

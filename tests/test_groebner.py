@@ -114,3 +114,22 @@ def test_join_rejects_overlapping_or_reordered_blocks():
         PolyIdeal.join(("p", "q", "r"), [(ideal, ("q", "p"))])
     with pytest.raises(ValueError):
         PolyIdeal.join(("p", "q", "r"), [(ideal, ("p", "q")), (ideal, ("q", "r"))])
+
+
+def test_join_sorts_the_union_and_a_unit_part_gives_the_unit_ideal():
+    """Joins with a zero, a unit and a nontrivial part on disjoint blocks
+    give the reduced basis that completing their generators gives."""
+    amb = ("a", "b")
+    a, b = (MultiPoly.variable(amb, v) for v in amb)
+    curve = PolyIdeal(amb, [a * a + b * 3, a * b - 1])
+    unit = PolyIdeal(amb, [a + 1, a])
+    zero = PolyIdeal(amb, [])
+    ambient = ("p", "q", "r", "s", "u", "v")
+    for parts, is_unit in [
+        ([(curve, ("p", "q")), (curve, ("r", "s")), (zero, ("u", "v"))], False),
+        ([(curve, ("p", "r")), (unit, ("s", "v"))], True),
+        ([(zero, ("p", "q")), (unit, ("r", "s")), (curve, ("u", "v"))], True),
+    ]:
+        join = PolyIdeal.join(ambient, parts)
+        assert join.groebner() == former_buchberger(join.generators)
+        assert join.is_unit() == is_unit

@@ -358,9 +358,9 @@ def test_finite_type_connection_builds_few_symbol_spaces(capsys, tmp_path, monke
     # one dimension sequence g^0, g^1, g^2 = 0 for the report, one for the connection
     orders = []
 
-    def counting_symbol_space(sys, q, point=None):
+    def counting_symbol_space(sys, q):
         orders.append(q)
-        return symbol_space(sys, q, point)
+        return symbol_space(sys, q)
 
     monkeypatch.setattr(spencer, "symbol_space", counting_symbol_space)
     pde = tmp_path / "killing.pde"
