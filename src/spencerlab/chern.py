@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .errors import PreconditionError
 from .poly import MultiPoly
-from .scalars import QQi
 
 
 class CohomologyRingModel(namedtuple(
@@ -93,7 +92,7 @@ class CharacterClass:
         }
         return CharacterClass(self.model, MultiPoly(self.model.generators, keep))
 
-    def integrate(self) -> QQi:
+    def integrate(self):
         """Coefficient of the declared top monomial."""
         return self.poly.coefficient(self.model.top_monomial)
 
@@ -103,10 +102,10 @@ class CharacterClass:
         if not c0:
             raise PreconditionError("class has no invertible constant term")
         u = self - CharacterClass(self.model, MultiPoly.constant(self.model.generators, c0))
-        inv = self.model.unit() * (QQi(1) / c0)
-        term = self.model.unit() * (QQi(1) / c0)
+        inv = self.model.unit() * (1 / c0)
+        term = self.model.unit() * (1 / c0)
         for _ in range(self.model.top_degree):
-            term = term * u * (QQi(-1) / c0)
+            term = term * u * (-1 / c0)
             inv = inv + term
         return inv
 
@@ -256,7 +255,7 @@ def todd_class(model, roots=None, classes=None) -> CharacterClass:
         out = out + c(1) * c(2) * Fraction(1, 24)
     if top >= 4:
         out = out + (
-            c(1) * c(1) * c(1) * c(1) * QQi(-1)
+            -c(1) * c(1) * c(1) * c(1)
             + c(1) * c(1) * c(2) * 4
             + c(2) * c(2) * 3
             + c(1) * c(3)

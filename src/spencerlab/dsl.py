@@ -368,7 +368,7 @@ class Parser:
         while not self.at("}"):
             first = self.peek()
             poly = self.parse_sum(variables, ())[None]
-            if not all(c.is_real for c in poly.terms.values()):
+            if any(c.imag for c in poly.terms.values()):
                 raise ParseError("region polynomials must be real", first.line, first.col)
             op_tok = self.advance()
             if op_tok.text not in REGION_OPS:
@@ -485,7 +485,7 @@ def _sum_text(pairs):
     pieces = []
     for suffix, coeff in pairs:
         for mono, c in sorted(coeff.terms.items()):
-            for value, imag in ((c.re, False), (c.im, True)):
+            for value, imag in ((c.real, False), (c.imag, True)):
                 if value == 0:
                     continue
                 bits = [] if abs(value) == 1 else [str(abs(value))]

@@ -33,7 +33,6 @@ from itertools import count
 
 from .errors import AmbientMismatchError
 from .poly import MultiPoly, degrevlex_key
-from .scalars import QQi
 
 
 def _mono_div(m, d):
@@ -91,8 +90,8 @@ def normal_form(p: MultiPoly, basis) -> MultiPoly:
 def s_polynomial(f, g):
     lf, lg = f.leading_monomial(), g.leading_monomial()
     l = _mono_lcm(lf, lg)
-    return f.term_mul(_mono_div(l, lf), QQi(1) / f.leading_coefficient()) - g.term_mul(
-        _mono_div(l, lg), QQi(1) / g.leading_coefficient()
+    return f.term_mul(_mono_div(l, lf), 1 / f.leading_coefficient()) - g.term_mul(
+        _mono_div(l, lg), 1 / g.leading_coefficient()
     )
 
 

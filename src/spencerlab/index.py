@@ -50,7 +50,7 @@ def grr_index(symbol_class: CharacterClass, tangent_todd: CharacterClass, model=
         raise PreconditionError("classes must live in the named model")
     product = symbol_class * tangent_todd
     total = product.integrate()
-    if not total.is_real or total.re.denominator != 1:
+    if total.imag or total.real.denominator != 1:
         raise NonIntegerIndexError(
             f"index integral {total!r} is not an integer; class data inconsistent"
         )
@@ -61,8 +61,8 @@ def grr_index(symbol_class: CharacterClass, tangent_todd: CharacterClass, model=
             * tangent_todd.graded_component(model.top_degree - d)
         ).integrate()
         if part:
-            breakdown[f"ch_{d}.td_{model.top_degree - d}"] = str(part.re)
-    return IndexReport(int(total.re), "grr_integral", breakdown)
+            breakdown[f"ch_{d}.td_{model.top_degree - d}"] = str(part.real)
+    return IndexReport(int(total), "grr_integral", breakdown)
 
 
 def atiyah_singer_index(sys, model, symbol_class: CharacterClass, seed=0) -> IndexReport:

@@ -2,25 +2,17 @@
 
 A matrix is a list of rows, each a dict column -> nonzero entry.  Symbol,
 prolongation and delta matrices are sparse integer-like matrices, so
-elimination only touches stored entries.  Entries are Fractions; a matrix
-switches to QQi entries only when some entry has a nonzero imaginary part.
-Every rank and dimension claim stays exact.
+elimination only touches stored entries.  Each entry passes through
+``scalars.scalar``: a Fraction, or a QQi when its imaginary part is nonzero,
+so a real matrix is eliminated in plain fractions and a complex one mixes the
+two types entry by entry.  Every rank and dimension claim stays exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import QQi
-
-
-def _scalar(x):
-    """Fraction for a real value, QQi only for a nonzero imaginary part."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, QQi):
-        return x if x.im else x.re
-    return Fraction(x)
+from .scalars import scalar
 
 
 def _gauss_jordan(rows):
@@ -78,7 +70,7 @@ def _gauss_jordan(rows):
 class ExactMatrix:
     """Sparse exact matrix; build it from dense rows or with ``sparse``."""
 
-    __slots__ = ("rows", "cols", "_rows", "_zero")
+    __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, data, cols=None):
         rows = [dict(enumerate(r)) for r in data]
@@ -90,13 +82,7 @@ class ExactMatrix:
 
     def _set(self, rows, cols):
         self.rows, self.cols = len(rows), cols
-        clean = [{c: y for c, x in r.items() if (y := _scalar(x))} for r in rows]
-        if any(isinstance(x, QQi) for r in clean for x in r.values()):
-            clean = [{c: QQi.of(x) for c, x in r.items()} for r in clean]
-            self._zero = QQi(0)
-        else:
-            self._zero = Fraction(0)
-        self._rows = clean
+        self._rows = [{c: y for c, x in r.items() if (y := scalar(x))} for r in rows]
 
     @classmethod
     def sparse(cls, rows, cols):
@@ -115,7 +101,7 @@ class ExactMatrix:
 
     def __getitem__(self, ij):
         i, j = ij
-        return self._rows[i].get(j, self._zero)
+        return self._rows[i].get(j, Fraction(0))
 
     def row(self, i):
         """Nonzero entries of row i as a dict column -> entry (do not mutate)."""
@@ -176,7 +162,7 @@ class ExactMatrix:
         """
         rows, pivots = self.rref()
         pivot_set = set(pivots)
-        zero, one = self._zero, self._zero + 1
+        zero, one = Fraction(0), Fraction(1)
         basis = {}
         for f in range(self.cols):
             if f not in pivot_set:
@@ -198,7 +184,7 @@ class ExactMatrix:
         rows, pivots = aug.rref()
         if pivots and pivots[-1] == self.cols:
             return None
-        x = [aug._zero] * self.cols
+        x = [Fraction(0)] * self.cols
         for row, p in zip(rows, pivots):
             x[p] = row.get(self.cols, x[p])
         return x
@@ -210,7 +196,7 @@ class ExactMatrix:
         # row k ends as the unit vector at its pivot: det = sign(pivot order) * factor
         order = list(reduced)
         inversions = sum(1 for k, p in enumerate(order) for q in order[k + 1 :] if q < p)
-        return self._zero + (-factor if inversions % 2 else factor)
+        return scalar(-factor if inversions % 2 else factor)
 
 
 def positive_definite(gram):

@@ -33,7 +33,6 @@ from .errors import PreconditionError
 from .groebner import PolyIdeal, saturation_is_unit
 from .linalg import ExactMatrix, positive_definite
 from .poly import MultiPoly
-from .scalars import QQi
 from .systems import PdeSystem, make_system
 
 
@@ -281,11 +280,11 @@ class _IntSymbol:
     """
 
     def __init__(self, polys, n):
-        """polys: per polynomial, (x exponents, xi exponents, QQi) triples."""
-        den = lcm(*(v.denominator for p in polys for _, _, c in p for v in (c.re, c.im)))
+        """polys: per polynomial, (x exponents, xi exponents, coefficient) triples."""
+        den = lcm(*(v.denominator for p in polys for _, _, c in p for v in (c.real, c.imag)))
         self.polys = [
-            [(xe, ke, c.re.numerator * (den // c.re.denominator),
-              c.im.numerator * (den // c.im.denominator)) for xe, ke, c in p]
+            [(xe, ke, c.real.numerator * (den // c.real.denominator),
+              c.imag.numerator * (den // c.imag.denominator)) for xe, ke, c in p]
             for p in polys
         ]
         self.tops = [max((xe[i] for p in self.polys for xe, _, _, _ in p), default=0)
@@ -575,9 +574,7 @@ class ConeSpec(namedtuple("ConeSpec", "generators kind")):
         n = len(xi)
         for size in range(1, min(len(gens), n) + 1):
             for subset in combinations(gens, size):
-                sol = ExactMatrix(list(subset)).transpose().solve_right(
-                    [QQi(v) for v in xi]
-                )
+                sol = ExactMatrix(list(subset)).transpose().solve_right(xi)
                 if sol is None:
                     continue
                 if all(c >= 0 for c in sol):
@@ -620,10 +617,9 @@ class Region(namedtuple("Region", "conditions")):
     def contains(self, x):
         for poly, op in self.conditions:
             val = poly.evaluate({v: Fraction(p) for v, p in zip(poly.vars, x)})
-            if not val.is_real:
+            if val.imag:
                 raise PreconditionError("region polynomials must be real")
-            v = val.re
-            ok = {"gt": v > 0, "ge": v >= 0, "lt": v < 0, "le": v <= 0}[op]
+            ok = {"gt": val > 0, "ge": val >= 0, "lt": val < 0, "le": val <= 0}[op]
             if not ok:
                 return False
         return True
@@ -869,10 +865,10 @@ def _pullback_system(sys: PdeSystem, cols):
     # columns of the lift: solve (E^T E) w = eta basis vectors
     lift_cols = []
     for a in range(d):
-        rhs = [QQi(1 if i == a else 0) for i in range(d)]
+        rhs = [1 if i == a else 0 for i in range(d)]
         w = et_e.solve_right(rhs)
         lift_cols.append([
-            sum((e[i, j] * w[j] for j in range(d)), QQi(0)) for i in range(n)
+            sum(e[i, j] * w[j] for j in range(d)) for i in range(n)
         ])
     new_vars = tuple(f"y{i+1}" for i in range(d))
     amb_new = new_vars + tuple(f"xi_{v}" for v in new_vars)

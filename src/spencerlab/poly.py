@@ -1,7 +1,9 @@
-"""Sparse multivariate polynomials over QQi with canonical term order.
+"""Sparse multivariate polynomials over Q(i) with canonical term order.
 
 A polynomial is a map from exponent tuples (one natural per variable) to
-nonzero coefficients.  Variables are an explicit ordered tuple of names;
+nonzero coefficients, each a Fraction, or a QQi when its imaginary part is
+nonzero (the rule of ``scalars.scalar``, applied to every coefficient that
+comes in).  Variables are an explicit ordered tuple of names;
 operations require both operands to share the same ambient tuple and raise
 AmbientMismatchError otherwise.  Terms serialize in degrevlex order so equal
 polynomials have identical printed forms.
@@ -12,7 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import AmbientMismatchError
-from .scalars import QQi
+from .scalars import QQi, scalar
+
+_ZERO = Fraction(0)
 
 
 def degrevlex_key(mono):
@@ -30,7 +34,7 @@ class MultiPoly:
         elif _clean:
             self.terms = {}
             for mono, coeff in terms.items():
-                c = QQi.of(coeff)
+                c = scalar(coeff)
                 if c:
                     if len(mono) != len(self.vars):
                         raise AmbientMismatchError(
@@ -48,7 +52,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, variables, value):
-        c = QQi.of(value)
+        c = scalar(value)
         n = len(tuple(variables))
         if not c:
             return cls.zero(variables)
@@ -59,11 +63,11 @@ class MultiPoly:
         variables = tuple(variables)
         idx = variables.index(name)
         mono = tuple(1 if i == idx else 0 for i in range(len(variables)))
-        return cls(variables, {mono: QQi(1)}, _clean=False)
+        return cls(variables, {mono: Fraction(1)}, _clean=False)
 
     @classmethod
     def monomial(cls, variables, mono, coeff=1):
-        return cls(variables, {tuple(mono): QQi.of(coeff)})
+        return cls(variables, {tuple(mono): coeff})
 
     # -- basic queries ---------------------------------------------------------
 
@@ -78,10 +82,10 @@ class MultiPoly:
         return len(degs) <= 1
 
     def coefficient(self, mono):
-        return self.terms.get(tuple(mono), QQi(0))
+        return self.terms.get(tuple(mono), _ZERO)
 
     def constant_coefficient(self):
-        return self.terms.get((0,) * len(self.vars), QQi(0))
+        return self.terms.get((0,) * len(self.vars), _ZERO)
 
     def is_constant(self):
         return all(sum(m) == 0 for m in self.terms)
@@ -98,7 +102,7 @@ class MultiPoly:
         self._check(other)
         res = dict(self.terms)
         for m, c in other.terms.items():
-            s = res.get(m, QQi(0)) + c
+            s = res.get(m, _ZERO) + c
             if s:
                 res[m] = s
             else:
@@ -120,7 +124,7 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QQi)):
-            c = QQi.of(other)
+            c = scalar(other)
             if not c:
                 return MultiPoly.zero(self.vars)
             return MultiPoly(
@@ -131,7 +135,7 @@ class MultiPoly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
-                s = res.get(m, QQi(0)) + c1 * c2
+                s = res.get(m, _ZERO) + c1 * c2
                 if s:
                     res[m] = s
                 else:
@@ -154,7 +158,7 @@ class MultiPoly:
 
     def term_mul(self, mono, coeff):
         """Multiply by coeff * x^mono."""
-        coeff = QQi.of(coeff)
+        coeff = scalar(coeff)
         if not coeff:
             return MultiPoly.zero(self.vars)
         return MultiPoly(
@@ -178,8 +182,8 @@ class MultiPoly:
 
     def evaluate(self, point):
         """Full evaluation; point is a mapping name -> scalar covering all vars."""
-        total = QQi(0)
-        vals = [QQi.of(point[v]) for v in self.vars]
+        total = _ZERO
+        vals = [scalar(point[v]) for v in self.vars]
         for m, c in self.terms.items():
             term = c
             for e, v in zip(m, vals):
@@ -244,13 +248,13 @@ class MultiPoly:
 
     def leading_coefficient(self):
         lm = self.leading_monomial()
-        return self.terms[lm] if lm is not None else QQi(0)
+        return self.terms[lm] if lm is not None else _ZERO
 
     def monic(self):
         lc = self.leading_coefficient()
         if not lc or lc == 1:
             return self
-        return self * (QQi(1) / lc)
+        return self * (1 / lc)
 
     # -- equality / display --------------------------------------------------------
 
@@ -276,9 +280,9 @@ class MultiPoly:
                 f"{v}^{e}" if e > 1 else v for v, e in zip(self.vars, m) if e
             )
             if mono:
-                cs = "" if c == 1 else ("-" if c == QQi(-1) else f"{c!r}*")
+                cs = "" if c == 1 else ("-" if c == -1 else f"{c}*")
                 parts.append(f"{cs}{mono}")
             else:
-                parts.append(repr(c))
+                parts.append(str(c))
         s = " + ".join(parts)
         return s.replace("+ -", "- ")

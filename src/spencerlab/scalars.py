@@ -1,12 +1,17 @@
-"""Exact scalars: rationals with an optional Gaussian (imaginary) part.
+"""Exact scalars: rationals, and Gaussian rationals for complex operators.
 
-All symbolic computation in this package runs over QQi = Q(i).  Real values
-are the common case and print as plain fractions; the imaginary part exists
-so that complex-coefficient operators (Cauchy-Riemann and friends) go through
-the same symbol / characteristic-ideal machinery without special casing.
+All symbolic computation in this package runs over Q(i), and one rule says
+which type holds a coefficient: a real value is a ``Fraction``, and a
+``QQi`` holds only a value whose imaginary part is nonzero.  ``scalar``
+applies the rule to any incoming value, ``gaussian`` builds a value from
+its parts, and ``QQi`` arithmetic returns through ``gaussian``, so i*i is
+``Fraction(-1)``.  Complex-coefficient operators (Cauchy-Riemann and
+friends) thus go through the same symbol / characteristic-ideal machinery
+as real ones, while real computations stay in plain fractions.
 
-Invariants: components are python Fractions, so denominators are positive
-and gcd-reduced after every operation by construction.
+``QQi`` carries ``real`` and ``imag`` like ``int`` and ``Fraction`` do, so
+callers read the parts of any scalar without a type test.  Components are
+Fractions, so denominators are positive and gcd-reduced by construction.
 """
 
 from __future__ import annotations
@@ -17,143 +22,104 @@ from fractions import Fraction
 class QQi:
     """Gaussian rational a + b*i with exact Fraction components."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("real", "imag")
 
-    def __init__(self, re=0, im=0):
-        if isinstance(re, QQi):
-            self.re, self.im = re.re, re.im
-            return
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def of(value) -> "QQi":
-        if isinstance(value, QQi):
-            return value
-        return QQi(value)
-
-    # -- predicates --------------------------------------------------------
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
+    def __init__(self, real=0, imag=0):
+        self.real = real if isinstance(real, Fraction) else Fraction(real)
+        self.imag = imag if isinstance(imag, Fraction) else Fraction(imag)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.real) or bool(self.imag)
 
-    # -- arithmetic --------------------------------------------------------
+    # -- arithmetic: int, Fraction or QQi operands, read by real and imag ------
 
     def __add__(self, other):
-        other = QQi.of(other)
-        return QQi(self.re + other.re, self.im + other.im)
+        if not isinstance(other, (int, Fraction, QQi)):
+            return NotImplemented
+        return gaussian(self.real + other.real, self.imag + other.imag)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QQi(-self.re, -self.im)
+        return gaussian(-self.real, -self.imag)
 
     def __sub__(self, other):
-        other = QQi.of(other)
-        return QQi(self.re - other.re, self.im - other.im)
+        if not isinstance(other, (int, Fraction, QQi)):
+            return NotImplemented
+        return gaussian(self.real - other.real, self.imag - other.imag)
 
     def __rsub__(self, other):
-        return QQi.of(other) - self
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return gaussian(other.real - self.real, other.imag - self.imag)
 
     def __mul__(self, other):
-        other = QQi.of(other)
-        if self.im == 0 and other.im == 0:
-            return QQi(self.re * other.re)
-        return QQi(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if not isinstance(other, (int, Fraction, QQi)):
+            return NotImplemented
+        a, b, c, d = self.real, self.imag, other.real, other.imag
+        return gaussian(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = QQi.of(other)
-        if not other:
-            raise ZeroDivisionError("division by zero scalar")
-        if self.im == 0 and other.im == 0:
-            return QQi(self.re / other.re)
-        n = other.re * other.re + other.im * other.im
-        return QQi(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        if not isinstance(other, (int, Fraction, QQi)):
+            return NotImplemented
+        return _divide(self.real, self.imag, other.real, other.imag)
 
     def __rtruediv__(self, other):
-        return QQi.of(other) / self
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return _divide(other.real, other.imag, self.real, self.imag)
 
     # -- comparison / hashing ----------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        if isinstance(other, QQi):
-            return self.re == other.re and self.im == other.im
-        return NotImplemented
+        if not isinstance(other, (int, Fraction, QQi)):
+            return NotImplemented
+        return self.real == other.real and self.imag == other.imag
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        # equal to a Fraction only when imag is 0, and then hashed like it
+        if self.imag == 0:
+            return hash(self.real)
+        return hash((self.real, self.imag))
 
-    def __lt__(self, other):
-        # ordering is only meaningful for real scalars (sign tests, Sturm)
-        other = QQi.of(other)
-        if self.im != 0 or other.im != 0:
-            raise TypeError("no order on non-real scalars")
-        return self.re < other.re
-
-    def __le__(self, other):
-        other = QQi.of(other)
-        if self.im != 0 or other.im != 0:
-            raise TypeError("no order on non-real scalars")
-        return self.re <= other.re
-
-    def __gt__(self, other):
-        return QQi.of(other) < self
-
-    def __ge__(self, other):
-        return QQi.of(other) <= self
-
-    # -- conversion / display ------------------------------------------------
-
-    def __float__(self):
-        if self.im != 0:
-            raise ValueError("not real")
-        return float(self.re)
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
+    # -- display ---------------------------------------------------------------
 
     def serialize(self) -> str:
-        """Canonical string: 'p/q' for reals, 'p/q+r/si' otherwise."""
-        if self.im == 0:
-            return f"{self.re.numerator}/{self.re.denominator}"
-        sign = "+" if self.im >= 0 else "-"
-        im = abs(self.im)
+        """Canonical string 'p/q+r/si'."""
+        sign = "+" if self.imag >= 0 else "-"
+        im = abs(self.imag)
         return (
-            f"{self.re.numerator}/{self.re.denominator}"
+            f"{self.real.numerator}/{self.real.denominator}"
             f"{sign}{im.numerator}/{im.denominator}i"
         )
 
     def __repr__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
-        return f"({self.re}{'+' if self.im > 0 else '-'}{abs(self.im)}*i)"
+        if self.real == 0:
+            return f"{self.imag}*i"
+        return f"({self.real}{'+' if self.imag > 0 else '-'}{abs(self.imag)}*i)"
 
 
-ZERO = QQi(0)
-ONE = QQi(1)
-I = QQi(0, 1)
+def gaussian(real, imag=0):
+    """real + imag*i by the rule: a Fraction when imag is 0, else a QQi."""
+    if imag:
+        return QQi(real, imag)
+    return real if isinstance(real, Fraction) else Fraction(real)
 
 
-def rational(text) -> Fraction:
-    """Parse 'p/q' or integer or decimal strings into an exact Fraction."""
-    return Fraction(str(text))
+def scalar(x):
+    """Any int, Fraction or QQi as the type the rule gives its value."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, QQi):
+        return x if x.imag else x.real
+    return Fraction(x)
+
+
+def _divide(a, b, c, d):
+    """(a + b*i) / (c + d*i)."""
+    n = c * c + d * d
+    if not n:
+        raise ZeroDivisionError("division by zero scalar")
+    return gaussian((a * c + b * d) / n, (b * c - a * d) / n)

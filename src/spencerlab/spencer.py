@@ -20,7 +20,6 @@ from itertools import chain, combinations, islice, repeat
 from .errors import ObstructionError, PreconditionError
 from .linalg import ExactMatrix
 from .poly import MultiPoly
-from .scalars import QQi
 from .symbols import shift_vector, symbol_space
 from .systems import PdeSystem, add_index, multiindices
 
@@ -262,7 +261,7 @@ def _solve_by_constant_pivots(rows):
             return solved, [r for r in pending if r]
         row = pending.pop(ri)
         pivot = min(constants, key=lambda c: (-sum(c[1]), c))
-        scale = QQi(-1) / row.pop(pivot).constant_coefficient()
+        scale = -1 / row.pop(pivot).constant_coefficient()
         expr = {c: v * scale for c, v in row.items()}
         for other in [*pending, *solved.values()]:
             f = other.pop(pivot, None)

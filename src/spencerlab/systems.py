@@ -156,7 +156,7 @@ def cauchy_riemann_system():
     return make_system(
         ("x", "y"),
         ("u",),
-        [[(QQi(half), 0, (1, 0)), (QQi(0, half), 0, (0, 1))]],
+        [[(half, 0, (1, 0)), (QQi(0, half), 0, (0, 1))]],
         name="cauchy_riemann",
     )
 

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -50,8 +51,80 @@ def test_gaussian_division():
 
 
 def test_serialize():
-    assert QQi(Fraction(1, 3)).serialize() == "1/3"
+    assert QQi(Fraction(1, 3), 2).serialize() == "1/3+2/1i"
     assert QQi(0, Fraction(-1, 2)).serialize() == "0/1-1/2i"
+
+
+# -- the scalar rule: a value is a Fraction exactly when its imaginary part is 0 --
+
+small_st = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+exact_st = st.one_of(small_st, st.builds(QQi, small_st, small_st))
+OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def by_rule(x):
+    return type(x) is (QQi if x.imag else Fraction)
+
+
+def gaussian_rational(x):
+    from sympy import QQ, QQ_I
+
+    re, im = Fraction(x.real), Fraction(x.imag)
+    return QQ_I(QQ(re.numerator, re.denominator), QQ(im.numerator, im.denominator))
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_st, st.one_of(st.integers(-3, 3), exact_st), st.sampled_from(sorted(OPERATIONS)),
+       st.booleans())
+def test_arithmetic_follows_the_rule_and_matches_sympy(a, b, op, swap):
+    pytest.importorskip("sympy")
+    if swap:
+        a, b = b, a
+    if op == "/" and not b:
+        with pytest.raises(ZeroDivisionError):
+            OPERATIONS[op](a, b)
+        return
+    result = OPERATIONS[op](a, b)
+    assert by_rule(result), (a, op, b, result)
+    assert gaussian_rational(result) == OPERATIONS[op](gaussian_rational(a), gaussian_rational(b))
+
+
+def test_i_squared_is_a_fraction():
+    i = QQi(0, 1)
+    assert type(i * i) is Fraction and i * i == -1
+    assert type(i / i) is Fraction and type(1 / i - (-i)) is Fraction
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_no_real_value_comes_back_as_qqi(rows, cols, data):
+    """Matrices and polynomials built from real-valued QQi inputs hold only
+    Fractions, and a complex matrix holds a QQi only where the imaginary part
+    is nonzero."""
+    real = [[QQi(data.draw(small_st)) for _ in range(cols)] for _ in range(rows)]
+    mixed = [[data.draw(exact_st) for _ in range(cols)] for _ in range(rows)]
+    for entries, all_real in ((real, True), (mixed, False)):
+        check = (lambda x: type(x) is Fraction) if all_real else by_rule
+        m = ExactMatrix(entries)
+        square = ExactMatrix([r[:rows] for r in entries]) if cols >= rows else None
+        values = [m[i, j] for i in range(rows) for j in range(cols)]
+        values += [x for r in m.rref()[0] for x in r.values()]
+        values += [x for v in m.kernel_basis() for x in v]
+        gram = m @ m.transpose()
+        values += [x for i in range(rows) for x in gram.row(i).values()]
+        values += m.transpose().solve_right([QQi(1)] * cols) or []
+        values += [square.det()] if square is not None else []
+        assert all(check(x) for x in values), values
+
+        f = MultiPoly(XY, {(j, i): entries[i][j] for i in range(rows) for j in range(cols)})
+        g = f * f - f.derivative("x") * QQi(2)
+        polys = [f, g, f.monic(), f.term_mul((1, 0), QQi(3)), f.substitute({"x": x_() - 1})]
+        if f and g:
+            polys.append(normal_form(g, buchberger([f])))
+        values = [c for h in polys for c in h.terms.values()]
+        values += [f.evaluate({"x": QQi(2), "y": Fraction(1, 3)}), f.leading_coefficient(),
+                   f.coefficient((0, 0))]
+        assert all(check(c) for c in values), values
 
 
 # -- polynomials --------------------------------------------------------------

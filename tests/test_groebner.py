@@ -49,7 +49,7 @@ def test_buchberger_matches_sympy_grevlex(nvars, specs):
         gens.append(MultiPoly(names, terms))
     ours = [_terms(g) for g in buchberger(gens)]
     symbols = sympy.symbols(names)
-    exprs = [sum((sympy.Integer(int(c.re)) * sympy.Mul(*[v**e for v, e in zip(symbols, m)])
+    exprs = [sum((sympy.Integer(int(c.real)) * sympy.Mul(*[v**e for v, e in zip(symbols, m)])
                   for m, c in g.terms.items()), sympy.Integer(0)) for g in gens]
     if not any(exprs):
         assert ours == []

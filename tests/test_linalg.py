@@ -30,9 +30,8 @@ def matrices(draw):
 
 
 def to_sympy(x):
-    x = QQi.of(x)
-    return sympy.Rational(x.re.numerator, x.re.denominator) + sympy.I * sympy.Rational(
-        x.im.numerator, x.im.denominator
+    return sympy.Rational(x.real.numerator, x.real.denominator) + sympy.I * sympy.Rational(
+        x.imag.numerator, x.imag.denominator
     )
 
 
@@ -73,7 +72,7 @@ def test_real_entries_stay_fractions():
     assert all(type(m[i, j]) is Fraction for i in range(2) for j in range(2))
     assert type(m.det()) is Fraction and m.det() == 2
     z = ExactMatrix([[1, QQi(0, 1)]])
-    assert all(type(z[0, j]) is QQi for j in range(2))
+    assert type(z[0, 0]) is Fraction and type(z[0, 1]) is QQi
 
 
 @pytest.mark.parametrize("rows, det", [

@@ -246,7 +246,7 @@ def test_integer_sturm_matches_oracle_on_arbitrary_polynomials(poly):
 
 def _terms(frozen):
     """A frozen symbol as the (xi exponents, re, im) terms the library works on."""
-    return [(m, c.re, c.im) for m, c in frozen.terms.items()]
+    return [(m, c.real, c.imag) for m, c in frozen.terms.items()]
 
 
 def _direction_polynomial_by_substitution(frozen, theta, eta):
@@ -258,9 +258,9 @@ def _direction_polynomial_by_substitution(frozen, theta, eta):
     })
     coeffs = [Fraction(0)] * (max((sum(m) for m in image.terms), default=-1) + 1)
     for (k,), c in image.terms.items():
-        if not c.is_real:
+        if c.imag:
             raise PreconditionError("real coefficients required for root counting")
-        coeffs[k] += c.re
+        coeffs[k] += c.real
     return coeffs
 
 
