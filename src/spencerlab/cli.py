@@ -73,15 +73,16 @@ def build_parser(command=None):
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="{%s}" % ",".join(COMMANDS) if only else None)
 
-    def add(name, needs_file=False, **kwargs):
+    def add(name, needs_file=False, seeded=False):
         if only and name != command:
             return _Unbuilt()
-        p = sub.add_parser(name, **kwargs)
+        p = sub.add_parser(name)
         if needs_file:
             p.add_argument("file", help="PDE DSL document")
             p.add_argument("--system", help="system name (default: the only one)")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--seed", type=int, default=0)
+        if seeded:
+            p.add_argument("--seed", type=int, default=0, help="seed of the random grid")
         return p
 
     p = add("symbol", needs_file=True)
@@ -98,7 +99,7 @@ def build_parser(command=None):
                    help="also reduce to a flat connection")
     p = add("poincare", needs_file=True)
     p.add_argument("--order", type=_int_at_least(0), default=8)
-    p = add("classify", needs_file=True)
+    p = add("classify", needs_file=True, seeded=True)
     p.add_argument("--direction", default=None, help="covector like 1,0")
     p.add_argument("--region", default=None, help="region block name")
     p.add_argument("--cones", default=None, help="two cone names: a,b")
@@ -106,14 +107,14 @@ def build_parser(command=None):
                    help="random base points (default 4)")
     p.add_argument("--mode", choices=("labels", "elliptic", "hyperbolic"),
                    default="labels")
-    p = add("restrict", needs_file=True)
+    p = add("restrict", needs_file=True, seeded=True)
     p.add_argument("--subspace", required=True,
                    help="embedding columns like '1,0' or '1,0;0,1'")
     p = add("kunneth", needs_file=True)
     p.add_argument("--other", default=None, help="second system (default: same)")
     p.add_argument("--copies", type=_int_at_least(2), default=None,
                    help="run the factorization checks up to this many copies")
-    p = add("index", needs_file=False)
+    p = add("index", seeded=True)
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--system", default=None)
     p.add_argument("--model", required=True)

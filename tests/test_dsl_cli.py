@@ -796,6 +796,21 @@ def test_cli_index_passes_the_seed_to_is_elliptic(capsys, tmp_path, monkeypatch)
     assert (data["seed"], data["result"]["index"], seeds) == (3, 1, [3])
 
 
+@pytest.mark.parametrize("argv", [
+    ["det", "--model", "circle", "--length", "2", "--seed", "5"],
+    ["grr", "--model", "P2", "--seed", "5"],
+])
+def test_cli_seed_is_rejected_where_nothing_reads_it(capsys, argv):
+    assert main(argv) == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+def test_cli_report_without_seed_option_has_null_seed(capsys):
+    assert main(["grr", "--model", "P2"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["seed"] is None and "seed" not in data["arguments"]
+
+
 MIXED = (WAVE + "spectrum circ { kind circle; length 6.283185307179586; }\n"
          "spectrum tor { kind torus; tau 0.25, 1.25; }\n")
 

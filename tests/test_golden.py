@@ -220,10 +220,10 @@ MICROLOCAL = {
         "9d95c2d774100c105b9d0f8bdf732b97c4326212c0c93342285dca081871adeb"),
     "kunneth-wave-4": (
         ["kunneth", "--system", "wave", "--copies", "4"],
-        "050c582b0b5f94d2044922e7eb7a70973dad6a98e6c14bb81e3968c907337f9a"),
+        "3852029fb8d667d2621bb41493093a3602eec3a410901deae302dda64783a8dc"),
     "kunneth-dx-laplace": (
         ["kunneth", "--system", "dx", "--other", "laplace"],
-        "ce066f5acf90be505f32ee31b197ea066fc2bbe3f6e6b21c016c5d449906b9f9"),
+        "0e37550016374f48d647ee020bd100e8db4e198432527ecd0b8a4d57229021fb"),
     "restrict-tricomi": (
         ["restrict", "--system", "tricomi", "--subspace", "1,0"],
         "bb7e6abfe3960be2e2ad5c1fc005a2f58c505252300050c5510eb4804c92bdb7"),
@@ -284,21 +284,21 @@ FINITE_SYSTEMS = ("grad", "frobenius", "uxx", "airy", "cubes", "killing")
 # each system in turn); the name is the command, with a suffix for a variant.
 JET = {
     "symbol": (["--order", "3"], JET_SYSTEMS,
-        "9b27403c4527f7869d1e0aa5fe589b5765a8da384363b4dc4249bae96b995a41"),
+        "c862ba50829bb4c5583c1d2c22d5faaf4583b70a359f43aebdc5cd76136aa15d"),
     "symbol-default": ([], JET_SYSTEMS,
-        "26436e1209ded35bffa1edc2260ac0fa19a03dd2b26524796aed28c99afb7abe"),
+        "8da29eedf8d601072d4fc34c80402cc7e5bb4c115ee16815b9bdc3c322bc5864"),
     "prolong": (["--count", "2"], JET_SYSTEMS,
-        "e22fde51c5fdfc6514a5adabe35534ba91632b2d44445c4bea18d4775b9292b2"),
+        "236382769b99df9b393ab4782c38f6c767917b83fd43434569472e7c06c2b454"),
     "spencer": ([], JET_SYSTEMS,
-        "234b2383c9d81921ca02e6f3b8a14e3d3be9b6fa148c8f664169f761e8b81584"),
+        "9b637e10d4a745ac25b486671ae3964142157e90c4f2730aeb81c991c0af5674"),
     "involutivity": (["--bound", "2"], JET_SYSTEMS,
-        "07f34b6acf37c27d49569821eef942cc1a5c363c9c9dbb59499e7ed204342fe2"),
+        "6701b7009eae24727bdb99808c0853ab6523a583b96799d4528b90255069d446"),
     "poincare": (["--order", "6"], JET_SYSTEMS,
-        "b8cc122af5f550f159e7e56b01fa0367188db410f690ae36664c781a593b009e"),
+        "3230c5f74e6e0667595746752092c5b5045b6afc78abefec162893119133010a"),
     "finite-type": ([], JET_SYSTEMS,
-        "92986f188e7c943a9b683a5d4558466d49943f02bae8862a932f25be0eac12bb"),
+        "329c07cc9ef135af563e828a383521397b1201a275fc47723dcdb7452d486bcf"),
     "finite-type-connection": (["--connection"], FINITE_SYSTEMS,
-        "ef56649d3266a1168975753c64921435280cb331c7c191067d63b63d3855ca82"),
+        "6af3f3be1bc9a030b0d4093ba6985140e3f0b483b3c54a1c6fa9e056c59344bd"),
 }
 
 
