@@ -1,8 +1,9 @@
 """Command-line surface: one subcommand per engine operation.
 
-Exit codes: 0 success, 2 parse error, 3 precondition violation, 4 numeric
-failure.  All work runs on one thread.  All randomized grids are seeded
-and the seed is echoed in the report.
+Exit codes: 0 success, 1 stdout closed before the report was written,
+2 parse error, 3 precondition violation, 4 numeric failure.  All work runs
+on one thread.  The commands with a random grid (classify, restrict,
+index) take ``--seed`` and echo it in the report; the others reject it.
 
 ``COMMANDS`` maps each subcommand to one handler, and each handler imports
 the engine layer it runs: the numeric commands start without the exact
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from fractions import Fraction
 from functools import cached_property
@@ -277,9 +279,10 @@ def _symbol(args, job):
 
 
 def _prolong(args, job):
-    from .symbols import geometric_symbol, prolong
+    from .symbols import check_jet_budget, geometric_symbol, prolong
 
     sys_ = job.system
+    check_jet_budget(sys_.n, sys_.m, sys_.order + args.count)
     space = geometric_symbol(sys_)
     dims = [space.dim]
     for _ in range(args.count):
@@ -594,8 +597,15 @@ def main(argv=None):
     except SpencerLabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    sys.stdout.buffer.write(out)
-    sys.stdout.write("\n")
+    try:
+        sys.stdout.buffer.write(out + b"\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is left to devnull, so the flush at
+        # interpreter exit cannot fail again (see the SIGPIPE note in the
+        # signal module's documentation)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

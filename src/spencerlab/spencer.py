@@ -20,7 +20,7 @@ from itertools import chain, combinations, islice, repeat
 from .errors import ObstructionError, PreconditionError
 from .linalg import ExactMatrix
 from .poly import MultiPoly
-from .symbols import shift_vector, symbol_space
+from .symbols import check_jet_budget, shift_vector, symbol_space
 from .systems import PdeSystem, add_index, multiindices
 
 
@@ -80,12 +80,14 @@ def _delta_matrix(coords, dim_lo, n, i):
 
 def spencer_complex(sys: PdeSystem, max_order=None) -> SpencerComplex:
     """Assemble the symbol spaces at the base point, the delta maps and their
-    ranks; delta^2 = 0 is asserted."""
+    ranks; delta^2 = 0 is asserted.  A max_order past the jet work budget is
+    a PreconditionError before any symbol space is built."""
     n = sys.n
     if max_order is None:
         max_order = sys.order + 2
     if max_order < sys.order and sys.equations:
         raise PreconditionError("max_order must be at least the system order")
+    check_jet_budget(n, sys.m, max_order)
     symbols = {q: symbol_space(sys, q) for q in range(max_order + 1)}
     cx = SpencerComplex(n, sys.m, max_order, symbols, {}, {})
     for q in range(1, max_order + 1):

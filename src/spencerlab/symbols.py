@@ -17,10 +17,29 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache, cached_property
+from math import comb
 
-from .errors import DegenerateSymbolError
+from .errors import DegenerateSymbolError, PreconditionError
 from .linalg import ExactMatrix
 from .systems import PdeSystem, add_index, multiindices
+
+
+# Largest column count m * C(n + q - 1, q) of a symbol matrix; a jet order
+# past it exits 3 before any row is built, as LATTICE_BUDGET guards the
+# lattice sums.  The largest symbol matrix of the tests and the benchmark has
+# 135 columns; the Laplacian's 2000 columns (order 1999) take about 6 s
+# (Python 3.11, 2 vCPUs).
+JET_BUDGET = 2000
+
+
+def check_jet_budget(n, m, q):
+    """PreconditionError when Sym^q (x) W has more than JET_BUDGET columns."""
+    cols = m * comb(max(n + q - 1, 0), q)
+    if cols > JET_BUDGET:
+        raise PreconditionError(
+            f"jet order {q} needs {cols} symbol columns for {n} variables and "
+            f"{m} unknowns; the work budget is {JET_BUDGET}"
+        )
 
 
 @cache
@@ -102,8 +121,10 @@ class SymbolSpace(namedtuple("SymbolSpace", "degree n m basis presentation")):
 
 def symbol_space(sys: PdeSystem, q) -> SymbolSpace:
     """Symbol space of the system at jet order q and its base point (kernel
-    of the prolonged rows)."""
+    of the prolonged rows); an order past the jet work budget is a
+    PreconditionError."""
     n, m = sys.n, sys.m
+    check_jet_budget(n, m, q)
     mat = ExactMatrix.sparse(symbol_rows(sys, q), len(sym_basis(n, m, q)))
     return SymbolSpace(q, n, m, mat.kernel_basis(), mat)
 
@@ -130,6 +151,7 @@ def geometric_symbol(sys: PdeSystem) -> SymbolSpace:
 def prolong_subspace(space: SymbolSpace) -> SymbolSpace:
     """First prolongation {t in Sym^{q+1} (x) W : shift_j t in g for all j}."""
     n, m, q = space.n, space.m, space.degree
+    check_jet_budget(n, m, q + 1)
     # the functionals vanishing on g are the row space of its presentation
     funcs, _ = space.presentation.rref()
     rows = []

@@ -66,7 +66,19 @@ def _lattice_terms(spec):
     return None
 
 
+_POINTS = {}
+
+
 def _lattice_points(M, d, cutoff):
+    """_box_points, memoised per form entries, d, cutoff and working
+    precision: every s of one spectrum scans the same two boxes."""
+    key = (tuple(map(tuple, M)), d, cutoff, mp.dps)
+    if key not in _POINTS:
+        _POINTS[key] = _box_points(M, d, cutoff)
+    return _POINTS[key]
+
+
+def _box_points(M, d, cutoff):
     """(q, 2) per pair +-v of nonzero v in Z^d with q = v^T M v <= cutoff,
     over the box |v_i| <= sqrt(cutoff / least eigenvalue of M)."""
     if d == 1:

@@ -12,7 +12,7 @@ from dsl_corpus import LAPLACE, TRICOMI, WAVE, corpus
 
 from spencerlab.cli import COMMANDS, build_parser, dispatch, main
 from spencerlab.dsl import parse_pde_dsl, print_document
-from spencerlab.errors import ParseError
+from spencerlab.errors import ParseError, PreconditionError
 from spencerlab.reports import ReportDocument, emit_report
 
 # -- parsing ------------------------------------------------------------------------
@@ -318,6 +318,21 @@ def test_cli_entry_point_subprocess(tmp_path):
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["result"]["index"] == 6
+
+
+def test_cli_closed_stdout_exits_1_without_traceback(tmp_path):
+    """The reader of stdout is gone before the report is written (as with
+    `| head -c 50` on a large report): exit 1 and nothing on stderr."""
+    pde = tmp_path / "tricomi.pde"
+    pde.write_text(TRICOMI)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spencerlab.cli", "classify", str(pde), "--grid", "400",
+         "--direction", "0,1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # the only read end: every write now fails with EPIPE
+    err = proc.stderr.read()
+    assert (proc.wait(), err) == (1, b"")
 
 
 def test_cli_index_elliptic_system(capsys, tmp_path):
@@ -803,6 +818,34 @@ def test_cli_index_passes_the_seed_to_is_elliptic(capsys, tmp_path, monkeypatch)
 def test_cli_seed_is_rejected_where_nothing_reads_it(capsys, argv):
     assert main(argv) == 2
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+QUADRIC = ("system quad { vars x, y, z; unknowns u; "
+           "eq: 2/3*D[x,x](u) - D[x,y](u) + 3/2*D[y,y](u) - 1/3*D[z,z](u) = 0; }")
+
+
+@pytest.mark.parametrize("argv", [
+    ["symbol", "--order", "100000"],
+    ["involutivity", "--bound", "100000"],
+    ["spencer", "--order", "100000"],
+    ["prolong", "--count", "100000"],
+])
+def test_cli_jet_order_past_the_work_budget_exits_3(capsys, tmp_path, argv):
+    pde = tmp_path / "quad.pde"
+    pde.write_text(QUADRIC)
+    assert main([argv[0], str(pde), *argv[1:]]) == 3
+    assert "work budget" in capsys.readouterr().err
+
+
+def test_jet_budget_boundary():
+    from spencerlab.symbols import JET_BUDGET, check_jet_budget
+
+    assert JET_BUDGET == 2000
+    check_jet_budget(2, 1, 1999)  # the Laplacian's 2000 columns
+    check_jet_budget(3, 3, 8)  # the largest symbol matrix of the tests: 135 columns
+    check_jet_budget(0, 1, 0)
+    with pytest.raises(PreconditionError, match="2001 symbol columns"):
+        check_jet_budget(2, 1, 2000)
 
 
 def test_cli_report_without_seed_option_has_null_seed(capsys):
