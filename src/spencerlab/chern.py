@@ -255,8 +255,8 @@ def todd_class(model, roots=None, classes=None) -> CharacterClass:
         out = out + c(1) * c(2) * Fraction(1, 24)
     if top >= 4:
         out = out + (
-            -c(1) * c(1) * c(1) * c(1)
-            + c(1) * c(1) * c(2) * 4
+            c(1) * c(1) * c(2) * 4
+            - c(1) * c(1) * c(1) * c(1)
             + c(2) * c(2) * 3
             + c(1) * c(3)
             - c(4)

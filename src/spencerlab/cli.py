@@ -279,15 +279,10 @@ def _symbol(args, job):
 
 
 def _prolong(args, job):
-    from .symbols import check_jet_budget, geometric_symbol, prolong
+    from .symbols import geometric_symbol, prolongations
 
     sys_ = job.system
-    check_jet_budget(sys_.n, sys_.m, sys_.order + args.count)
-    space = geometric_symbol(sys_)
-    dims = [space.dim]
-    for _ in range(args.count):
-        space = prolong(space, 1)
-        dims.append(space.dim)
+    dims = [space.dim for space in prolongations(geometric_symbol(sys_), args.count)]
     return {"system": sys_.name, "dimensions": dims,
             "orders": list(range(sys_.order, sys_.order + args.count + 1))}
 
@@ -601,13 +596,23 @@ def main(argv=None):
         sys.stdout.buffer.write(out + b"\n")
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader is gone: send what is left to devnull, so the flush at
-        # interpreter exit cannot fail again (see the SIGPIPE note in the
-        # signal module's documentation)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return 0
 
 
+def run():
+    """Process entry point (``python -m spencerlab.cli`` and the console
+    script): exit with main's code.  After a closed stdout (code 1) what is
+    left goes to devnull, so the flush at interpreter exit cannot fail again
+    (the SIGPIPE note in the signal module's documentation); in-process
+    callers of main keep their stdout."""
+    code = main()
+    if code == 1:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

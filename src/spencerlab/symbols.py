@@ -26,10 +26,13 @@ from .systems import PdeSystem, add_index, multiindices
 
 # Largest column count m * C(n + q - 1, q) of a symbol matrix; a jet order
 # past it exits 3 before any row is built, as LATTICE_BUDGET guards the
-# lattice sums.  The largest symbol matrix of the tests and the benchmark has
-# 135 columns; the Laplacian's 2000 columns (order 1999) take about 6 s
-# (Python 3.11, 2 vCPUs).
-JET_BUDGET = 2000
+# lattice sums.  It refuses absurd orders, it does not bound the run time.
+# The largest symbol matrix of the tests and the benchmark has 135 columns;
+# default involutivity (order k + 8 + n) on Killing's equations in 5
+# variables needs 15300 and takes about 17 s; the Laplacian at 2000 columns
+# (order 1999) takes about 8 s, and the time grows with the square of the
+# order (Python 3.11, 2 vCPUs).
+JET_BUDGET = 20000
 
 
 def check_jet_budget(n, m, q):
@@ -163,10 +166,17 @@ def prolong_subspace(space: SymbolSpace) -> SymbolSpace:
     return SymbolSpace(q + 1, n, m, mat.kernel_basis(), mat)
 
 
-def prolong(space: SymbolSpace, ell: int) -> SymbolSpace:
+def prolongations(space: SymbolSpace, ell: int) -> list:
+    """space and its first ell prolongations, in order; a last jet order past
+    the work budget is a PreconditionError before any is built."""
     if ell < 0:
         raise ValueError("prolongation count must be >= 0")
-    out = space
+    check_jet_budget(space.n, space.m, space.degree + ell)
+    out = [space]
     for _ in range(ell):
-        out = prolong_subspace(out)
+        out.append(prolong_subspace(out[-1]))
     return out
+
+
+def prolong(space: SymbolSpace, ell: int) -> SymbolSpace:
+    return prolongations(space, ell)[-1]

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import string
 import subprocess
@@ -333,6 +334,30 @@ def test_cli_closed_stdout_exits_1_without_traceback(tmp_path):
     proc.stdout.close()  # the only read end: every write now fails with EPIPE
     err = proc.stderr.read()
     assert (proc.wait(), err) == (1, b"")
+
+
+def test_cli_main_closed_stdout_leaves_fd_1_alone(monkeypatch):
+    """In process, main reports a closed stdout as 1 and does not redirect
+    the caller's file descriptor 1."""
+
+    class ClosedBuffer:
+        def write(self, data):
+            raise BrokenPipeError
+
+    class ClosedStdout:
+        buffer = ClosedBuffer()
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return 1
+
+    before = os.fstat(1)
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    assert main(["grr", "--model", "P2", "--twist", "2"]) == 1
+    after = os.fstat(1)
+    assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
 
 
 def test_cli_index_elliptic_system(capsys, tmp_path):
@@ -840,11 +865,40 @@ def test_cli_jet_order_past_the_work_budget_exits_3(capsys, tmp_path, argv):
 def test_jet_budget_boundary():
     from spencerlab.symbols import check_jet_budget
 
-    check_jet_budget(2, 1, 1999)  # the Laplacian's 2000 columns
+    check_jet_budget(2, 1, 19999)  # the Laplacian's 20000 columns
+    check_jet_budget(5, 5, 14)  # default involutivity on 5-D Killing: 15300 columns
     check_jet_budget(3, 3, 8)  # the largest symbol matrix of the tests: 135 columns
     check_jet_budget(0, 1, 0)
-    with pytest.raises(PreconditionError, match="2001 symbol columns"):
-        check_jet_budget(2, 1, 2000)
+    with pytest.raises(PreconditionError, match="20001 symbol columns"):
+        check_jet_budget(2, 1, 20000)
+
+
+def test_library_prolong_past_the_work_budget_raises():
+    from spencerlab.symbols import geometric_symbol, prolong
+
+    space = geometric_symbol(parse_pde_dsl(QUADRIC).systems["quad"])
+    with pytest.raises(PreconditionError, match="work budget"):
+        prolong(space, 100000)
+
+
+KILLING_4D = """
+system killing4 {
+  vars x, y, z, t; unknowns u, v, w, s;
+  eq: D[x](u) = 0; eq: D[y](v) = 0; eq: D[z](w) = 0; eq: D[t](s) = 0;
+  eq: D[y](u) + D[x](v) = 0; eq: D[z](u) + D[x](w) = 0; eq: D[z](v) + D[y](w) = 0;
+  eq: D[t](u) + D[x](s) = 0; eq: D[t](v) + D[y](s) = 0; eq: D[t](w) + D[z](s) = 0;
+}
+"""
+
+
+def test_cli_default_involutivity_fits_the_work_budget(capsys, tmp_path):
+    """The default --bound 6 on Killing's equations in four variables reaches
+    order 13: 4 C(16, 13) = 2240 symbol columns, inside the budget."""
+    pde = tmp_path / "killing4.pde"
+    pde.write_text(KILLING_4D)
+    assert main(["involutivity", str(pde)]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["found"], result["involutivity_degree"]) == (True, 1)
 
 
 def test_cli_report_without_seed_option_has_null_seed(capsys):

@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from spencerlab.chern import (
+    CohomologyRingModel,
     chern_character,
     get_model,
     model_tangent_todd,
@@ -91,6 +92,28 @@ def test_todd_from_roots_matches_classes_on_p1():
     p1 = get_model("P1")
     h = p1.generator_class("h")
     assert todd_class(p1, roots=[h * 2]) == todd_class(p1, classes=[h * 2])
+
+
+def test_todd_from_roots_matches_classes_on_p4():
+    # the degree-4 universal polynomial: c(T P4) = (1 + h)^5, so the Chern
+    # roots of T P4 plus a trivial line are five copies of h
+    gens = ("h",)
+    p4 = CohomologyRingModel(
+        name="P4",
+        generators=gens,
+        degrees=(1,),
+        nilpotency=(4,),
+        top_degree=4,
+        top_monomial=(4,),
+        tangent_classes=tuple(
+            MultiPoly(gens, {(k,): Fraction(comb(5, k))}) for k in range(1, 5)
+        ),
+        polarization="h",
+    )
+    h = p4.generator_class("h")
+    td = model_tangent_todd(p4)
+    assert td == todd_class(p4, roots=[h] * 5)
+    assert td.integrate() == 1
 
 
 # -- GRR integrals ----------------------------------------------------------------
