@@ -5,6 +5,12 @@ nilpotency bounds, a top degree, and one top monomial whose coefficient the
 integration functional extracts.  Classes are exact polynomials in the
 generators, reduced after every product, so index integrals come out as
 exact rationals and integrality is a check rather than a hope.
+
+The Todd class has one formula in every degree, whether the bundle is given
+by Chern roots or by Chern classes: Td = exp(log Td), with
+log Td = p_1/2 - sum_j B_2j p_2j / (2j (2j)!) in the power sums p_k of the
+Chern roots (Hirzebruch, Topological Methods in Algebraic Geometry, section
+1: the multiplicative sequence of x / (1 - e^{-x})).
 """
 
 from __future__ import annotations
@@ -95,19 +101,6 @@ class CharacterClass:
     def integrate(self):
         """Coefficient of the declared top monomial."""
         return self.poly.coefficient(self.model.top_monomial)
-
-    def inverse(self):
-        """Inverse of a class with unit-invertible constant term."""
-        c0 = self.poly.constant_coefficient()
-        if not c0:
-            raise PreconditionError("class has no invertible constant term")
-        u = self - CharacterClass(self.model, MultiPoly.constant(self.model.generators, c0))
-        inv = self.model.unit() * (1 / c0)
-        term = self.model.unit() * (1 / c0)
-        for _ in range(self.model.top_degree):
-            term = term * u * (-1 / c0)
-            inv = inv + term
-        return inv
 
     def exp(self):
         """exp of a positive-degree class, truncated at the top degree."""
@@ -230,55 +223,46 @@ def _as_class(model, x):
     return model.unit() * x
 
 
-def todd_class(model, roots=None, classes=None) -> CharacterClass:
-    """Td from Chern roots (exact Bernoulli series) or from Chern classes
-    (universal polynomials through degree 4)."""
-    if roots is not None:
-        out = model.unit()
-        for r in roots:
-            out = out * _todd_of_root(model, _as_class(model, r))
-        return out
-    if classes is None:
-        raise PreconditionError("todd_class needs roots or classes")
-    cs = [_as_class(model, c) for c in classes]
-
-    def c(i):
-        return cs[i - 1] if i <= len(cs) else model.zero()
-
-    top = model.top_degree
-    out = model.unit()
-    if top >= 1:
-        out = out + c(1) * Fraction(1, 2)
-    if top >= 2:
-        out = out + (c(1) * c(1) + c(2)) * Fraction(1, 12)
-    if top >= 3:
-        out = out + c(1) * c(2) * Fraction(1, 24)
-    if top >= 4:
-        out = out + (
-            c(1) * c(1) * c(2) * 4
-            - c(1) * c(1) * c(1) * c(1)
-            + c(2) * c(2) * 3
-            + c(1) * c(3)
-            - c(4)
-        ) * Fraction(1, 720)
-    return out
-
-
-def _todd_of_root(model, r: CharacterClass):
-    """x/(1 - e^{-x}) = 1 + x/2 + sum_k B_2k x^2k / (2k)! at x = r, through
-    the top degree.  The Bernoulli numbers come from the spectral layer's
-    generator, imported here: the index commands take the Todd class from
-    Chern classes and start without the spectral layer."""
+def log_todd_class(model, roots=None, classes=None) -> CharacterClass:
+    """log Td = p_1/2 - sum_j B_2j p_2j / (2j (2j)!) through the top degree,
+    where p_k is the k-th power sum of the Chern roots: sum r^k over roots,
+    or from classes c_1, c_2, ... by Newton's identities.  The coefficients
+    are those of log(x / (1 - e^{-x})), whose derivative is
+    1/2 - sum_j B_2j x^(2j-1) / (2j)!.  The Bernoulli numbers come from the
+    spectral layer's generator."""
     from math import factorial
 
     from .special import bernoulli_numbers
 
-    out = model.unit() + r * Fraction(1, 2)
-    square, power = r * r, model.unit()
-    for k, b in enumerate(bernoulli_numbers(model.top_degree // 2), 1):
-        power = power * square
-        out = out + power * (b / factorial(2 * k))
+    top = model.top_degree
+    if roots is not None:
+        rs = [_as_class(model, r) for r in roots]
+        powers, sums = list(rs), []
+        for _ in range(top):
+            sums.append(sum(powers, model.zero()))
+            powers = [x * r for x, r in zip(powers, rs)]
+    elif classes is not None:
+        cs = [_as_class(model, c) for c in classes[:top]]
+        cs += [model.zero()] * (top - len(cs))
+        sums = []
+        for k in range(1, top + 1):
+            p = cs[k - 1] * ((-1) ** (k - 1) * k)
+            for i in range(1, k):
+                p = p + cs[i - 1] * sums[k - i - 1] * (-1) ** (i - 1)
+            sums.append(p)
+    else:
+        raise PreconditionError("todd_class needs roots or classes")
+    out = sums[0] * Fraction(1, 2) if top else model.zero()
+    for j, b in enumerate(bernoulli_numbers(top // 2), 1):
+        out = out - sums[2 * j - 1] * (b / (2 * j * factorial(2 * j)))
     return out
+
+
+def todd_class(model, roots=None, classes=None) -> CharacterClass:
+    """Td = exp(log Td) in every degree, from Chern roots or Chern classes
+    alike: Hirzebruch's multiplicative sequence of x / (1 - e^{-x})
+    (Topological Methods in Algebraic Geometry, section 1)."""
+    return log_todd_class(model, roots, classes).exp()
 
 
 def model_tangent_todd(model) -> CharacterClass:

@@ -11,6 +11,7 @@ from collections import namedtuple
 from .chern import (
     CharacterClass,
     get_model,
+    log_todd_class,
     model_tangent_euler,
     model_tangent_todd,
     twist_class,
@@ -83,10 +84,12 @@ def atiyah_singer_index(sys, model, symbol_class: CharacterClass, seed=0) -> Ind
 
 
 def de_rham_class(model) -> CharacterClass:
-    """K-class of the de Rham complex: Euler class over the Todd class."""
+    """K-class of the de Rham complex: Euler class over the Todd class,
+    e(T) exp(-log Td), an exact inverse since log Td has no degree-0 part."""
     if isinstance(model, str):
         model = get_model(model)
-    return model_tangent_euler(model) * model_tangent_todd(model).inverse()
+    log_td = log_todd_class(model, classes=model.tangent_classes)
+    return model_tangent_euler(model) * (log_td * -1).exp()
 
 
 def dolbeault_class(model) -> CharacterClass:

@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from spencerlab.chern import (
+    MODELS,
     CohomologyRingModel,
     chern_character,
     get_model,
@@ -114,6 +115,70 @@ def test_todd_from_roots_matches_classes_on_p4():
     td = model_tangent_todd(p4)
     assert td == todd_class(p4, roots=[h] * 5)
     assert td.integrate() == 1
+
+
+def projective_space(n):
+    """P^n by the recipe above: c(T P^n) = (1 + h)^(n + 1), so the Chern
+    roots of T P^n plus a trivial line are n + 1 copies of h."""
+    gens = ("h",)
+    return CohomologyRingModel(
+        name=f"P{n}",
+        generators=gens,
+        degrees=(1,),
+        nilpotency=(n,),
+        top_degree=n,
+        top_monomial=(n,),
+        tangent_classes=tuple(
+            MultiPoly(gens, {(k,): Fraction(comb(n + 1, k))}) for k in range(1, n + 1)
+        ),
+        polarization="h",
+    )
+
+
+PROJECTIVE = [projective_space(n) for n in range(1, 9)]
+
+
+@pytest.mark.parametrize("pn", PROJECTIVE, ids=lambda m: m.name)
+def test_todd_from_roots_matches_classes_in_every_degree(pn):
+    h = pn.generator_class("h")
+    td = todd_class(pn, classes=list(pn.tangent_classes))
+    assert td == todd_class(pn, roots=[h] * (pn.top_degree + 1))
+    assert td.integrate() == 1
+
+
+def test_todd_class_needs_roots_or_classes():
+    with pytest.raises(PreconditionError):
+        todd_class(get_model("P2"))
+
+
+def polynomial_binomial(n, d):
+    """C(n + d, n) as the polynomial (d + 1)(d + 2)...(d + n) / n!, which is
+    chi(O(d)) on P^n for every integer d (negative twists included)."""
+    out = Fraction(1)
+    for i in range(1, n + 1):
+        out *= Fraction(d + i, i)
+    return out
+
+
+@pytest.mark.parametrize("pn", PROJECTIVE, ids=lambda m: m.name)
+def test_riemann_roch_on_projective_spaces(pn):
+    n, td = pn.top_degree, model_tangent_todd(pn)
+    for d in range(-4, 5):
+        assert grr_index(twist_class(pn, d), td).index == polynomial_binomial(n, d)
+    assert polynomial_binomial(n, 2) == comb(n + 2, n)
+
+
+# the Euler number of each registry model; a model added without one fails
+REGISTRY_EULER = {"P1": 2, "P2": 3, "P3": 4, "S2": 2, "P1xP1": 4, "elliptic_curve": 0}
+
+
+@pytest.mark.parametrize("model, euler", [
+    pytest.param(pn, pn.top_degree + 1, id=f"built-{pn.name}") for pn in PROJECTIVE
+] + [
+    pytest.param(MODELS[name], REGISTRY_EULER[name], id=name) for name in sorted(MODELS)
+])
+def test_de_rham_index_is_the_euler_number(model, euler):
+    assert grr_index(de_rham_class(model), model_tangent_todd(model)).index == euler
 
 
 # -- GRR integrals ----------------------------------------------------------------
