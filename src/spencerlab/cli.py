@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 stdout closed before the report was written,
 2 parse error, 3 precondition violation, 4 numeric failure.  All work runs
-on one thread.  The commands with a random grid (classify, restrict,
-index) take ``--seed`` and echo it in the report; the others reject it.
+on one thread.  The commands with a random grid (classify, restrict, and
+index with a DSL file) take ``--seed`` and echo it in the report; the
+others reject it.
 
 ``COMMANDS`` maps each subcommand to one handler, and each handler imports
 the engine layer it runs: the numeric commands start without the exact
@@ -116,9 +117,11 @@ def build_parser(command=None):
     p.add_argument("--other", default=None, help="second system (default: same)")
     p.add_argument("--copies", type=_int_at_least(2), default=None,
                    help="run the factorization checks up to this many copies")
-    p = add("index", seeded=True)
+    p = add("index")
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--system", default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of the random grid (with a file; default 0)")
     p.add_argument("--model", required=True)
     p.add_argument("--twist", type=int, default=None)
     p.add_argument("--symbol-class", dest="symbol_class", default="dolbeault",
@@ -411,6 +414,7 @@ def _kunneth(args, job):
 
     sys_ = job.system
     if args.copies is not None:
+        _reject_unused(args, ("other",), "with --copies")
         return {"system": sys_.name,
                 "factorization": factorization_check(sys_, max_copies=args.copies)}
     other = _named(job.doc.systems, args.other, "--other", "system") if args.other else sys_
@@ -431,8 +435,12 @@ def _index(args, job):
     from .index import (atiyah_singer_index, de_rham_class, dolbeault_class, grr_index,
                         twisted_dolbeault_class)
 
-    if args.system is not None and args.file is None:
-        raise ParseError("--system: needs a DSL file argument")
+    if args.file is None:
+        if args.system is not None:
+            raise ParseError("--system: needs a DSL file argument")
+        _reject_unused(args, ("seed",), "without a DSL file")
+    if args.symbol_class == "de-rham":
+        _reject_unused(args, ("twist",), "by --symbol-class de-rham")
     model = get_model(args.model)
     if args.twist is not None or args.symbol_class == "twist":
         symbol_class = twisted_dolbeault_class(model, args.twist or 0)
@@ -441,7 +449,8 @@ def _index(args, job):
     else:
         symbol_class = dolbeault_class(model)
     if args.file:
-        report = atiyah_singer_index(job.system, model, symbol_class, seed=args.seed)
+        seed = job.arguments.setdefault("seed", 0)
+        report = atiyah_singer_index(job.system, model, symbol_class, seed=seed)
     else:
         report = grr_index(symbol_class, model_tangent_todd(model), model)
     return {"model": args.model, "index": report.index, "method": report.method,
@@ -504,6 +513,8 @@ def _det(args, job):
             )
         spec = spectra[args.spectrum]
     elif args.model is not None:
+        if args.file is not None:
+            raise ParseError(f"file {args.file!r}: not used by --model {args.model}")
         spec = _model_spectrum(args)
     else:
         raise PreconditionError("det needs --model or a --spectrum block")
@@ -566,7 +577,7 @@ def dispatch(args):
         arguments=job.arguments,
         payload=payload,
         source_hash=job.source_hash,
-        seed=getattr(args, "seed", None),
+        seed=job.arguments.get("seed"),
         provenance=job.provenance,
     )
 

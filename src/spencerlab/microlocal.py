@@ -561,9 +561,6 @@ class ConeSpec(namedtuple("ConeSpec", "generators kind")):
         if kind == "open-convex":
             if ExactMatrix(generators).rank() != len(generators):
                 raise PreconditionError("open-convex cones need independent generators")
-            for g, h in combinations(generators, 2):
-                if _opposite(g, h):
-                    raise PreconditionError("open-convex cone contains an opposite pair")
         return super().__new__(cls, generators, kind)
 
     def contains(self, xi):
@@ -581,17 +578,6 @@ class ConeSpec(namedtuple("ConeSpec", "generators kind")):
                     if self.kind == "closed" or all(c > 0 for c in sol):
                         return True
         return False
-
-
-def _opposite(g, h):
-    ratios = set()
-    for a, b in zip(g, h):
-        if a == 0 and b == 0:
-            continue
-        if a == 0 or b == 0:
-            return False
-        ratios.add(Fraction(a) / Fraction(b))
-    return len(ratios) == 1 and next(iter(ratios)) < 0
 
 
 def cones_intersect_trivially(a: ConeSpec, b: ConeSpec):
@@ -781,7 +767,6 @@ def noncharacteristic_restrict(sys: PdeSystem, embedding_columns, grid_seed=0):
         raise PreconditionError("embedding must be injective")
     conormals = emb.transpose().kernel_basis()  # functionals killing L
     cv = characteristic_ideal(sys)
-    amb = cv.ambient
 
     # substitute x = E xbar, xi = sum s_a * conormal_a
     par_vars = tuple(f"s{i+1}" for i in range(len(conormals))) + tuple(
@@ -798,11 +783,8 @@ def noncharacteristic_restrict(sys: PdeSystem, embedding_columns, grid_seed=0):
         for a, nu in enumerate(conormals):
             expr = expr + MultiPoly.variable(par_vars, f"s{a+1}") * nu[i]
         subs[xi_name(v)] = expr
-    substituted = [g.extend(amb).substitute(subs) if g.vars != amb else g.substitute(subs)
-                   for g in cv.ideal.generators]
-    substituted = [g for g in substituted if g]
 
-    restricted_ideal = PolyIdeal(par_vars, substituted)
+    restricted_ideal = PolyIdeal(par_vars, [g.substitute(subs) for g in cv.ideal.generators])
     s_norm = MultiPoly.zero(par_vars)
     for a in range(len(conormals)):
         v = MultiPoly.variable(par_vars, f"s{a+1}")

@@ -178,9 +178,11 @@ def symbol_dimensions(sys: PdeSystem):
 def finite_type_dimensions(sys: PdeSystem, bound=6):
     """dim g^q for q <= order + bound, through the first zero: the system is of
     finite type within the bound iff the list ends in 0, and then l0, the
-    largest order with a nonzero symbol, is its length minus 2."""
+    largest order with a nonzero symbol, is its length minus 2.  A last
+    order past the jet work budget is a PreconditionError up front."""
     if bound < 1:
         raise PreconditionError("bound must be >= 1")
+    check_jet_budget(sys.n, sys.m, sys.order + bound)
     return list(islice(symbol_dimensions(sys), sys.order + bound + 1))
 
 
@@ -201,7 +203,9 @@ def solution_dim_bound(sys: PdeSystem) -> int:
 
 
 def poincare_series(sys: PdeSystem, max_k=8):
-    """Coefficient at z^k = growth of the solution-jet fiber = dim g^k."""
+    """Coefficient at z^k = growth of the solution-jet fiber = dim g^k; a
+    max_k past the jet work budget is a PreconditionError up front."""
+    check_jet_budget(sys.n, sys.m, max_k)
     return list(islice(chain(symbol_dimensions(sys), repeat(0)), max_k + 1))
 
 

@@ -26,7 +26,10 @@ from .systems import PdeSystem, add_index, multiindices
 
 # Largest column count m * C(n + q - 1, q) of a symbol matrix; a jet order
 # past it exits 3 before any row is built, as LATTICE_BUDGET guards the
-# lattice sums.  It refuses absurd orders, it does not bound the run time.
+# lattice sums.  All six jet commands check the last order they may build
+# up front, so finite-type --bound 100000 exits 3 at once even on a
+# finite-type system, as involutivity --bound 100000 does.  It bounds
+# requested orders, not the run time.
 # The largest symbol matrix of the tests and the benchmark has 135 columns;
 # default involutivity (order k + 8 + n) on Killing's equations in 5
 # variables needs 15300 and takes about 17 s; the Laplacian at 2000 columns

@@ -198,17 +198,6 @@ def first_order_flat_system(a_matrix):
     return make_system(("x",), tuple(f"u{j+1}" for j in range(m)), eqs, name="flat_ode")
 
 
-GALLERY = {
-    "laplace": laplace_system,
-    "wave": wave_system,
-    "heat": heat_system,
-    "cauchy_riemann": cauchy_riemann_system,
-    "tricomi": tricomi_system,
-    "dx": dx_system,
-    "gradient": gradient_system,
-}
-
-
 def linear_change_of_vars(sys: PdeSystem, a_rows):
     """Pull a constant-coefficient system back along x -> A x (A invertible).
 

@@ -467,6 +467,47 @@ def test_cli_index_system_needs_a_file(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["kunneth", "wave.pde", "--copies", "2", "--other", "nope"],
+     "--other: not used with --copies"),
+    (["index", "--model", "P1", "--symbol-class", "de-rham", "--twist", "2"],
+     "--twist: not used by --symbol-class de-rham"),
+    (["index", "--model", "P1", "--seed", "5"], "--seed: not used without a DSL file"),
+    (["det", "missing.pde", "--model", "circle", "--length", "2"],
+     "file 'missing.pde': not used by --model circle"),
+], ids=["kunneth-other", "index-de-rham-twist", "index-seed", "det-file"])
+def test_cli_argument_that_the_mode_does_not_read_exits_2(capsys, tmp_path, monkeypatch,
+                                                          argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "wave.pde").write_text(WAVE)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, index", [
+    (["--twist", "2"], 3),
+    (["--symbol-class", "dolbeault", "--twist", "2"], 3),
+    (["--symbol-class", "twist"], 1),
+    (["--symbol-class", "twist", "--twist", "-3"], -2),
+    (["--symbol-class", "de-rham"], 2),
+])
+def test_cli_index_without_a_file_has_no_seed(capsys, argv, index):
+    assert main(["index", "--model", "P1", *argv]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["result"]["index"] == index
+    assert data["seed"] is None and "seed" not in data["arguments"]
+
+
+def test_cli_index_with_a_file_defaults_the_seed_to_0(capsys, tmp_path):
+    pde = tmp_path / "cr.pde"
+    pde.write_text("system cr { vars x, y; unknowns u; "
+                   "eq: 1/2*D[x](u) + 1/2*i*D[y](u) = 0; }")
+    assert main(["index", str(pde), "--model", "P1"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["seed"] == data["arguments"]["seed"] == 0
+
+
 # (mode, exact, finite_difference, residual, bound, within_bound) as reported
 CROSSCHECK_2PI_64 = [
     (1, 1.0, 0.999197067539229, 0.000802932460770678, 0.00120478569449235, True),
@@ -854,6 +895,8 @@ QUADRIC = ("system quad { vars x, y, z; unknowns u; "
     ["involutivity", "--bound", "100000"],
     ["spencer", "--order", "100000"],
     ["prolong", "--count", "100000"],
+    ["poincare", "--order", "100000"],
+    ["finite-type", "--bound", "100000"],
 ])
 def test_cli_jet_order_past_the_work_budget_exits_3(capsys, tmp_path, argv):
     pde = tmp_path / "quad.pde"
