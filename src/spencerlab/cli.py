@@ -272,22 +272,23 @@ def _model_spectrum(args):
 
 
 def _symbol(args, job):
-    from .symbols import geometric_symbol, symbol_space
+    from .symbols import symbol_space
 
     sys_ = job.system
     q = args.order if args.order is not None else sys_.order
-    space = symbol_space(sys_, q) if q != sys_.order else geometric_symbol(sys_)
+    space = symbol_space(sys_, q)
     return {"system": sys_.name, "degree": q, "dimension": space.dim,
             "ambient_dimension": space.ambient_dim}
 
 
 def _prolong(args, job):
-    from .symbols import geometric_symbol, prolongations
+    from .symbols import check_jet_budget, symbol_space
 
     sys_ = job.system
-    dims = [space.dim for space in prolongations(geometric_symbol(sys_), args.count)]
-    return {"system": sys_.name, "dimensions": dims,
-            "orders": list(range(sys_.order, sys_.order + args.count + 1))}
+    orders = range(sys_.order, sys_.order + args.count + 1)
+    check_jet_budget(sys_.n, sys_.m, orders[-1])
+    return {"system": sys_.name, "orders": list(orders),
+            "dimensions": [symbol_space(sys_, q).dim for q in orders]}
 
 
 def _spencer(args, job):

@@ -10,6 +10,13 @@ import math
 
 from .errors import NumericError, PreconditionError
 
+# Largest N; a larger one exits 3 before any list is built, as JET_BUDGET
+# and LATTICE_BUDGET guard the jet and lattice layers.  The tests and the
+# benchmark use at most N = 256.  As a fresh command, N = 65536 takes about
+# 0.5 s and writes a 2.4 MB report; N = 10^6 takes 4-5 s and writes 37.5 MB
+# (Python 3.11, 2 vCPUs); the work and the report grow linearly with N.
+CROSSCHECK_BUDGET = 2**16
+
 
 def fd_spectrum_crosscheck(length, n_points):
     """Periodic finite-difference eigenvalues against exact circle modes.
@@ -20,6 +27,10 @@ def fd_spectrum_crosscheck(length, n_points):
     """
     if n_points < 8:
         raise PreconditionError("crosscheck needs N >= 8")
+    if n_points > CROSSCHECK_BUDGET:
+        raise PreconditionError(
+            f"crosscheck N = {n_points} is past the work budget of {CROSSCHECK_BUDGET} points"
+        )
     try:
         return _fd_crosscheck(float(length), n_points)
     except OverflowError:

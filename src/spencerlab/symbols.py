@@ -1,4 +1,4 @@
-"""Geometric symbols of linear systems and their prolongations.
+"""Geometric symbols of linear systems: the symbol spaces g^q.
 
 The degree-q symbol space of a system sits inside Sym^q(V*) (x) W, whose
 basis we index by pairs (unknown a, multi-index gamma with |gamma| = q).
@@ -11,6 +11,14 @@ Rows of the order-q symbol matrix are prolonged principal parts: for an
 equation of intrinsic order r and every |beta| = q - r, the condition
 sum_a sum_{|alpha| = r} c_{a,alpha}(x0) t_{a, alpha + beta} = 0, at the
 system's base point x0 (`frozen_system(sys, x)` moves it to x).
+
+`symbol_space(sys, q)` is the one constructor of g^q, at every order.  From
+the system order k on it is also the prolongation of the symbol: every
+order-(q+1) row is xi_j times an order-q row, so t lies in g^{q+1} iff each
+shift_j t lies in g^q, that is g^{q+1} = (g^q)^{(1)} (Seiler, *Involution*,
+2010, ch. 7).  One degeneracy rule holds for every q >= k: when every
+order-k equation's principal part vanishes at x0, the symbol is not that
+of an order-k system, and `symbol_rows` raises DegenerateSymbolError.
 """
 
 from __future__ import annotations
@@ -74,11 +82,14 @@ def shift_vector(vec, n, m, q, j):
 
 def symbol_rows(sys: PdeSystem, q):
     """Prolonged principal-symbol rows at jet order q, evaluated at the
-    system's base point, as dicts column -> coefficient."""
+    system's base point, as dicts column -> coefficient.  From the system
+    order k on, a system whose every order-k principal part vanishes there
+    is a DegenerateSymbolError."""
     n, m = sys.n, sys.m
     pt = sys.point_map()
     cols = basis_index(n, m, q)
     rows = []
+    top_alive = False
     for eq in sys.equations:
         r = eq.order()
         if r < 0 or r > q:
@@ -88,12 +99,19 @@ def symbol_rows(sys: PdeSystem, q):
             for (a, alpha), coeff in eq.principal_terms().items()
             if (value := coeff.evaluate(pt))
         ]
+        top_alive = top_alive or (r == sys.order and bool(principal))
         for beta in multiindices(n, q - r):
             row = {}
             for a, alpha, value in principal:
                 c = cols[(a, tuple(x + y for x, y in zip(alpha, beta)))]
                 row[c] = row[c] + value if c in row else value
             rows.append(row)
+    if q >= sys.order and sys.equations and not top_alive:
+        at = ", ".join(f"{v} = {x}" for v, x in pt.items())
+        raise DegenerateSymbolError(
+            f"principal part of order {sys.order} vanishes at the base point "
+            f"{at}; a `point` line in the system moves it"
+        )
     return rows
 
 
@@ -133,53 +151,3 @@ def symbol_space(sys: PdeSystem, q) -> SymbolSpace:
     check_jet_budget(n, m, q)
     mat = ExactMatrix.sparse(symbol_rows(sys, q), len(sym_basis(n, m, q)))
     return SymbolSpace(q, n, m, mat.kernel_basis(), mat)
-
-
-def geometric_symbol(sys: PdeSystem) -> SymbolSpace:
-    """Order-k symbol at the base point; degenerate when the principal part
-    dies there."""
-    if sys.equations:
-        pt = sys.point_map()
-        top_rows_alive = False
-        for eq in sys.equations:
-            if eq.order() == sys.order and any(
-                coeff.evaluate(pt) for coeff in eq.principal_terms().values()
-            ):
-                top_rows_alive = True
-                break
-        if not top_rows_alive:
-            raise DegenerateSymbolError(
-                f"principal part of order {sys.order} vanishes at {pt}"
-            )
-    return symbol_space(sys, sys.order)
-
-
-def prolong_subspace(space: SymbolSpace) -> SymbolSpace:
-    """First prolongation {t in Sym^{q+1} (x) W : shift_j t in g for all j}."""
-    n, m, q = space.n, space.m, space.degree
-    # the functionals vanishing on g are the row space of its presentation
-    funcs, _ = space.presentation.rref()
-    rows = []
-    for j in range(n):
-        # phi(shift_j t) = 0 for every functional phi vanishing on g
-        src = _shift_sources(n, m, q + 1, j)
-        for phi in funcs:
-            rows.append({src[c]: x for c, x in phi.items()})
-    mat = ExactMatrix.sparse(rows, len(sym_basis(n, m, q + 1)))
-    return SymbolSpace(q + 1, n, m, mat.kernel_basis(), mat)
-
-
-def prolongations(space: SymbolSpace, ell: int) -> list:
-    """space and its first ell prolongations, in order; a last jet order past
-    the work budget is a PreconditionError before any is built."""
-    if ell < 0:
-        raise ValueError("prolongation count must be >= 0")
-    check_jet_budget(space.n, space.m, space.degree + ell)
-    out = [space]
-    for _ in range(ell):
-        out.append(prolong_subspace(out[-1]))
-    return out
-
-
-def prolong(space: SymbolSpace, ell: int) -> SymbolSpace:
-    return prolongations(space, ell)[-1]

@@ -245,6 +245,12 @@ def test_cli_crosscheck(capsys):
     assert data["result"]["all_within_bound"] is True
 
 
+@pytest.mark.parametrize("n", ["65537", "100000000"])
+def test_cli_crosscheck_past_the_work_budget_exits_3(capsys, n):
+    assert main(["crosscheck", "--length", "1", "--n", n]) == 3
+    assert "work budget of 65536 points" in capsys.readouterr().err
+
+
 def test_cli_kunneth(capsys, tmp_path):
     pde = tmp_path / "wave.pde"
     pde.write_text(WAVE)
@@ -916,12 +922,35 @@ def test_jet_budget_boundary():
         check_jet_budget(2, 1, 20000)
 
 
-def test_library_prolong_past_the_work_budget_raises():
-    from spencerlab.symbols import geometric_symbol, prolong
+# x*u_xx + x*u_yy + u_x = 0: its second-order part dies at the origin
+DEGENERATE = ("system deg { vars x, y; unknowns u; "
+              "eq: x*D[x,x](u) + x*D[y,y](u) + D[x](u) = 0; }")
 
-    space = geometric_symbol(parse_pde_dsl(QUADRIC).systems["quad"])
-    with pytest.raises(PreconditionError, match="work budget"):
-        prolong(space, 100000)
+
+@pytest.mark.parametrize("argv", [
+    ["symbol"],
+    ["symbol", "--order", "3"],
+    ["prolong"],
+    ["spencer"],
+    ["involutivity"],
+    ["finite-type"],
+    ["poincare", "--order", "4"],
+])
+def test_cli_jet_command_on_a_degenerate_symbol_exits_3(capsys, tmp_path, argv):
+    pde = tmp_path / "deg.pde"
+    pde.write_text(DEGENERATE)
+    assert main([argv[0], str(pde), *argv[1:]]) == 3
+    err = capsys.readouterr().err
+    assert "principal part of order 2 vanishes at the base point x = 0, y = 0" in err
+
+
+def test_cli_poincare_below_a_degenerate_order_is_free_jet_growth(capsys, tmp_path):
+    pde = tmp_path / "deg.pde"
+    pde.write_text(DEGENERATE)
+    assert main(["poincare", str(pde), "--order", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["coefficients"] == [1, 2]
+    pde.write_text(DEGENERATE.replace("unknowns u;", "unknowns u; point 1, 0;"))
+    assert main(["poincare", str(pde), "--order", "4"]) == 0
 
 
 KILLING_4D = """

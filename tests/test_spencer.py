@@ -23,9 +23,10 @@ from spencerlab.spencer import (
     spencer_complex,
     to_flat_connection,
 )
-from spencerlab.symbols import geometric_symbol, prolong, symbol_space
+from spencerlab.symbols import basis_index, shift_vector, sym_basis, symbol_space
 from spencerlab.systems import (
     PdeSystem,
+    add_index,
     first_order_flat_system,
     free_system,
     gradient_system,
@@ -45,37 +46,39 @@ from spencerlab.scalars import QQi
 
 def test_laplace_symbol_dimension():
     # ambient dim 3 at order 2, one independent condition
-    g2 = geometric_symbol(laplace_system())
+    g2 = symbol_space(laplace_system(), 2)
     assert g2.ambient_dim == 3
     assert g2.dim == 2
 
 
 def test_gradient_symbol_vanishes():
-    assert geometric_symbol(gradient_system()).dim == 0
+    assert symbol_space(gradient_system(), 1).dim == 0
 
 
 def test_free_symbol_is_ambient():
-    g = geometric_symbol(free_system(2, 1, 2))
+    g = symbol_space(free_system(2, 1, 2), 2)
     assert g.dim == g.ambient_dim == 3
 
 
 def test_degenerate_symbol_error():
     y = MultiPoly.variable(("x", "y"), "y")
     sys = make_system(("x", "y"), ("u",), [[(y, 0, (2, 0))]])
-    with pytest.raises(DegenerateSymbolError):
-        geometric_symbol(sys)  # base point (0,0) kills y*u_xx
+    for q in (2, 3):
+        with pytest.raises(DegenerateSymbolError, match="x = 0, y = 0; a `point` line"):
+            symbol_space(sys, q)  # base point (0,0) kills y*u_xx
+    assert symbol_space(sys, 1).dim == 2  # below the system order there is no row
 
 
 def test_tricomi_symbol_at_origin_not_degenerate():
     # u_yy survives at y = 0
-    assert geometric_symbol(tricomi_system()).dim == 2
+    assert symbol_space(tricomi_system(), 2).dim == 2
 
 
 # -- prolongation -----------------------------------------------------------------
 
 
 def test_symbol_coordinates_check_membership():
-    g2 = geometric_symbol(laplace_system())
+    g2 = symbol_space(laplace_system(), 2)
     for k, v in enumerate(g2.basis):
         assert g2.coordinates(v) == [int(k == l) for l in range(g2.dim)]
     outside = [1] + [0] * (g2.ambient_dim - 1)  # u_xx alone violates u_xx + u_yy = 0
@@ -83,40 +86,48 @@ def test_symbol_coordinates_check_membership():
 
 
 def test_prolong_zero_stays_zero():
-    g1 = geometric_symbol(gradient_system())
-    assert prolong(g1, 3).dim == 0
+    assert symbol_space(gradient_system(), 4).dim == 0
 
 
 def test_prolong_laplace_harmonic_count():
-    # degree-3 harmonics in two variables form a 2-dim space
-    g2 = geometric_symbol(laplace_system())
-    assert prolong(g2, 1).dim == 2
-    assert prolong(g2, 2).dim == 2
+    # degree-3 and degree-4 harmonics in two variables form 2-dim spaces
+    assert symbol_space(laplace_system(), 3).dim == 2
+    assert symbol_space(laplace_system(), 4).dim == 2
 
 
 def test_prolong_full_jet():
-    g = geometric_symbol(free_system(2, 1, 2))
-    p = prolong(g, 1)
-    assert p.dim == p.ambient_dim == 4
+    g = symbol_space(free_system(2, 1, 2), 3)
+    assert g.dim == g.ambient_dim == 4
 
 
 def test_prolongation_matches_direct_symbol():
-    # iterated subspace prolongation agrees with prolonged-row kernels
+    # g^{q+1} = (g^q)^(1) from the system order on: t is in g^{q+1} iff
+    # every shift_j t is in g^q.  The prolongation is built here as the
+    # kernel of the rows phi o shift_j, phi a row of g^q's presentation.
     for sys in (laplace_system(), wave_system(), gradient_system(), heat_system()):
-        gk = geometric_symbol(sys)
-        for ell in (1, 2):
-            assert prolong(gk, ell).dim == symbol_space(sys, sys.order + ell).dim
+        n, m = sys.n, sys.m
+        for q in range(sys.order, sys.order + 2):
+            lo, hi = symbol_space(sys, q), symbol_space(sys, q + 1)
+            raised = basis_index(n, m, q + 1)
+            # raise_j[j][c]: the column of e_j times degree-q basis element c
+            raise_j = [[raised[(a, add_index(gamma, j))] for a, gamma in sym_basis(n, m, q)]
+                       for j in range(n)]
+            rows = [{raise_j[j][c]: x for c, x in lo.presentation.row(i).items()}
+                    for j in range(n) for i in range(lo.presentation.rows)]
+            prolonged = ExactMatrix.sparse(rows, hi.ambient_dim)
+            assert hi.dim == hi.ambient_dim - prolonged.rank()
+            for v in hi.basis:
+                assert all(lo.coordinates(shift_vector(v, n, m, q + 1, j)) is not None
+                           for j in range(n))
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 2), st.integers(1, 2))
 def test_prolongation_monotonicity(n, m, k):
+    # the growth bound dim g^{q+1} <= n dim g^q
     sys = free_system(n, m, k)
-    g = geometric_symbol(sys)
-    for _ in range(2):
-        nxt = prolong(g, 1)
-        assert nxt.dim <= n * g.dim
-        g = nxt
+    for q in range(k, k + 2):
+        assert symbol_space(sys, q + 1).dim <= n * symbol_space(sys, q).dim
 
 
 # -- Spencer complexes and cohomology ----------------------------------------------

@@ -3,7 +3,7 @@ import math
 import pytest
 from mpmath import gamma, mp, mpf, pi, qp, exp as mexp, mpc
 
-from spencerlab.crosscheck import fd_spectrum_crosscheck
+from spencerlab.crosscheck import CROSSCHECK_BUDGET, fd_spectrum_crosscheck
 from spencerlab.errors import PoleError, PreconditionError
 from spencerlab.spectra import SpectrumModel
 from spencerlab.torsion import (
@@ -336,6 +336,12 @@ def test_fd_crosscheck_coarse_grid_ordered():
 def test_fd_crosscheck_requires_enough_points():
     with pytest.raises(PreconditionError):
         fd_spectrum_crosscheck(TWO_PI, 4)
+
+
+def test_fd_crosscheck_budget_boundary():
+    assert fd_spectrum_crosscheck(TWO_PI, CROSSCHECK_BUDGET)["modes_checked"] == 16384
+    with pytest.raises(PreconditionError, match="work budget"):
+        fd_spectrum_crosscheck(TWO_PI, CROSSCHECK_BUDGET + 1)
 
 
 def test_quillen_continuity_in_each_det():
