@@ -237,7 +237,7 @@ def _parse_table(text, option, value, bare_degree=False):
 
 def _parse_tau(text):
     if text is None:
-        raise PreconditionError("--tau required for the torus model")
+        raise ParseError("--tau required for the torus model")
     try:
         parts = [_finite_float(x) for x in str(text).split(",")]
     except argparse.ArgumentTypeError:
@@ -262,7 +262,7 @@ def _model_spectrum(args):
     if args.model == "circle":
         _reject_unused(args, ("tau",), "by --model circle")
         if args.length is None:
-            raise PreconditionError("--length required for the circle model")
+            raise ParseError("--length required for the circle model")
         return SpectrumModel.circle(args.length)
     _reject_unused(args, ("length",), "by --model torus")
     return SpectrumModel.flat_torus(_parse_tau(args.tau))
@@ -372,7 +372,7 @@ def _classify(args, job):
         return {"system": sys_.name, "elliptic": ok, "certificate": cert}
     if args.mode == "hyperbolic":
         if direction is None:
-            raise PreconditionError("--direction is required for hyperbolicity")
+            raise ParseError("--direction is required for hyperbolicity")
         rep = is_hyperbolic(sys_, direction, seed=args.seed)
         return {"system": sys_.name, "hyperbolic": rep.value, "status": rep.status,
                 "certificate": rep.certificate}
@@ -506,7 +506,7 @@ def _det(args, job):
     if args.spectrum is not None:
         _reject_unused(args, ("model", "length", "tau"), "with --spectrum")
         if args.file is None:
-            raise PreconditionError("--spectrum needs a DSL file argument")
+            raise ParseError("--spectrum needs a DSL file argument")
         spectra = job.doc.spectra
         if args.spectrum not in spectra:
             raise PreconditionError(
@@ -518,7 +518,7 @@ def _det(args, job):
             raise ParseError(f"file {args.file!r}: not used by --model {args.model}")
         spec = _model_spectrum(args)
     else:
-        raise PreconditionError("det needs --model or a --spectrum block")
+        raise ParseError("det needs --model or a --spectrum block")
     if args.scale != 1.0:
         spec = spec.scaled(args.scale)
     value, err, method = regularized_det(spec, method=args.method)

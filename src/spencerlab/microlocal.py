@@ -372,12 +372,16 @@ def _definiteness(terms):
 
 
 def _ellipticity(quadratic, samples, saturates, count):
-    """The one ellipticity ladder: (verdict, certificate).
+    """The one ellipticity ladder: (verdict, certificate).  is_elliptic,
+    classify_mixed (per frozen base point) and noncharacteristic_restrict
+    (on the restricted variety) all decide through it.
 
     quadratic: the integer terms of the one frozen principal symbol, or
     None.  samples: (x, xi, integer generators at x, integer xi) tuples,
-    read lazily.  saturates: the saturation test, called only when no
-    sample is a counterexample.  count: the samples a grid verdict covers.
+    read lazily; the test uses the integer xi, and xi is only the covector
+    a counterexample certificate names.  saturates: the saturation test,
+    called only when no sample is a counterexample.  count: the samples a
+    grid verdict covers.
 
     Exact definiteness decides a real quadratic form in both directions (a
     non-definite one always has a real zero off the origin, rational or
@@ -754,11 +758,19 @@ def classify_mixed(
 
 
 def noncharacteristic_restrict(sys: PdeSystem, embedding_columns, grid_seed=0):
-    """Restrict along a rational linear embedding L -> R^n.
+    """Restrict a scalar system along a rational linear embedding L -> R^n.
 
-    embedding_columns: list of d column vectors spanning L.  Returns
-    (restricted system or None, noncharacteristic flag, certificate).
+    embedding_columns: d column vectors spanning L.  Returns (restricted
+    system or None, noncharacteristic flag, certificate).  L is
+    noncharacteristic iff Char(P) meets its conormal bundle only in the zero
+    section (Kashiwara-Schapira 1990, 5.4), that is iff Char(P) pulled back
+    to (xbar in L, xi = sum s_a nu_a), nu_a a basis of the conormals, is
+    elliptic in s; _ellipticity decides it.  Certificates: full-dimensional
+    (L = R^n), violating-conormal (a real conormal and base point on
+    Char(P)), saturation or grid.
     """
+    if sys.m != 1:
+        raise PreconditionError("restriction implemented for scalar systems")
     n = sys.n
     cols = [tuple(Fraction(v) for v in c) for c in embedding_columns]
     d = len(cols)
@@ -766,81 +778,52 @@ def noncharacteristic_restrict(sys: PdeSystem, embedding_columns, grid_seed=0):
     if emb.rank() != d:
         raise PreconditionError("embedding must be injective")
     conormals = emb.transpose().kernel_basis()  # functionals killing L
-    cv = characteristic_ideal(sys)
+    if not conormals:
+        return _pullback_system(sys, cols), True, {"kind": "full-dimensional"}
+    k = len(conormals)
+    xb = tuple(f"xb{j+1}" for j in range(d))
+    s = tuple(f"s{a+1}" for a in range(k))
+    subs = _linear_substitution(sys, xb + s, cols, conormals)
+    gens = [g.substitute(subs) for g in characteristic_ideal(sys).ideal.generators]
+    rcv = CharVariety(xb, s, PolyIdeal(xb + s, gens), True)
+    symbol = _IntSymbol([_poly_terms(g, d) for g in rcv.ideal.generators], d)
 
-    # substitute x = E xbar, xi = sum s_a * conormal_a
-    par_vars = tuple(f"s{i+1}" for i in range(len(conormals))) + tuple(
-        f"xb{i+1}" for i in range(d)
-    )
+    def samples():
+        """The unit parameters, then 40 seeded ones (all drawn before any
+        base point), each nonzero one at 5 seeded base points in [-2, 2]^d."""
+        rng = random.Random(grid_seed)
+        units = [[int(a == b) for b in range(k)] for a in range(k)]
+        for vec in units + [[rng.randint(-3, 3) for _ in range(k)] for _ in range(40)]:
+            if any(vec):
+                for _ in range(5):
+                    base = tuple(rng.randint(-2, 2) for _ in range(d))
+                    # the conormal, computed only if a certificate reads it
+                    nu = (sum(c * conormals[a][i] for a, c in enumerate(vec)) for i in range(n))
+                    yield base, nu, symbol.at(_rational_key(base)), vec
+
+    ok, cert = _ellipticity(None, samples(), lambda: _saturates(rcv), k + 40)
+    if not ok:
+        return None, False, {"kind": "violating-conormal", "conormal": cert["xi"],
+                             "base": cert["x"]}
+    return _pullback_system(sys, cols), True, cert
+
+
+def _linear_substitution(sys: PdeSystem, amb, cols, covectors):
+    """x = sum_j amb[j] cols[j] and xi = sum_a amb[len(cols) + a] covectors[a],
+    as polynomials over amb."""
+    def combination(names, vectors, i):
+        return sum((MultiPoly.variable(amb, name) * vec[i] for name, vec in zip(names, vectors)),
+                   MultiPoly.zero(amb))
+
+    base, fibre = amb[: len(cols)], amb[len(cols):]
     subs = {}
     for i, v in enumerate(sys.indep_vars):
-        expr = MultiPoly.zero(par_vars)
-        for j in range(d):
-            expr = expr + MultiPoly.variable(par_vars, f"xb{j+1}") * cols[j][i]
-        subs[v] = expr
-    for i, v in enumerate(sys.indep_vars):
-        expr = MultiPoly.zero(par_vars)
-        for a, nu in enumerate(conormals):
-            expr = expr + MultiPoly.variable(par_vars, f"s{a+1}") * nu[i]
-        subs[xi_name(v)] = expr
-
-    restricted_ideal = PolyIdeal(par_vars, [g.substitute(subs) for g in cv.ideal.generators])
-    s_norm = MultiPoly.zero(par_vars)
-    for a in range(len(conormals)):
-        v = MultiPoly.variable(par_vars, f"s{a+1}")
-        s_norm = s_norm + v * v
-    certificate = None
-    ok = False
-    if not conormals:
-        ok, certificate = True, {"kind": "full-dimensional"}
-    elif restricted_ideal.generators and saturation_is_unit(restricted_ideal, s_norm):
-        ok, certificate = True, {"kind": "saturation"}
-    else:
-        # grid falsification over conormal parameters and base points
-        rng = random.Random(grid_seed)
-        found = None
-        trials = []
-        for a in range(len(conormals)):
-            unit = [Fraction(0)] * len(conormals)
-            unit[a] = Fraction(1)
-            trials.append(unit)
-        for _ in range(40):
-            trials.append(
-                [Fraction(rng.randint(-3, 3)) for _ in range(len(conormals))]
-            )
-        for s_vals in trials:
-            if not any(s_vals):
-                continue
-            for _ in range(5):
-                xb = [Fraction(rng.randint(-2, 2)) for _ in range(d)]
-                point = {f"s{a+1}": s_vals[a] for a in range(len(conormals))}
-                point.update({f"xb{j+1}": xb[j] for j in range(d)})
-                if all(not g.evaluate(point) for g in restricted_ideal.generators):
-                    found = (s_vals, xb)
-                    break
-            if found:
-                break
-        if found is not None:
-            s_vals, xb = found
-            nu = [
-                sum(Fraction(s_vals[a]) * conormals[a][i] for a in range(len(conormals)))
-                for i in range(n)
-            ]
-            return None, False, {
-                "kind": "violating-conormal",
-                "conormal": [str(v) for v in nu],
-                "base": [str(v) for v in xb],
-            }
-        ok, certificate = True, {"kind": "grid", "samples": len(trials)}
-
-    restricted = _pullback_system(sys, cols) if ok else None
-    return restricted, ok, certificate
+        subs[v], subs[xi_name(v)] = combination(base, cols, i), combination(fibre, covectors, i)
+    return subs
 
 
 def _pullback_system(sys: PdeSystem, cols):
     """Scalar pullback: substitute the rational splitting xi = E (E^T E)^-1 eta."""
-    if sys.m != 1:
-        raise PreconditionError("restriction implemented for scalar systems")
     n, d = sys.n, len(cols)
     e = ExactMatrix([[cols[j][i] for j in range(d)] for i in range(n)])
     et_e = e.transpose() @ e
@@ -853,17 +836,8 @@ def _pullback_system(sys: PdeSystem, cols):
             sum(e[i, j] * w[j] for j in range(d)) for i in range(n)
         ])
     new_vars = tuple(f"y{i+1}" for i in range(d))
-    amb_new = new_vars + tuple(f"xi_{v}" for v in new_vars)
-    subs = {}
-    for i, v in enumerate(sys.indep_vars):
-        xexpr = MultiPoly.zero(amb_new)
-        for j in range(d):
-            xexpr = xexpr + MultiPoly.variable(amb_new, new_vars[j]) * cols[j][i]
-        subs[v] = xexpr
-        xiexpr = MultiPoly.zero(amb_new)
-        for a in range(d):
-            xiexpr = xiexpr + MultiPoly.variable(amb_new, f"xi_{new_vars[a]}") * lift_cols[a][i]
-        subs[xi_name(v)] = xiexpr
+    subs = _linear_substitution(sys, new_vars + tuple(f"xi_{v}" for v in new_vars),
+                                cols, lift_cols)
     eq_specs = []
     for row in principal_symbol_entries(sys):
         pulled = row[0].substitute(subs)

@@ -444,6 +444,26 @@ def test_cli_model_rejects_unused_option(capsys, argv, named, model):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["torsion", "--model", "circle"], "--length required for the circle model"),
+    (["det", "--model", "circle"], "--length required for the circle model"),
+    (["torsion", "--model", "torus"], "--tau required for the torus model"),
+    (["det", "--model", "torus"], "--tau required for the torus model"),
+    (["classify", "FILE", "--mode", "hyperbolic"], "--direction is required for hyperbolicity"),
+    (["det", "--spectrum", "circ"], "--spectrum needs a DSL file argument"),
+    (["det"], "det needs --model or a --spectrum block"),
+    (["det", "FILE"], "det needs --model or a --spectrum block"),
+], ids=["torsion-circle", "det-circle", "torsion-torus", "det-torus", "classify-hyperbolic",
+        "det-spectrum", "det", "det-file"])
+def test_cli_missing_option_the_mode_needs_exits_2(capsys, tmp_path, argv, message):
+    pde = tmp_path / "both.pde"
+    pde.write_text(WAVE + "spectrum circ { kind circle; length 6.283185307179586; }\n")
+    assert main([str(pde) if a == "FILE" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 # the required arguments of each subcommand other than det
 REQUIRED = {
     "symbol": ["s.pde"], "prolong": ["s.pde"], "spencer": ["s.pde"],

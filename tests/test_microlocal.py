@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from spencerlab.dsl import parse_pde_dsl
 from spencerlab.errors import PreconditionError
 from spencerlab.linalg import ExactMatrix
 from spencerlab.microlocal import (
@@ -541,6 +542,48 @@ def test_characteristic_restriction_detected():
     assert not ok
     assert cert["kind"] == "violating-conormal"
     assert restricted is None
+
+
+def _dsl_system(text):
+    return next(iter(parse_pde_dsl(text).systems.values()))
+
+
+TRICOMI_XY = "system tricomi { vars x, y; unknowns u; eq: y*D[x,x](u) + D[y,y](u) = 0; }"
+WAVE_TX = "system wave { vars t, x; unknowns u; eq: D[t,t](u) - D[x,x](u) = 0; }"
+# symbol (y - 3) xi_x xi_y: along x = y/2 it vanishes on the conormal only
+# over the base point 3/2, which no integer grid point hits
+OFF_GRID = "system off { vars x, y; unknowns u; eq: -3*D[y,x](u) + y*D[x,y](u) = 0; }"
+
+
+@pytest.mark.parametrize("text, columns, seed, ok, cert, equations", [
+    (TRICOMI_XY, [(1, 0), (0, 1)], 0, True, {"kind": "full-dimensional"},
+     [{(0, (2, 0)): "y2", (0, (0, 2)): "1"}]),
+    (TRICOMI_XY, [(1, 0)], 0, True, {"kind": "saturation"}, []),
+    (WAVE_TX, [(1, 1)], 0, False,
+     {"kind": "violating-conormal", "conormal": ["-1", "1"], "base": ["0"]}, None),
+    (WAVE_TX, [(1, 1)], 3, False,
+     {"kind": "violating-conormal", "conormal": ["-1", "1"], "base": ["2"]}, None),
+    (OFF_GRID, [(1, 2)], 0, True, {"kind": "grid", "samples": 41},
+     [{(0, (2,)): "4/25*y1 - 6/25"}]),
+], ids=["full-dimensional", "saturation", "violating-seed-0", "violating-seed-3", "grid"])
+def test_restriction_certificates_are_pinned(text, columns, seed, ok, cert, equations):
+    restricted, got_ok, got_cert = noncharacteristic_restrict(_dsl_system(text), columns,
+                                                              grid_seed=seed)
+    assert (got_ok, got_cert) == (ok, cert)
+    if equations is None:
+        assert restricted is None
+    else:
+        assert [{key: str(c) for key, c in eq.terms.items()}
+                for eq in restricted.equations] == equations
+
+
+def test_restriction_of_a_system_is_refused_before_any_work():
+    # the y-axis is noncharacteristic for both equations, the x-axis for neither
+    two = _dsl_system("system two { vars x, y; unknowns u, v; "
+                      "eq: D[x](u) = 0; eq: D[x](v) = 0; }")
+    for column in [(1, 0), (0, 1)]:
+        with pytest.raises(PreconditionError, match="scalar systems"):
+            noncharacteristic_restrict(two, [column])
 
 
 @settings(max_examples=10, deadline=None)

@@ -1,4 +1,4 @@
-"""An independent oracle for symbol dimensions.
+"""An independent oracle for symbol dimensions and delta-cohomology.
 
 Random constant-coefficient systems (n <= 3 variables, m <= 2 unknowns,
 equations of order 1 or 2, Gaussian-rational coefficients) are drawn as
@@ -17,12 +17,15 @@ terms added.  The oracle uses sympy and no spencerlab jet code:
   iff its complex characteristic variety is {0} (Pommaret 1978; Seiler,
   Involution, 2010): the maximal minors are then the Fitting ideal of the
   symbol module, so finite type must agree with a characteristic ideal of
-  Krull dimension n in (x, xi)-space.
+  Krull dimension n in (x, xi)-space;
+- g^q as a sympy kernel basis of those rows and delta built from its
+  definition give every dim H^{q,i} of the Spencer delta-complex.
 
-Symbol dimensions are compared for q <= k + 3, k the system order.
+Symbol dimensions are compared for q <= k + 3 and H^{q,i} for q <= k + 1,
+k the system order.
 """
 
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from hypothesis import given, settings
@@ -33,7 +36,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from spencerlab.dsl import parse_pde_dsl
 from spencerlab.microlocal import characteristic_ideal
-from spencerlab.spencer import is_finite_type, poincare_series
+from spencerlab.spencer import delta_cohomology, is_finite_type, poincare_series, spencer_complex
 from spencerlab.symbols import symbol_space
 
 VARS = ("x", "y", "z")
@@ -97,25 +100,87 @@ def _dsl_sum(coeffs, n):
     return " ".join(terms).removeprefix("+ ")
 
 
+def domain(sigmas):
+    return QQ_I if any(entry.has(I) for _, sigma in sigmas for entry in sigma) else QQ
+
+
+def prolonged_rows(n, m, sigmas, q, K):
+    """(columns, rows): the columns (a, gamma), |gamma| = q, by position, and
+    the rows xi^beta sigma_e(xi), |beta| = q - r_e, read per unknown."""
+    cols = {(a, gamma): i for i, (a, gamma) in
+            enumerate((a, g) for a in range(m) for g in exponents(n, q))}
+    rows = []
+    for r, sigma in sigmas:
+        for beta in exponents(n, q - r) if r <= q else ():
+            row = [K.zero] * len(cols)
+            for a, entry in enumerate(sigma):
+                if entry:
+                    for gamma, c in Poly(entry * monomial(beta), *XI[:n]).terms():
+                        row[cols[(a, gamma)]] = K.from_sympy(c)
+            rows.append(row)
+    return cols, rows
+
+
+def rank(rows, width, K):
+    return DomainMatrix(rows, (len(rows), width), K).rank() if rows else 0
+
+
 def oracle_dims(n, m, sigmas, top):
     """dim g^q for q = 0..top from the rank of the prolonged symbol rows."""
-    K = QQ_I if any(entry.has(I) for _, sigma in sigmas for entry in sigma) else QQ
+    K = domain(sigmas)
     dims = []
     for q in range(top + 1):
-        cols = {(a, gamma): i for i, (a, gamma) in
-                enumerate((a, g) for a in range(m) for g in exponents(n, q))}
-        rows = []
-        for r, sigma in sigmas:
-            for beta in exponents(n, q - r) if r <= q else ():
-                row = [K.zero] * len(cols)
-                for a, entry in enumerate(sigma):
-                    if entry:
-                        for gamma, c in Poly(entry * monomial(beta), *XI[:n]).terms():
-                            row[cols[(a, gamma)]] = K.from_sympy(c)
-                rows.append(row)
-        rank = DomainMatrix(rows, (len(rows), len(cols)), K).rank() if rows else 0
-        dims.append(m * comb(n + q - 1, q) - rank)
+        cols, rows = prolonged_rows(n, m, sigmas, q, K)
+        dims.append(m * comb(n + q - 1, q) - rank(rows, len(cols), K))
     return dims
+
+
+def wedge_sign(j, subset):
+    """Sign of the permutation that sorts (j,) + subset: (-1)^inversions."""
+    word = (j,) + tuple(subset)
+    inversions = sum(1 for a, b in combinations(range(len(word)), 2) if word[a] > word[b])
+    return -1 if inversions % 2 else 1
+
+
+def oracle_delta_cohomology(n, m, sigmas, top):
+    """dim H^{q,i} for q < top, i <= n: g^q is a sympy kernel basis of the
+    prolonged rows, in jet coordinates t[(a, gamma)], and
+    delta(t (x) e_S) = sum_{j not in S} sign(j, S) shift_j t (x) e_{S + j}
+    with (shift_j t)[(a, gamma)] = t[(a, gamma + e_j)].  delta^{q,i} is
+    written in the ambient coordinates of S^{q-1} (x) W (x) Lambda^{i+1},
+    which g^{q-1} (x) Lambda^{i+1} sits in, so its rank needs no basis of
+    g^{q-1}."""
+    K = domain(sigmas)
+    kernels, columns = [], []
+    for q in range(top + 1):
+        cols, rows = prolonged_rows(n, m, sigmas, q, K)
+        if rows:
+            basis = DomainMatrix(rows, (len(rows), len(cols)), K).nullspace().to_list()
+        else:
+            basis = [[K.one if b == c else K.zero for c in range(len(cols))]
+                     for b in range(len(cols))]
+        kernels.append(basis)
+        columns.append(cols)
+    ranks = {}
+    for q in range(1, top + 1):
+        lo = columns[q - 1]
+        for i in range(n):
+            targets = {T: k for k, T in enumerate(combinations(range(n), i + 1))}
+            images = []
+            for t in kernels[q]:
+                for S in combinations(range(n), i):
+                    image = [K.zero] * (len(targets) * len(lo))
+                    for j in set(range(n)) - set(S):
+                        offset = targets[tuple(sorted(S + (j,)))] * len(lo)
+                        for (a, gamma), at in columns[q].items():
+                            if t[at] and gamma[j]:
+                                low = gamma[:j] + (gamma[j] - 1,) + gamma[j + 1:]
+                                image[offset + lo[(a, low)]] += wedge_sign(j, S) * t[at]
+                    images.append(image)
+            ranks[q, i] = rank(images, len(targets) * len(lo), K)
+    return {(q, i): len(kernels[q]) * comb(n, i) - ranks.get((q, i), 0)
+            - ranks.get((q + 1, i - 1), 0)
+            for q in range(top) for i in range(n + 1)}
 
 
 def hilbert_function(n, sigmas, top):
@@ -143,3 +208,13 @@ def test_symbol_dimensions_match_the_sympy_oracle(drawn):
         # nonzero symbol past order k + 2, so bound 3 leaves a margin
         finite, _ = is_finite_type(sys, bound=3)
         assert finite == (characteristic_ideal(sys).dimension == n), dsl
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(constant_systems())
+def test_delta_cohomology_matches_the_sympy_oracle(drawn):
+    n, m, sigmas, dsl = drawn
+    sys = parse_pde_dsl(dsl).systems["s"]
+    top = sys.order + 2
+    table = delta_cohomology(spencer_complex(sys, top))
+    assert table.entries == oracle_delta_cohomology(n, m, sigmas, top), dsl
