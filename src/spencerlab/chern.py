@@ -206,15 +206,6 @@ def get_model(name) -> CohomologyRingModel:
 # -- characteristic classes -----------------------------------------------------
 
 
-def chern_character(model, roots) -> CharacterClass:
-    """ch = sum of exponentials of the Chern roots; additive over direct
-    sums and multiplicative over tensor products by construction."""
-    out = model.zero()
-    for r in roots:
-        out = out + _as_class(model, r).exp()
-    return out
-
-
 def _as_class(model, x):
     if isinstance(x, CharacterClass):
         return x

@@ -93,11 +93,11 @@ def build_parser(command=None):
     p = add("prolong", needs_file=True)
     p.add_argument("--count", type=_int_at_least(0), default=1)
     p = add("spencer", needs_file=True)
-    p.add_argument("--order", type=int, default=None, help="maximal symbol order")
+    p.add_argument("--order", type=_int_at_least(0), default=None, help="maximal symbol order")
     p = add("involutivity", needs_file=True)
-    p.add_argument("--bound", type=int, default=6)
+    p.add_argument("--bound", type=_int_at_least(0), default=6)
     p = add("finite-type", needs_file=True)
-    p.add_argument("--bound", type=int, default=6)
+    p.add_argument("--bound", type=_int_at_least(1), default=6)
     p.add_argument("--connection", action="store_true",
                    help="also reduce to a flat connection")
     p = add("poincare", needs_file=True)
@@ -158,7 +158,7 @@ def build_parser(command=None):
     p.add_argument("--dets", required=True, help="degree:value pairs like 0:1.0,1:2.5")
     p = add("crosscheck")
     p.add_argument("--length", type=_positive_float, required=True)
-    p.add_argument("--n", type=int, default=64)
+    p.add_argument("--n", type=_int_at_least(8), default=64)
     return parser
 
 
@@ -190,9 +190,7 @@ class _Job:
         """The system named by --system, or the document's only one."""
         systems, name = self.doc.systems, self.args.system
         if name:
-            if name not in systems:
-                raise PreconditionError(f"no system named {name!r}; have {sorted(systems)}")
-            return systems[name]
+            return _named(systems, name, "--system", "system")
         if len(systems) != 1:
             raise PreconditionError(f"document has {len(systems)} systems; pass --system")
         return next(iter(systems.values()))
@@ -360,11 +358,8 @@ def _classify(args, job):
 
     _check_classify_options(args, job)
     sys_, doc = job.system, job.doc
-    region = Region.everywhere()
-    if args.region:
-        if args.region not in doc.regions:
-            raise PreconditionError(f"no region named {args.region!r}")
-        region = doc.regions[args.region]
+    region = (_named(doc.regions, args.region, "--region", "region") if args.region
+              else Region.everywhere())
     direction = (_parse_vector(args.direction, "--direction", sys_.n)
                  if args.direction else None)
     if args.mode == "elliptic":
@@ -507,12 +502,7 @@ def _det(args, job):
         _reject_unused(args, ("model", "length", "tau"), "with --spectrum")
         if args.file is None:
             raise ParseError("--spectrum needs a DSL file argument")
-        spectra = job.doc.spectra
-        if args.spectrum not in spectra:
-            raise PreconditionError(
-                f"no spectrum named {args.spectrum!r}; have {sorted(spectra)}"
-            )
-        spec = spectra[args.spectrum]
+        spec = _named(job.doc.spectra, args.spectrum, "--spectrum", "spectrum")
     elif args.model is not None:
         if args.file is not None:
             raise ParseError(f"file {args.file!r}: not used by --model {args.model}")

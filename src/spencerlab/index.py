@@ -1,5 +1,5 @@
 """Index computations: Euler characteristics, ch.Td integrals on model
-rings, boundary decomposition, additivity, fiberwise constancy.
+rings, boundary decomposition.
 
 The microlocal and jet layers are imported by the functions that use them,
 so the integral commands (grr, boundary-index) start without them."""
@@ -21,23 +21,9 @@ from .errors import NonIntegerIndexError, PreconditionError
 IndexReport = namedtuple("IndexReport", "index method breakdown")
 
 
-def spencer_euler_characteristic(source) -> int:
-    """Alternating sum of cohomology dimensions.
-
-    Accepts a DeltaCohomologyTable (alternating sum over the form degree
-    i), a plain {degree: dim} mapping, or a finite-type PdeSystem, for
-    which the solution complex contributes only in degree zero (dim Sol).
-    """
-    if isinstance(source, dict):
-        return sum((-1) ** int(i) * int(d) for i, d in source.items())
-    from .spencer import DeltaCohomologyTable, solution_dim_bound
-    from .systems import PdeSystem
-
-    if isinstance(source, DeltaCohomologyTable):
-        return source.euler_characteristic()
-    if isinstance(source, PdeSystem):
-        return solution_dim_bound(source)
-    raise PreconditionError(f"cannot take an Euler characteristic of {type(source)}")
+def spencer_euler_characteristic(table) -> int:
+    """Alternating sum of a {degree: dim} table."""
+    return sum((-1) ** int(i) * int(d) for i, d in table.items())
 
 
 def grr_index(symbol_class: CharacterClass, tangent_todd: CharacterClass, model=None) -> IndexReport:
@@ -104,7 +90,7 @@ def twisted_dolbeault_class(model, d) -> CharacterClass:
     return twist_class(model, d)
 
 
-# -- combination rules ---------------------------------------------------------------
+# -- the boundary rule ---------------------------------------------------------------
 
 
 def boundary_index(interior, boundary):
@@ -112,19 +98,3 @@ def boundary_index(interior, boundary):
     ind = spencer_euler_characteristic(interior)
     ind_b = spencer_euler_characteristic(boundary) if boundary is not None else 0
     return ind, ind_b, ind - ind_b
-
-
-def additivity_check(total, gauge, base) -> bool:
-    return spencer_euler_characteristic(total) == spencer_euler_characteristic(
-        gauge
-    ) + spencer_euler_characteristic(base)
-
-
-def fiberwise_index(family):
-    """Per-fiber indices for systems (finite type) or cohomology tables;
-    locally_constant reports whether they all agree."""
-    indices = []
-    for fiber in family:
-        indices.append(spencer_euler_characteristic(fiber))
-    locally_constant = len(set(indices)) <= 1
-    return indices, locally_constant

@@ -91,14 +91,6 @@ class ExactMatrix:
         mat._set(rows, cols)
         return mat
 
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls.sparse([{} for _ in range(rows)], cols)
-
-    @classmethod
-    def identity(cls, n):
-        return cls.sparse([{i: 1} for i in range(n)], n)
-
     def __getitem__(self, ij):
         i, j = ij
         return self._rows[i].get(j, Fraction(0))

@@ -123,9 +123,6 @@ class DeltaCohomologyTable(namedtuple("DeltaCohomologyTable", "entries max_order
             if q >= q_min and (q_max is None or q <= q_max)
         )
 
-    def euler_characteristic(self):
-        return sum((-1) ** i * d for (q, i), d in self.entries.items())
-
 
 def delta_cohomology(cx: SpencerComplex) -> DeltaCohomologyTable:
     """Exact dimensions dim ker - rank(incoming) per slot.
@@ -190,16 +187,6 @@ def is_finite_type(sys: PdeSystem, bound=6):
     """(finite, l0): finite iff some symbol space vanishes within the bound."""
     dims = finite_type_dimensions(sys, bound)
     return (True, len(dims) - 2) if dims[-1] == 0 else (False, None)
-
-
-def solution_dim_bound(sys: PdeSystem) -> int:
-    """Sum of symbol dimensions through the stabilization order, searched up
-    to the system order plus 6: the upper bound on dim Sol, exact for flat
-    closed systems."""
-    dims = finite_type_dimensions(sys)
-    if dims[-1]:
-        raise PreconditionError("solution_dim_bound requires a finite-type system")
-    return sum(dims)
 
 
 def poincare_series(sys: PdeSystem, max_k=8):
@@ -355,88 +342,3 @@ def _check_flatness(matrices, variables, rank):
                             f"({r},{c})",
                             obstruction=curv,
                         )
-
-
-# -- logarithmic complexes -----------------------------------------------------
-
-
-class LogSpencerComplex(namedtuple("LogSpencerComplex",
-                                   "n rank divisor_axes degree_bound spaces differentials ranks")):
-    """spaces: p -> dimension; differentials: p -> ExactMatrix C_p -> C_{p-1};
-    ranks: p -> rank of that differential."""
-
-    __slots__ = ()
-
-    def euler_characteristic(self):
-        return sum((-1) ** p * d for p, d in self.spaces.items())
-
-
-def build_log_spencer(module_rank, n, divisor_axes, depth, degree_bound=3):
-    """Chain complex Lambda^p(theta_1..theta_n) (x) M on a truncated free
-    module, with logarithmic generators x_i d_i on divisor axes and plain
-    d_j elsewhere.
-
-    The differential is the three-term formula specialized along the
-    augmentation: module-action terms plus the Lie bracket term; the
-    generators here commute pairwise (each touches a single axis), and the
-    construction asserts that, so the bracket term contributes zero and
-    delta^2 = 0 exactly.
-    """
-    divisor_axes = tuple(sorted(set(divisor_axes)))
-    for i in divisor_axes:
-        if not 1 <= i <= n:
-            raise PreconditionError(f"divisor axis {i} out of range 1..{n}")
-    monos = [g for q in range(degree_bound + 1) for g in multiindices(n, q)]
-    mono_pos = {g: i for i, g in enumerate(monos)}
-    mdim = len(monos) * module_rank
-
-    def theta_matrix(axis):
-        # action on monomials: x_i d_i preserves degree, d_j lowers it
-        log = (axis + 1) in divisor_axes
-        rows = [{} for _ in range(mdim)]
-        for gi, g in enumerate(monos):
-            if g[axis] == 0:
-                continue
-            if log:
-                ti = gi
-            else:
-                tg = list(g)
-                tg[axis] -= 1
-                ti = mono_pos[tuple(tg)]
-            for r in range(module_rank):
-                rows[ti * module_rank + r][gi * module_rank + r] = g[axis]
-        return ExactMatrix.sparse(rows, mdim)
-
-    thetas = [theta_matrix(i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if thetas[i] @ thetas[j] != thetas[j] @ thetas[i]:
-                raise AssertionError("generator bracket failed to vanish")
-
-    top = min(n, depth)
-    spaces = {}
-    diffs = {}
-    subsets = {p: list(combinations(range(n), p)) for p in range(top + 1)}
-    for p in range(top + 1):
-        spaces[p] = len(subsets[p]) * mdim
-    for p in range(1, top + 1):
-        src = subsets[p]
-        dst = {s: k for k, s in enumerate(subsets[p - 1])}
-        rows = [{} for _ in range(len(subsets[p - 1]) * mdim)]
-        for si, S in enumerate(src):
-            for l, axis in enumerate(S):
-                # omit axis l: sign (-1)^l, bracket terms are zero here
-                ti = dst[S[:l] + S[l + 1 :]]
-                act = thetas[axis]
-                for rr in range(mdim):
-                    for cc, v in act.row(rr).items():
-                        rows[ti * mdim + rr][si * mdim + cc] = v if l % 2 == 0 else -v
-        diffs[p] = ExactMatrix.sparse(rows, len(src) * mdim)
-    for p in range(2, top + 1):
-        prod = diffs[p - 1] @ diffs[p]
-        if not prod.is_zero():
-            raise AssertionError(f"log differential squared nonzero at p={p}")
-    ranks = {p: d.rank() for p, d in diffs.items()}
-    return LogSpencerComplex(
-        n, module_rank, divisor_axes, degree_bound, spaces, diffs, ranks
-    )

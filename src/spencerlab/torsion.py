@@ -16,10 +16,9 @@ from __future__ import annotations
 from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
-from math import lcm, ulp
+from math import ulp
 
 from .errors import PreconditionError
-from .linalg import ExactMatrix, positive_definite
 from .reports import to_float
 from .special import to_decimal, working_precision
 from .spectra import SpectrumModel
@@ -66,30 +65,25 @@ def _torsion_report(terms, convention, inputs, weight_type):
 
 
 @working_precision
-def ray_singer_torsion(spectra, convention="exp_full", weights=None) -> TorsionReport:
+def ray_singer_torsion(spectra, convention="exp_full") -> TorsionReport:
     """Weighted combination of log-determinants across the degree range.
 
-    spectra: {degree: SpectrumModel}; weights overrides the convention's
-    exponent pattern when given.
+    spectra: {degree: SpectrumModel}; the convention fixes the weights.
     """
     if convention not in CONVENTIONS:
         raise PreconditionError(f"unknown convention {convention!r}; know {CONVENTIONS}")
     if not spectra:
         raise PreconditionError("need at least one degree")
     degrees = sorted(spectra)
-    if weights is not None and sorted(weights) != degrees:
-        raise PreconditionError("weights must cover exactly the spectrum degrees")
 
     def weight(k):
-        if weights is not None:
-            return to_decimal(weights[k])
         if convention == "exp_full":
             return Decimal((-1) ** k * k)
         return Decimal((-1) ** k * k) / 2
 
     return _torsion_report(
         [(k, weight(k), spectra[k]) for k in degrees],
-        convention if weights is None else "explicit_weights",
+        convention,
         {"degrees": degrees},
         float,
     )
@@ -118,30 +112,13 @@ def bcov_torsion(hodge_spectra) -> TorsionReport:
     )
 
 
-def l2_covolume(lattice_basis, gram) -> Fraction:
-    """det of the Gram matrix in the given integer lattice basis, exact."""
-    rows = [[Fraction(x) for x in row] for row in gram]
-    g = ExactMatrix(rows)
-    if g.rows != g.cols:
-        raise PreconditionError("gram matrix must be square")
-    den = lcm(*(v.denominator for row in rows for v in row))  # a positive scale
-    if not positive_definite([[v.numerator * (den // v.denominator) for v in row]
-                              for row in rows]):
-        raise PreconditionError("gram matrix must be positive definite")
-    b = ExactMatrix([[Fraction(x) for x in row] for row in lattice_basis])
-    if b.rows != g.rows:
-        raise PreconditionError("basis shape does not match gram")
-    m = b.transpose() @ g @ b
-    return m.det()
-
-
 @working_precision
 def bcov_invariant_model(tau, area=1.0, chi=0, lattice_scale=1):
     """Diagnostic assembly Vol^e * Vol_L2^{-1} * T_BCOV * A with A = 1 (flat
-    metric) and e = -3 + chi/12; itemizes every factor.  Vol_L2 is the
-    covolume of the rank-one lattice Z under the Gram matrix [[1]].  This is
-    the model combination on the flat one-dimensional complex torus, not a
-    threefold invariant.
+    metric) and e = -3 + chi/12; itemizes every factor.  Vol_L2 = 1, the
+    covolume of Z under the Gram matrix [[1]].  This is the model
+    combination on the flat one-dimensional complex torus, not a threefold
+    invariant.
     """
     tau = complex(tau)
     if tau.imag <= 0:
@@ -152,9 +129,8 @@ def bcov_invariant_model(tau, area=1.0, chi=0, lattice_scale=1):
     spec = SpectrumModel.flat_torus(tau, lattice_scale)
     hodge = {(p, q): spec for p in (0, 1) for q in (0, 1)}
     t_bcov = bcov_torsion(hodge)
-    vol_l2 = l2_covolume([[1]], [[1]])
     exponent = Fraction(-3) + Fraction(chi, 12)
-    combination = vol ** to_decimal(exponent) / to_decimal(vol_l2) * Decimal(t_bcov.torsion)
+    combination = vol ** to_decimal(exponent) * Decimal(t_bcov.torsion)
     det_value, det_err, det_method = regularized_det(spec)
     # the exploratory comparison: de Rham torsion of the same model, reported
     # alongside the Dolbeault-weighted combination without claiming equality
@@ -166,7 +142,7 @@ def bcov_invariant_model(tau, area=1.0, chi=0, lattice_scale=1):
         "tau": [tau.real, tau.imag],
         "volume": float(vol),
         "volume_exponent": str(exponent),
-        "vol_l2": str(vol_l2),
+        "vol_l2": "1",
         "t_bcov": t_bcov.torsion,
         "de_rham_torsion": de_rham.torsion,
         "det_prime": float(det_value),

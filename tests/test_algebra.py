@@ -176,8 +176,8 @@ def test_substitute_linear_change():
 
 
 def test_kernel_trivial_cases():
-    assert ExactMatrix.identity(3).kernel_basis() == []
-    assert len(ExactMatrix.zero(2, 3).kernel_basis()) == 3
+    assert ExactMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).kernel_basis() == []
+    assert len(ExactMatrix([[0, 0, 0], [0, 0, 0]]).kernel_basis()) == 3
     k = ExactMatrix([[1, 1]]).kernel_basis()
     assert len(k) == 1 and k[0][0] == -k[0][1]
 

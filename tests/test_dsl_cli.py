@@ -266,7 +266,11 @@ def test_cli_kunneth(capsys, tmp_path):
     (["classify", "--cones", "ahead"], "--cones needs two cone names a,b, got 'ahead'"),
     (["kunneth", "--other", "nope"], "--other: no system named 'nope'; have ['wave']"),
     (["restrict", "--subspace", "1,x"], "--subspace: '1,x' is not a list of rationals"),
-], ids=["direction", "direction-length", "cones", "cones-count", "other", "subspace"])
+    (["classify", "--region", "nope"], "--region: no region named 'nope'; have []"),
+    (["det", "--spectrum", "nope"], "--spectrum: no spectrum named 'nope'; have []"),
+    (["symbol", "--system", "nope"], "--system: no system named 'nope'; have ['wave']"),
+], ids=["direction", "direction-length", "cones", "cones-count", "other", "subspace",
+        "region", "spectrum", "system"])
 def test_cli_bad_microlocal_argument(capsys, tmp_path, argv, message):
     pde = tmp_path / "wave.pde"
     pde.write_text(WAVE + "cone ahead { generators (1, 1), (1, -1); kind closed; }\n"
@@ -286,17 +290,23 @@ def test_cli_kunneth_rejects_fewer_than_two_copies(capsys, tmp_path, copies):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["prolong", "--count", "-1"], "argument --count: '-1' is not an integer >= 0"),
-    (["poincare", "--order", "-1"], "argument --order: '-1' is not an integer >= 0"),
-    (["classify", "--grid", "0"], "argument --grid: '0' is not an integer >= 1"),
-    (["classify", "--grid", "-1"], "argument --grid: '-1' is not an integer >= 1"),
-    (["symbol", "--order", "-1"], "argument --order: '-1' is not an integer >= 0"),
+    (["prolong", "F", "--count", "-1"], "argument --count: '-1' is not an integer >= 0"),
+    (["poincare", "F", "--order", "-1"], "argument --order: '-1' is not an integer >= 0"),
+    (["classify", "F", "--grid", "0"], "argument --grid: '0' is not an integer >= 1"),
+    (["classify", "F", "--grid", "-1"], "argument --grid: '-1' is not an integer >= 1"),
+    (["symbol", "F", "--order", "-1"], "argument --order: '-1' is not an integer >= 0"),
+    (["involutivity", "F", "--bound", "-1"], "argument --bound: '-1' is not an integer >= 0"),
+    (["finite-type", "F", "--bound", "0"], "argument --bound: '0' is not an integer >= 1"),
+    (["spencer", "F", "--order", "-1"], "argument --order: '-1' is not an integer >= 0"),
+    (["crosscheck", "--length", "1", "--n", "0"], "argument --n: '0' is not an integer >= 8"),
 ], ids=["prolong-count", "poincare-order", "classify-grid-0", "classify-grid-negative",
-        "symbol-order"])
+        "symbol-order", "involutivity-bound", "finite-type-bound", "spencer-order",
+        "crosscheck-n"])
 def test_cli_rejects_out_of_range_integer_option(capsys, tmp_path, argv, message):
+    """F stands for a document path."""
     pde = tmp_path / "wave.pde"
     pde.write_text(WAVE)
-    assert main([argv[0], str(pde)] + argv[1:]) == 2
+    assert main([str(pde) if a == "F" else a for a in argv]) == 2
     assert message in capsys.readouterr().err
 
 

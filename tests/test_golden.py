@@ -141,8 +141,6 @@ def test_bcov_torsion_report_is_bit_identical():
 
 @pytest.mark.parametrize("kwargs, torsion, convention, error_bound, weights", [
     ({"convention": "exp_full"}, 1.0, "exp_full", 3.398683404233271e-16, (0.0, -1.0, 2.0)),
-    ({"weights": {0: 0.1, 1: -0.3, 2: 0.7}}, 0.9912058757920054, "explicit_weights",
-     1.179078236081478e-16, (0.1, -0.3, 0.7)),
 ])
 def test_ray_singer_report_is_bit_identical(kwargs, torsion, convention, error_bound, weights):
     report = ray_singer_torsion(_de_rham(0.3 + 0.7j), **kwargs)

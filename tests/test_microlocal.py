@@ -30,15 +30,13 @@ from spencerlab.poly import MultiPoly
 from spencerlab.scalars import QQi
 from spencerlab.systems import (
     cauchy_riemann_system,
-    dx_system,
     external_product,
-    gradient_system,
-    heat_system,
     laplace_system,
     make_system,
     tricomi_system,
-    wave_system,
 )
+
+from named_systems import dx_system, gradient_system, heat_system, wave_system
 
 
 # -- characteristic ideals -------------------------------------------------------

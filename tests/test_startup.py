@@ -40,7 +40,8 @@ PROBE = (
 
 # The exact stack that no numeric command runs, and the part of it that no
 # jet command (symbol spaces, Spencer cohomology) runs.
-EXACT_STACK = {"microlocal", "groebner", "spencer", "symbols", "chern", "index", "dsl"}
+EXACT_STACK = {"microlocal", "groebner", "spencer", "symbols", "chern", "index", "dsl",
+               "linalg"}
 NOT_JET = {"microlocal", "groebner", "chern", "index"}
 # what the integral commands (ch.Td on a model ring) do not run
 NOT_INTEGRAL = {"microlocal", "groebner", "spencer", "symbols"}

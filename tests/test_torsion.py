@@ -9,7 +9,6 @@ from spencerlab.spectra import SpectrumModel
 from spencerlab.torsion import (
     bcov_invariant_model,
     bcov_torsion,
-    l2_covolume,
     quillen_norm,
     ray_singer_torsion,
 )
@@ -214,12 +213,6 @@ def test_single_degree_reduces_to_determinant():
     assert abs(report.torsion - float(det) ** -0.5) < 1e-12
 
 
-def test_mismatched_weights_rejected():
-    spec = SpectrumModel.explicit([1])
-    with pytest.raises(PreconditionError):
-        ray_singer_torsion({0: spec, 1: spec}, weights={0: 1})
-
-
 # -- BCOV -------------------------------------------------------------------------------
 
 
@@ -263,20 +256,7 @@ def test_bcov_incomplete_range_rejected():
         bcov_torsion({(0, 0): t, (1, 1): t})
 
 
-# -- covolume / invariant model / Quillen ---------------------------------------------------
-
-
-def test_covolume_examples():
-    from fractions import Fraction
-
-    assert l2_covolume([[1]], [[1]]) == 1
-    assert l2_covolume([[2]], [[1]]) == 4
-    assert l2_covolume([[1, 0], [0, 1]], [[2, 1], [1, 2]]) == 3
-
-
-def test_covolume_rejects_indefinite():
-    with pytest.raises(PreconditionError):
-        l2_covolume([[1, 0], [0, 1]], [[1, 2], [2, 1]])
+# -- invariant model / Quillen -------------------------------------------------------------
 
 
 def test_bcov_invariant_model_tau_i():
@@ -284,6 +264,7 @@ def test_bcov_invariant_model_tau_i():
     target = float(gamma(mpf(1) / 4) ** 4 / (4 * pi**3))
     assert abs(report["t_bcov"] - target) < 1e-6
     assert report["volume"] == 1.0
+    assert report["vol_l2"] == "1"
     assert report["correction_factor"] == 1.0
 
 
