@@ -3,8 +3,8 @@
 
 Usage: python scripts/run_torsion_models.py [--tau RE,IM]
 
-spencerlab returns determinants and zeta values as decimal.Decimal; the
-Gamma(1/4) reference at tau = i comes from mpmath.
+spencerlab returns determinants as decimal.Decimal and zeta(0) as an exact
+Fraction; the Gamma(1/4) reference at tau = i comes from mpmath.
 """
 
 import argparse
@@ -14,7 +14,7 @@ from mpmath import gamma, mp, mpf, pi
 
 from spencerlab.spectra import SpectrumModel
 from spencerlab.torsion import bcov_torsion, quillen_norm, ray_singer_torsion
-from spencerlab.zeta import regularized_det, zeta_at
+from spencerlab.zeta import regularized_det, zeta_at_zero
 
 
 def main():
@@ -31,7 +31,7 @@ def main():
         rs = ray_singer_torsion({0: spec, 1: spec}, convention="exp_full")
         print(
             f"L = {length:10.6f}  det' = {float(det):14.9f} ({method})  "
-            f"zeta(0) = {float(zeta_at(spec, 0).value):5.1f}  "
+            f"zeta(0) = {float(zeta_at_zero(spec)):5.1f}  "
             f"torsion(exp_full) = {rs.torsion:.9f}  expected L^-2 = {length ** -2:.9f}"
         )
     print()

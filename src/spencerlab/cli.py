@@ -56,6 +56,14 @@ def _positive_float(text):
     return value
 
 
+def _nonnegative_float(text):
+    """argparse type: a finite float no smaller than zero."""
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number >= 0")
+    return value
+
+
 class _Unbuilt:
     """Stands in for a subparser that build_parser leaves out."""
 
@@ -134,7 +142,7 @@ def build_parser(command=None):
     p.add_argument("--boundary", default=None)
     p = add("torsion")
     p.add_argument("--model", choices=("circle", "torus"), required=True)
-    p.add_argument("--length", type=_finite_float, default=None)
+    p.add_argument("--length", type=_positive_float, default=None)
     p.add_argument("--tau", default=None, help="re,im")
     p.add_argument("--convention", choices=("exp_full", "product_half"),
                    default="exp_full")
@@ -142,19 +150,19 @@ def build_parser(command=None):
     p.add_argument("file", nargs="?", default=None, help="DSL file with spectrum blocks")
     p.add_argument("--spectrum", default=None, help="spectrum block name from the file")
     p.add_argument("--model", choices=("circle", "torus"), default=None)
-    p.add_argument("--length", type=_finite_float, default=None)
+    p.add_argument("--length", type=_positive_float, default=None)
     p.add_argument("--tau", default=None)
     p.add_argument("--method", default="auto",
                    choices=("auto", "closed_form", "euler_maclaurin", "mellin_theta"))
-    p.add_argument("--scale", type=_finite_float, default=1.0)
-    p.add_argument("--tolerance", type=_finite_float, default=None)
+    p.add_argument("--scale", type=_positive_float, default=1.0)
+    p.add_argument("--tolerance", type=_nonnegative_float, default=None)
     p = add("bcov")
     p.add_argument("--tau", required=True)
     p.add_argument("--area", type=_positive_float, default=1.0)
     p.add_argument("--chi", type=int, default=0)
-    p.add_argument("--scale", type=_finite_float, default=1.0)
+    p.add_argument("--scale", type=_positive_float, default=1.0)
     p = add("quillen")
-    p.add_argument("--l2", type=_finite_float, required=True)
+    p.add_argument("--l2", type=_positive_float, required=True)
     p.add_argument("--dets", required=True, help="degree:value pairs like 0:1.0,1:2.5")
     p = add("crosscheck")
     p.add_argument("--length", type=_positive_float, required=True)
@@ -496,7 +504,7 @@ def _torsion(args, job):
 
 
 def _det(args, job):
-    from .zeta import regularized_det, zeta_at
+    from .zeta import regularized_det, zeta_at_zero
 
     if args.spectrum is not None:
         _reject_unused(args, ("model", "length", "tau"), "with --spectrum")
@@ -512,7 +520,6 @@ def _det(args, job):
     if args.scale != 1.0:
         spec = spec.scaled(args.scale)
     value, err, method = regularized_det(spec, method=args.method)
-    zeta0 = zeta_at(spec, 0)
     job.provenance["methods"] = [method]
     if args.tolerance is not None and err > args.tolerance:
         raise NumericError(
@@ -521,7 +528,7 @@ def _det(args, job):
     return {
         "model": args.model or args.spectrum,
         "det": to_float(value),
-        "zeta0": float(zeta0.value),
+        "zeta0": float(zeta_at_zero(spec)),
         "error_bound": err,
         "method": method,
         "zero_modes": spec.zero_modes,

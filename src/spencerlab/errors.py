@@ -37,14 +37,6 @@ class NumericError(SpencerLabError):
     """A numerical continuation failed; carries diagnostics."""
 
 
-class PoleError(NumericError):
-    """Zeta continuation evaluated at a pole; carries the residue."""
-
-    def __init__(self, message, residue=None):
-        super().__init__(message)
-        self.residue = residue
-
-
 class ParseError(SpencerLabError):
     """Positioned syntax or semantic error from the PDE DSL."""
 

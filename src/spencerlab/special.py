@@ -9,10 +9,12 @@ the caller's context afterwards and turns a result outside the exponent
 range into a NumericError.  Inputs are read with to_decimal, which uses
 CONTEXT explicitly, so code that only reads and compares needs neither.
 
-Only what the theta/Mellin and Euler-Maclaurin continuations use is here:
-pi, Euler's gamma, the even Bernoulli numbers (exact), the real gamma
-function, the scaled upper incomplete gamma function and the real Riemann
-zeta function.  Each works at the precision of the current context and
+Only what zeta'(0) needs is here: pi and Euler's gamma for the
+theta/Mellin sum, the even Bernoulli numbers (exact) for Euler-Maclaurin
+and Stirling, the real gamma function, and the scaled upper incomplete
+gamma function, whose sum at the lattice points is the theta/Mellin
+zeta'(0).  The gamma functions take real orders, not only those that
+s = 0 reaches.  Each works at the precision of the current context and
 adds its own guard digits where its formula cancels.
 """
 
@@ -196,55 +198,3 @@ def _gammainc_fraction(a, x):
             i += 1
         result = (-x).exp() * h
     return +result
-
-
-@lru_cache(maxsize=None)
-def _borwein_weights(n):
-    """d_k = n sum_{i <= k} (n + i - 1)! 4^i / ((n - i)! (2i)!), k = 0..n, as ints."""
-    weights, term, acc = [], Fraction(1, n), 0
-    for i in range(n + 1):
-        if i:
-            term *= Fraction(4 * (n + i - 1) * (n - i + 1), (2 * i) * (2 * i - 1))
-        acc += n * term
-        weights.append(int(acc))
-    return weights
-
-
-def riemann_zeta(s):
-    """zeta(s) for real s != 1: Borwein's algorithm 2 ("An efficient
-    algorithm for the Riemann zeta function", 2000) for s > 0, whose error
-    falls like (3 + sqrt 8)^-n in the n terms, and the functional equation
-    for s <= 0."""
-    if not s:
-        return -HALF
-    if s < 0:
-        return (2 ** s * PI ** (s - 1) * _sin_half_pi(s) * gamma(1 - s)
-                * riemann_zeta(1 - s))
-    with localcontext() as ctx:
-        ctx.prec += 3 + max(0, -(s - 1).adjusted())  # 1 - 2^(1-s) cancels near s = 1
-        # (3 + sqrt 8)^-n = 10^(-0.766 n): 1.31 terms per digit
-        weights = _borwein_weights(int(ctx.prec * 1.31) + 2)
-        dn = weights[-1]
-        total = sum((-1) ** k * (dk - dn) * Decimal(k + 1) ** -s
-                    for k, dk in enumerate(weights[:-1]))
-        result = -total / (dn * (1 - 2 ** (1 - s)))
-    return +result
-
-
-def _sin_half_pi(s):
-    """sin(pi s / 2), exactly 0 at the even integers."""
-    r = s % 4
-    if r < 0:
-        r += 4
-    sign = 1
-    if r >= 2:
-        r, sign = r - 2, -1
-    y = PI * min(r, 2 - r) / 2
-    eps, y2 = _epsilon(), y * y
-    term = total = y
-    k = 1
-    while abs(term) > eps:
-        term = -term * y2 / ((2 * k) * (2 * k + 1))
-        total += term
-        k += 1
-    return sign * total

@@ -1,10 +1,10 @@
 """Explicit Laplacian spectra: circles, flat tori, rectangles, direct sums,
 scalings, and user-supplied lists.
 
-Eigenvalues carry multiplicities; zero modes are excluded from enumeration
-(primed-determinant convention) and reported separately via zero_modes.
-Lattice-backed kinds expose their quadratic forms so the zeta machinery can
-run the theta/Mellin continuation exactly on Q(v) = v^T M v.
+Eigenvalues carry multiplicities; zero modes are excluded from the zeta
+function (primed-determinant convention) and reported separately via
+zero_modes.  Lattice-backed kinds expose their quadratic forms so the zeta
+machinery can run the theta/Mellin continuation exactly on Q(v) = v^T M v.
 
 Normalization: flat_torus(tau) is the lattice torus on Z + tau Z (area
 Im tau) with eigenvalues pi^2 |m + n tau|^2 / (Im(tau) lattice_scale)^2.
@@ -178,47 +178,3 @@ class SpectrumModel(namedtuple("SpectrumModel", "kind params children", defaults
             return [(1, [[ma, zero], [zero, mb]], 2), (-1, [[ma]], 1), (-1, [[mb]], 1)], 4
         form = self.lattice_form()
         return None if form is None else ([(1, *form)], 1)
-
-    # -- enumeration --------------------------------------------------------------
-
-    @working_precision
-    def eigenvalues(self, cutoff):
-        """Nonzero eigenvalues <= cutoff as sorted (value, multiplicity) pairs."""
-        cutoff = to_decimal(cutoff)
-        acc = {}
-
-        def add(v, m):
-            if 0 < v <= cutoff:
-                key = format(v, ".19e")
-                if key in acc:
-                    acc[key] = (v, acc[key][1] + m)
-                else:
-                    acc[key] = (v, m)
-
-        if self.kind in ("circle", "flat_torus"):
-            m, d = self.lattice_form()
-            for q, k in lattice_points(m, d, cutoff):
-                add(q, k)
-        elif self.kind == "rectangle":
-            a, b = self.params["a"], self.params["b"]
-            mi = 1
-            while (PI * mi / a) ** 2 <= cutoff:
-                ni = 1
-                while (PI * mi / a) ** 2 + (PI * ni / b) ** 2 <= cutoff:
-                    add((PI * mi / a) ** 2 + (PI * ni / b) ** 2, 1)
-                    ni += 1
-                mi += 1
-        elif self.kind == "explicit":
-            for v, m in zip(self.params["values"], self.params["multiplicities"]):
-                add(v, m)
-        elif self.kind == "scaled":
-            f = self.params["factor"]
-            for v, m in self.children[0].eigenvalues(cutoff / f):
-                add(v * f, m)
-        elif self.kind == "sum":
-            for child in self.children:
-                for v, m in child.eigenvalues(cutoff):
-                    add(v, m)
-        else:
-            raise PreconditionError(f"unknown spectrum kind {self.kind}")
-        return sorted(acc.values(), key=lambda vm: vm[0])

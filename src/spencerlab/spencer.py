@@ -206,9 +206,6 @@ class FlatConnectionSystem(namedtuple("FlatConnectionSystem",
 
     __slots__ = ()
 
-    def matrix(self, var):
-        return self.connection_matrices[var]
-
 
 def _prolonged_equations(sys: PdeSystem, up_to):
     eqs = []

@@ -22,7 +22,7 @@ from .errors import PreconditionError
 from .reports import to_float
 from .special import to_decimal, working_precision
 from .spectra import SpectrumModel
-from .zeta import regularized_det, zeta_at, zeta_prime_at_zero
+from .zeta import regularized_det, zeta_at_zero, zeta_prime_at_zero
 
 CONVENTIONS = ("exp_full", "product_half")
 
@@ -34,7 +34,7 @@ def _degree_data(spec):
     """(zeta'(0) as a Decimal, the per-degree report entry)."""
     zp0, err, method = zeta_prime_at_zero(spec)
     return zp0, {
-        "zeta0": float(zeta_at(spec, 0).value),
+        "zeta0": float(zeta_at_zero(spec)),
         "zeta_prime0": float(zp0),
         "log_det": float(-zp0),
         "method": method,

@@ -32,7 +32,7 @@ from mpmath import (
     zeta as riemann_zeta,
 )
 
-from spencerlab.errors import NumericError, PoleError
+from spencerlab.errors import NumericError
 
 DPS = 40
 LATTICE_CUTOFF = 80
@@ -131,7 +131,7 @@ def _theta_mellin_zeta(s, M, d):
     half_d = mpf(d) / 2
     if abs(s - half_d) < mpf("1e-12"):
         residue = pi**half_d / sqrt(_inverse(M, d)[1]) / gamma(half_d)
-        raise PoleError(f"zeta has a simple pole at s = {half_d}", residue=float(residue))
+        raise NumericError(f"zeta has a simple pole at s = {half_d}, residue {float(residue)}")
     if abs(s) < mpf("1e-12"):
         return mpf(-1)
     return (_regular_part(s, M, d) - 1 / s) / gamma(s)

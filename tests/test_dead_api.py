@@ -1,6 +1,7 @@
 """The library is what its commands and scripts run: every top-level
-definition in src/spencerlab is referenced from src/ or scripts/ outside
-its own body.  A definition that only tests reach belongs in tests/."""
+definition in src/spencerlab, and every method of its classes, is
+referenced from src/ or scripts/ outside its own body.  A definition that
+only tests reach belongs in tests/."""
 
 import ast
 from collections import defaultdict
@@ -14,37 +15,63 @@ SCRIPTS = PACKAGE.parent.parent / "scripts"
 # The DSL's printer has no command; the golden round-trip tests pin it.
 ALLOWED = {"dsl.print_document"}
 
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _owned_parts(top):
+    """(owner, node) pairs covering one top-level statement: a method is its
+    own owner, Class.method; the rest of a class belongs to the class, and
+    module-level code to None."""
+    if isinstance(top, ast.ClassDef):
+        head = [(top.name, node) for node in top.bases + top.keywords + top.decorator_list]
+        return head + [(f"{top.name}.{node.name}" if isinstance(node, DEFS) else top.name, node)
+                       for node in top.body]
+    return [(top.name if isinstance(top, DEFS) else None, top)]
+
 
 def _references(tree):
-    """(name, enclosing top-level definition or None) for each name read
-    in a module, as a bare name or as an attribute."""
+    """(name, owner) for each name read in a module, as a bare name or as an
+    attribute."""
     out = []
     for top in tree.body:
-        owner = top.name if isinstance(
-            top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                out.append((node.id, owner))
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                out.append((node.attr, owner))
+        for owner, part in _owned_parts(top):
+            for node in ast.walk(part):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    out.append((node.id, owner))
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    out.append((node.attr, owner))
     return out
 
 
+def _definitions(tree):
+    """The dotted path of each top-level def or class of a module, and of
+    each method in a class body that is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, DEFS + (ast.ClassDef,)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            yield from (f"{node.name}.{fn.name}" for fn in node.body if isinstance(fn, DEFS)
+                        and not (fn.name.startswith("__") and fn.name.endswith("__")))
+
+
+def _inside(owner, path):
+    return owner is not None and (owner == path or owner.startswith(path + "."))
+
+
 def unreferenced_definitions(package=PACKAGE, scripts=SCRIPTS):
-    """module.name of each top-level def or class in package that no module
-    of package or scripts reads outside the definition itself."""
+    """module.path of each top-level def or class, or method, in package that
+    no module of package or scripts reads outside the definition itself."""
     defined, readers = set(), defaultdict(set)
     for path in sorted(package.glob("*.py")) + sorted(scripts.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         module = path.stem if path.parent == package else None
-        for node in tree.body:
-            if module and isinstance(
-                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.add((module, node.name))
+        if module:
+            defined.update((module, name) for name in _definitions(tree))
         for name, owner in _references(tree):
             readers[name].add((module, owner))
-    return {f"{module}.{name}" for module, name in defined
-            if readers[name] <= {(module, name)}}
+    return {f"{module}.{path}" for module, path in defined
+            if all(reader == module and _inside(owner, path)
+                   for reader, owner in readers[path.rpartition(".")[2]])}
 
 
 def test_every_library_definition_is_reached_from_src_or_scripts():

@@ -496,6 +496,17 @@ def test_cli_tolerance_covers_every_other_command():
     assert sorted(REQUIRED) == sorted(set(COMMANDS) - {"det"})
 
 
+def test_cli_det_tolerance_zero_holds_only_an_exact_determinant(capsys, tmp_path):
+    """An explicit spectrum's bound is exactly 0, so --tolerance 0 passes;
+    the circle's closed form carries a bound and exceeds it."""
+    pde = tmp_path / "spec.pde"
+    pde.write_text("spectrum p { kind explicit; values 1,2; }")
+    assert main(["det", str(pde), "--spectrum", "p", "--tolerance", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["error_bound"] == 0.0
+    assert main(["det", "--model", "circle", "--length", "2", "--tolerance", "0"]) == 4
+    assert "exceeds requested tolerance 0.0" in capsys.readouterr().err
+
+
 def test_cli_index_system_needs_a_file(capsys):
     assert main(["index", "--model", "P1", "--system", "nope"]) == 2
     err = capsys.readouterr().err
@@ -582,13 +593,18 @@ def test_cli_det_rejects_unknown_method(capsys):
 
 
 def test_cli_det_rejects_inapplicable_method(capsys, tmp_path):
-    assert main(["det", "--model", "torus", "--tau=0,1", "--method", "euler_maclaurin"]) == 4
-    err = capsys.readouterr().err
-    assert "flat_torus" in err and "euler_maclaurin" in err
+    """A method with no route for the spectrum computes nothing: a
+    precondition error, not a numeric one."""
+    for method in ("euler_maclaurin", "closed_form"):
+        assert main(["det", "--model", "torus", "--tau=0,1", "--method", method]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("precondition error: ")
+        assert "flat_torus" in err and method in err
     pde = tmp_path / "spec.pde"
     pde.write_text("spectrum p { kind explicit; values 1,2; }")
-    assert main(["det", str(pde), "--spectrum", "p", "--method", "mellin_theta"]) == 4
+    assert main(["det", str(pde), "--spectrum", "p", "--method", "mellin_theta"]) == 3
     err = capsys.readouterr().err
+    assert err.startswith("precondition error: ")
     assert "explicit" in err and "mellin_theta" in err
 
 
@@ -832,8 +848,23 @@ def test_one_subparser_parser_prints_what_the_full_parser_prints(command, capsys
     (["det", "--model", "torus", "--tau=nan,1"], "--tau: 'nan,1' is not 'im' or 're,im'"),
     (["det", "--model", "torus", "--tau=0,1,2"], "--tau: '0,1,2' is not 'im' or 're,im'"),
     (["boundary-index", "--interior", "0:a"], "--interior: '0:a' is not a degree:value pair"),
+    (["det", "--model", "circle", "--length", "-2"],
+     "argument --length: '-2' is not a positive number"),
+    (["torsion", "--model", "circle", "--length", "-2"],
+     "argument --length: '-2' is not a positive number"),
+    (["det", "--model", "circle", "--length", "2", "--scale", "-1"],
+     "argument --scale: '-1' is not a positive number"),
+    (["det", "--model", "circle", "--length", "2", "--scale", "0"],
+     "argument --scale: '0' is not a positive number"),
+    (["bcov", "--tau=0,1", "--scale", "-1"], "argument --scale: '-1' is not a positive number"),
+    (["bcov", "--tau=0,1", "--scale", "0"], "argument --scale: '0' is not a positive number"),
+    (["quillen", "--l2", "0", "--dets", "1:2"], "argument --l2: '0' is not a positive number"),
+    (["det", "--model", "circle", "--length", "2", "--tolerance", "-1"],
+     "argument --tolerance: '-1' is not a number >= 0"),
 ], ids=["quillen-dets", "quillen-dets-twice", "crosscheck-length", "det-length",
-        "torsion-length", "bcov-scale", "bcov-area", "tau-nan", "tau-three", "boundary-interior"])
+        "torsion-length", "bcov-scale", "bcov-area", "tau-nan", "tau-three", "boundary-interior",
+        "det-length-negative", "torsion-length-negative", "det-scale-negative", "det-scale-zero",
+        "bcov-scale-negative", "bcov-scale-zero", "quillen-l2-zero", "det-tolerance-negative"])
 def test_cli_bad_numeric_argument(capsys, argv, message):
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -293,7 +293,7 @@ def test_ode_flat_connection():
     sys = make_system(("x",), ("u",), [[(1, 0, (1,)), (-1, 0, (0,))]])
     flat = to_flat_connection(sys)
     assert flat.rank == 1
-    a = flat.matrix("x")
+    a = flat.connection_matrices["x"]
     assert a[0][0].constant_coefficient() == 1
 
 
@@ -307,8 +307,8 @@ def test_flat_connection_xy_coefficients():
     )
     flat = to_flat_connection(sys)
     assert flat.rank == 1
-    assert flat.matrix("x")[0][0] == y
-    assert flat.matrix("y")[0][0] == x
+    assert flat.connection_matrices["x"][0][0] == y
+    assert flat.connection_matrices["y"][0][0] == x
 
 
 def test_flat_connection_rank_two():

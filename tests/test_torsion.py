@@ -1,18 +1,20 @@
 import math
+from fractions import Fraction
 
 import pytest
 from mpmath import gamma, mp, mpf, pi, qp, exp as mexp, mpc
 
 from spencerlab.crosscheck import CROSSCHECK_BUDGET, fd_spectrum_crosscheck
-from spencerlab.errors import PoleError, PreconditionError
-from spencerlab.spectra import SpectrumModel
+from spencerlab.errors import PreconditionError
+from spencerlab.special import to_decimal
+from spencerlab.spectra import SpectrumModel, lattice_points
 from spencerlab.torsion import (
     bcov_invariant_model,
     bcov_torsion,
     quillen_norm,
     ray_singer_torsion,
 )
-from spencerlab.zeta import regularized_det, zeta_at, zeta_prime_at_zero
+from spencerlab.zeta import regularized_det, zeta_at_zero, zeta_prime_at_zero
 
 mp.dps = 30
 
@@ -31,14 +33,15 @@ def eta_abs4(tau):
 
 
 def count_up_to(spec, cutoff):
-    """Nonzero eigenvalues up to cutoff, with multiplicity."""
-    return sum(m for _, m in spec.eigenvalues(cutoff))
+    """Nonzero eigenvalues of a lattice-backed spectrum up to cutoff, with
+    multiplicity."""
+    return sum(k for _, k in lattice_points(*spec.lattice_form(), to_decimal(cutoff)))
 
 
 def test_circle_enumeration_matches_closed_count():
     spec = SpectrumModel.circle(TWO_PI)
     # eigenvalues n^2, multiplicity 2: up to 30 -> n in 1..5
-    evs = spec.eigenvalues(30)
+    evs = lattice_points(*spec.lattice_form(), to_decimal(30))
     assert [int(round(float(v))) for v, _ in evs] == [1, 4, 9, 16, 25]
     assert all(m == 2 for _, m in evs)
     assert count_up_to(spec, 30) == 10
@@ -62,49 +65,23 @@ def test_torus_enumeration_is_exhaustive():
 
 
 def test_explicit_zeta_finite_sum():
+    # zeta(s) = 2 + 2^-s: zeta(0) counts the eigenvalues, zeta'(0) = -log 2
     spec = SpectrumModel.explicit([1, 1, 2])
-    val = zeta_at(spec, 1)
-    assert abs(mpf(str(val.value)) - mpf("2.5")) < 1e-25
+    assert zeta_at_zero(spec) == 3
+    zp0, err, method = zeta_prime_at_zero(spec)
+    assert (err, method) == (0.0, "closed_form")
+    assert abs(float(zp0) + math.log(2)) < 1e-15
 
 
 def test_circle_zeta_zero():
-    spec = SpectrumModel.circle(TWO_PI)
-    assert abs(zeta_at(spec, 0).value - (-1)) < 1e-20
+    assert zeta_at_zero(SpectrumModel.circle(TWO_PI)) == -1
 
 
 def test_circle_zeta_closed_vs_em():
     spec = SpectrumModel.circle(TWO_PI)
-    for s in (2, 1.3, 0.25, -0.5):
-        closed = zeta_at(spec, s, "closed_form")
-        em = zeta_at(spec, s, "euler_maclaurin")
-        assert abs(closed.value - em.value) <= closed.error_bound + em.error_bound
-
-
-def test_torus_zeta_two_methods_agree_at_generic_s():
-    spec = SpectrumModel.flat_torus(1j)
-    val = zeta_at(spec, 2)
-    brute = sum(
-        float(v) ** -2 * m for v, m in spec.eigenvalues(float(2000 * pi**2))
-    )
-    assert abs(float(val.value) - brute) < 1e-3  # truncated direct sum
-
-
-def test_pole_detected():
-    spec = SpectrumModel.flat_torus(1j)
-    with pytest.raises(PoleError):
-        zeta_at(spec, 1)
-    with pytest.raises(PoleError):
-        zeta_at(SpectrumModel.circle(TWO_PI), 0.5)
-
-
-@pytest.mark.parametrize("s, residue", [(1, 2 / (4 * math.pi)), (0.5, -3 / (4 * math.pi))],
-                         ids=["full-lattice", "axis-circles"])
-def test_rectangle_pole_residue(s, residue):
-    """4 Z_rect = Z_2d - Z_a - Z_b: ab/(4 pi) at s = 1 from the full lattice,
-    -(a + b)/(4 pi) at s = 1/2 from the two axis circles (a, b = 1, 2)."""
-    with pytest.raises(PoleError) as exc:
-        zeta_at(SpectrumModel.rectangle(1, 2), s)
-    assert exc.value.residue == pytest.approx(residue, rel=1e-12)
+    closed = zeta_prime_at_zero(spec, "closed_form")
+    em = zeta_prime_at_zero(spec, "euler_maclaurin")
+    assert abs(closed[0] - em[0]) <= closed[1] + em[1]
 
 
 # -- determinants ----------------------------------------------------------------------
@@ -332,30 +309,17 @@ def test_quillen_continuity_in_each_det():
     assert abs(q1 - q0) < 1e-6 * q0
 
 
-def test_torus_zeta_taylor_consistency_near_zero():
-    # zeta(s) ~ zeta(0) + s zeta'(0): two independent code paths must agree
-    spec = SpectrumModel.flat_torus(1j)
-    zp0, _, _ = zeta_prime_at_zero(spec)
-    s = 0.01
-    val = zeta_at(spec, s).value
-    assert abs(float(val) - (-1 + s * float(zp0))) < 1e-3
-
-
 def test_rectangle_zeta_corner_value_and_brute_force():
-    from mpmath import pi as mppi
-
     spec = SpectrumModel.rectangle(1, 1)
     assert spec.zero_modes == 0
     # Dirichlet unit square: four right-angle corners give zeta(0) = 1/4
-    z0 = zeta_at(spec, 0)
-    assert abs(float(z0.value) - 0.25) < 1e-12
-    # generic point against a truncated direct sum
-    z2 = zeta_at(spec, 2)
-    brute = sum(
-        float(mppi) ** -4 / (m * m + n * n) ** 2
-        for m in range(1, 200)
-        for n in range(1, 200)
-    )
-    assert abs(float(z2.value) - brute) < 1e-6
+    assert zeta_at_zero(spec) == Fraction(1, 4)
+    # the signed combination 4 Z_rect = Z_2d - Z_a - Z_b against the modes
+    # pi^2 (m^2 + n^2), m, n >= 1, counted directly
+    forms, divisor = spec.lattice_terms()
+    combined = sum(sign * sum(k for _, k in lattice_points(M, d, to_decimal(200)))
+                   for sign, M, d in forms)
+    brute = sum(1 for m in range(1, 5) for n in range(1, 5) if math.pi**2 * (m * m + n * n) <= 200)
+    assert combined == divisor * brute == 4 * 13
     det, err, method = regularized_det(spec)
     assert float(det) > 0 and method == "mellin_theta"
