@@ -195,9 +195,6 @@ class PolyIdeal:
         gb = self.groebner()
         return len(gb) == 1 and gb[0].is_constant()
 
-    def is_zero(self) -> bool:
-        return not self.groebner()
-
     def dimension(self):
         """Krull dimension of the quotient ring; None for the unit ideal.
 

@@ -16,18 +16,15 @@ from .scalars import scalar
 
 
 def _gauss_jordan(rows):
-    """Reduce sparse rows; returns (pivot -> reduced row, pivot product).
+    """Reduce sparse rows; returns pivot -> reduced row.
 
     Each incoming row is cleared at the pivot columns found so far (the
     stored rows are zero at every other pivot, so one pass suffices), and
     its leading column becomes a new pivot.  The stored rows therefore
     always form the reduced row echelon form of the rows seen, which is
-    unique.  The pivot product multiplies the leading entries met before
-    normalising (0 once a row reduces to zero); the dict keeps the pivots
-    in arrival order, which det() needs for the sign.
+    unique.
     """
     reduced = {}
-    factor = 1
     for row in rows:
         r = dict(row)
         for c in [c for c in r if c in reduced]:
@@ -43,12 +40,9 @@ def _gauss_jordan(rows):
                     else:
                         del r[k]
         if not r:
-            factor = 0
             continue
         p = min(r)
-        lead = r[p]
-        factor = factor * lead
-        inv = 1 / lead
+        inv = 1 / r[p]
         r = {k: v * inv for k, v in r.items()}
         for other in reduced.values():
             f = other.get(p)
@@ -64,7 +58,7 @@ def _gauss_jordan(rows):
                         else:
                             del other[k]
         reduced[p] = r
-    return reduced, factor
+    return reduced
 
 
 class ExactMatrix:
@@ -137,7 +131,7 @@ class ExactMatrix:
 
     def rref(self):
         """Reduced row echelon form: (nonzero rows as dicts, pivot columns)."""
-        reduced, _ = _gauss_jordan(self._rows)
+        reduced = _gauss_jordan(self._rows)
         pivots = sorted(reduced)
         return [reduced[p] for p in pivots], pivots
 
@@ -180,15 +174,6 @@ class ExactMatrix:
         for row, p in zip(rows, pivots):
             x[p] = row.get(self.cols, x[p])
         return x
-
-    def det(self):
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        reduced, factor = _gauss_jordan(self._rows)
-        # row k ends as the unit vector at its pivot: det = sign(pivot order) * factor
-        order = list(reduced)
-        inversions = sum(1 for k, p in enumerate(order) for q in order[k + 1 :] if q < p)
-        return scalar(-factor if inversions % 2 else factor)
 
 
 def positive_definite(gram):

@@ -71,9 +71,6 @@ class MultiPoly:
 
     # -- basic queries ---------------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 

@@ -11,11 +11,12 @@ CONTEXT explicitly, so code that only reads and compares needs neither.
 
 Only what zeta'(0) needs is here: pi and Euler's gamma for the
 theta/Mellin sum, the even Bernoulli numbers (exact) for Euler-Maclaurin
-and Stirling, the real gamma function, and the scaled upper incomplete
-gamma function, whose sum at the lattice points is the theta/Mellin
-zeta'(0).  The gamma functions take real orders, not only those that
-s = 0 reaches.  Each works at the precision of the current context and
-adds its own guard digits where its formula cancels.
+and the Todd class, and the scaled upper incomplete gamma function, whose
+sum at the lattice points is the theta/Mellin zeta'(0).  That sum reads it
+at three orders only: a = 0 for every primal term, and a = d/2, that is
+1/2 or 1, for the dual terms of a d-dimensional form.  It works at the
+precision of the current context and adds its own guard digits where its
+formula cancels.
 """
 
 from __future__ import annotations
@@ -34,25 +35,19 @@ from decimal import (
 )
 from fractions import Fraction
 from functools import lru_cache, wraps
-from math import floor
 
 from .errors import NumericError, PreconditionError
 
 CONTEXT = Context(prec=38, Emax=MAX_EMAX, Emin=MIN_EMIN,
                   traps=[InvalidOperation, DivisionByZero, Overflow, Underflow])
 
-# 82 digits: more than the guard digits below add to 38 for orders |a| up to about 18
+# 82 digits: more than gammainc_scaled's guard digits add to 38
 PI = Decimal("3.141592653589793238462643383279502884197169399375105820974944592307816406286208999")
 EULER_GAMMA = Decimal(
     "0.5772156649015328606065120900824024310421593359399235988057672348848677267776646709")
-LOG_SQRT_2PI = Decimal(
-    "0.9189385332046727417803297364056176398613974736377834128171515404827656959272603977")
 
-HALF = Decimal("0.5")
-# Stirling terms rgamma may take: enough for 80 digits, since it sums at z >= precision
-STIRLING_TERMS = 30
-# gammainc_scaled sums its series below x = SERIES_LIMIT (or a + 1) and
-# evaluates the continued fraction above it
+# gammainc_scaled sums its series below x = SERIES_LIMIT and evaluates the
+# continued fraction from it on
 SERIES_LIMIT = 4
 
 
@@ -107,71 +102,36 @@ def bernoulli_numbers(k_max):
                  for k in range(1, k_max + 1))
 
 
-def rgamma(x):
-    """1/Gamma(x) for real x, 0 at the poles x = 0, -1, -2, ...  The
-    recurrence Gamma(z + 1) = z Gamma(z) moves z past the precision in
-    digits, where Stirling's series converges to that precision."""
-    if x <= 0 and x == x.to_integral_value():
-        return Decimal(0)
-    with localcontext() as ctx:
-        ctx.prec += 5
-        eps = _epsilon()
-        z, shift = x, Decimal(1)
-        while z < ctx.prec:
-            shift *= z
-            z += 1
-        log_gamma = (z - HALF) * z.ln() - z + LOG_SQRT_2PI
-        power, z2 = z, z * z
-        for k, b in enumerate(bernoulli_numbers(STIRLING_TERMS), 1):
-            term = Decimal(b.numerator) / (b.denominator * 2 * k * (2 * k - 1)) / power
-            log_gamma += term
-            if abs(term) < eps:
-                break
-            power *= z2
-        result = shift / log_gamma.exp()
-    return +result
-
-
-def gamma(x):
-    """Gamma(x) for real x that is not a pole."""
-    return 1 / rgamma(x)
-
-
 def gammainc_scaled(a, x):
     """x^-a Gamma(a, x), the scaled upper incomplete gamma function, for
-    real a and x > 0.
+    x > 0 at the orders a = 0, 1/2 and 1 only.
 
-    From x = max(SERIES_LIMIT, a + 1) on, a modified Lentz evaluation of
-    the continued fraction (DLMF 8.9.2) converges fast.  Below it the
-    series of gamma(b, x) (DLMF 8.7.1), or for b = 0 that of E_1 (DLMF
-    6.6.2), is summed at b = a + m in [0, 1) for a <= 0 and b = a otherwise,
-    then run down to a by x^-(b-1) Gamma(b - 1, x) = (x S_b - e^-x) / (b - 1).
-    Guard digits cover the series' cancellation at x and that of Gamma(b)
-    against it for b near 0.  Gamma(1, x) = e^-x, the 2-torus's dual terms
-    at s = 0, is taken in closed form."""
+    Gamma(1, x) = e^-x is taken in closed form.  From x = SERIES_LIMIT on, a
+    modified Lentz evaluation of the continued fraction (DLMF 8.9.2)
+    converges fast.  Below it the series of E_1 (DLMF 6.6.2) is summed at
+    a = 0, and that of gamma(1/2, x) (DLMF 8.7.1) at a = 1/2, subtracted
+    from Gamma(1/2) = sqrt(pi).  Guard digits cover the series'
+    cancellation at x, and one more that of sqrt(pi) against it."""
     if a == 1:
         return (-x).exp() / x
-    if x >= SERIES_LIMIT and x >= a + 1:
+    if x >= SERIES_LIMIT:
         return _gammainc_fraction(a, x)
-    steps = max(0, -floor(a))
-    b = a + steps
     with localcontext() as ctx:
-        ctx.prec += 4 + int(x) + steps + (max(0, -b.adjusted()) if b else 0)
+        ctx.prec += 4 + int(x) + (1 if a else 0)
         eps = _epsilon()
-        term = total = Decimal(1) if b else x
+        term = total = Decimal(1) if a else x
         n = 1
         while abs(term) > eps * abs(total):
-            if b:  # x^n / (b (b+1) ... (b+n)) times b
-                term = term * x / (b + n)
+            if a:  # x^n / ((a+1) (a+2) ... (a+n))
+                term = term * x / (a + n)
             else:  # (-1)^(n+1) x^n / (n n!)
                 term = -term * x * n / ((n + 1) * (n + 1))
             total += term
             n += 1
-        e = (-x).exp()
-        s = gamma(b) * (-b * x.ln()).exp() - e * total / b if b else total - EULER_GAMMA - x.ln()
-        for _ in range(steps):
-            s = (x * s - e) / (b - 1)
-            b -= 1
+        if a:
+            s = PI.sqrt() * (-a * x.ln()).exp() - (-x).exp() * total / a
+        else:
+            s = total - EULER_GAMMA - x.ln()
     return +s
 
 

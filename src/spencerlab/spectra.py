@@ -120,6 +120,8 @@ class SpectrumModel(namedtuple("SpectrumModel", "kind params children", defaults
 
     @staticmethod
     def direct_sum(*specs):
+        if not specs:
+            raise PreconditionError("a direct sum needs at least one part")
         return SpectrumModel("sum", {}, list(specs))
 
     @working_precision

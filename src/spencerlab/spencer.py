@@ -113,9 +113,6 @@ class DeltaCohomologyTable(namedtuple("DeltaCohomologyTable", "entries max_order
 
     __slots__ = ()
 
-    def dim(self, q, i):
-        return self.entries.get((q, i), 0)
-
     def is_zero_for(self, q_min, q_max=None):
         return all(
             d == 0

@@ -10,12 +10,15 @@ function on (0, 1) gives
       + sum'_v Gamma(s, Q(v)) Q(v)^{-s}
       + pi^{d/2} det(M)^{-1/2} sum'_w Gamma(d/2 - s, Q*(w)) Q*(w)^{s - d/2},
 
-with Q*(w) = pi^2 w^T M^{-1} w and g analytic at 0.  Since 1/Gamma(s) =
-s + euler_gamma s^2 + O(s^3), zeta(0) = -1 (the one zero mode) and zeta'(0)
-= g(0) - euler_gamma.  One function, _regular_part, computes g(0), memoised
-per form.  Both tails converge like exp(-Q), so a cutoff of Q <= 80 puts
-the truncation error far below every tolerance used here; each form
-reports a conservative multiple of exp(-cutoff/2).
+with Q*(w) = pi^2 w^T M^{-1} w and g analytic at 0.  At s = 0 the sums
+read the incomplete gamma function at three orders only: 0 in the primal
+sum, and d/2 = 1/2 or 1 in the dual sum of a 1- or 2-dimensional form.
+Since 1/Gamma(s) = s + euler_gamma s^2 + O(s^3), zeta(0) = -1 (the one
+zero mode) and zeta'(0) = g(0) - euler_gamma.  One function,
+_regular_part, computes g(0), memoised per form.  Both tails converge like
+exp(-Q), so a cutoff of Q <= 80 puts the truncation error far below every
+tolerance used here; each form reports a conservative multiple of
+exp(-cutoff/2).
 
 A spectrum is continued this way when it is a signed combination of
 lattice forms (SpectrumModel.lattice_terms): the circle and the torus are
@@ -69,7 +72,8 @@ def _inverse(M, d):
 
 def _regular_part(M, d):
     """g(0) = lim_{s -> 0} (zeta(s) Gamma(s) + 1/s): the theta/Mellin sum
-    without the zero-mode pole.  Gamma(a, q) q^-a is gammainc_scaled(a, q)."""
+    without the zero-mode pole.  Gamma(a, q) q^-a is gammainc_scaled(a, q),
+    at a = 0 for the primal terms and a = d/2 for the dual ones."""
     primal = lattice_points(M, d, LATTICE_CUTOFF)  # refuses a degenerate form before _inverse
     Minv, detM = _inverse(M, d)
     half_d = Decimal(d) / 2

@@ -1,7 +1,11 @@
 """The library is what its commands and scripts run: every top-level
 definition in src/spencerlab, and every method of its classes, is
 referenced from src/ or scripts/ outside its own body.  A definition that
-only tests reach belongs in tests/."""
+only tests reach belongs in tests/.
+
+A method counts as read only through an attribute (x.name) or through its
+bare name in its own class body (as in __rmul__ = __mul__): a bare name
+anywhere else is a local or global variable, however it is spelled."""
 
 import ast
 from collections import defaultdict
@@ -30,16 +34,16 @@ def _owned_parts(top):
 
 
 def _references(tree):
-    """(name, owner) for each name read in a module, as a bare name or as an
-    attribute."""
+    """(name, owner, attribute) for each name read in a module: attribute is
+    True when it is read as x.name, False when as a bare name."""
     out = []
     for top in tree.body:
         for owner, part in _owned_parts(top):
             for node in ast.walk(part):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    out.append((node.id, owner))
+                    out.append((node.id, owner, False))
                 elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    out.append((node.attr, owner))
+                    out.append((node.attr, owner, True))
     return out
 
 
@@ -58,6 +62,15 @@ def _inside(owner, path):
     return owner is not None and (owner == path or owner.startswith(path + "."))
 
 
+def _reaches(module, path, reader, owner, attribute):
+    """Whether a read of path's last name, in module reader at owner, can
+    reach the definition module.path from outside its own body."""
+    if reader == module and _inside(owner, path):
+        return False
+    cls, _, _ = path.rpartition(".")
+    return not cls or attribute or (reader == module and owner == cls)
+
+
 def unreferenced_definitions(package=PACKAGE, scripts=SCRIPTS):
     """module.path of each top-level def or class, or method, in package that
     no module of package or scripts reads outside the definition itself."""
@@ -67,11 +80,11 @@ def unreferenced_definitions(package=PACKAGE, scripts=SCRIPTS):
         module = path.stem if path.parent == package else None
         if module:
             defined.update((module, name) for name in _definitions(tree))
-        for name, owner in _references(tree):
-            readers[name].add((module, owner))
+        for name, owner, attribute in _references(tree):
+            readers[name].add((module, owner, attribute))
     return {f"{module}.{path}" for module, path in defined
-            if all(reader == module and _inside(owner, path)
-                   for reader, owner in readers[path.rpartition(".")[2]])}
+            if not any(_reaches(module, path, *reader)
+                       for reader in readers[path.rpartition(".")[2]])}
 
 
 def test_every_library_definition_is_reached_from_src_or_scripts():

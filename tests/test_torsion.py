@@ -190,6 +190,13 @@ def test_single_degree_reduces_to_determinant():
     assert abs(report.torsion - float(det) ** -0.5) < 1e-12
 
 
+def test_empty_direct_sum_is_refused():
+    """A sum of no spectra has no zeta'(0) to report: it is refused where it
+    is built, so no torsion reaches it."""
+    with pytest.raises(PreconditionError, match="at least one part"):
+        ray_singer_torsion({0: SpectrumModel.direct_sum()})
+
+
 # -- BCOV -------------------------------------------------------------------------------
 
 
