@@ -1,70 +1,135 @@
-"""Exact sparse linear algebra over Q and Q(i): rref, rank, kernels, solving.
+"""Exact sparse linear algebra over Q and Q(i): rank, rref, kernels, solving.
 
 A matrix is a list of rows, each a dict column -> nonzero entry.  Symbol,
 prolongation and delta matrices are sparse integer-like matrices, so
 elimination only touches stored entries.  Each entry passes through
-``scalars.scalar``: a Fraction, or a QQi when its imaginary part is nonzero,
-so a real matrix is eliminated in plain fractions and a complex one mixes the
-two types entry by entry.  Every rank and dimension claim stays exact.
+``scalars.scalar``: a Fraction, or a QQi when its imaginary part is nonzero.
+
+Elimination is fraction-free and runs in one loop (``_clear``), as
+integer-preserving elimination does (Bareiss, *Math. Comp.* 22, 1968).
+Each row is scaled once, by the lcm of its denominators, to a primitive
+integer row; a row holding a QQi becomes a row over Z[i], whose content
+is the integer gcd of all the real and imaginary parts.  A row is cleared
+at a pivot by cross-multiplication and divided by its content, so its
+entries stay integers with no common factor.  ``rank`` is the forward pass
+alone, done once per matrix; ``rref``, and through it ``kernel_basis`` and
+``solve_right``, back-substitute on the same integer rows, and an entry
+becomes a Fraction or QQi only as it leaves this module.  Sylvester's test
+``positive_definite`` runs the same loop.  Every rank and dimension claim
+stays exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-from .scalars import scalar
+from .scalars import QQi, scalar
 
 
-def _gauss_jordan(rows):
-    """Reduce sparse rows; returns pivot -> reduced row.
+class _GaussInt:
+    """Gaussian integer with a nonzero imaginary part.  Arithmetic with ints
+    and other Gaussian integers returns an int when the imaginary part
+    cancels, so a real value is always an int."""
 
-    Each incoming row is cleared at the pivot columns found so far (the
-    stored rows are zero at every other pivot, so one pass suffices), and
-    its leading column becomes a new pivot.  The stored rows therefore
-    always form the reduced row echelon form of the rows seen, which is
-    unique.
-    """
-    reduced = {}
-    for row in rows:
-        r = dict(row)
-        for c in [c for c in r if c in reduced]:
-            f = r[c]
-            for k, v in reduced[c].items():
-                x = r.get(k)
-                if x is None:
-                    r[k] = -f * v
-                else:
-                    x = x - f * v
-                    if x:
-                        r[k] = x
-                    else:
-                        del r[k]
-        if not r:
-            continue
-        p = min(r)
-        inv = 1 / r[p]
-        r = {k: v * inv for k, v in r.items()}
-        for other in reduced.values():
-            f = other.get(p)
-            if f:
-                for k, v in r.items():
-                    x = other.get(k)
-                    if x is None:
-                        other[k] = -f * v
-                    else:
-                        x = x - f * v
-                        if x:
-                            other[k] = x
-                        else:
-                            del other[k]
-        reduced[p] = r
-    return reduced
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real, imag):
+        self.real, self.imag = real, imag
+
+    def __neg__(self):
+        return _GaussInt(-self.real, -self.imag)
+
+    def __sub__(self, other):
+        return _gauss_int(self.real - other.real, self.imag - other.imag)
+
+    def __rsub__(self, other):
+        return _gauss_int(other.real - self.real, other.imag - self.imag)
+
+    def __mul__(self, other):
+        a, b, c, d = self.real, self.imag, other.real, other.imag
+        return _gauss_int(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, g):
+        """Exact division by an integer that divides both parts."""
+        return _GaussInt(self.real // g, self.imag // g)
+
+
+def _gauss_int(real, imag):
+    return _GaussInt(real, imag) if imag else real
+
+
+def _integer_row(row):
+    """A row of Fractions and QQis as a primitive row of ints and _GaussInts
+    (the row times the lcm of its denominators, over its content)."""
+    parts = [(x.real, x.imag) if type(x) is QQi else (x, 0) for x in row.values()]
+    d = lcm(*(p.denominator for pair in parts for p in pair if p))
+    out = {}
+    for k, (re, im) in zip(row, parts):
+        re = re.numerator * (d // re.denominator)
+        out[k] = _GaussInt(re, im.numerator * (d // im.denominator)) if im else re
+    return _primitive(out)
+
+
+def _primitive(row):
+    """row divided by its content: the gcd of every integer part."""
+    try:
+        g = gcd(*row.values())
+    except TypeError:  # a Z[i] row
+        g = gcd(*(p for x in row.values() for p in (x.real, x.imag)))
+    return row if g == 1 else {k: x // g for k, x in row.items()}
+
+
+def _clear(row, pivot_row, c):
+    """row with its entry at column c cleared by pivot_row, whose entry
+    there is a positive integer p: (p*row - row[c]*pivot_row) / gcd, then
+    made primitive.  A positive multiple of row - (row[c]/p) pivot_row."""
+    p, f = pivot_row[c], row[c]
+    g = gcd(p, f.real, f.imag)
+    a, b = p // g, f // g
+    out = {k: a * x for k, x in row.items()} if a != 1 else dict(row)
+    for k, y in pivot_row.items():
+        x = out.pop(k, 0) - b * y
+        if x:
+            out[k] = x
+    return _primitive(out) if out else out
+
+
+def _reduce(row, pivots):
+    """Clear row's leading column while a stored pivot row leads there;
+    returns what is left (empty when row is in the span of the pivots)."""
+    while row:
+        c = min(row)
+        pivot_row = pivots.get(c)
+        if pivot_row is None:
+            break
+        row = _clear(row, pivot_row, c)
+    return row
+
+
+def _positive_lead(row, c):
+    """row scaled so its entry at its leading column c is a positive integer."""
+    p = row[c]
+    if type(p) is int:
+        return row if p > 0 else {k: -x for k, x in row.items()}
+    conj = _GaussInt(p.real, -p.imag)
+    return _primitive({k: conj * x for k, x in row.items()})
+
+
+def _quotient(x, d):
+    """x / d for an int or _GaussInt x and a positive int d: a Fraction, or
+    a QQi when the imaginary part is nonzero."""
+    if type(x) is int:
+        return Fraction(x, d)
+    return QQi(Fraction(x.real, d), Fraction(x.imag, d))
 
 
 class ExactMatrix:
     """Sparse exact matrix; build it from dense rows or with ``sparse``."""
 
-    __slots__ = ("rows", "cols", "_rows")
+    __slots__ = ("rows", "cols", "_rows", "_pivots")
 
     def __init__(self, data, cols=None):
         rows = [dict(enumerate(r)) for r in data]
@@ -77,6 +142,7 @@ class ExactMatrix:
     def _set(self, rows, cols):
         self.rows, self.cols = len(rows), cols
         self._rows = [{c: y for c, x in r.items() if (y := scalar(x))} for r in rows]
+        self._pivots = None
 
     @classmethod
     def sparse(cls, rows, cols):
@@ -129,14 +195,40 @@ class ExactMatrix:
 
     # -- elimination -----------------------------------------------------------
 
-    def rref(self):
-        """Reduced row echelon form: (nonzero rows as dicts, pivot columns)."""
-        reduced = _gauss_jordan(self._rows)
-        pivots = sorted(reduced)
-        return [reduced[p] for p in pivots], pivots
+    def _echelon(self):
+        """Forward pass, done once per matrix: pivot column -> primitive
+        integer row that leads there with a positive integer."""
+        if self._pivots is None:
+            pivots = {}
+            for row in self._rows:
+                if row := _reduce(_integer_row(row), pivots):
+                    c = min(row)
+                    pivots[c] = _positive_lead(row, c)
+            self._pivots = pivots
+        return self._pivots
+
+    def _reduced(self):
+        """Back substitution on the forward rows: pivot column -> integer
+        row that is zero at every other pivot column."""
+        reduced = {}
+        for c, row in sorted(self._echelon().items(), reverse=True):
+            for k in [k for k in row if k in reduced]:
+                row = _clear(row, reduced[k], k)
+            reduced[c] = row
+        return reduced
 
     def rank(self):
-        return len(self.rref()[1])
+        return len(self._echelon())
+
+    def rref(self):
+        """Reduced row echelon form: (nonzero rows as dicts, pivot columns)."""
+        reduced = self._reduced()
+        pivots = sorted(reduced)
+        rows = []
+        for p in pivots:
+            row, d = reduced[p], reduced[p][p]
+            rows.append({k: _quotient(x, d) for k, x in row.items()})
+        return rows, pivots
 
     def kernel_basis(self):
         """Basis of the right kernel {v : A v = 0}; count = cols - rank.
@@ -178,15 +270,13 @@ class ExactMatrix:
 
 def positive_definite(gram):
     """Sylvester's criterion on a square integer matrix: every leading
-    principal minor is positive.  In fraction-free (Bareiss) elimination the
-    k-th pivot is the k-th leading principal minor."""
-    a = [row[:] for row in gram]
-    n, prev = len(a), 1
-    for k in range(n):
-        if a[k][k] <= 0:
+    principal minor is positive.  Row k, cleared by rows 0..k-1 in the
+    fraction-free loop, is a positive multiple of the k-th pivot row of
+    Gaussian elimination, whose entry at k is minor_k / minor_(k-1)."""
+    pivots = {}
+    for k, row in enumerate(gram):
+        row = _reduce({j: x for j, x in enumerate(row) if x}, pivots)
+        if not row or min(row) != k or row[k] < 0:
             return False
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
+        pivots[k] = row
     return True

@@ -56,9 +56,12 @@ def _canon(value):
 
 
 def input_hash(*chunks) -> str:
-    import hashlib
+    try:  # CPython's own sha256, without loading hashlib's OpenSSL bindings
+        from _sha256 import sha256
+    except ImportError:  # Python 3.12+ and other interpreters
+        from hashlib import sha256
 
-    h = hashlib.sha256()
+    h = sha256()
     for chunk in chunks:
         if isinstance(chunk, str):
             chunk = chunk.encode("utf-8")

@@ -20,7 +20,7 @@ from itertools import chain, combinations, islice, repeat
 from .errors import ObstructionError, PreconditionError
 from .linalg import ExactMatrix
 from .poly import MultiPoly
-from .symbols import check_jet_budget, shift_vector, symbol_space
+from .symbols import check_jet_budget, contraction_rows, shift_vector, symbol_space
 from .systems import PdeSystem, add_index, multiindices
 
 
@@ -137,10 +137,61 @@ def delta_cohomology(cx: SpencerComplex) -> DeltaCohomologyTable:
     return DeltaCohomologyTable(entries, cx.max_order)
 
 
+def cartan_flags(n):
+    """The flags Cartan's test tries, in order: the n x n integer matrices
+    with entries in [-5, 5] drawn with seeds 0, 1 and 2, rows v_1 .. v_n,
+    each kept only when it is nonsingular."""
+    import random
+
+    flags = []
+    for seed in range(3):
+        rng = random.Random(seed)
+        flag = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        if ExactMatrix(flag).rank() == n:
+            flags.append(flag)
+    return flags
+
+
+def cartan_order(sys: PdeSystem, search_bound=6):
+    """First order q = k + l, l <= search_bound, at which Cartan's test
+    certifies that g^q is involutive, or None.  q starts at 1: H^{0,0} is
+    g^0 itself, which no test at order 0 can make vanish.
+
+    For a flag v_1 .. v_n let g^q_j = {t in g^q : iota_{v_1} t = ... =
+    iota_{v_j} t = 0}.  Every flag has dim g^{q+1} <= sum_{j<n} dim g^q_j,
+    and equality holds exactly when g^q is involutive and the flag is
+    delta-regular; involutive means H^{r,i} = 0 for every r >= q (Seiler,
+    *Involution*, 2010, ch. 6).  So equality in any one flag is a
+    certificate; a miss in all of cartan_flags(n) certifies nothing.
+    Only ranks are computed, no kernel basis."""
+    k, n, m = sys.order, sys.n, sys.m
+    flags = cartan_flags(n)
+    lo = max(k, 1)
+    upper = symbol_space(sys, lo)
+    for q in range(lo, k + search_bound + 1):
+        space, upper = upper, symbol_space(sys, q + 1)
+        cols = space.ambient_dim
+        rows = [space.presentation.row(i) for i in range(space.presentation.rows)]
+        for flag in flags:
+            total, stacked = space.dim, list(rows)
+            for v in flag[:-1]:
+                stacked += contraction_rows(n, m, q, v)
+                total += cols - ExactMatrix.sparse(stacked, cols).rank()
+            if total == upper.dim:
+                return q
+    return None
+
+
 def involutivity_degree(sys: PdeSystem, search_bound=6):
     """Smallest l0 <= search_bound with vanishing delta-cohomology at and
-    above order k + l0, checked by brute-force ranks on a stability window
-    of n + 2 orders above k + search_bound.
+    above order k + l0.
+
+    When Cartan's test certifies g^{q*} involutive (cartan_order), every
+    H^{r,i} with r >= q* vanishes, so the complex is built to order q* + 1
+    only and l0 = max(0, 1 + r - k) for the largest r in [k, q*) with a
+    nonzero H^{r,i}.  When no flag certifies within the bound, the answer
+    is read from a stability window of n + 2 orders above k + search_bound
+    instead.  The budget of that window is checked up front either way.
 
     Returns (l0 or None, DeltaCohomologyTable).  None is the not-found
     sentinel; the table is returned either way.
@@ -149,8 +200,11 @@ def involutivity_degree(sys: PdeSystem, search_bound=6):
         raise PreconditionError("search_bound must be >= 0")
     k = sys.order
     max_order = k + search_bound + sys.n + 2
-    cx = spencer_complex(sys, max_order=max_order)
-    table = delta_cohomology(cx)
+    check_jet_budget(sys.n, sys.m, max_order)
+    certified = cartan_order(sys, search_bound)
+    if certified is not None:
+        max_order = certified + 1
+    table = delta_cohomology(spencer_complex(sys, max_order=max_order))
     for ell in range(0, search_bound + 1):
         if table.is_zero_for(k + ell, max_order - 1):
             return ell, table
@@ -232,8 +286,8 @@ def _solve_by_constant_pivots(rows):
     The pivot is taken from the first pending row with a constant entry, at
     its highest-order such jet, and cleared from the other pending rows and
     from every stored expression, so the pending rows stay zero at every
-    solved jet and each expression runs over unsolved jets only (the
-    invariant of linalg._gauss_jordan).  Returns (solved, leftovers): solved
+    solved jet and each expression runs over unsolved jets only (as in
+    a reduced row echelon form).  Returns (solved, leftovers): solved
     maps each pivot jet to {jet: coefficient} with jet = sum coefficient *
     jet; leftovers are the nonzero rows that no constant pivot reaches.
     """

@@ -38,11 +38,13 @@ from .systems import PdeSystem, add_index, multiindices
 # up front, so finite-type --bound 100000 exits 3 at once even on a
 # finite-type system, as involutivity --bound 100000 does.  It bounds
 # requested orders, not the run time.
-# The largest symbol matrix of the tests and the benchmark has 135 columns;
-# default involutivity (order k + 8 + n) on Killing's equations in 5
-# variables needs 15300 and takes about 17 s; the Laplacian at 2000 columns
-# (order 1999) takes about 8 s, and the time grows with the square of the
-# order (Python 3.11, 2 vCPUs).
+# The largest symbol matrix of the tests and the benchmark has 135 columns.
+# Default involutivity checks the budget of its whole fallback window
+# (order k + 8 + n), 15300 columns on Killing's equations in 5 variables,
+# but Cartan's test certifies them at order 2 and the process takes about
+# 0.1 s (12 s when the window was always built); one Laplacian symbol
+# space at 2000 columns (order 1999) takes about 0.6 s, and the time grows
+# with the square of the order (Python 3.11, 2 vCPUs).
 JET_BUDGET = 20000
 
 
@@ -80,6 +82,14 @@ def shift_vector(vec, n, m, q, j):
     return [vec[i] for i in _shift_sources(n, m, q, j)]
 
 
+def contraction_rows(n, m, q, v):
+    """The matrix of iota_v = sum_j v_j shift_j, degree q -> degree q-1, as
+    one row per degree-(q-1) basis element (dicts column -> v_j)."""
+    sources = [_shift_sources(n, m, q, j) for j in range(n)]
+    return [{src[b]: x for src, x in zip(sources, v) if x}
+            for b in range(len(sym_basis(n, m, q - 1)))]
+
+
 def symbol_rows(sys: PdeSystem, q):
     """Prolonged principal-symbol rows at jet order q, evaluated at the
     system's base point, as dicts column -> coefficient.  From the system
@@ -115,18 +125,24 @@ def symbol_rows(sys: PdeSystem, q):
     return rows
 
 
-class SymbolSpace(namedtuple("SymbolSpace", "degree n m basis presentation")):
-    """basis: a kernel basis over sym_basis(n, m, degree), in free-column
-    form; presentation: the ExactMatrix whose kernel this is.  No __slots__:
-    the cached property free lives in the instance dict."""
+class SymbolSpace(namedtuple("SymbolSpace", "degree n m presentation")):
+    """presentation: the ExactMatrix over sym_basis(n, m, degree) whose
+    kernel this space is.  dim is read off its rank; basis (a kernel basis
+    in free-column form) and free are built when first read, and only the
+    delta-complex reads them.  No __slots__: the cached properties live in
+    the instance dict."""
 
-    @property
+    @cached_property
     def dim(self):
-        return len(self.basis)
+        return self.presentation.cols - self.presentation.rank()
 
     @property
     def ambient_dim(self):
-        return len(sym_basis(self.n, self.m, self.degree))
+        return self.presentation.cols
+
+    @cached_property
+    def basis(self):
+        return self.presentation.kernel_basis()
 
     @cached_property
     def free(self):
@@ -149,5 +165,4 @@ def symbol_space(sys: PdeSystem, q) -> SymbolSpace:
     PreconditionError."""
     n, m = sys.n, sys.m
     check_jet_budget(n, m, q)
-    mat = ExactMatrix.sparse(symbol_rows(sys, q), len(sym_basis(n, m, q)))
-    return SymbolSpace(q, n, m, mat.kernel_basis(), mat)
+    return SymbolSpace(q, n, m, ExactMatrix.sparse(symbol_rows(sys, q), len(sym_basis(n, m, q))))

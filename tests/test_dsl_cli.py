@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dsl_corpus import LAPLACE, TRICOMI, WAVE, corpus
 
+import spencerlab
 from spencerlab.cli import COMMANDS, build_parser, dispatch, main
 from spencerlab.dsl import parse_pde_dsl, print_document
 from spencerlab.errors import ParseError, PreconditionError
@@ -337,6 +338,16 @@ def test_cli_entry_point_subprocess(tmp_path):
     assert json.loads(out.stdout)["result"]["index"] == 6
 
 
+# A fresh interpreter that imports this spencerlab from any working
+# directory, with the default stream buffering (PYTHONUNBUFFERED unset) and
+# argparse's text wrapped at 80 columns, as a test sets in process.
+CLI_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+CLI_ENV["COLUMNS"] = "80"
+CLI_ENV["PYTHONPATH"] = os.pathsep.join(
+    p for p in (os.path.dirname(os.path.dirname(spencerlab.__file__)),
+                os.environ.get("PYTHONPATH")) if p)
+
+
 def test_cli_closed_stdout_exits_1_without_traceback(tmp_path):
     """The reader of stdout is gone before the report is written (as with
     `| head -c 50` on a large report): exit 1 and nothing on stderr."""
@@ -350,6 +361,74 @@ def test_cli_closed_stdout_exits_1_without_traceback(tmp_path):
     proc.stdout.close()  # the only read end: every write now fails with EPIPE
     err = proc.stderr.read()
     assert (proc.wait(), err) == (1, b"")
+
+
+@pytest.mark.parametrize("argv", [["grr", "--model", "P2", "--twist", "2"],
+                                  ["involutivity", "--help"]], ids=["report", "help"])
+def test_cli_closed_stdout_small_output_exits_1_without_traceback(tmp_path, argv):
+    """As above with output that fits the stream's buffer, in a process with
+    default buffering: a small report (main's flush fails, and the flush
+    before the process exit must not fail again aloud) and the help text
+    (left in the buffer by argparse; its failed flush exits 1 too)."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spencerlab.cli", *argv],
+        cwd=tmp_path, env=CLI_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(), err) == (1, b"")
+
+
+# One case per diagnostic exit code: (argv, exit code); wave.pde is WAVE.
+DIAGNOSTICS = [
+    (["involutivity", "wave.pde", "--system", "nope"], 2),
+    (["spencer", "wave.pde", "--order", "-1"], 2),
+    (["involutivity", "wave.pde", "--bound", "100000"], 3),
+    (["quillen", "--l2", "1", "--dets", "4:1e300"], 4),
+]
+
+
+@pytest.mark.parametrize("argv,code", DIAGNOSTICS, ids=["unknown-system", "argparse",
+                                                       "budget", "underflow"])
+def test_cli_process_diagnostics_reach_a_pipe_and_a_file_intact(capsys, tmp_path, monkeypatch,
+                                                                 argv, code):
+    """The process flushes stderr itself before it exits without interpreter
+    teardown: the diagnostic of an exit 2, 3 or 4 arrives whole, through a
+    pipe and into a file, and equals what main writes in process."""
+    (tmp_path / "wave.pde").write_text(WAVE)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", CLI_ENV["COLUMNS"])
+    assert main(argv) == code
+    expected = capsys.readouterr()
+    assert expected.out == "" and expected.err
+    cmd = [sys.executable, "-m", "spencerlab.cli", *argv]
+    piped = subprocess.run(cmd, cwd=tmp_path, env=CLI_ENV, capture_output=True)
+    assert (piped.returncode, piped.stdout, piped.stderr.decode()) == (code, b"", expected.err)
+    with open(tmp_path / "out", "wb") as out, open(tmp_path / "err", "wb") as err:
+        assert subprocess.run(cmd, cwd=tmp_path, env=CLI_ENV, stdout=out,
+                              stderr=err).returncode == code
+    assert (tmp_path / "out").read_bytes() == b""
+    assert (tmp_path / "err").read_text() == expected.err
+
+
+@pytest.mark.parametrize("argv", [["involutivity", "wave.pde", "--bound", "2"],
+                                  ["involutivity", "--help"]], ids=["report", "help"])
+def test_cli_process_report_in_a_file_is_the_bytes_of_main(capsysbinary, tmp_path, monkeypatch,
+                                                           argv):
+    """What goes to a file (block-buffered) is byte for byte what main writes
+    in process: the report, which main flushes, and the help text, which
+    argparse leaves in the buffer for the process exit to flush."""
+    (tmp_path / "wave.pde").write_text(WAVE)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", CLI_ENV["COLUMNS"])
+    assert main(argv) == 0
+    expected = capsysbinary.readouterr().out
+    with open(tmp_path / "out", "wb") as out, open(tmp_path / "err", "wb") as err:
+        proc = subprocess.run([sys.executable, "-m", "spencerlab.cli", *argv], cwd=tmp_path,
+                              env=CLI_ENV, stdout=out, stderr=err)
+    assert proc.returncode == 0
+    assert (tmp_path / "out").read_bytes() == expected
+    assert (tmp_path / "err").read_bytes() == b""
 
 
 def test_cli_main_closed_stdout_leaves_fd_1_alone(monkeypatch):

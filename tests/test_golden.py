@@ -38,6 +38,7 @@ from dsl_corpus import corpus
 
 from spencerlab.cli import main
 from spencerlab.dsl import parse_pde_dsl, print_document
+from spencerlab.reports import input_hash
 from spencerlab.spectra import SpectrumModel
 from spencerlab.torsion import bcov_torsion, ray_singer_torsion
 from spencerlab.zeta import regularized_det, zeta_at_zero, zeta_prime_at_zero
@@ -315,3 +316,18 @@ def test_jet_report_is_byte_identical(name, capsys, tmp_path, monkeypatch):
     (tmp_path / "jet.pde").write_text(JET_DOCUMENT, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     assert _jet_digest(name, capsys) == JET[name][2]
+
+
+# -- input hash -------------------------------------------------------------------------
+
+
+def test_input_hash_is_hashlib_sha256_of_the_golden_inputs():
+    """input_hash reads CPython's _sha256 where it exists; its digest of every
+    golden input, alone and chunked, is hashlib's sha256 of the chunks each
+    followed by a NUL byte."""
+    texts = [JET_DOCUMENT, MICROLOCAL_DOCUMENT, REGIONS, *corpus()]
+    for text in texts:
+        assert input_hash(text) == hashlib.sha256(text.encode("utf-8") + b"\x00").hexdigest()
+    chunked = b"".join(t.encode("utf-8") + b"\x00" for t in texts)
+    assert input_hash(*texts) == hashlib.sha256(chunked).hexdigest()
+    assert input_hash(*(t.encode("utf-8") for t in texts)) == hashlib.sha256(chunked).hexdigest()

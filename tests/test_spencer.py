@@ -157,7 +157,11 @@ def test_each_differential_ranked_once(monkeypatch):
     cx = spencer_complex(laplace_system(), max_order=4)
     table = delta_cohomology(cx)
     assert table.entries.get((1, 1), 0) == 1
-    assert sorted(calls) == sorted(id(d) for d in cx.differentials.values())
+    # every symbol dimension read, as the spencer command reports them all
+    assert [cx.symbols[q].dim for q in range(5)] == [1, 2, 2, 2, 2]
+    ranked = list(cx.differentials.values())
+    ranked += [space.presentation for space in cx.symbols.values()]
+    assert sorted(calls) == sorted(id(m) for m in ranked)
     assert set(calls.values()) == {1}
 
 

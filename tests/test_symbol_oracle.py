@@ -19,10 +19,17 @@ terms added.  The oracle uses sympy and no spencerlab jet code:
   symbol module, so finite type must agree with a characteristic ideal of
   Krull dimension n in (x, xi)-space;
 - g^q as a sympy kernel basis of those rows and delta built from its
-  definition give every dim H^{q,i} of the Spencer delta-complex.
+  definition give every dim H^{q,i} of the Spencer delta-complex;
+- the same kernel basis gives Cartan's test: for a flag v_1 .. v_n, the
+  dimensions of g^q_j = {t in g^q : iota_{v_1} t = ... = iota_{v_j} t = 0}
+  are ranks of the contractions of the basis vectors, and the first order
+  q at which dim g^{q+1} = sum_{j<n} dim g^q_j certifies involution, so
+  the involutivity degree is read off H^{r,i} for r <= q.
 
-Symbol dimensions are compared for q <= k + 3 and H^{q,i} for q <= k + 1,
-k the system order.
+Symbol dimensions are compared for q <= k + 3, H^{q,i} for q <= k + 1, and
+the Cartan order and involutivity degree for search bound 3, k the system
+order.  The flags are the library's own (cartan_flags), so a Cartan sum
+that differs shows as a different certified order.
 """
 
 from itertools import combinations, combinations_with_replacement
@@ -36,7 +43,8 @@ from sympy.polys.matrices import DomainMatrix
 
 from spencerlab.dsl import parse_pde_dsl
 from spencerlab.microlocal import characteristic_ideal
-from spencerlab.spencer import delta_cohomology, is_finite_type, poincare_series, spencer_complex
+from spencerlab.spencer import (cartan_flags, cartan_order, delta_cohomology, involutivity_degree,
+                                is_finite_type, poincare_series, spencer_complex)
 from spencerlab.symbols import symbol_space
 
 VARS = ("x", "y", "z")
@@ -142,6 +150,41 @@ def wedge_sign(j, subset):
     return -1 if inversions % 2 else 1
 
 
+def kernel_basis(n, m, sigmas, q, K):
+    """(columns, basis): a sympy kernel basis of the order-q prolonged rows,
+    vectors indexed like the columns (a, gamma)."""
+    cols, rows = prolonged_rows(n, m, sigmas, q, K)
+    if rows:
+        return cols, DomainMatrix(rows, (len(rows), len(cols)), K).nullspace().to_list()
+    return cols, [[K.one if b == c else K.zero for c in range(len(cols))]
+                  for b in range(len(cols))]
+
+
+def oracle_cartan_order(n, m, sigmas, k, bound):
+    """First q in [max(k, 1), k + bound] at which some flag of cartan_flags(n)
+    has dim g^{q+1} = sum_{j<n} dim g^q_j, or None.  dim g^q_j is
+    dim g^q minus the rank of the conditions iota_{v_l} t = 0, l <= j, on
+    the coordinates of t in the kernel basis: (iota_v t)[(a, gamma)] =
+    sum_i v_i t[(a, gamma + e_i)]."""
+    K = domain(sigmas)
+    for q in range(max(k, 1), k + bound + 1):
+        upper = oracle_dims(n, m, sigmas, q + 1)[q + 1]
+        cols, basis = kernel_basis(n, m, sigmas, q, K)
+        for flag in cartan_flags(n):
+            total, conditions = len(basis), []
+            for v in flag[:-1]:
+                for a, gamma in ((a, g) for a in range(m) for g in exponents(n, q - 1)):
+                    raised = [cols[(a, gamma[:i] + (gamma[i] + 1,) + gamma[i + 1:])]
+                              for i in range(n)]
+                    conditions.append([sum((K.from_sympy(Rational(x)) * t[c]
+                                            for x, c in zip(v, raised)), K.zero)
+                                       for t in basis])
+                total += len(basis) - rank(conditions, len(basis), K)
+            if total == upper:
+                return q
+    return None
+
+
 def oracle_delta_cohomology(n, m, sigmas, top):
     """dim H^{q,i} for q < top, i <= n: g^q is a sympy kernel basis of the
     prolonged rows, in jet coordinates t[(a, gamma)], and
@@ -153,12 +196,7 @@ def oracle_delta_cohomology(n, m, sigmas, top):
     K = domain(sigmas)
     kernels, columns = [], []
     for q in range(top + 1):
-        cols, rows = prolonged_rows(n, m, sigmas, q, K)
-        if rows:
-            basis = DomainMatrix(rows, (len(rows), len(cols)), K).nullspace().to_list()
-        else:
-            basis = [[K.one if b == c else K.zero for c in range(len(cols))]
-                     for b in range(len(cols))]
+        cols, basis = kernel_basis(n, m, sigmas, q, K)
         kernels.append(basis)
         columns.append(cols)
     ranks = {}
@@ -205,8 +243,8 @@ def test_symbol_dimensions_match_the_sympy_oracle(drawn):
         assert poincare_series(sys, top) == expected, dsl
     if len(sigmas) >= m:
         # of 400 random systems of finite type in this class, none had a
-        # nonzero symbol past order k + 2, so bound 3 leaves a margin
-        finite, _ = is_finite_type(sys, bound=3)
+        # nonzero symbol past order k + 2; bound 6 is the library's default
+        finite, _ = is_finite_type(sys, bound=6)
         assert finite == (characteristic_ideal(sys).dimension == n), dsl
 
 
@@ -218,3 +256,20 @@ def test_delta_cohomology_matches_the_sympy_oracle(drawn):
     top = sys.order + 2
     table = delta_cohomology(spencer_complex(sys, top))
     assert table.entries == oracle_delta_cohomology(n, m, sigmas, top), dsl
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(constant_systems())
+def test_involutivity_degree_matches_the_sympy_oracle(drawn):
+    n, m, sigmas, dsl = drawn
+    sys = parse_pde_dsl(dsl).systems["s"]
+    k = sys.order
+    certified = oracle_cartan_order(n, m, sigmas, k, 3)
+    assert cartan_order(sys, 3) == certified, dsl
+    if certified is not None:
+        # H^{r,i} = 0 for every r >= certified; l0 is the least l with
+        # H^{r,i} = 0 for k + l <= r <= certified
+        table = oracle_delta_cohomology(n, m, sigmas, certified + 1)
+        expected = min(ell for ell in range(certified - k + 1)
+                       if all(d == 0 for (q, i), d in table.items() if q >= k + ell))
+        assert involutivity_degree(sys, 3)[0] == expected, dsl
