@@ -113,12 +113,8 @@ class DeltaCohomologyTable(namedtuple("DeltaCohomologyTable", "entries max_order
 
     __slots__ = ()
 
-    def is_zero_for(self, q_min, q_max=None):
-        return all(
-            d == 0
-            for (q, i), d in self.entries.items()
-            if q >= q_min and (q_max is None or q <= q_max)
-        )
+    def is_zero_for(self, q_min, q_max):
+        return all(d == 0 for (q, i), d in self.entries.items() if q_min <= q <= q_max)
 
 
 def delta_cohomology(cx: SpencerComplex) -> DeltaCohomologyTable:
@@ -184,14 +180,14 @@ def cartan_order(sys: PdeSystem, search_bound=6):
 
 def involutivity_degree(sys: PdeSystem, search_bound=6):
     """Smallest l0 <= search_bound with vanishing delta-cohomology at and
-    above order k + l0.
+    above order k + l0, decided by Cartan's test.
 
     When Cartan's test certifies g^{q*} involutive (cartan_order), every
     H^{r,i} with r >= q* vanishes, so the complex is built to order q* + 1
     only and l0 = max(0, 1 + r - k) for the largest r in [k, q*) with a
-    nonzero H^{r,i}.  When no flag certifies within the bound, the answer
-    is read from a stability window of n + 2 orders above k + search_bound
-    instead.  The budget of that window is checked up front either way.
+    nonzero H^{r,i}.  When no flag certifies within the bound, l0 is None
+    and the table holds H^{q,i} for q <= k + search_bound.  The budget of
+    order k + search_bound + 1 is checked up front either way.
 
     Returns (l0 or None, DeltaCohomologyTable).  None is the not-found
     sentinel; the table is returned either way.
@@ -199,15 +195,14 @@ def involutivity_degree(sys: PdeSystem, search_bound=6):
     if search_bound < 0:
         raise PreconditionError("search_bound must be >= 0")
     k = sys.order
-    max_order = k + search_bound + sys.n + 2
-    check_jet_budget(sys.n, sys.m, max_order)
+    check_jet_budget(sys.n, sys.m, k + search_bound + 1)
     certified = cartan_order(sys, search_bound)
+    top = k + search_bound if certified is None else certified
+    table = delta_cohomology(spencer_complex(sys, max_order=top + 1))
     if certified is not None:
-        max_order = certified + 1
-    table = delta_cohomology(spencer_complex(sys, max_order=max_order))
-    for ell in range(0, search_bound + 1):
-        if table.is_zero_for(k + ell, max_order - 1):
-            return ell, table
+        for ell in range(0, search_bound + 1):
+            if table.is_zero_for(k + ell, certified):
+                return ell, table
     return None, table
 
 

@@ -39,12 +39,11 @@ from .systems import PdeSystem, add_index, multiindices
 # finite-type system, as involutivity --bound 100000 does.  It bounds
 # requested orders, not the run time.
 # The largest symbol matrix of the tests and the benchmark has 135 columns.
-# Default involutivity checks the budget of its whole fallback window
-# (order k + 8 + n), 15300 columns on Killing's equations in 5 variables,
-# but Cartan's test certifies them at order 2 and the process takes about
-# 0.1 s (12 s when the window was always built); one Laplacian symbol
-# space at 2000 columns (order 1999) takes about 0.6 s, and the time grows
-# with the square of the order (Python 3.11, 2 vCPUs).
+# Involutivity checks order k + bound + 1, so --bound 13 on Killing's
+# equations in 5 variables (order 15, 19380 columns) fits and --bound 14
+# (order 16, 24225 columns) does not; one Laplacian symbol space at 2000
+# columns (order 1999) takes about 0.6 s, and the time grows with the
+# square of the order (Python 3.11, 2 vCPUs).
 JET_BUDGET = 20000
 
 

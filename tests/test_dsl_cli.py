@@ -1055,7 +1055,7 @@ def test_jet_budget_boundary():
     from spencerlab.symbols import check_jet_budget
 
     check_jet_budget(2, 1, 19999)  # the Laplacian's 20000 columns
-    check_jet_budget(5, 5, 14)  # default involutivity on 5-D Killing: 15300 columns
+    check_jet_budget(5, 5, 14)  # involutivity --bound 12 on 5-D Killing: 15300 columns
     check_jet_budget(3, 3, 8)  # the largest symbol matrix of the tests: 135 columns
     check_jet_budget(0, 1, 0)
     with pytest.raises(PreconditionError, match="20001 symbol columns"):
@@ -1104,13 +1104,44 @@ system killing4 {
 
 
 def test_cli_default_involutivity_fits_the_work_budget(capsys, tmp_path):
-    """The default --bound 6 on Killing's equations in four variables reaches
-    order 13: 4 C(16, 13) = 2240 symbol columns, inside the budget."""
+    """The default --bound 6 on Killing's equations in four variables checks
+    order 8: 4 C(11, 8) = 660 symbol columns, inside the budget."""
     pde = tmp_path / "killing4.pde"
     pde.write_text(KILLING_4D)
     assert main(["involutivity", str(pde)]) == 0
     result = json.loads(capsys.readouterr().out)["result"]
     assert (result["found"], result["involutivity_degree"]) == (True, 1)
+
+
+KILLING_5D = """
+system killing5 {
+  vars x, y, z, t, r; unknowns u, v, w, s, p;
+  eq: D[x](u) = 0; eq: D[y](v) = 0; eq: D[z](w) = 0; eq: D[t](s) = 0; eq: D[r](p) = 0;
+  eq: D[y](u) + D[x](v) = 0; eq: D[z](u) + D[x](w) = 0; eq: D[t](u) + D[x](s) = 0;
+  eq: D[r](u) + D[x](p) = 0; eq: D[z](v) + D[y](w) = 0; eq: D[t](v) + D[y](s) = 0;
+  eq: D[r](v) + D[y](p) = 0; eq: D[t](w) + D[z](s) = 0; eq: D[r](w) + D[z](p) = 0;
+  eq: D[r](s) + D[t](p) = 0;
+}
+"""
+
+
+def test_cli_involutivity_budget_is_the_last_order_it_may_build(capsys, tmp_path, monkeypatch):
+    """involutivity --bound B checks order k + B + 1.  On Killing's equations
+    in five variables (k = 1) --bound 13 reaches order 15, 5 C(19, 15) =
+    19380 symbol columns, and Cartan's test certifies order 2; --bound 14
+    reaches order 16, 24225 columns, and exits 3 before any symbol space."""
+    import spencerlab.spencer as spencer
+
+    pde = tmp_path / "killing5.pde"
+    pde.write_text(KILLING_5D)
+    assert main(["involutivity", str(pde), "--bound", "13"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["found"], result["involutivity_degree"]) == (True, 1)
+    built = []
+    monkeypatch.setattr(spencer, "symbol_space", lambda *args: built.append(args))
+    assert main(["involutivity", str(pde), "--bound", "14"]) == 3
+    assert "jet order 16 needs 24225 symbol columns" in capsys.readouterr().err
+    assert built == []
 
 
 def test_cli_report_without_seed_option_has_null_seed(capsys):

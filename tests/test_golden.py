@@ -21,6 +21,10 @@ connection) on corpus systems, finite-type systems and Killing's equations
 of R^3, computed before the flat connection, the curvature check and the
 symbol-dimension loops each became one code path.
 
+The not-found jet digest is the sha256 of involutivity reports that no
+flag of Cartan's test certifies within the bound, computed when their
+delta-cohomology tables first stopped at order k + bound.
+
 The DSL digest is the sha256 of the canonical printing of the corpus and of
 region documents with constants, powers and negative terms, computed while
 equations and regions still had a term parser and a printer each.
@@ -316,6 +320,25 @@ def test_jet_report_is_byte_identical(name, capsys, tmp_path, monkeypatch):
     (tmp_path / "jet.pde").write_text(JET_DOCUMENT, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     assert _jet_digest(name, capsys) == JET[name][2]
+
+
+# Cartan's test certifies cubes at order 5 (k = 3) and killing at order 2 (k = 1),
+# so none of these is found; kept apart from JET so that its digests do not move.
+JET_NOT_FOUND = ((("cubes", "0"), ("killing", "0"), ("cubes", "1")),
+                 "6410c07fbd3debed52994f59f372804f98c2677b8ce85474e91487313ebcd890")
+
+
+def test_not_found_involutivity_reports_are_byte_identical(capsys, tmp_path, monkeypatch):
+    (tmp_path / "jet.pde").write_text(JET_DOCUMENT, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    cases, expected = JET_NOT_FOUND
+    h = hashlib.sha256()
+    for system, bound in cases:
+        assert main(["involutivity", "jet.pde", "--system", system, "--bound", bound]) == 0
+        out = capsys.readouterr().out
+        assert '"found":false' in out
+        h.update(out.encode("utf-8"))
+    assert h.hexdigest() == expected
 
 
 # -- input hash -------------------------------------------------------------------------

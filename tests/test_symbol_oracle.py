@@ -29,7 +29,12 @@ terms added.  The oracle uses sympy and no spencerlab jet code:
 Symbol dimensions are compared for q <= k + 3, H^{q,i} for q <= k + 1, and
 the Cartan order and involutivity degree for search bound 3, k the system
 order.  The flags are the library's own (cartan_flags), so a Cartan sum
-that differs shows as a different certified order.
+that differs shows as a different certified order.  When no flag certifies
+within bound 0 or 1, the not-found table is compared for q <= k + bound.
+
+The stability window that decided uncertified systems before Cartan's test
+stood alone is kept as _window_degree, an oracle that the Cartan answer
+must match at bounds 0 to 2.
 """
 
 from itertools import combinations, combinations_with_replacement
@@ -273,3 +278,40 @@ def test_involutivity_degree_matches_the_sympy_oracle(drawn):
         expected = min(ell for ell in range(certified - k + 1)
                        if all(d == 0 for (q, i), d in table.items() if q >= k + ell))
         assert involutivity_degree(sys, 3)[0] == expected, dsl
+
+
+@settings(max_examples=70, deadline=None, derandomize=True)
+@given(constant_systems())
+def test_not_found_table_matches_the_sympy_oracle(drawn):
+    n, m, sigmas, dsl = drawn
+    sys = parse_pde_dsl(dsl).systems["s"]
+    k = sys.order
+    certified = oracle_cartan_order(n, m, sigmas, k, 1)
+    bounds = [bound for bound in (0, 1) if certified is None or certified > k + bound]
+    if bounds:
+        # H^{q,i} for q < top reads orders <= top only, so one oracle table
+        # holds the table of every smaller top
+        expected = oracle_delta_cohomology(n, m, sigmas, k + bounds[-1] + 1)
+        for bound in bounds:
+            l0, table = involutivity_degree(sys, bound)
+            assert l0 is None, dsl
+            assert table.entries == {(q, i): d for (q, i), d in expected.items()
+                                     if q <= k + bound}, dsl
+
+
+def _window_degree(sys, bound):
+    """The stability-window rule: the least l <= bound with H^{q,i} = 0 for
+    k + l <= q <= k + bound + n + 1, or None.  Vanishing on a window is
+    evidence, not a certificate; it is kept as an oracle only."""
+    k = sys.order
+    top = k + bound + sys.n + 2
+    table = delta_cohomology(spencer_complex(sys, top))
+    return next((ell for ell in range(bound + 1) if table.is_zero_for(k + ell, top - 1)), None)
+
+
+@settings(max_examples=45, deadline=None, derandomize=True)
+@given(constant_systems(), st.integers(0, 2))
+def test_involutivity_degree_matches_the_stability_window(drawn, bound):
+    *_, dsl = drawn
+    sys = parse_pde_dsl(dsl).systems["s"]
+    assert involutivity_degree(sys, bound)[0] == _window_degree(sys, bound), dsl
