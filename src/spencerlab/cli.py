@@ -197,7 +197,7 @@ class _Job:
     def system(self):
         """The system named by --system, or the document's only one."""
         systems, name = self.doc.systems, self.args.system
-        if name:
+        if name is not None:
             return _named(systems, name, "--system", "system")
         if len(systems) != 1:
             raise PreconditionError(f"document has {len(systems)} systems; pass --system")
@@ -366,10 +366,10 @@ def _classify(args, job):
 
     _check_classify_options(args, job)
     sys_, doc = job.system, job.doc
-    region = (_named(doc.regions, args.region, "--region", "region") if args.region
-              else Region.everywhere())
+    region = (Region.everywhere() if args.region is None
+              else _named(doc.regions, args.region, "--region", "region"))
     direction = (_parse_vector(args.direction, "--direction", sys_.n)
-                 if args.direction else None)
+                 if args.direction is not None else None)
     if args.mode == "elliptic":
         ok, cert = is_elliptic(sys_, seed=args.seed)
         return {"system": sys_.name, "elliptic": ok, "certificate": cert}
@@ -380,9 +380,9 @@ def _classify(args, job):
         return {"system": sys_.name, "hyperbolic": rep.value, "status": rep.status,
                 "certificate": rep.certificate}
     grid = default_grid(sys_, base_count=job.arguments["grid"], seed=args.seed,
-                        region=region if args.region else None)
+                        region=region if args.region is not None else None)
     cones = None
-    if args.cones:
+    if args.cones is not None:
         names = args.cones.split(",")
         if len(names) != 2:
             raise ParseError(f"--cones needs two cone names a,b, got {args.cones!r}")
@@ -421,7 +421,8 @@ def _kunneth(args, job):
         _reject_unused(args, ("other",), "with --copies")
         return {"system": sys_.name,
                 "factorization": factorization_check(sys_, max_copies=args.copies)}
-    other = _named(job.doc.systems, args.other, "--other", "system") if args.other else sys_
+    other = (sys_ if args.other is None
+             else _named(job.doc.systems, args.other, "--other", "system"))
     cv, ok = external_product_char(sys_, other)
     cva = characteristic_ideal(sys_)
     cvb = characteristic_ideal(other)
@@ -452,7 +453,7 @@ def _index(args, job):
         symbol_class = de_rham_class(model)
     else:
         symbol_class = dolbeault_class(model)
-    if args.file:
+    if args.file is not None:
         seed = job.arguments.setdefault("seed", 0)
         report = atiyah_singer_index(job.system, model, symbol_class, seed=seed)
     else:
@@ -478,7 +479,7 @@ def _boundary_index(args, job):
 
     interior = _parse_table(args.interior, "--interior", int, bare_degree=True)
     boundary = (_parse_table(args.boundary, "--boundary", int, bare_degree=True)
-                if args.boundary else None)
+                if args.boundary is not None else None)
     ind, ind_b, ind_rel = boundary_index(interior, boundary)
     return {"index": ind, "boundary_index": ind_b, "relative_index": ind_rel}
 

@@ -2,21 +2,21 @@
 
 A matrix is a list of rows, each a dict column -> nonzero entry.  Symbol,
 prolongation and delta matrices are sparse integer-like matrices, so
-elimination only touches stored entries.  Each entry passes through
-``scalars.scalar``: a Fraction, or a QQi when its imaginary part is nonzero.
+elimination only touches stored entries.  The dense constructor passes each
+entry through ``scalars.scalar``; ``sparse`` stores ints, ``_GaussInt``s
+or scalars as given, so a delta matrix stays over Z or Z[i].
 
 Elimination is fraction-free and runs in one loop (``_clear``), as
 integer-preserving elimination does (Bareiss, *Math. Comp.* 22, 1968).
 Each row is scaled once, by the lcm of its denominators, to a primitive
-integer row; a row holding a QQi becomes a row over Z[i], whose content
-is the integer gcd of all the real and imaginary parts.  A row is cleared
-at a pivot by cross-multiplication and divided by its content, so its
-entries stay integers with no common factor.  ``rank`` is the forward pass
-alone, done once per matrix; ``rref``, and through it ``kernel_basis`` and
-``solve_right``, back-substitute on the same integer rows, and an entry
-becomes a Fraction or QQi only as it leaves this module.  Sylvester's test
-``positive_definite`` runs the same loop.  Every rank and dimension claim
-stays exact.
+integer row over Z or Z[i], whose content is the integer gcd of all the
+real and imaginary parts.  A row is cleared at a pivot by
+cross-multiplication and divided by its content, so its entries stay
+integers with no common factor.  ``rank`` is the forward pass alone, done
+once per matrix; ``integer_kernel`` back-substitutes on the same rows, and
+``rref``, ``kernel_basis`` and ``solve_right`` divide by the leads only as
+they return.  Sylvester's test ``positive_definite`` runs the same loop.
+Every rank and dimension claim stays exact.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import QQi, scalar
+from .scalars import gaussian, scalar
 
 
 class _GaussInt:
@@ -40,11 +40,10 @@ class _GaussInt:
     def __neg__(self):
         return _GaussInt(-self.real, -self.imag)
 
-    def __sub__(self, other):
-        return _gauss_int(self.real - other.real, self.imag - other.imag)
+    def __add__(self, other):
+        return _gauss_int(self.real + other.real, self.imag + other.imag)
 
-    def __rsub__(self, other):
-        return _gauss_int(other.real - self.real, other.imag - self.imag)
+    __radd__ = __add__
 
     def __mul__(self, other):
         a, b, c, d = self.real, self.imag, other.real, other.imag
@@ -62,9 +61,9 @@ def _gauss_int(real, imag):
 
 
 def _integer_row(row):
-    """A row of Fractions and QQis as a primitive row of ints and _GaussInts
-    (the row times the lcm of its denominators, over its content)."""
-    parts = [(x.real, x.imag) if type(x) is QQi else (x, 0) for x in row.values()]
+    """A row of exact scalars as a primitive row of ints and _GaussInts (the
+    row times the lcm of its denominators, over its content)."""
+    parts = [(x.real, im) if (im := x.imag) else (x, 0) for x in row.values()]
     d = lcm(*(p.denominator for pair in parts for p in pair if p))
     out = {}
     for k, (re, im) in zip(row, parts):
@@ -88,10 +87,10 @@ def _clear(row, pivot_row, c):
     made primitive.  A positive multiple of row - (row[c]/p) pivot_row."""
     p, f = pivot_row[c], row[c]
     g = gcd(p, f.real, f.imag)
-    a, b = p // g, f // g
+    a, b = p // g, -f // g
     out = {k: a * x for k, x in row.items()} if a != 1 else dict(row)
     for k, y in pivot_row.items():
-        x = out.pop(k, 0) - b * y
+        x = out.pop(k, 0) + b * y
         if x:
             out[k] = x
     return _primitive(out) if out else out
@@ -119,11 +118,8 @@ def _positive_lead(row, c):
 
 
 def _quotient(x, d):
-    """x / d for an int or _GaussInt x and a positive int d: a Fraction, or
-    a QQi when the imaginary part is nonzero."""
-    if type(x) is int:
-        return Fraction(x, d)
-    return QQi(Fraction(x.real, d), Fraction(x.imag, d))
+    """x / d for an int or _GaussInt x and a positive int d, by the scalar rule."""
+    return gaussian(Fraction(x.real, d), Fraction(x.imag, d))
 
 
 class ExactMatrix:
@@ -132,7 +128,7 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "_rows", "_pivots")
 
     def __init__(self, data, cols=None):
-        rows = [dict(enumerate(r)) for r in data]
+        rows = [{c: scalar(x) for c, x in enumerate(r)} for r in data]
         if rows:
             cols = len(rows[0])
             if any(len(r) != cols for r in rows):
@@ -141,12 +137,13 @@ class ExactMatrix:
 
     def _set(self, rows, cols):
         self.rows, self.cols = len(rows), cols
-        self._rows = [{c: y for c, x in r.items() if (y := scalar(x))} for r in rows]
+        self._rows = [{c: x for c, x in r.items() if x} for r in rows]
         self._pivots = None
 
     @classmethod
     def sparse(cls, rows, cols):
-        """Matrix from rows given as dicts column -> entry (zeros may be omitted)."""
+        """Matrix from rows given as dicts column -> entry (zeros may be
+        omitted): ints, _GaussInts or scalars that follow the scalar rule."""
         mat = cls.__new__(cls)
         mat._set(rows, cols)
         return mat
@@ -181,14 +178,6 @@ class ExactMatrix:
 
     def is_zero(self):
         return not any(self._rows)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExactMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._rows == other._rows
-        )
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols})"
@@ -230,34 +219,34 @@ class ExactMatrix:
             rows.append({k: _quotient(x, d) for k, x in row.items()})
         return rows, pivots
 
-    def kernel_basis(self):
-        """Basis of the right kernel {v : A v = 0}; count = cols - rank.
-
-        Vectors are dense lists in free-column form: the vector of free
-        column f is 1 at f and 0 at every other free column, so the
-        coordinates of a kernel element are its entries at the free
-        columns.  Its last nonzero entry is the one at f.
-        """
-        rows, pivots = self.rref()
-        pivot_set = set(pivots)
-        zero, one = Fraction(0), Fraction(1)
-        basis = {}
-        for f in range(self.cols):
-            if f not in pivot_set:
-                v = [zero] * self.cols
-                v[f] = one
-                basis[f] = v
-        for row, p in zip(rows, pivots):
+    def integer_kernel(self):
+        """Right kernel {v : A v = 0} over Z or Z[i]: (scale, free column f
+        -> dense vector), scale being the lcm of the reduced rows' positive
+        leads.  The vector of f is scale at f and 0 at the other free
+        columns; its last nonzero entry is the one at f."""
+        reduced = self._reduced()
+        scale = lcm(*(row[p] for p, row in reduced.items()))
+        basis = {f: [0] * self.cols for f in range(self.cols) if f not in reduced}
+        for f, v in basis.items():
+            v[f] = scale
+        for p, row in reduced.items():
+            m = -(scale // row[p])
             for f, x in row.items():
                 if f != p:
-                    basis[f][p] = -x
-        return list(basis.values())
+                    basis[f][p] = m * x
+        return scale, basis
+
+    def kernel_basis(self):
+        """integer_kernel over its scale: dense lists of Fractions and QQis,
+        1 at their free column; count = cols - rank."""
+        scale, kernel = self.integer_kernel()
+        return [[_quotient(x, scale) for x in v] for v in kernel.values()]
 
     def solve_right(self, b):
         """One solution of A x = b as a dense list, or None if inconsistent."""
         aug = [dict(r) for r in self._rows]
         for r, bv in zip(aug, b):
-            r[self.cols] = bv
+            r[self.cols] = scalar(bv)
         aug = ExactMatrix.sparse(aug, self.cols + 1)
         rows, pivots = aug.rref()
         if pivots and pivots[-1] == self.cols:

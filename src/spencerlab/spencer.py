@@ -6,7 +6,11 @@ ascending i-subset of axes).  The differential
     delta(t (x) e_S) = sum_{j not in S} sign(j, S) shift_j(t) (x) e_{S + j}
 
 maps C^{q,i} -> C^{q-1,i+1}; delta o delta = 0 exactly because shifts
-commute, and the constructor asserts this slot by slot.  Cohomology at
+commute, and the constructor asserts this slot by slot.  The complex stays
+in Z or Z[i]: each g^q has an integer basis that is L_q at its free
+columns, so the matrix built for delta^{q,i} is L_{q-1} times delta, with
+the same rank, and the product of two consecutive ones is L_{q-2} L_{q-1}
+times delta o delta (see ``SymbolSpace.kernel``).  Cohomology at
 (q,i) is ker delta^{q,i} / im delta^{q+1,i-1}; for the full jet module all
 slots with q >= 1 vanish (the delta-Poincare property, exercised in the
 acceptance suite).
@@ -44,7 +48,8 @@ class SpencerComplex(namedtuple("SpencerComplex", "n m max_order symbols differe
 
 
 def _shift_coordinates(g_hi, g_lo, n):
-    """coords[b][j]: coordinates of shift_j(basis vector b of g_hi) in g_lo."""
+    """coords[b][j]: L times the coordinates of shift_j(basis vector b of
+    g_hi) in g_lo's basis, L being g_lo's scale; ints and _GaussInts."""
     coords = []
     for vec in g_hi.basis:
         row = []
@@ -58,7 +63,8 @@ def _shift_coordinates(g_hi, g_lo, n):
 
 
 def _delta_matrix(coords, dim_lo, n, i):
-    """delta: C^{q,i} -> C^{q-1,i+1} in the chosen bases (rows = target)."""
+    """L_{q-1} delta: C^{q,i} -> C^{q-1,i+1} in the integer bases (rows =
+    target); coords holds the scaled coordinates that g_lo.coordinates gives."""
     dim_hi = len(coords)
     subsets_src = list(combinations(range(n), i))
     subsets_dst = list(combinations(range(n), i + 1))

@@ -126,10 +126,9 @@ def symbol_rows(sys: PdeSystem, q):
 
 class SymbolSpace(namedtuple("SymbolSpace", "degree n m presentation")):
     """presentation: the ExactMatrix over sym_basis(n, m, degree) whose
-    kernel this space is.  dim is read off its rank; basis (a kernel basis
-    in free-column form) and free are built when first read, and only the
-    delta-complex reads them.  No __slots__: the cached properties live in
-    the instance dict."""
+    kernel this space is.  dim is read off its rank; kernel and basis, an
+    integer basis that only the delta-complex reads, are built when first
+    read.  No __slots__: the cached properties live in the instance dict."""
 
     @cached_property
     def dim(self):
@@ -140,22 +139,24 @@ class SymbolSpace(namedtuple("SymbolSpace", "degree n m presentation")):
         return self.presentation.cols
 
     @cached_property
-    def basis(self):
-        return self.presentation.kernel_basis()
+    def kernel(self):
+        """(scale, free column f -> basis vector over Z or Z[i]): the vector
+        of f is scale at f and 0 at the other free columns (integer_kernel)."""
+        return self.presentation.integer_kernel()
 
     @cached_property
-    def free(self):
-        """Free columns: basis[k] is 1 at free[k] and 0 at the other free
-        columns, and free[k] is the last nonzero entry of basis[k]."""
-        return [max(c for c, x in enumerate(v) if x) for v in self.basis]
+    def basis(self):
+        return list(self.kernel[1].values())
 
     def coordinates(self, vec):
-        """Coefficients of vec in the basis, or None when vec is not in the
-        space.  Membership is checked exactly: presentation . vec = 0."""
-        for i in range(self.presentation.rows):
-            if sum(x * vec[c] for c, x in self.presentation.row(i).items() if vec[c]):
+        """scale times the coefficients of vec in the basis, which are its
+        entries at the free columns, or None when vec is not in the space.
+        Membership is checked exactly, in integers: the dot product of vec
+        with each echelon row of the presentation is 0."""
+        for row in self.presentation._echelon().values():
+            if sum(x * vec[c] for c, x in row.items() if vec[c]):
                 return None
-        return [vec[f] for f in self.free]
+        return [vec[f] for f in self.kernel[1]]
 
 
 def symbol_space(sys: PdeSystem, q) -> SymbolSpace:

@@ -282,6 +282,28 @@ def test_cli_bad_microlocal_argument(capsys, tmp_path, argv, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "F", "--region", ""], "--region: no region named ''"),
+    (["classify", "F", "--cones", ""], "--cones needs two cone names a,b, got ''"),
+    (["classify", "F", "--mode", "hyperbolic", "--direction", ""],
+     "--direction: '' is not a list of rationals"),
+    (["kunneth", "F", "--other", ""], "--other: no system named ''"),
+    (["index", "F", "--model", "P1", "--system", ""], "--system: no system named ''"),
+    (["boundary-index", "--interior", "0:1", "--boundary", ""],
+     "--boundary: '' is not a degree:value pair"),
+    (["index", "", "--model", "P1", "--seed", "3"], "cannot read ''"),
+], ids=["region", "cones", "direction", "other", "system", "boundary", "index-file"])
+def test_cli_empty_option_value_is_not_an_absent_option(capsys, tmp_path, argv, message):
+    """An empty value is read, not taken for a missing option: exit 2 with
+    a message that names it.  F stands for a document path."""
+    pde = tmp_path / "wave.pde"
+    pde.write_text(WAVE)
+    assert main([str(pde) if a == "F" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("copies", ["-1", "0", "1"])
 def test_cli_kunneth_rejects_fewer_than_two_copies(capsys, tmp_path, copies):
     pde = tmp_path / "wave.pde"

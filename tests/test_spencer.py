@@ -11,7 +11,7 @@ from spencerlab import spencer
 from spencerlab.cli import main
 from spencerlab.dsl import parse_pde_dsl
 from spencerlab.errors import DegenerateSymbolError, ObstructionError, PreconditionError
-from spencerlab.linalg import ExactMatrix
+from spencerlab.linalg import ExactMatrix, _GaussInt
 from spencerlab.spencer import (
     _assert_delta_squared,
     delta_cohomology,
@@ -74,11 +74,19 @@ def test_tricomi_symbol_at_origin_not_degenerate():
 
 
 def test_symbol_coordinates_check_membership():
-    g2 = symbol_space(laplace_system(), 2)
-    for k, v in enumerate(g2.basis):
-        assert g2.coordinates(v) == [int(k == l) for l in range(g2.dim)]
-    outside = [1] + [0] * (g2.ambient_dim - 1)  # u_xx alone violates u_xx + u_yy = 0
-    assert g2.coordinates(outside) is None
+    # coordinates are the basis coefficients times the kernel's scale: 1 for
+    # u_xx + u_yy = 0, and 2 for 2 u_xx + 3 u_yy = 0, whose basis vector of
+    # the free column u_yy is (-3, 0, 2)
+    scaled = parse_pde_dsl("system s { vars x, y; unknowns u; "
+                           "eq: 2*D[x,x](u) + 3*D[y,y](u) = 0; }").systems["s"]
+    for sys, scale in ((laplace_system(), 1), (scaled, 2)):
+        g2 = symbol_space(sys, 2)
+        assert g2.kernel[0] == scale
+        for k, v in enumerate(g2.basis):
+            assert g2.coordinates(v) == [scale * (k == l) for l in range(g2.dim)]
+        outside = [1] + [0] * (g2.ambient_dim - 1)  # u_xx alone is in neither space
+        assert g2.coordinates(outside) is None
+    assert g2.basis == [[0, 2, 0], [-3, 0, 2]]
 
 
 def test_prolong_zero_stays_zero():
@@ -143,6 +151,20 @@ def test_corrupted_differential_fails_delta_squared():
     cx.differentials[(2, 0)] = ExactMatrix.sparse(rows, d.cols)
     with pytest.raises(AssertionError, match=r"delta\^2 != 0 at slot \(2, 0\)"):
         _assert_delta_squared(cx)
+
+
+def test_gaussian_differentials_stay_over_the_gaussian_integers():
+    # the complex never leaves Z[i]: each entry is an int or a _GaussInt
+    sys = parse_pde_dsl("system g { vars x, y, z; unknowns u, v; "
+                        "eq: D[x](u) + 1/2*i*D[y](v) - 2/3*D[z](u) = 0; "
+                        "eq: D[z](v) - 3*i*D[x](u) + i*D[y](u) = 0; }").systems["g"]
+    cx = spencer_complex(sys, 3)
+    entries = [x for d in cx.differentials.values() for i in range(d.rows)
+               for x in d.row(i).values()]
+    assert {type(x) for x in entries} == {int, _GaussInt}
+    assert [cx.symbols[q].kernel[0] for q in range(4)] == [1, 6, 18, 162]
+    table = delta_cohomology(cx)
+    assert table.entries[(0, 1)] == 2 and table.is_zero_for(1, 2)
 
 
 def test_each_differential_ranked_once(monkeypatch):
