@@ -6,8 +6,9 @@ Prints the strata split across the fold line y = 0.
 
 import argparse
 from fractions import Fraction
+from itertools import product
 
-from spencerlab.microlocal import CovectorSample, Region, classify_mixed
+from spencerlab.microlocal import Region, classify_mixed
 from spencerlab.systems import tricomi_system
 
 
@@ -22,21 +23,21 @@ def main():
         (1, 0), (-1, 0), (0, 1), (0, -1),
         (1, 1), (1, -1), (2, 1), (1, 2),
     ][: args.covectors]
-    grid = [
-        CovectorSample((Fraction(i), Fraction(j - args.ny // 2, 2)), xi)
+    bases = [
+        (Fraction(i), Fraction(j - args.ny // 2, 2))
         for i in range(args.nx)
         for j in range(args.ny)
-        for xi in xis
     ]
     report = classify_mixed(
-        tricomi_system(), Region.everywhere(), grid, directions=[(0, 1)]
+        tricomi_system(), Region.everywhere(), (bases, xis), directions=[(0, 1)]
     )
-    print(f"samples: {len(grid)}")
+    print(f"samples: {len(bases) * len(xis)}")
     for label, count in sorted(report.strata.items()):
         print(f"  {label:15s} {count}")
     by_sign = {}
-    for lab, sample in zip(report.labels, grid):
-        y = sample.x[1]
+    # the labels run base-major: every covector at the first base, then the next
+    for lab, (x, _) in zip(report.labels, product(bases, xis)):
+        y = x[1]
         key = "y>0" if y > 0 else ("y<0" if y < 0 else "y=0")
         by_sign.setdefault(key, {}).setdefault(lab["label"], 0)
         by_sign[key][lab["label"]] += 1

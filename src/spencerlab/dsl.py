@@ -15,6 +15,7 @@ Grammar sketch (semicolon-terminated declarations, C-style blocks):
     region   := "region" NAME "{" "vars" names ";" (sum CMP "0" ";")* "}"
     cone     := "cone" NAME "{" "generators" vectors ";" "kind" KIND ";" "}"
     spectrum := "spectrum" NAME "{" "kind" NAME ";" (param numbers ";")* "}"
+                -- each param of the kind once, with its count (SPECTRUM_PARAMS)
     model    := "model" NAME "{" "kind" NAME ";" ["twist" INT ";"] "}"
 
 One sum grammar serves equations and regions: a term carries exactly one
@@ -406,19 +407,39 @@ class Parser:
             raise ParseError(str(exc), kind_tok.line, kind_tok.col) from None
 
     def parse_spectrum(self, name):
+        """kind, then each parameter of that kind (SPECTRUM_PARAMS) at most
+        once and with its count of numbers; a required one may not be
+        missing."""
         self.expect("kind", expected={"kind"})
         kind_tok = self.expect(kind="name")
+        kind = kind_tok.text
         self.expect(";")
+        if kind not in SPECTRUM_PARAMS:
+            raise ParseError(f"unknown spectrum kind {kind!r}", kind_tok.line, kind_tok.col,
+                             set(SPECTRUM_PARAMS))
+        allowed = SPECTRUM_PARAMS[kind]
         params = {}
         while not self.at("}"):
-            key = self.expect(kind="name").text
-            params[key] = self.parse_number_list()
+            expected = {p for p in allowed if p not in params} | {"}"}
+            key = self.expect(kind="name", expected=expected)
+            if key.text not in expected:
+                what = "repeated" if key.text in params else "unknown"
+                raise ParseError(f"{what} {kind} parameter {key.text!r}", key.line, key.col,
+                                 expected)
+            values = params[key.text] = self.parse_number_list()
+            count = allowed[key.text][0]
+            if count is not None and len(values) != count:
+                raise ParseError(f"{kind} parameter {key.text!r} takes {count} number"
+                                 f"{'s' if count > 1 else ''}, got {len(values)}",
+                                 key.line, key.col)
             self.expect(";")
-        self.expect("}")
+        end = self.expect("}")
+        missing = {p for p, (_, required) in allowed.items() if required and p not in params}
+        if missing:
+            raise ParseError(f"{kind} spectrum needs {', '.join(sorted(missing))}",
+                             end.line, end.col, missing)
         try:
-            return self.build_spectrum(kind_tok.text, params)
-        except ParseError:
-            raise
+            return self.build_spectrum(kind, params)
         except Exception as exc:
             raise ParseError(str(exc), kind_tok.line, kind_tok.col) from None
 
@@ -429,22 +450,18 @@ class Parser:
             return SpectrumModel.circle(params["length"][0])
         if kind == "torus":
             tau = params["tau"]
-            if len(tau) != 2:
-                raise ValueError("torus tau takes two numbers: re im")
             scale = params.get("scale", [Fraction(1)])[0]
             return SpectrumModel.flat_torus(
                 complex(float(tau[0]), float(tau[1])), scale
             )
         if kind == "rectangle":
             return SpectrumModel.rectangle(params["a"][0], params["b"][0])
-        if kind == "explicit":
-            return SpectrumModel.explicit(
-                params["values"],
-                [int(m) for m in params["multiplicities"]]
-                if "multiplicities" in params
-                else None,
-            )
-        raise ValueError(f"unknown spectrum kind {kind!r}")
+        return SpectrumModel.explicit(
+            params["values"],
+            [int(m) for m in params["multiplicities"]]
+            if "multiplicities" in params
+            else None,
+        )
 
     def parse_model(self, name):
         self.expect("kind", expected={"kind"})
@@ -470,6 +487,13 @@ BLOCKS = {
     "model": ("models", Parser.parse_model),
 }
 REGION_OPS = {">": "gt", ">=": "ge", "<": "lt", "<=": "le"}
+# spectrum kind: {parameter: (count of numbers, None for one or more; required)}
+SPECTRUM_PARAMS = {
+    "circle": {"length": (1, True)},
+    "torus": {"tau": (2, True), "scale": (1, False)},
+    "rectangle": {"a": (1, True), "b": (1, True)},
+    "explicit": {"values": (None, True), "multiplicities": (None, False)},
+}
 
 
 def parse_pde_dsl(text) -> PdeDslDocument:

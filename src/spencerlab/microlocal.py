@@ -12,13 +12,15 @@ forms, saturation certificates, Sturm sequences on univariate slices) and
 grid-verified otherwise, with the verification mode always recorded in the
 certificate.
 
-Grid classification runs on Python ints.  The symbol is compiled once per
-system into integer coefficients in (x, xi) over one common denominator
-(`_IntSymbol`) and specialised once per base point; covectors are scaled to
-integers.  Sturm sequences are primitive pseudo-remainder sequences on int
-lists (Collins 1967), which differ from the rational Sturm chain only by
-positive factors and so give the same root counts.  Only the saturation
-certificate still builds a frozen `PdeSystem`.
+A grid is a pair (bases, covectors) of rational points and nonzero rational
+covectors; its samples, and the labels of a classification, are every
+(x; xi), base-major.  Grid classification runs on Python ints.  The symbol
+is compiled once per system into integer coefficients in (x, xi) over one
+common denominator (`_IntSymbol`) and specialised once per base point;
+covectors are scaled to integers.  Sturm sequences are primitive
+pseudo-remainder sequences on int lists (Collins 1967), which differ from
+the rational Sturm chain only by positive factors and so give the same root
+counts.  Only the saturation certificate still builds a frozen `PdeSystem`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm
 
 from .errors import PreconditionError
@@ -116,39 +118,44 @@ def poly_det(rows):
     return out
 
 
-# -- samples and grids -------------------------------------------------------------
+# -- grids ----------------------------------------------------------------------------
+
+# Largest default grid, in samples: base points times the 2n + 4 covectors.  A
+# larger --grid exits 3 before any draw, as JET_BUDGET, LATTICE_BUDGET and
+# CROSSCHECK_BUDGET guard their layers.  The tests and the benchmark use at
+# most 3,200 samples.  As a fresh command on the wave system, --grid 8192
+# (65,536 samples) takes 1.0-1.3 s and writes a 3.9 MB report (Python 3.11,
+# 2 vCPUs); the work and the report grow linearly with the samples.
+GRID_BUDGET = 2**16
 
 
-class CovectorSample:
-    """A base point x and a covector xi != 0, as Fraction tuples (kept as given)."""
-
-    __slots__ = ("x", "xi")
-
-    def __init__(self, x, xi):
-        self.x, self.xi = _fractions(x), _fractions(xi)
-        if not any(self.xi):
-            raise PreconditionError("covector samples need xi != 0")
-
-
-def _fractions(values):
-    if type(values) is tuple and all(type(v) is Fraction for v in values):
-        return values
-    return tuple(Fraction(v) for v in values)
+def _grid(grid):
+    """A grid (bases, covectors) as two lists of Fraction tuples.  Every
+    covector must be nonzero."""
+    bases, covectors = grid
+    bases = [tuple(Fraction(v) for v in x) for x in bases]
+    covectors = [tuple(Fraction(v) for v in xi) for xi in covectors]
+    if not all(any(xi) for xi in covectors):
+        raise PreconditionError("covector samples need xi != 0")
+    return bases, covectors
 
 
 def axis_covectors(n):
-    out = []
-    for i in range(n):
-        for s in (1, -1):
-            out.append(tuple(Fraction(s if j == i else 0) for j in range(n)))
-    return out
+    return [tuple(Fraction(s if j == i else 0) for j in range(n))
+            for i in range(n) for s in (1, -1)]
 
 
 def default_grid(sys: PdeSystem, base_count=4, seed=0, region=None):
-    """Deterministic rational grid: the origin plus seeded random base
-    points, times the 2n axis covectors plus 4 seeded random ones."""
-    rng = random.Random(seed)
+    """Deterministic rational grid (bases, covectors): the origin plus seeded
+    random base points, and the 2n axis covectors plus 4 seeded random ones.
+    More than GRID_BUDGET samples is a PreconditionError, raised before any
+    draw."""
     n = sys.n
+    if base_count * (2 * n + 4) > GRID_BUDGET:
+        raise PreconditionError(
+            f"a grid of {base_count} base points times {2 * n + 4} covectors is past "
+            f"the work budget of {GRID_BUDGET} samples")
+    rng = random.Random(seed)
     bases = [tuple(Fraction(0) for _ in range(n))]
     attempts = 0
     while len(bases) < base_count and attempts < 200 * base_count:
@@ -166,7 +173,7 @@ def default_grid(sys: PdeSystem, base_count=4, seed=0, region=None):
         cand = tuple(Fraction(rng.randint(-5, 5)) for _ in range(n))
         if any(cand):
             xis.append(cand)
-    return [CovectorSample(b, xi) for b in bases for xi in xis]
+    return bases, xis
 
 
 # -- exact univariate real-root machinery --------------------------------------------
@@ -416,12 +423,12 @@ def _saturates(cv: CharVariety):
 
 def is_elliptic(sys: PdeSystem, grid=None, seed=0):
     """(verdict, certificate): no real characteristic covectors off xi = 0,
-    decided by _ellipticity over the grid.  Only a constant-coefficient
+    decided by _ellipticity over every sample of the grid, and a grid
+    certificate counts them all, repeats included.  Only a constant-coefficient
     single scalar equation has a frozen quadratic symbol to test for
     definiteness."""
-    if grid is None:
-        grid = default_grid(sys, seed=seed)
-    if not grid:
+    bases, covectors = _grid(default_grid(sys, seed=seed) if grid is None else grid)
+    if not bases or not covectors:
         raise PreconditionError("is_elliptic needs a nonempty grid")
     cv = characteristic_ideal(sys)
     symbol = _IntSymbol([_poly_terms(g, sys.n) for g in cv.ideal.generators], sys.n)
@@ -429,8 +436,9 @@ def is_elliptic(sys: PdeSystem, grid=None, seed=0):
     if sys.m == 1 and len(sys.equations) == 1 and sys.constant_coefficient:
         # the one generator is the principal symbol
         quadratic = symbol.at(_rational_key(sys.base_point))[0]
-    samples = ((s.x, s.xi, symbol.at(_rational_key(s.x)), _int_vector(s.xi)) for s in grid)
-    return _ellipticity(quadratic, samples, lambda: _saturates(cv), len(grid))
+    samples = ((x, xi, symbol.at(_rational_key(x)), _int_vector(xi))
+               for x in bases for xi in covectors)
+    return _ellipticity(quadratic, samples, lambda: _saturates(cv), len(bases) * len(covectors))
 
 
 def frozen_system(sys: PdeSystem, x) -> PdeSystem:
@@ -489,8 +497,10 @@ def _transverse_part(eta, theta):
 
 
 def is_hyperbolic(sys: PdeSystem, direction, grid=None, seed=0, strict=False, x=None):
-    """Real-rootedness of t -> sigma(t*theta + eta') over transverse grid
-    covectors, by exact Sturm counts.
+    """Real-rootedness of t -> sigma(t*theta + eta') over the transverse
+    parts of the grid's covectors, by exact Sturm counts.  The symbol is
+    frozen at x (default: the base point), so each covector is tested once
+    and a Sturm certificate counts it once per base point of the grid.
 
     Degenerate (value None) when sigma(theta) = 0: either the symbol does
     not involve the direction or the direction itself is characteristic.
@@ -498,21 +508,22 @@ def is_hyperbolic(sys: PdeSystem, direction, grid=None, seed=0, strict=False, x=
     theta = tuple(Fraction(v) for v in direction)
     if not any(theta):
         raise PreconditionError("direction covector must be nonzero")
-    if grid is None:
-        grid = default_grid(sys, seed=seed)
+    bases, covectors = _grid(default_grid(sys, seed=seed) if grid is None else grid)
     sym = _scalar_symbol(sys)
     if sym is None:
         raise PreconditionError("hyperbolicity test implemented for single scalar equations")
     point = _rational_key(Fraction(v) for v in (sys.base_point if x is None else x))
     frozen = _IntSymbol([_poly_terms(sym, sys.n)], sys.n).at(point)[0]
-    return _hyperbolicity(frozen, theta, [(s.xi, _int_vector(s.xi)) for s in grid], strict)
+    pairs = [(xi, _int_vector(xi)) for xi in covectors] if bases else []  # else no sample
+    return _hyperbolicity(frozen, theta, pairs, strict, len(bases))
 
 
-def _hyperbolicity(frozen, theta, covectors, strict):
+def _hyperbolicity(frozen, theta, covectors, strict, copies=1):
     """is_hyperbolic for a frozen symbol given as integer terms (xi exponents,
-    re, im), over (xi, xi scaled to an int vector) pairs.  theta and every
-    transverse part are scaled to integer vectors by positive factors, which
-    rescale t and leave the root counts as they are."""
+    re, im), over (xi, xi scaled to an int vector) pairs that a Sturm
+    certificate counts `copies` times each.  theta and every transverse part
+    are scaled to integer vectors by positive factors, which rescale t and
+    leave the root counts as they are."""
     th = _int_vector(theta)
     k = max((sum(e) for e, _, _ in frozen), default=-1)
     lead = _direction_polynomial(frozen, th, [0] * len(th))
@@ -547,7 +558,7 @@ def _hyperbolicity(frozen, theta, covectors, strict):
         return HyperbolicityReport(
             None, "degenerate", {"reason": "no transverse covectors in grid"}
         )
-    return HyperbolicityReport(True, "hyperbolic", {"kind": "sturm", "samples": tested})
+    return HyperbolicityReport(True, "hyperbolic", {"kind": "sturm", "samples": copies * tested})
 
 
 # -- cones ------------------------------------------------------------------------------------
@@ -631,8 +642,9 @@ def classify_mixed(
     directions=None,
     cones=None,
 ):
-    """Label every (x; xi): characteristic / elliptic / hyperbolic(theta) /
-    degenerate, with per-point frozen-symbol decisions.
+    """Label every sample (x; xi) of the grid: characteristic / elliptic /
+    hyperbolic(theta) / degenerate, with per-point frozen-symbol decisions
+    that read each distinct covector once, in first-occurrence order.
 
     Hyperbolic labels use the strict Sturm test (simple real roots), so
     parabolic degeneracies like the fold line of a mixed-type model report
@@ -640,22 +652,8 @@ def classify_mixed(
     """
     if directions is None:
         directions = axis_covectors(sys.n)[::2]  # +e_i directions
-    # samples share their base and covector tuples (default_grid builds them
-    # so), and the grid keeps each alive: key each tuple object once
-    key_of = {}
-
-    def rational_key(values):
-        key = key_of.get(id(values))
-        if key is None:
-            key = key_of[id(values)] = _rational_key(values)
-        return key
-
-    keys = [(rational_key(s.x), rational_key(s.xi)) for s in grid]
-    bases, pool = {}, {}
-    for (xk, xik), s in zip(keys, grid):
-        bases.setdefault(xk, s.x)
-        pool.setdefault(xik, s.xi)
-    for base in bases.values():
+    bases, covectors = _grid(grid)
+    for base in bases:
         if not region.contains(base):
             raise PreconditionError(f"grid sample {base} lies outside the region")
     cv = characteristic_ideal(sys)
@@ -667,9 +665,8 @@ def classify_mixed(
                         + [_equation_terms(eq) for eq in sys.equations if scalar], sys.n)
     # a single scalar equation has a principal symbol to test for hyperbolicity
     principal_order = sys.equations[0].order() if scalar and len(sys.equations) == 1 else None
-    xi_pool = list(pool.values())
-    xi_int = {k: _int_vector(xi) for k, xi in pool.items()}
-    covectors = [(xi, xi_int[k]) for k, xi in pool.items()]
+    pool = [(xi, _int_vector(xi)) for xi in dict.fromkeys(covectors)]
+    vectors = [_int_vector(xi) for xi in covectors]
     thetas = [tuple(Fraction(t) for t in theta) for theta in directions]
     elliptic_cache = {}
     hyperbolic_cache = {}
@@ -688,13 +685,13 @@ def classify_mixed(
                             rows.append([t for t in terms if sum(t[0]) == k])
                     elliptic_cache[key] = _ellipticity(
                         rows[0] if len(rows) == 1 else None,
-                        ((x, xi, rows, vec) for xi, vec in covectors),
+                        ((x, xi, rows, vec) for xi, vec in pool),
                         lambda: _saturates(characteristic_ideal(frozen_system(sys, x))),
-                        len(covectors),
+                        len(pool),
                     )
                 else:
                     elliptic_cache[key] = is_elliptic(
-                        frozen_system(sys, x), [CovectorSample(x, xi) for xi in xi_pool])
+                        frozen_system(sys, x), ([x], [xi for xi, _ in pool]))
             except PreconditionError:  # PdeSystem rejects a frozen order of 0
                 elliptic_cache[key] = False, {"kind": "skipped"}
         return elliptic_cache[key]
@@ -708,17 +705,16 @@ def classify_mixed(
         frozen = tuple(t for t in symbol.at(key)[len(gens)] if sum(t[0]) == principal_order)
         if (frozen, j) not in hyperbolic_cache:
             try:
-                value = _hyperbolicity(frozen, thetas[j], covectors, True).value is True
+                value = _hyperbolicity(frozen, thetas[j], pool, True).value is True
             except PreconditionError:
                 value = False
             hyperbolic_cache[frozen, j] = value
         return hyperbolic_cache[frozen, j]
 
-    def classify_sample(idx, sample):
-        key, xi = keys[idx][0], xi_int[keys[idx][1]]
-        if gens and all(_vanishes(g, xi) for g in symbol.at(key)[: len(gens)]):
+    def classify_sample(idx, key, x, vec):
+        if gens and all(_vanishes(g, vec) for g in symbol.at(key)[: len(gens)]):
             return {"index": idx, "label": "characteristic"}
-        verdict, cert = elliptic_at(key, sample.x)
+        verdict, cert = elliptic_at(key, x)
         if verdict:
             return {"index": idx, "label": "elliptic", "certificate": cert}
         for j, theta in enumerate(directions):
@@ -730,7 +726,9 @@ def classify_mixed(
                 }
         return {"index": idx, "label": "degenerate"}
 
-    labels = [classify_sample(idx, sample) for idx, sample in enumerate(grid)]
+    keyed = [(_rational_key(x), x) for x in bases]
+    labels = [classify_sample(idx, key, x, vec)
+              for idx, ((key, x), vec) in enumerate(product(keyed, vectors))]
     strata = {}
     for lab in labels:
         strata[lab["label"]] = strata.get(lab["label"], 0) + 1
@@ -739,14 +737,12 @@ def classify_mixed(
     if cones is not None:
         lam, lam_prime = cones
         inside = True
-        for lab, sample in zip(labels, grid):
+        for lab, (x, xi) in zip(labels, product(bases, covectors)):
             if lab["label"] != "characteristic":
                 continue
-            if not (lam.contains(sample.xi) or lam_prime.contains(sample.xi)):
+            if not (lam.contains(xi) or lam_prime.contains(xi)):
                 inside = False
-                counterexamples.append(
-                    {"x": [str(v) for v in sample.x], "xi": [str(v) for v in sample.xi]}
-                )
+                counterexamples.append({"x": [str(v) for v in x], "xi": [str(v) for v in xi]})
         cone_check = {
             "union_covers_characteristics": inside,
             "trivial_intersection": cones_intersect_trivially(lam, lam_prime),

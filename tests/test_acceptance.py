@@ -8,6 +8,7 @@ import random
 import string
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from mpmath import gamma, mp, mpf, pi
@@ -28,7 +29,6 @@ from spencerlab.index import boundary_index, grr_index
 from spencerlab.chern import get_model, model_tangent_todd
 from spencerlab.index import dolbeault_class, twisted_dolbeault_class
 from spencerlab.microlocal import (
-    CovectorSample,
     Region,
     characteristic_ideal,
     classify_mixed,
@@ -115,17 +115,15 @@ def test_criterion_04_classification():
     xis = [
         (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (2, 1), (1, 2),
     ]
-    grid = [
-        CovectorSample((x, y), xi) for x in xs for y in ys for xi in xis
-    ]
-    assert len(grid) == 10 * 10 * 8
+    bases = [(x, y) for x in xs for y in ys]
     result = classify_mixed(
-        tricomi_system(), Region.everywhere(), grid, directions=[(0, 1)]
+        tricomi_system(), Region.everywhere(), (bases, xis), directions=[(0, 1)]
     )
-    for lab, sample in zip(result.labels, grid):
-        y = sample.x[1]
+    assert len(result.labels) == 10 * 10 * 8
+    for lab, (x, xi) in zip(result.labels, product(bases, xis)):
+        y = x[1]
         if y > 0:
-            assert lab["label"] == "elliptic", (sample.x, sample.xi, lab)
+            assert lab["label"] == "elliptic", (x, xi, lab)
         elif y < 0:
             assert lab["label"] in ("hyperbolic", "characteristic")
             if lab["label"] == "hyperbolic":

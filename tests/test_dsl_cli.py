@@ -721,22 +721,25 @@ def _reference_labels(sys_, grid, directions):
     """classify_mixed labels by the per-x route it takes without a compiled
     symbol: characteristic generators evaluated through MultiPoly,
     is_elliptic on frozen_system(sys, x) and is_hyperbolic(..., x=x)."""
+    from itertools import product
+
     from spencerlab.errors import PreconditionError
-    from spencerlab.microlocal import (CovectorSample, characteristic_ideal,
-                                       frozen_system, is_elliptic, is_hyperbolic)
+    from spencerlab.microlocal import (characteristic_ideal, frozen_system, is_elliptic,
+                                       is_hyperbolic)
 
     cv = characteristic_ideal(sys_)
-    xi_pool = list(dict.fromkeys(s.xi for s in grid))
+    bases, covectors = grid
+    xi_pool = list(dict.fromkeys(covectors))
     labels = []
-    for idx, sample in enumerate(grid):
-        point = dict(zip(cv.ambient, sample.x + sample.xi))
+    for idx, (x, xi) in enumerate(product(bases, covectors)):
+        point = dict(zip(cv.ambient, x + xi))
         gens = cv.ideal.generators
         if gens and all(not g.evaluate(point) for g in gens):
             labels.append({"index": idx, "label": "characteristic"})
             continue
-        sub_grid = [CovectorSample(sample.x, xi) for xi in xi_pool]
+        sub_grid = ([x], xi_pool)
         try:
-            verdict, cert = is_elliptic(frozen_system(sys_, sample.x), sub_grid)
+            verdict, cert = is_elliptic(frozen_system(sys_, x), sub_grid)
         except PreconditionError:
             verdict, cert = False, {"kind": "skipped"}
         if verdict:
@@ -745,7 +748,7 @@ def _reference_labels(sys_, grid, directions):
         label = {"index": idx, "label": "degenerate"}
         for theta in directions:
             try:
-                rep = is_hyperbolic(sys_, theta, grid=sub_grid, strict=True, x=sample.x)
+                rep = is_hyperbolic(sys_, theta, grid=sub_grid, strict=True, x=x)
             except PreconditionError:
                 continue
             if rep.value is True:
@@ -759,14 +762,13 @@ def _reference_labels(sys_, grid, directions):
 def _classify_grid(bases, xis):
     from fractions import Fraction
 
-    from spencerlab.microlocal import CovectorSample
-
-    return [CovectorSample(tuple(Fraction(v) for v in b), tuple(Fraction(v) for v in xi))
-            for b in bases for xi in xis]
+    return ([tuple(Fraction(v) for v in b) for b in bases],
+            [tuple(Fraction(v) for v in xi) for xi in xis])
 
 
+# ("2/4", 1) repeats ("1/2", 1): the frozen decisions read it once, the labels twice
 _CLASSIFY_XIS = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (2, 2), (1, -1),
-                 ("1/2", "3/4"), ("1/2", 1), (-3, "5/2"), (2, -5)]
+                 ("1/2", "3/4"), ("1/2", 1), (-3, "5/2"), (2, -5), ("2/4", 1)]
 
 
 @pytest.mark.parametrize("text, bases, directions", [
@@ -796,6 +798,8 @@ _CLASSIFY_XIS = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (2, 2), (1, -1),
     # on x = 0 the frozen system has order 0
     ("system drop0 { vars x, y; unknowns u; eq: x*D[x](u) + u = 0; eq: u = 0; }",
      [(0, 0), (0, 1), ("1/3", 1)], None),
+    # a repeated base point, on both sides of the fold
+    (TRICOMI, [(1, -1), ("1/2", 2), (1, -1), ("2/2", "-2/2")], [(0, 1)]),
 ])
 def test_classify_matches_per_x_reference(text, bases, directions):
     from spencerlab.microlocal import Region, axis_covectors, classify_mixed
@@ -805,7 +809,7 @@ def test_classify_matches_per_x_reference(text, bases, directions):
     report = classify_mixed(sys_, Region.everywhere(), grid, directions=directions)
     expected = _reference_labels(sys_, grid, directions or axis_covectors(sys_.n)[::2])
     assert report.labels == expected
-    assert sum(report.strata.values()) == len(grid)
+    assert sum(report.strata.values()) == len(bases) * len(_CLASSIFY_XIS)
 
 
 def test_cli_remaining_commands_smoke(capsys, tmp_path):
@@ -857,6 +861,33 @@ def test_fractional_exponent_rejected(capsys, tmp_path, text):
     assert f"at {line}:{col}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body, message, at", [
+    ("kind circle; length 2; bogus 5;", "unknown circle parameter 'bogus'", "bogus"),
+    ("kind circle; length 2, 7;", "circle parameter 'length' takes 1 number, got 2", "length"),
+    ("kind rectangle; a 1, 2; b 3;", "rectangle parameter 'a' takes 1 number, got 2", "a 1"),
+    ("kind torus; tau 0, 1; scale 1, 9;", "torus parameter 'scale' takes 1 number, got 2",
+     "scale"),
+    ("kind torus; tau 1;", "torus parameter 'tau' takes 2 numbers, got 1", "tau"),
+    ("kind circle; length 2; length 3;", "repeated circle parameter 'length'", "length"),
+    ("kind circle;", "circle spectrum needs length", "}"),
+    ("kind explicit; multiplicities 1;", "explicit spectrum needs values", "}"),
+], ids=["unknown", "circle-count", "rectangle-count", "torus-scale-count", "torus-tau-count",
+        "repeated", "missing-length", "missing-values"])
+def test_spectrum_parameters_are_checked_per_kind(capsys, tmp_path, body, message, at):
+    """Each spectrum kind reads its own parameters, each once and with its
+    count of numbers; the error points at the parameter, or at the closing
+    brace for a missing one."""
+    text = f"spectrum s {{ {body} }}"
+    with pytest.raises(ParseError) as err:
+        parse_pde_dsl(text)
+    assert str(err.value).startswith(message)
+    assert (err.value.line, err.value.col) == (1, text.rindex(at) + 1)
+    pde = tmp_path / "s.pde"
+    pde.write_text(text)
+    assert main(["det", str(pde), "--spectrum", "s"]) == 2
+    assert f"{message} at 1:{text.rindex(at) + 1}" in capsys.readouterr().err
+
+
 def test_explicit_spectrum_multiplicity_mismatch(capsys, tmp_path):
     pde = tmp_path / "p.pde"
     pde.write_text("spectrum p { kind explicit; values 1,2; multiplicities 1; }")
@@ -895,6 +926,17 @@ def test_cli_classify_reports_default_grid(capsys, tmp_path):
     assert json.loads(capsys.readouterr().out)["arguments"]["grid"] == 4
     assert main(["classify", str(pde), "--mode", "hyperbolic", "--direction", "1,0"]) == 0
     assert json.loads(capsys.readouterr().out)["arguments"]["grid"] == 4
+
+
+@pytest.mark.parametrize("grid", ["8193", "100000000"])
+def test_cli_classify_grid_past_the_budget_exits_3(capsys, tmp_path, grid):
+    """8,193 base points times the 8 covectors of two variables is one past
+    GRID_BUDGET; the budget is checked before any base point is drawn."""
+    pde = tmp_path / "wave.pde"
+    pde.write_text(WAVE)
+    assert main(["classify", str(pde), "--grid", grid]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("precondition error: ") and "work budget of 65536 samples" in err
 
 
 @pytest.mark.parametrize("options", [

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from spencerlab.dsl import parse_pde_dsl
 from spencerlab.errors import PreconditionError
 from spencerlab.microlocal import (
-    CovectorSample,
+    GRID_BUDGET,
     ConeSpec,
     Region,
     _direction_polynomial,
@@ -401,6 +402,49 @@ def test_elliptic_excludes_hyperbolic():
         assert is_hyperbolic(laplace_system(), theta, grid).value is not True
 
 
+def test_hyperbolic_samples_count_each_tested_covector_once_per_base():
+    # (1, 0) is parallel to the direction, so it has no transverse part and is
+    # not tested; the repeated (0, 1) is tested twice
+    grid = ([(0, 0), (1, 2), (0, 0)], [(1, 0), (0, 1), (1, 1), (0, 1)])
+    rep = is_hyperbolic(wave_system(), (1, 0), grid)
+    assert rep.value is True
+    assert rep.certificate == {"kind": "sturm", "samples": 3 * 3}
+
+
+def test_grid_with_no_base_point_has_no_transverse_covector():
+    rep = is_hyperbolic(wave_system(), (1, 0), ([], [(0, 1)]))
+    assert rep.status == "degenerate"
+    assert rep.certificate == {"reason": "no transverse covectors in grid"}
+
+
+def test_elliptic_grid_certificate_counts_every_sample():
+    # (y - 3)|xi|^2 has no definite frozen form to test and does not
+    # saturate to the unit ideal, so off y = 3 the verdict is the grid's:
+    # 2 bases times 3 covectors, the repeats included
+    sys = parse_pde_dsl("system g { vars x, y; unknowns u; eq: y*D[x,x](u) - 3*D[x,x](u)"
+                        " + y*D[y,y](u) - 3*D[y,y](u) = 0; }").systems["g"]
+    ok, cert = is_elliptic(sys, ([(1, 2), (1, 2)], [(1, 0), (0, 1), (1, 0)]))
+    assert (ok, cert) == (True, {"kind": "grid", "samples": 6})
+
+
+@pytest.mark.parametrize("decide", [
+    lambda grid: classify_mixed(wave_system(), Region.everywhere(), grid),
+    lambda grid: is_elliptic(wave_system(), grid),
+    lambda grid: is_hyperbolic(wave_system(), (1, 0), grid),
+], ids=["classify_mixed", "is_elliptic", "is_hyperbolic"])
+def test_zero_covector_rejected(decide):
+    with pytest.raises(PreconditionError, match="covector samples need xi != 0"):
+        decide(([(0, 0)], [(1, 0), (0, 0)]))
+
+
+def test_default_grid_budget():
+    # 2 variables: 2n + 4 = 8 covectors per base point
+    bases, covectors = default_grid(laplace_system(), base_count=GRID_BUDGET // 8)
+    assert len(bases) * len(covectors) == GRID_BUDGET
+    with pytest.raises(PreconditionError, match="work budget"):
+        default_grid(laplace_system(), base_count=GRID_BUDGET // 8 + 1)
+
+
 # -- classification -----------------------------------------------------------------------
 
 
@@ -417,20 +461,16 @@ def _tricomi_grid():
         (Fraction(2), Fraction(1)),
         (Fraction(1), Fraction(2)),
     ]
-    grid = []
-    for x in xs[:10]:
-        for y in ys:
-            for xi in xis[:8]:
-                grid.append(CovectorSample((x, y), xi))
-    return grid
+    return [(x, y) for x in xs for y in ys], xis
 
 
 def test_tricomi_classification_splits_at_fold():
     sys = tricomi_system()
-    grid = _tricomi_grid()
-    report = classify_mixed(sys, Region.everywhere(), grid, directions=[(0, 1)])
-    for lab, sample in zip(report.labels, grid):
-        y = sample.x[1]
+    bases, xis = _tricomi_grid()
+    report = classify_mixed(sys, Region.everywhere(), (bases, xis), directions=[(0, 1)])
+    assert len(report.labels) == len(bases) * len(xis)
+    for lab, (x, _) in zip(report.labels, product(bases, xis)):
+        y = x[1]
         if y > 0:
             assert lab["label"] in ("elliptic", "characteristic")
             # on y > 0 the symbol is definite: never characteristic
@@ -450,13 +490,7 @@ def test_laplace_all_elliptic():
 
 
 def test_wave_characteristic_covectors_in_cones():
-    grid = [
-        CovectorSample((0, 0), (1, 1)),
-        CovectorSample((0, 0), (1, -1)),
-        CovectorSample((0, 0), (-1, 1)),
-        CovectorSample((0, 0), (-1, -1)),
-        CovectorSample((0, 0), (1, 0)),
-    ]
+    grid = ([(0, 0)], [(1, 1), (1, -1), (-1, 1), (-1, -1), (1, 0)])
     lam = ConeSpec([(1, 1), (1, -1)], "closed")
     lam_p = ConeSpec([(-1, 1), (-1, -1)], "closed")
     report = classify_mixed(
@@ -471,17 +505,15 @@ def test_wave_characteristic_covectors_in_cones():
 
 def test_label_scale_invariance():
     sys = tricomi_system()
-    a = CovectorSample((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(1)))
-    b = CovectorSample((Fraction(0), Fraction(-1)), (Fraction(3), Fraction(3)))
-    report = classify_mixed(sys, Region.everywhere(), [a, b], directions=[(0, 1)])
+    grid = ([(Fraction(0), Fraction(-1))], [(Fraction(1), Fraction(1)), (Fraction(3), Fraction(3))])
+    report = classify_mixed(sys, Region.everywhere(), grid, directions=[(0, 1)])
     assert report.labels[0]["label"] == report.labels[1]["label"]
 
 
 def test_region_precondition():
     region = Region([(MultiPoly.variable(("x", "y"), "y"), "gt")])
-    bad = CovectorSample((0, -1), (1, 0))
     with pytest.raises(PreconditionError):
-        classify_mixed(tricomi_system(), region, [bad])
+        classify_mixed(tricomi_system(), region, ([(0, -1)], [(1, 0)]))
 
 
 # -- cones -------------------------------------------------------------------------------
