@@ -1,10 +1,11 @@
 """Truncated cohomology rings of model spaces and characteristic classes.
 
-Each model is a graded ring presentation: generators with degrees and
-nilpotency bounds, a top degree, and one top monomial whose coefficient the
-integration functional extracts.  Classes are exact polynomials in the
-generators, reduced after every product, so index integrals come out as
-exact rationals and integrality is a check rather than a hope.
+Each model is a ring presented by degree-1 generators and their nilpotency
+bounds, the largest exponent of each: the top degree is the sum of the
+bounds, and integration extracts the coefficient of the monomial with every
+generator at its bound.  Classes are exact polynomials in the generators,
+reduced after every product, so index integrals come out as exact rationals
+and integrality is a check rather than a hope.
 
 The Todd class has one formula in every degree, whether the bundle is given
 by Chern roots or by Chern classes: Td = exp(log Td), with
@@ -17,19 +18,23 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import comb
 
 from .errors import PreconditionError
 from .poly import MultiPoly
 
 
 class CohomologyRingModel(namedtuple(
-        "CohomologyRingModel", "name generators degrees nilpotency top_degree top_monomial "
-        "tangent_classes polarization", defaults=((), None))):
-    """nilpotency: the largest exponent per generator; tangent_classes:
-    (c1, c2, ...) as generator polynomials; polarization: the hyperplane
-    class's generator."""
+        "CohomologyRingModel", "name generators nilpotency tangent_classes")):
+    """nilpotency: the largest exponent per degree-1 generator; tangent_classes:
+    (c1, c2, ...) as generator polynomials.  The first generator is the
+    hyperplane class that twist_class twists by."""
 
     __slots__ = ()
+
+    @property
+    def top_degree(self):
+        return sum(self.nilpotency)
 
     def zero(self):
         return CharacterClass(self, MultiPoly.zero(self.generators))
@@ -40,17 +45,10 @@ class CohomologyRingModel(namedtuple(
     def generator_class(self, name):
         return CharacterClass(self, MultiPoly.variable(self.generators, name))
 
-    def weighted_degree(self, mono):
-        return sum(e * d for e, d in zip(mono, self.degrees))
-
     def reduce_poly(self, poly: MultiPoly) -> MultiPoly:
-        keep = {}
-        for mono, c in poly.terms.items():
-            if any(e > nil for e, nil in zip(mono, self.nilpotency)):
-                continue
-            if self.weighted_degree(mono) > self.top_degree:
-                continue
-            keep[mono] = c
+        """Drop each monomial past a nilpotency bound, so past the top degree."""
+        keep = {mono: c for mono, c in poly.terms.items()
+                if all(e <= nil for e, nil in zip(mono, self.nilpotency))}
         return MultiPoly(self.generators, keep, _clean=False)
 
 class CharacterClass:
@@ -94,13 +92,13 @@ class CharacterClass:
         keep = {
             m: c
             for m, c in self.poly.terms.items()
-            if self.model.weighted_degree(m) == degree
+            if sum(m) == degree
         }
         return CharacterClass(self.model, MultiPoly(self.model.generators, keep))
 
     def integrate(self):
-        """Coefficient of the declared top monomial."""
-        return self.poly.coefficient(self.model.top_monomial)
+        """Coefficient of the top monomial, every generator at its bound."""
+        return self.poly.coefficient(self.model.nilpotency)
 
     def exp(self):
         """exp of a positive-degree class, truncated at the top degree."""
@@ -119,28 +117,19 @@ class CharacterClass:
         return f"CharacterClass[{self.model.name}]({self.poly!r})"
 
 
-def _p(vars_, terms):
-    return MultiPoly(vars_, terms)
-
-
 def _model_registry():
     models = {}
 
     def projective(n):
         gens = ("h",)
-        h = lambda e: {(e,): Fraction(1)}
         return CohomologyRingModel(
             name=f"P{n}",
             generators=gens,
-            degrees=(1,),
             nilpotency=(n,),
-            top_degree=n,
-            top_monomial=(n,),
             # tangent classes via c(T) = (1+h)^{n+1} truncated
             tangent_classes=tuple(
-                _p(gens, {(k,): Fraction(_binom(n + 1, k))}) for k in range(1, n + 1)
+                MultiPoly(gens, {(k,): Fraction(comb(n + 1, k))}) for k in range(1, n + 1)
             ),
-            polarization="h",
         )
 
     for n in (1, 2, 3):
@@ -151,56 +140,32 @@ def _model_registry():
     models["elliptic_curve"] = CohomologyRingModel(
         name="elliptic_curve",
         generators=gens,
-        degrees=(1,),
         nilpotency=(1,),
-        top_degree=1,
-        top_monomial=(1,),
-        tangent_classes=(_p(gens, {}),),  # c1 = 0
-        polarization="t",
+        tangent_classes=(MultiPoly(gens, {}),),  # c1 = 0
     )
 
     gens = ("h",)
     models["S2"] = CohomologyRingModel(
         name="S2",
         generators=gens,
-        degrees=(1,),
         nilpotency=(1,),
-        top_degree=1,
-        top_monomial=(1,),
-        tangent_classes=(_p(gens, {(1,): Fraction(2)}),),  # c1 = 2h = e(TS2)
-        polarization="h",
+        tangent_classes=(MultiPoly(gens, {(1,): Fraction(2)}),),  # c1 = 2h = e(TS2)
     )
 
     gens = ("h1", "h2")
     models["P1xP1"] = CohomologyRingModel(
         name="P1xP1",
         generators=gens,
-        degrees=(1, 1),
         nilpotency=(1, 1),
-        top_degree=2,
-        top_monomial=(1, 1),
         tangent_classes=(
-            _p(gens, {(1, 0): Fraction(2), (0, 1): Fraction(2)}),
-            _p(gens, {(1, 1): Fraction(4)}),
+            MultiPoly(gens, {(1, 0): Fraction(2), (0, 1): Fraction(2)}),
+            MultiPoly(gens, {(1, 1): Fraction(4)}),
         ),
-        polarization="h1",
     )
     return models
 
 
-def _binom(n, k):
-    from math import comb
-
-    return comb(n, k)
-
-
 MODELS = _model_registry()
-
-
-def get_model(name) -> CohomologyRingModel:
-    if name not in MODELS:
-        raise PreconditionError(f"unknown model {name!r}; have {sorted(MODELS)}")
-    return MODELS[name]
 
 
 # -- characteristic classes -----------------------------------------------------
@@ -262,14 +227,10 @@ def model_tangent_todd(model) -> CharacterClass:
 
 def model_tangent_euler(model) -> CharacterClass:
     """Top Chern class of the model tangent bundle."""
-    if not model.tangent_classes:
-        return model.zero()
     return _as_class(model, model.tangent_classes[-1])
 
 
 def twist_class(model, d) -> CharacterClass:
-    """ch of the d-th power of the polarization line bundle."""
-    if model.polarization is None:
-        raise PreconditionError(f"model {model.name} has no polarization")
-    h = model.generator_class(model.polarization)
+    """ch of the d-th power of the line bundle of the first generator."""
+    h = model.generator_class(model.generators[0])
     return (h * d).exp()

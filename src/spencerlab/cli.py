@@ -436,9 +436,8 @@ def _kunneth(args, job):
 
 
 def _index(args, job):
-    from .chern import get_model, model_tangent_todd
-    from .index import (atiyah_singer_index, de_rham_class, dolbeault_class, grr_index,
-                        twisted_dolbeault_class)
+    from .chern import MODELS, twist_class
+    from .index import atiyah_singer_index, de_rham_class, grr_index
 
     if args.file is None:
         if args.system is not None:
@@ -446,30 +445,28 @@ def _index(args, job):
         _reject_unused(args, ("seed",), "without a DSL file")
     if args.symbol_class == "de-rham":
         _reject_unused(args, ("twist",), "by --symbol-class de-rham")
-    model = get_model(args.model)
+    model = _named(MODELS, args.model, "--model", "model")
     if args.twist is not None or args.symbol_class == "twist":
-        symbol_class = twisted_dolbeault_class(model, args.twist or 0)
+        symbol_class = twist_class(model, args.twist or 0)
     elif args.symbol_class == "de-rham":
         symbol_class = de_rham_class(model)
     else:
-        symbol_class = dolbeault_class(model)
+        symbol_class = model.unit()
     if args.file is not None:
         seed = job.arguments.setdefault("seed", 0)
-        report = atiyah_singer_index(job.system, model, symbol_class, seed=seed)
+        report = atiyah_singer_index(job.system, symbol_class, seed=seed)
     else:
-        report = grr_index(symbol_class, model_tangent_todd(model), model)
+        report = grr_index(symbol_class)
     return {"model": args.model, "index": report.index, "method": report.method,
             "breakdown": report.breakdown}
 
 
 def _grr(args, job):
-    from .chern import get_model, model_tangent_todd
-    from .index import grr_index, twisted_dolbeault_class
+    from .chern import MODELS, twist_class
+    from .index import grr_index
 
-    model = get_model(args.model)
-    report = grr_index(
-        twisted_dolbeault_class(model, args.twist), model_tangent_todd(model), model
-    )
+    model = _named(MODELS, args.model, "--model", "model")
+    report = grr_index(twist_class(model, args.twist))
     return {"model": args.model, "twist": args.twist, "index": report.index,
             "breakdown": report.breakdown}
 

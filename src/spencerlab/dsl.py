@@ -2,7 +2,7 @@
 
 Grammar sketch (semicolon-terminated declarations, C-style blocks):
 
-    document := (system | region | cone | spectrum | model)*
+    document := (system | region | cone | spectrum)*
     system   := "system" NAME "{" item* "}"
     item     := "vars" names ";" | "unknowns" names ";"
               | "point" numbers ";"
@@ -16,7 +16,6 @@ Grammar sketch (semicolon-terminated declarations, C-style blocks):
     cone     := "cone" NAME "{" "generators" vectors ";" "kind" KIND ";" "}"
     spectrum := "spectrum" NAME "{" "kind" NAME ";" (param numbers ";")* "}"
                 -- each param of the kind once, with its count (SPECTRUM_PARAMS)
-    model    := "model" NAME "{" "kind" NAME ";" ["twist" INT ";"] "}"
 
 One sum grammar serves equations and regions: a term carries exactly one
 jet factor when its block declares unknowns (so every equation is linear),
@@ -99,15 +98,12 @@ def parse_number(tok: Token) -> Fraction:
         raise ParseError(f"bad number {tok.text!r}", tok.line, tok.col) from None
 
 
-ModelDecl = namedtuple("ModelDecl", "kind twist", defaults=(0,))
-
-
 class PdeDslDocument:
     """One name -> block dict per block kind (BLOCKS), and the source text,
     which equality ignores."""
 
     def __init__(self, source=""):
-        self.systems, self.regions, self.cones, self.spectra, self.models = {}, {}, {}, {}, {}
+        self.systems, self.regions, self.cones, self.spectra = {}, {}, {}, {}
         self.source = source
 
     def __eq__(self, other):
@@ -432,6 +428,12 @@ class Parser:
                 raise ParseError(f"{kind} parameter {key.text!r} takes {count} number"
                                  f"{'s' if count > 1 else ''}, got {len(values)}",
                                  key.line, key.col)
+            if key.text == "multiplicities":
+                bad = [m for m in values if m.denominator != 1 or m < 1]
+                if bad:
+                    raise ParseError(f"{kind} parameter {key.text!r} takes integers >= 1, "
+                                     f"got {bad[0]}", key.line, key.col, {"integer"})
+                params[key.text] = [int(m) for m in values]
             self.expect(";")
         end = self.expect("}")
         missing = {p for p, (_, required) in allowed.items() if required and p not in params}
@@ -456,26 +458,7 @@ class Parser:
             )
         if kind == "rectangle":
             return SpectrumModel.rectangle(params["a"][0], params["b"][0])
-        return SpectrumModel.explicit(
-            params["values"],
-            [int(m) for m in params["multiplicities"]]
-            if "multiplicities" in params
-            else None,
-        )
-
-    def parse_model(self, name):
-        self.expect("kind", expected={"kind"})
-        kind = self.expect(kind="name").text
-        self.expect(";")
-        twist = 0
-        while not self.at("}"):
-            key = self.expect(kind="name", expected={"twist"})
-            if key.text != "twist":
-                raise ParseError(f"unexpected {key.text!r}", key.line, key.col, {"twist"})
-            twist = int(self.parse_signed_number())
-            self.expect(";")
-        self.expect("}")
-        return ModelDecl(kind, twist)
+        return SpectrumModel.explicit(params["values"], params.get("multiplicities"))
 
 
 # keyword: (PdeDslDocument field, body parser); a block's name is unique per kind
@@ -484,7 +467,6 @@ BLOCKS = {
     "region": ("regions", Parser.parse_region),
     "cone": ("cones", Parser.parse_cone),
     "spectrum": ("spectra", Parser.parse_spectrum),
-    "model": ("models", Parser.parse_model),
 }
 REGION_OPS = {">": "gt", ">=": "ge", "<": "lt", "<=": "le"}
 # spectrum kind: {parameter: (count of numbers, None for one or more; required)}
@@ -560,12 +542,6 @@ def print_document(doc: PdeDslDocument) -> str:
         lines.append("}")
     for name, spec in doc.spectra.items():
         lines.extend(_spectrum_lines(name, spec))
-    for name, model in doc.models.items():
-        lines.append(f"model {name} {{")
-        lines.append(f"  kind {model.kind};")
-        if model.twist:
-            lines.append(f"  twist {model.twist};")
-        lines.append("}")
     return "\n".join(lines) + "\n"
 
 

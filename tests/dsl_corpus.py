@@ -78,7 +78,13 @@ spectrum box { kind rectangle; a 1, ; b 2; }
 """
         .replace("a 1, ;", "a 1;")
     )
-    docs.append("model proj { kind P1; twist 3; }\nmodel ec { kind elliptic_curve; }")
+    docs.append(
+        """
+region disk { vars x, y; x^2 + y^2 - 1 < 0; }
+cone future { generators (1, 0), (1, 1); kind open_convex; }
+spectrum skew { kind torus; tau 1/2, 3/2; scale 2; }
+"""
+    )
     # generated variants: orders, coefficients, mixed terms
     for k in range(1, 5):
         docs.append(

@@ -26,8 +26,7 @@ from named_systems import (
 from spencerlab.dsl import parse_pde_dsl, print_document
 from spencerlab.errors import ParseError
 from spencerlab.index import boundary_index, grr_index
-from spencerlab.chern import get_model, model_tangent_todd
-from spencerlab.index import dolbeault_class, twisted_dolbeault_class
+from spencerlab.chern import MODELS, twist_class
 from spencerlab.microlocal import (
     Region,
     characteristic_ideal,
@@ -156,13 +155,13 @@ def test_criterion_05_kunneth_factorization():
 
 
 def test_criterion_06_grr_values():
-    p1, p2, ec = get_model("P1"), get_model("P2"), get_model("elliptic_curve")
+    p1, p2, ec = MODELS["P1"], MODELS["P2"], MODELS["elliptic_curve"]
     for d in range(6):
-        assert grr_index(twisted_dolbeault_class(p1, d), model_tangent_todd(p1)).index == d + 1
+        assert grr_index(twist_class(p1, d)).index == d + 1
     for d in range(5):
         expected = (d + 1) * (d + 2) // 2
-        assert grr_index(twisted_dolbeault_class(p2, d), model_tangent_todd(p2)).index == expected
-    assert grr_index(dolbeault_class(ec), model_tangent_todd(ec)).index == 0
+        assert grr_index(twist_class(p2, d)).index == expected
+    assert grr_index(ec.unit()).index == 0
     report(6, "chi(O(d)) = d+1 on P1 (d<=5), (d+1)(d+2)/2 on P2 (d<=4), "
               "0 on the elliptic curve, exact integers")
 

@@ -282,6 +282,45 @@ def test_cli_bad_microlocal_argument(capsys, tmp_path, argv, message):
     assert "Traceback" not in err
 
 
+MODEL_NAMES = "have ['P1', 'P1xP1', 'P2', 'P3', 'S2', 'elliptic_curve']"
+
+
+@pytest.mark.parametrize("argv", [
+    ["grr", "--model", "P9"],
+    ["grr", "--model", "p1", "--twist", "2"],
+    ["index", "--model", "P9"],
+    ["index", "--model", "P9", "--symbol-class", "de-rham"],
+    ["index", "F", "--model", "P9", "--seed", "3"],
+], ids=["grr", "grr-case", "index", "index-de-rham", "index-file"])
+def test_cli_unknown_model_is_a_parse_error(capsys, tmp_path, argv):
+    """--model names one of the model rings, looked up once: an unknown
+    name exits 2 and names the option, as --system and --region do.  F
+    stands for a document path."""
+    pde = tmp_path / "cr.pde"
+    pde.write_text(corpus()[3])
+    assert main([str(pde) if a == "F" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert f"--model: no model named {argv[argv.index('--model') + 1]!r}; {MODEL_NAMES}" in err
+    assert "Traceback" not in err
+
+
+def test_model_block_is_an_unknown_block_keyword(capsys, tmp_path):
+    """No command reads a model block, so the language has none: it is the
+    positioned error of any unknown block keyword, not a block silently
+    ignored."""
+    text = corpus()[3] + "model junk { kind nosuchmodel; twist -7; }\n"
+    line = text.count("\n", 0, text.index("model")) + 1
+    with pytest.raises(ParseError) as err:
+        parse_pde_dsl(text)
+    assert str(err.value).startswith("unexpected 'model'")
+    assert (err.value.line, err.value.col) == (line, 1)
+    assert err.value.expected == ["cone", "region", "spectrum", "system"]
+    pde = tmp_path / "junk.pde"
+    pde.write_text(text)
+    assert main(["index", str(pde), "--model", "P1"]) == 2
+    assert f"unexpected 'model' at {line}:1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["classify", "F", "--region", ""], "--region: no region named ''"),
     (["classify", "F", "--cones", ""], "--cones needs two cone names a,b, got ''"),
@@ -292,7 +331,8 @@ def test_cli_bad_microlocal_argument(capsys, tmp_path, argv, message):
     (["boundary-index", "--interior", "0:1", "--boundary", ""],
      "--boundary: '' is not a degree:value pair"),
     (["index", "", "--model", "P1", "--seed", "3"], "cannot read ''"),
-], ids=["region", "cones", "direction", "other", "system", "boundary", "index-file"])
+    (["grr", "--model", ""], "--model: no model named ''"),
+], ids=["region", "cones", "direction", "other", "system", "boundary", "index-file", "model"])
 def test_cli_empty_option_value_is_not_an_absent_option(capsys, tmp_path, argv, message):
     """An empty value is read, not taken for a missing option: exit 2 with
     a message that names it.  F stands for a document path."""
@@ -871,8 +911,15 @@ def test_fractional_exponent_rejected(capsys, tmp_path, text):
     ("kind circle; length 2; length 3;", "repeated circle parameter 'length'", "length"),
     ("kind circle;", "circle spectrum needs length", "}"),
     ("kind explicit; multiplicities 1;", "explicit spectrum needs values", "}"),
+    ("kind explicit; values 1, 2; multiplicities 3/2, 1;",
+     "explicit parameter 'multiplicities' takes integers >= 1, got 3/2", "multiplicities"),
+    ("kind explicit; values 1, 2; multiplicities 1, 2.5;",
+     "explicit parameter 'multiplicities' takes integers >= 1, got 5/2", "multiplicities"),
+    ("kind explicit; values 1, 2; multiplicities 0, 1;",
+     "explicit parameter 'multiplicities' takes integers >= 1, got 0", "multiplicities"),
 ], ids=["unknown", "circle-count", "rectangle-count", "torus-scale-count", "torus-tau-count",
-        "repeated", "missing-length", "missing-values"])
+        "repeated", "missing-length", "missing-values", "fractional-multiplicity",
+        "decimal-multiplicity", "zero-multiplicity"])
 def test_spectrum_parameters_are_checked_per_kind(capsys, tmp_path, body, message, at):
     """Each spectrum kind reads its own parameters, each once and with its
     count of numbers; the error points at the parameter, or at the closing
@@ -1239,12 +1286,12 @@ def test_system_and_spectrum_document(capsys, tmp_path, name, result):
     "region a { vars x; x > 0; }",
     "cone a { generators (1, 0); kind closed; }",
     "spectrum a { kind circle; length 1; }",
-    "model a { kind P1; }",
-], ids=["system", "region", "cone", "spectrum", "model"])
+], ids=["system", "region", "cone", "spectrum"])
 def test_duplicate_block_name_rejected(capsys, tmp_path, block):
     # a name may repeat across kinds, but not within one
     system = "system a { vars x; unknowns u; eq: D[x](u) = 0; }"
-    text = f"{block}\n{system if block != system else 'model a { kind P2; }'}\n{block}\n"
+    other = system if block != system else "spectrum a { kind circle; length 2; }"
+    text = f"{block}\n{other}\n{block}\n"
     with pytest.raises(ParseError) as err:
         parse_pde_dsl(text)
     assert "duplicate" in str(err.value)

@@ -251,7 +251,7 @@ region consts { vars x, y; 1 > 0; -2 < 0; 3/2 + x >= 0; 7 - 1/4*y <= 0; }
 region powers { vars x, y; x^2 + y^3 - 1 <= 0; -x^2*y > 0; 2*x^3*y^2 - 5 > 0; }
 region negatives { vars x, y, z; -1*y >= 0; -x - 2*y - 1/3*z < 0; x - x + 1 > 0; -z^2 - 1 < 0; }
 """
-DSL_PRINTED = "3a62ee0f5ffee3988d9538abe5a432126e71142c108c70bd826f191d9595cbfa"
+DSL_PRINTED = "cbf81f7eb655ce459fd78bb782461c7253525873f1d62fc4f5e46ea65b50c547"
 
 
 def test_printed_dsl_is_byte_identical():

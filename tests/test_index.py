@@ -6,7 +6,6 @@ import pytest
 from spencerlab.chern import (
     MODELS,
     CohomologyRingModel,
-    get_model,
     model_tangent_todd,
     todd_class,
     twist_class,
@@ -16,10 +15,8 @@ from spencerlab.index import (
     atiyah_singer_index,
     boundary_index,
     de_rham_class,
-    dolbeault_class,
     grr_index,
     spencer_euler_characteristic,
-    twisted_dolbeault_class,
 )
 from spencerlab.poly import MultiPoly
 from spencerlab.scalars import QQi
@@ -44,43 +41,43 @@ def monomial_count(d, nvars):
 
 
 def test_chern_character_twist_on_p1():
-    p1 = get_model("P1")
+    p1 = MODELS["P1"]
     h = p1.generator_class("h")
     for d in range(-3, 4):
         assert twist_class(p1, d) == p1.unit() + h * d
 
 
 def test_chern_additivity_cancellation():
-    p1 = get_model("P1")
+    p1 = MODELS["P1"]
     total = twist_class(p1, 1) + twist_class(p1, -1)
     assert total == p1.unit() * 2
 
 
 def test_chern_tensor_multiplicativity():
-    p2 = get_model("P2")
+    p2 = MODELS["P2"]
     a, b = twist_class(p2, 2), twist_class(p2, 3)
     assert a * b == twist_class(p2, 5)
 
 
 def test_todd_p1():
-    p1 = get_model("P1")
+    p1 = MODELS["P1"]
     assert model_tangent_todd(p1) == p1.unit() + p1.generator_class("h")
 
 
 def test_todd_elliptic_curve():
-    e = get_model("elliptic_curve")
+    e = MODELS["elliptic_curve"]
     assert model_tangent_todd(e) == e.unit()
 
 
 def test_todd_p2():
-    p2 = get_model("P2")
+    p2 = MODELS["P2"]
     h = p2.generator_class("h")
     expected = p2.unit() + h * Fraction(3, 2) + h * h
     assert model_tangent_todd(p2) == expected
 
 
 def test_todd_from_roots_matches_classes_on_p1():
-    p1 = get_model("P1")
+    p1 = MODELS["P1"]
     h = p1.generator_class("h")
     assert todd_class(p1, roots=[h * 2]) == todd_class(p1, classes=[h * 2])
 
@@ -92,14 +89,10 @@ def test_todd_from_roots_matches_classes_on_p4():
     p4 = CohomologyRingModel(
         name="P4",
         generators=gens,
-        degrees=(1,),
         nilpotency=(4,),
-        top_degree=4,
-        top_monomial=(4,),
         tangent_classes=tuple(
             MultiPoly(gens, {(k,): Fraction(comb(5, k))}) for k in range(1, 5)
         ),
-        polarization="h",
     )
     h = p4.generator_class("h")
     td = model_tangent_todd(p4)
@@ -114,14 +107,10 @@ def projective_space(n):
     return CohomologyRingModel(
         name=f"P{n}",
         generators=gens,
-        degrees=(1,),
         nilpotency=(n,),
-        top_degree=n,
-        top_monomial=(n,),
         tangent_classes=tuple(
             MultiPoly(gens, {(k,): Fraction(comb(n + 1, k))}) for k in range(1, n + 1)
         ),
-        polarization="h",
     )
 
 
@@ -138,7 +127,7 @@ def test_todd_from_roots_matches_classes_in_every_degree(pn):
 
 def test_todd_class_needs_roots_or_classes():
     with pytest.raises(PreconditionError):
-        todd_class(get_model("P2"))
+        todd_class(MODELS["P2"])
 
 
 def polynomial_binomial(n, d):
@@ -152,9 +141,9 @@ def polynomial_binomial(n, d):
 
 @pytest.mark.parametrize("pn", PROJECTIVE, ids=lambda m: m.name)
 def test_riemann_roch_on_projective_spaces(pn):
-    n, td = pn.top_degree, model_tangent_todd(pn)
+    n = pn.top_degree
     for d in range(-4, 5):
-        assert grr_index(twist_class(pn, d), td).index == polynomial_binomial(n, d)
+        assert grr_index(twist_class(pn, d)).index == polynomial_binomial(n, d)
     assert polynomial_binomial(n, 2) == comb(n + 2, n)
 
 
@@ -168,77 +157,72 @@ REGISTRY_EULER = {"P1": 2, "P2": 3, "P3": 4, "S2": 2, "P1xP1": 4, "elliptic_curv
     pytest.param(MODELS[name], REGISTRY_EULER[name], id=name) for name in sorted(MODELS)
 ])
 def test_de_rham_index_is_the_euler_number(model, euler):
-    assert grr_index(de_rham_class(model), model_tangent_todd(model)).index == euler
+    assert grr_index(de_rham_class(model)).index == euler
 
 
 # -- GRR integrals ----------------------------------------------------------------
 
 
 def test_riemann_roch_p1():
-    p1 = get_model("P1")
-    td = model_tangent_todd(p1)
+    p1 = MODELS["P1"]
     for d in range(0, 6):
-        report = grr_index(twist_class(p1, d), td)
+        report = grr_index(twist_class(p1, d))
         assert report.index == monomial_count(d, 2) == d + 1
 
 
 def test_riemann_roch_p2():
-    p2 = get_model("P2")
-    td = model_tangent_todd(p2)
+    p2 = MODELS["P2"]
     for d in range(0, 5):
-        report = grr_index(twist_class(p2, d), td)
+        report = grr_index(twist_class(p2, d))
         assert report.index == monomial_count(d, 3) == (d + 1) * (d + 2) // 2
 
 
 def test_elliptic_curve_chi_zero():
-    e = get_model("elliptic_curve")
-    assert grr_index(dolbeault_class(e), model_tangent_todd(e)).index == 0
+    e = MODELS["elliptic_curve"]
+    assert grr_index(e.unit()).index == 0
 
 
 def test_grr_integrality_guard():
-    p1 = get_model("P1")
+    p1 = MODELS["P1"]
     bogus = p1.generator_class("h") * Fraction(1, 2)
     with pytest.raises(NonIntegerIndexError):
-        grr_index(bogus, p1.unit())
+        grr_index(bogus)
 
 
 def test_grr_deformation_invariance():
-    p1 = get_model("P1")
-    td = model_tangent_todd(p1)
+    p1 = MODELS["P1"]
     a = twist_class(p1, 2)
     zero_k_class = twist_class(p1, 5) - twist_class(p1, 5)
-    assert grr_index(a + zero_k_class, td).index == grr_index(a, td).index
+    assert grr_index(a + zero_k_class).index == grr_index(a).index
 
 
 def test_p1xp1_chi_structure_sheaf():
-    m = get_model("P1xP1")
-    assert grr_index(dolbeault_class(m), model_tangent_todd(m)).index == 1
+    m = MODELS["P1xP1"]
+    assert grr_index(m.unit()).index == 1
 
 
 # -- Atiyah-Singer specialization ------------------------------------------------------
 
 
 def test_cauchy_riemann_on_p1():
-    report = atiyah_singer_index(cauchy_riemann_system(), "P1", dolbeault_class("P1"))
+    report = atiyah_singer_index(cauchy_riemann_system(), MODELS["P1"].unit())
     assert report.index == 1
     assert report.method == "as_specialization"
 
 
 def test_dolbeault_on_elliptic_curve():
-    report = atiyah_singer_index(
-        cauchy_riemann_system(), "elliptic_curve", dolbeault_class("elliptic_curve")
-    )
+    report = atiyah_singer_index(cauchy_riemann_system(), MODELS["elliptic_curve"].unit())
     assert report.index == 0
 
 
 def test_de_rham_on_s2():
-    report = atiyah_singer_index(laplace_system(), "S2", de_rham_class("S2"))
+    report = atiyah_singer_index(laplace_system(), de_rham_class(MODELS["S2"]))
     assert report.index == 2  # chi(S^2) = 1 - 0 + 1
 
 
 def test_non_elliptic_rejected():
     with pytest.raises(PreconditionError):
-        atiyah_singer_index(heat_system(), "P1", dolbeault_class("P1"))
+        atiyah_singer_index(heat_system(), MODELS["P1"].unit())
 
 
 # -- Euler characteristics and combination rules ----------------------------------------

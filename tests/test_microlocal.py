@@ -55,7 +55,6 @@ def test_char_ideal_laplace():
     xi2 = MultiPoly.variable(cv.ambient, "xi_y")
     assert cv.ideal.generators == [xi1 * xi1 + xi2 * xi2]
     assert cv.dimension == 3
-    assert cv.conic
 
 
 def test_char_ideal_wave():
@@ -79,8 +78,12 @@ def test_char_ideal_dimension_of_wave_powers():
 
 
 def test_conicity_all_systems():
+    # characteristic_ideal raises unless every generator is xi-homogeneous
     for builder in (laplace_system, wave_system, heat_system, tricomi_system):
-        assert characteristic_ideal(builder()).conic
+        sys_ = builder()
+        cv = characteristic_ideal(sys_)
+        xi = list(range(sys_.n, 2 * sys_.n))
+        assert all(g.is_homogeneous_in(xi) for g in cv.ideal.generators)
 
 
 # -- Sturm machinery ---------------------------------------------------------------
@@ -443,6 +446,25 @@ def test_default_grid_budget():
     assert len(bases) * len(covectors) == GRID_BUDGET
     with pytest.raises(PreconditionError, match="work budget"):
         default_grid(laplace_system(), base_count=GRID_BUDGET // 8 + 1)
+
+
+def test_default_grid_region_draw_is_bounded(monkeypatch):
+    """An empty region costs at most GRID_BUDGET candidate tests, plus the
+    one test of the origin, however many base points are asked for."""
+    region = parse_pde_dsl("region never { vars t, x; t^2 + x^2 + 1 < 0; }").regions["never"]
+    calls = [0]
+    contains = Region.contains
+
+    def counted(self, x):
+        calls[0] += 1
+        if calls[0] > GRID_BUDGET + 1:
+            raise AssertionError("region draw past the work budget")
+        return contains(self, x)
+
+    monkeypatch.setattr(Region, "contains", counted)
+    with pytest.raises(PreconditionError, match="no grid base points inside the region"):
+        default_grid(wave_system(), base_count=GRID_BUDGET // 8, region=region)
+    assert calls[0] == GRID_BUDGET + 1
 
 
 # -- classification -----------------------------------------------------------------------
