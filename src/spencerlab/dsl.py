@@ -7,6 +7,7 @@ Grammar sketch (semicolon-terminated declarations, C-style blocks):
     item     := "vars" names ";" | "unknowns" names ";"
               | "point" numbers ";"
               | "eq" ":" sum "=" "0" ";"
+                -- vars, unknowns and point at most once each
     sum      := ["-"] term (("+" | "-") term)*
     term     := factor ("*" factor)*
     factor   := NUMBER | "i" | NAME ["^" INT]          -- coefficient piece
@@ -198,25 +199,25 @@ class Parser:
     # -- systems ------------------------------------------------------------------
 
     def parse_system(self, name):
-        variables, unknowns, point = None, None, None
+        """vars, unknowns and point each at most once, and equations after
+        vars and unknowns."""
+        declared = {"vars": None, "unknowns": None, "point": None}
         raw_equations = []
         while not self.at("}"):
             tok = self.peek()
-            if tok.text == "vars":
+            if tok.text in declared:
+                if declared[tok.text] is not None:
+                    expected = {k for k, v in declared.items() if v is None} | {"eq", "}"}
+                    raise ParseError(f"repeated {tok.text!r} in system {name!r}",
+                                     tok.line, tok.col, expected)
                 self.advance()
-                variables = tuple(self.parse_name_list())
-                self.expect(";")
-            elif tok.text == "unknowns":
-                self.advance()
-                unknowns = tuple(self.parse_name_list())
-                self.expect(";")
-            elif tok.text == "point":
-                self.advance()
-                point = tuple(self.parse_number_list())
+                parse = self.parse_number_list if tok.text == "point" else self.parse_name_list
+                declared[tok.text] = tuple(parse())
                 self.expect(";")
             elif tok.text == "eq":
                 eq_tok = self.advance()
                 self.expect(":")
+                variables, unknowns = declared["vars"], declared["unknowns"]
                 if variables is None or unknowns is None:
                     raise ParseError(
                         "vars and unknowns must be declared before equations",
@@ -231,6 +232,7 @@ class Parser:
                     {"vars", "unknowns", "point", "eq", "}"},
                 )
         close = self.expect("}")
+        variables, unknowns = declared["vars"], declared["unknowns"]
         if variables is None or unknowns is None:
             raise ParseError(
                 f"system {name!r} needs vars and unknowns", close.line, close.col
@@ -249,7 +251,7 @@ class Parser:
             )
         try:
             return PdeSystem(variables, unknowns, order, raw_equations,
-                             base_point=point, name=name)
+                             base_point=declared["point"], name=name)
         except Exception as exc:  # surface as a positioned semantic error
             raise ParseError(str(exc), close.line, close.col) from None
 

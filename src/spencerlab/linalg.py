@@ -3,8 +3,8 @@
 A matrix is a list of rows, each a dict column -> nonzero entry.  Symbol,
 prolongation and delta matrices are sparse integer-like matrices, so
 elimination only touches stored entries.  The dense constructor passes each
-entry through ``scalars.scalar``; ``sparse`` stores ints, ``_GaussInt``s
-or scalars as given, so a delta matrix stays over Z or Z[i].
+entry through ``scalars.scalar``; ``sparse`` stores entries as given, so a
+delta matrix of ints and ``QQi``s with int parts stays over Z or Z[i].
 
 Elimination is fraction-free and runs in one loop (``_clear``), as
 integer-preserving elimination does (Bareiss, *Math. Comp.* 22, 1968).
@@ -27,48 +27,15 @@ from math import gcd, lcm
 from .scalars import gaussian, scalar
 
 
-class _GaussInt:
-    """Gaussian integer with a nonzero imaginary part.  Arithmetic with ints
-    and other Gaussian integers returns an int when the imaginary part
-    cancels, so a real value is always an int."""
-
-    __slots__ = ("real", "imag")
-
-    def __init__(self, real, imag):
-        self.real, self.imag = real, imag
-
-    def __neg__(self):
-        return _GaussInt(-self.real, -self.imag)
-
-    def __add__(self, other):
-        return _gauss_int(self.real + other.real, self.imag + other.imag)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        a, b, c, d = self.real, self.imag, other.real, other.imag
-        return _gauss_int(a * c - b * d, a * d + b * c)
-
-    __rmul__ = __mul__
-
-    def __floordiv__(self, g):
-        """Exact division by an integer that divides both parts."""
-        return _GaussInt(self.real // g, self.imag // g)
-
-
-def _gauss_int(real, imag):
-    return _GaussInt(real, imag) if imag else real
-
-
 def _integer_row(row):
-    """A row of exact scalars as a primitive row of ints and _GaussInts (the
-    row times the lcm of its denominators, over its content)."""
+    """A row of exact scalars as a primitive row over Z or Z[i] (the row
+    times the lcm of its denominators, over its content)."""
     parts = [(x.real, im) if (im := x.imag) else (x, 0) for x in row.values()]
     d = lcm(*(p.denominator for pair in parts for p in pair if p))
     out = {}
     for k, (re, im) in zip(row, parts):
         re = re.numerator * (d // re.denominator)
-        out[k] = _GaussInt(re, im.numerator * (d // im.denominator)) if im else re
+        out[k] = gaussian(re, im.numerator * (d // im.denominator)) if im else re
     return _primitive(out)
 
 
@@ -113,12 +80,12 @@ def _positive_lead(row, c):
     p = row[c]
     if type(p) is int:
         return row if p > 0 else {k: -x for k, x in row.items()}
-    conj = _GaussInt(p.real, -p.imag)
+    conj = gaussian(p.real, -p.imag)
     return _primitive({k: conj * x for k, x in row.items()})
 
 
 def _quotient(x, d):
-    """x / d for an int or _GaussInt x and a positive int d, by the scalar rule."""
+    """x / d for x over Z or Z[i] and a positive int d, by the scalar rule."""
     return gaussian(Fraction(x.real, d), Fraction(x.imag, d))
 
 
@@ -143,7 +110,8 @@ class ExactMatrix:
     @classmethod
     def sparse(cls, rows, cols):
         """Matrix from rows given as dicts column -> entry (zeros may be
-        omitted): ints, _GaussInts or scalars that follow the scalar rule."""
+        omitted): ints, QQis with int parts, or scalars that follow the
+        scalar rule."""
         mat = cls.__new__(cls)
         mat._set(rows, cols)
         return mat

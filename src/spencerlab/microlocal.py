@@ -14,13 +14,14 @@ certificate.
 
 A grid is a pair (bases, covectors) of rational points and nonzero rational
 covectors; its samples, and the labels of a classification, are every
-(x; xi), base-major.  Grid classification runs on Python ints.  The symbol
-is compiled once per system into integer coefficients in (x, xi) over one
-common denominator (`_IntSymbol`) and specialised once per base point;
-covectors are scaled to integers.  Sturm sequences are primitive
-pseudo-remainder sequences on int lists (Collins 1967), which differ from
-the rational Sturm chain only by positive factors and so give the same root
-counts.  Only the saturation certificate still builds a frozen `PdeSystem`.
+(x; xi), base-major.  Grid classification runs over Z[i]: on ints, and on
+QQis with int parts for complex symbols.  The symbol is compiled once per
+system into such coefficients in (x, xi) over one common denominator
+(`_IntSymbol`) and specialised once per base point; covectors are scaled
+to integers.  Sturm sequences are primitive pseudo-remainder sequences on
+int lists (Collins 1967), which differ from the rational Sturm chain only
+by positive factors and so give the same root counts.  Only the
+saturation certificate still builds a frozen `PdeSystem`.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .errors import PreconditionError
 from .groebner import PolyIdeal, saturation_is_unit
 from .linalg import ExactMatrix, positive_definite
 from .poly import MultiPoly
+from .scalars import gaussian
 from .systems import PdeSystem, make_system
 
 
@@ -277,33 +279,34 @@ def sturm_distinct_real_roots(coeffs):
 
 
 class _IntSymbol:
-    """Polynomials in (x, xi) with integer coefficients, specialised at base
-    points x on demand.
+    """Polynomials in (x, xi) with coefficients over Z[i], specialised at
+    base points x on demand.
 
-    Each polynomial is a list of terms (x exponents, xi exponents, re, im),
-    re and im integers over one common denominator.  At x = (p_i / q_i)
-    every term is multiplied by the same positive constant, the denominator
-    times prod q_i^top_i (top_i the largest exponent of x_i), so the
-    specialised xi-coefficients are integers.  A positive constant changes
-    no zero test, no definiteness test and no real-root count.
-    Specialisations are cached per x.
+    Each polynomial is a list of terms (x exponents, xi exponents, c), c an
+    int or a QQi with int parts, over one common denominator.  At
+    x = (p_i / q_i) every term is multiplied by the same positive constant,
+    the denominator times prod q_i^top_i (top_i the largest exponent of
+    x_i), so the specialised xi-coefficients are over Z[i] too.  A positive
+    constant changes no zero test, no definiteness test and no real-root
+    count.  Specialisations are cached per x.
     """
 
     def __init__(self, polys, n):
         """polys: per polynomial, (x exponents, xi exponents, coefficient) triples."""
         den = lcm(*(v.denominator for p in polys for _, _, c in p for v in (c.real, c.imag)))
         self.polys = [
-            [(xe, ke, c.real.numerator * (den // c.real.denominator),
-              c.imag.numerator * (den // c.imag.denominator)) for xe, ke, c in p]
+            [(xe, ke, gaussian(c.real.numerator * (den // c.real.denominator),
+                               c.imag.numerator * (den // c.imag.denominator)))
+             for xe, ke, c in p]
             for p in polys
         ]
-        self.tops = [max((xe[i] for p in self.polys for xe, _, _, _ in p), default=0)
+        self.tops = [max((xe[i] for p in self.polys for xe, _, _ in p), default=0)
                      for i in range(n)]
         self._cache = {}
 
     def at(self, point):
-        """Per polynomial, its nonzero terms (xi exponents, re, im) at the
-        point given by its _rational_key."""
+        """Per polynomial, its nonzero terms (xi exponents, c) at the point
+        given by its _rational_key."""
         spec = self._cache.get(point)
         if spec is None:
             powers = [[p**e * q ** (top - e) for e in range(top + 1)]
@@ -314,14 +317,12 @@ class _IntSymbol:
 
 def _specialise(terms, powers):
     acc = {}
-    for xe, ke, re, im in terms:
+    for xe, ke, c in terms:
         f = 1
         for table, e in zip(powers, xe):
             f *= table[e]
-        c = acc.setdefault(ke, [0, 0])
-        c[0] += re * f
-        c[1] += im * f
-    return [(ke, re, im) for ke, (re, im) in acc.items() if re or im]
+        acc[ke] = acc.get(ke, 0) + c * f
+    return [(ke, c) for ke, c in acc.items() if c]
 
 
 def _rational_key(values):
@@ -341,16 +342,15 @@ def _equation_terms(eq):
 
 
 def _vanishes(terms, xi):
-    """Whether integer terms (xi exponents, re, im) sum to 0 at the int covector xi."""
-    re = im = 0
-    for e, a, b in terms:
+    """Whether terms (xi exponents, c) over Z[i] sum to 0 at the int covector xi."""
+    total = 0
+    for e, c in terms:
         m = 1
         for v, k in zip(xi, e):
             if k:
                 m *= v**k
-        re += a * m
-        im += b * m
-    return not re and not im
+        total += c * m
+    return not total
 
 
 # -- ellipticity ------------------------------------------------------------------------
@@ -365,16 +365,16 @@ def _scalar_symbol(sys: PdeSystem):
 
 def _definiteness(terms):
     """"positive" or "negative" for a definite real quadratic form given as
-    nonempty integer terms (xi exponents, re, im), "" for any other real
+    nonempty terms (xi exponents, c) over Z[i], "" for any other real
     quadratic form, None if the terms are not a real quadratic form."""
-    if any(im or sum(e) != 2 for e, _, im in terms):
+    if any(c.imag or sum(e) != 2 for e, c in terms):
         return None
     n = len(terms[0][0])
     gram = [[0] * n for _ in range(n)]  # twice the Gram matrix
-    for e, re, _ in terms:
+    for e, c in terms:
         i, j = [i for i, k in enumerate(e) for _ in range(k)]
-        gram[i][j] += re
-        gram[j][i] += re
+        gram[i][j] += c
+        gram[j][i] += c
     for sign, tag in ((1, "positive"), (-1, "negative")):
         if positive_definite([[sign * v for v in row] for row in gram]):
             return tag
@@ -386,8 +386,8 @@ def _ellipticity(quadratic, samples, saturates, count):
     classify_mixed (per frozen base point) and noncharacteristic_restrict
     (on the restricted variety) all decide through it.
 
-    quadratic: the integer terms of the one frozen principal symbol, or
-    None.  samples: (x, xi, integer generators at x, integer xi) tuples,
+    quadratic: the Z[i] terms of the one frozen principal symbol, or
+    None.  samples: (x, xi, Z[i] generators at x, integer xi) tuples,
     read lazily; the test uses the integer xi, and xi is only the covector
     a counterexample certificate names.  saturates: the saturation test,
     called only when no sample is a counterexample.  count: the samples a
@@ -473,24 +473,22 @@ HyperbolicityReport = namedtuple("HyperbolicityReport", "value status certificat
 
 def _direction_polynomial(terms, theta, eta):
     """sigma(t*theta + eta) as an ascending coefficient list in t, for sigma
-    given as terms (xi exponents, re, im): each term expands as its
-    coefficient times the product of (eta_i + theta_i*t)^alpha_i.  Exact on
-    ints and on Fractions alike."""
+    given as terms (xi exponents, c): each term expands as its coefficient
+    times the product of (eta_i + theta_i*t)^alpha_i.  Exact on Z[i] and on
+    Q(i) alike."""
     lines = [[e, th] for e, th in zip(eta, theta)]
-    re, im = [], []
-    for mono, cre, cim in terms:
+    acc = []
+    for mono, c in terms:
         prod = [1]
         for line, e in zip(lines, mono):
             for _ in range(e):
                 prod = _poly_mul(prod, line)
-        for acc, part in ((re, cre), (im, cim)):
-            if part:
-                acc.extend([0] * (len(prod) - len(acc)))
-                for j, x in enumerate(prod):
-                    acc[j] += part * x
-    if _poly_trim(im):
+        acc.extend([0] * (len(prod) - len(acc)))
+        for j, x in enumerate(prod):
+            acc[j] += c * x
+    if any(x.imag for x in acc):
         raise PreconditionError("real coefficients required for root counting")
-    return _poly_trim(re)
+    return _poly_trim(acc)
 
 
 def _transverse_part(eta, theta):
@@ -522,18 +520,18 @@ def is_hyperbolic(sys: PdeSystem, direction, grid=None, seed=0, strict=False, x=
 
 
 def _hyperbolicity(frozen, theta, covectors, strict, copies=1):
-    """is_hyperbolic for a frozen symbol given as integer terms (xi exponents,
-    re, im), over (xi, xi scaled to an int vector) pairs that a Sturm
+    """is_hyperbolic for a frozen symbol given as terms (xi exponents, c)
+    over Z[i], over (xi, xi scaled to an int vector) pairs that a Sturm
     certificate counts `copies` times each.  theta and every transverse part
     are scaled to integer vectors by positive factors, which rescale t and
     leave the root counts as they are."""
     th = _int_vector(theta)
-    k = max((sum(e) for e, _, _ in frozen), default=-1)
+    k = max((sum(e) for e, _ in frozen), default=-1)
     lead = _direction_polynomial(frozen, th, [0] * len(th))
     if len(lead) - 1 < k or not lead:
         reason = (
             "principal symbol independent of the direction coordinate"
-            if all(e[i] == 0 for e, _, _ in frozen for i in range(len(th)) if th[i])
+            if all(e[i] == 0 for e, _ in frozen for i in range(len(th)) if th[i])
             else "direction is characteristic"
         )
         return HyperbolicityReport(None, "degenerate", {"reason": reason})
@@ -582,19 +580,23 @@ class ConeSpec(namedtuple("ConeSpec", "generators kind")):
         return super().__new__(cls, generators, kind)
 
     def contains(self, xi):
+        """Membership of xi.  A closed cone holds the origin and every
+        nonnegative combination of its generators, which by Caratheodory
+        needs at most n of them at a time.  An open-convex cone, whose
+        generators are independent, holds exactly the combinations with
+        every coefficient positive, so neither its boundary nor the origin."""
         xi = [Fraction(v) for v in xi]
+        gens = self.generators
+        if self.kind == "open-convex":
+            sol = ExactMatrix(gens).transpose().solve_right(xi)
+            return sol is not None and all(c > 0 for c in sol)
         if not any(xi):
             return True
-        gens = self.generators
-        n = len(xi)
-        for size in range(1, min(len(gens), n) + 1):
+        for size in range(1, min(len(gens), len(xi)) + 1):
             for subset in combinations(gens, size):
                 sol = ExactMatrix(list(subset)).transpose().solve_right(xi)
-                if sol is None:
-                    continue
-                if all(c >= 0 for c in sol):
-                    if self.kind == "closed" or all(c > 0 for c in sol):
-                        return True
+                if sol is not None and all(c >= 0 for c in sol):
+                    return True
         return False
 
 
@@ -684,7 +686,7 @@ def classify_mixed(
                     rows = []
                     for terms in symbol.at(key)[len(gens):]:
                         if terms:
-                            k = max(sum(e) for e, _, _ in terms)
+                            k = max(sum(e) for e, _ in terms)
                             rows.append([t for t in terms if sum(t[0]) == k])
                     elliptic_cache[key] = _ellipticity(
                         rows[0] if len(rows) == 1 else None,

@@ -1,17 +1,21 @@
-"""Exact scalars: rationals, and Gaussian rationals for complex operators.
+"""Exact scalars: rationals, and Gaussian numbers for complex operators.
 
 All symbolic computation in this package runs over Q(i), and one rule says
 which type holds a coefficient: a real value is a ``Fraction``, and a
 ``QQi`` holds only a value whose imaginary part is nonzero.  ``scalar``
-applies the rule to any incoming value, ``gaussian`` builds a value from
-its parts, and ``QQi`` arithmetic returns through ``gaussian``, so i*i is
+applies the rule to any incoming value, and ``QQi(a, b)``, the Q(i) entry
+point, makes both parts Fractions.  The fraction-free elimination of
+``linalg`` and the grid symbols of ``microlocal`` work in Z[i] under the
+same rule with ``int`` for ``Fraction``: a real value is an int, and a
+``QQi`` with int parts holds the rest.  ``gaussian`` builds a value from
+its parts as given, and ``QQi`` arithmetic returns through it, so int
+parts stay in Z[i], Fraction parts stay in Q(i), and i*i is
 ``Fraction(-1)``.  Complex-coefficient operators (Cauchy-Riemann and
 friends) thus go through the same symbol / characteristic-ideal machinery
-as real ones, while real computations stay in plain fractions.
+as real ones, while real computations stay in plain ints and fractions.
 
 ``QQi`` carries ``real`` and ``imag`` like ``int`` and ``Fraction`` do, so
-callers read the parts of any scalar without a type test.  Components are
-Fractions, so denominators are positive and gcd-reduced by construction.
+callers read the parts of any scalar without a type test.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from fractions import Fraction
 
 
 class QQi:
-    """Gaussian rational a + b*i with exact Fraction components."""
+    """Gaussian number a + b*i with exact parts: Fractions, or ints in Z[i]."""
 
     __slots__ = ("real", "imag")
 
@@ -32,11 +36,15 @@ class QQi:
         return bool(self.real) or bool(self.imag)
 
     # -- arithmetic: int, Fraction or QQi operands, read by real and imag ------
+    # + and * carry linalg's elimination loop over Z[i], so they read the
+    # parts without a type test; an operand with no parts is not a number.
 
     def __add__(self, other):
-        if not isinstance(other, (int, Fraction, QQi)):
+        try:
+            c, d = other.real, other.imag
+        except AttributeError:  # not a number
             return NotImplemented
-        return gaussian(self.real + other.real, self.imag + other.imag)
+        return gaussian(self.real + c, self.imag + d)
 
     __radd__ = __add__
 
@@ -54,9 +62,10 @@ class QQi:
         return gaussian(other.real - self.real, other.imag - self.imag)
 
     def __mul__(self, other):
-        if not isinstance(other, (int, Fraction, QQi)):
+        try:
+            a, b, c, d = self.real, self.imag, other.real, other.imag
+        except AttributeError:  # not a number
             return NotImplemented
-        a, b, c, d = self.real, self.imag, other.real, other.imag
         return gaussian(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
@@ -70,6 +79,10 @@ class QQi:
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         return _divide(other.real, other.imag, self.real, self.imag)
+
+    def __floordiv__(self, g):
+        """Exact division by an int g that divides both parts."""
+        return gaussian(self.real // g, self.imag // g)
 
     # -- comparison / hashing ----------------------------------------------
 
@@ -101,11 +114,17 @@ class QQi:
         return f"({self.real}{'+' if self.imag > 0 else '-'}{abs(self.imag)}*i)"
 
 
+_new = object.__new__
+
+
 def gaussian(real, imag=0):
-    """real + imag*i by the rule: a Fraction when imag is 0, else a QQi."""
+    """real + imag*i with its parts as given: a QQi when imag is nonzero,
+    else real itself."""
     if imag:
-        return QQi(real, imag)
-    return real if isinstance(real, Fraction) else Fraction(real)
+        z = _new(QQi)
+        z.real, z.imag = real, imag
+        return z
+    return real
 
 
 def scalar(x):
@@ -118,8 +137,10 @@ def scalar(x):
 
 
 def _divide(a, b, c, d):
-    """(a + b*i) / (c + d*i)."""
+    """(a + b*i) / (c + d*i), exact also when every part is an int."""
     n = c * c + d * d
     if not n:
         raise ZeroDivisionError("division by zero scalar")
+    if type(n) is int:
+        n = Fraction(n)
     return gaussian((a * c + b * d) / n, (b * c - a * d) / n)

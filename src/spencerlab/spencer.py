@@ -49,7 +49,8 @@ class SpencerComplex(namedtuple("SpencerComplex", "n m max_order symbols differe
 
 def _shift_coordinates(g_hi, g_lo, n):
     """coords[b][j]: L times the coordinates of shift_j(basis vector b of
-    g_hi) in g_lo's basis, L being g_lo's scale; ints and _GaussInts."""
+    g_hi) in g_lo's basis, L being g_lo's scale: ints, and for a complex
+    system QQis with int parts, so over Z or Z[i]."""
     coords = []
     for vec in g_hi.basis:
         row = []

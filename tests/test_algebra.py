@@ -16,7 +16,7 @@ from spencerlab.groebner import (
 )
 from spencerlab.linalg import ExactMatrix, positive_definite
 from spencerlab.poly import MultiPoly
-from spencerlab.scalars import QQi
+from spencerlab.scalars import QQi, gaussian
 
 XY = ("x", "y")
 
@@ -48,6 +48,21 @@ def test_gaussian_division():
     w = QQi(3, -1)
     assert z / w * w == z
     assert (QQi(0, 1) * QQi(0, 1)) == QQi(-1)
+
+
+def test_gaussian_integers_stay_in_z_i():
+    z, w = gaussian(1, 2), gaussian(3, -1)
+    assert (type(z.real), type(z.imag)) == (int, int)
+    product = z * w
+    assert (product.real, product.imag) == (5, 5) and type(product.imag) is int
+    # a cancelling imaginary part leaves a plain int
+    assert type(z * gaussian(1, -2)) is int and z * gaussian(1, -2) == 5
+    assert type(z + gaussian(0, -2)) is int and type(2 * z - z * 2) is int
+    halved = gaussian(4, -6) // 2
+    assert (halved.real, halved.imag) == (2, -3) and type(halved.real) is int
+    # division leaves Z[i] for Q(i), never for floats
+    assert z / w == QQi(Fraction(1, 10), Fraction(7, 10))
+    assert type(gaussian(0, 2) / gaussian(0, 2)) is Fraction
 
 
 def test_serialize():

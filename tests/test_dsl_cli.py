@@ -935,6 +935,34 @@ def test_spectrum_parameters_are_checked_per_kind(capsys, tmp_path, body, messag
     assert f"{message} at 1:{text.rindex(at) + 1}" in capsys.readouterr().err
 
 
+REDECLARED_VARS = "system s { vars x; unknowns u; eq: D[x,x](u) = 0; vars x, y; }"
+
+
+@pytest.mark.parametrize("text, keyword, argv", [
+    (REDECLARED_VARS, "vars x, y", ["symbol"]),
+    (REDECLARED_VARS, "vars x, y", ["involutivity"]),
+    (REDECLARED_VARS, "vars x, y", ["classify", "--mode", "elliptic"]),
+    ("system s { vars x, y; unknowns u; unknowns u, v; eq: D[x](u) = 0; }", "unknowns u, v",
+     ["symbol"]),
+    ("system s { vars x, y; unknowns u; point 1, 2; point 3, 4; eq: D[x](u) = 0; }",
+     "point 3", ["symbol"]),
+], ids=["vars-symbol", "vars-involutivity", "vars-classify", "unknowns", "point"])
+def test_repeated_system_declaration_is_a_parse_error(capsys, tmp_path, text, keyword, argv):
+    """A second vars, unknowns or point line in one system is an error at its
+    keyword, in every command, and a second point does not replace the first."""
+    word = keyword.split()[0]
+    message = f"repeated {word!r} in system 's'"
+    with pytest.raises(ParseError) as err:
+        parse_pde_dsl(text)
+    assert str(err.value).startswith(message)
+    assert (err.value.line, err.value.col) == (1, text.index(keyword) + 1)
+    pde = tmp_path / "s.pde"
+    pde.write_text(text)
+    command, *options = argv
+    assert main([command, str(pde), *options]) == 2
+    assert f"{message} at 1:{text.index(keyword) + 1}" in capsys.readouterr().err
+
+
 def test_explicit_spectrum_multiplicity_mismatch(capsys, tmp_path):
     pde = tmp_path / "p.pde"
     pde.write_text("spectrum p { kind explicit; values 1,2; multiplicities 1; }")

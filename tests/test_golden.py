@@ -183,10 +183,29 @@ system lame {
 }
 """
 
-# name: (argv after the document, sha256 of the report on stdout).  lame is
-# the degenerate Lame operator lambda = -2 mu, mu = 1; euler reaches the
-# saturation test and then the grid verdict at every base point but 0, and
-# cr the saturation certificate.
+# A second document for the region and cone paths of classify, and for the
+# Lame operator with lambda = mu = 1, so that the document above, and with
+# it the input hash of each of its reports, stays as it is.
+SHAPES_DOCUMENT = """
+system tricomi { vars x, y; unknowns u; eq: y*D[x,x](u) + D[y,y](u) = 0; }
+system wave { vars t, x; unknowns u; eq: D[t,t](u) - D[x,x](u) = 0; }
+system lame11 {
+  vars x, y; unknowns u, v;
+  eq: 3*D[x,x](u) + D[y,y](u) + 2*D[x,y](v) = 0;
+  eq: 2*D[x,y](u) + D[x,x](v) + 3*D[y,y](v) = 0;
+}
+region disc { vars x, y; x^2 + y^2 - 9 < 0; }
+cone forward { generators (1, 1), (1, 0); kind closed; }
+cone backward { generators (-1, 1), (-1, -1); kind closed; }
+"""
+DOCUMENTS = {"micro.pde": MICROLOCAL_DOCUMENT, "shapes.pde": SHAPES_DOCUMENT}
+
+# name: (argv after the document, sha256 of the report on stdout[, document
+# name, micro.pde if absent]).  lame is the degenerate Lame operator
+# lambda = -2 mu, mu = 1; euler reaches the saturation test and then the
+# grid verdict at every base point but 0, and cr the saturation certificate.
+# The disc keeps only the candidate base points within radius 3; the cones
+# cover some of the wave's characteristic covectors and miss (5, -5).
 MICROLOCAL = {
     "classify-tricomi": (
         ["classify", "--system", "tricomi", "--grid", "40", "--seed", "7"],
@@ -230,18 +249,29 @@ MICROLOCAL = {
     "restrict-tricomi": (
         ["restrict", "--system", "tricomi", "--subspace", "1,0"],
         "bb7e6abfe3960be2e2ad5c1fc005a2f58c505252300050c5510eb4804c92bdb7"),
+    "classify-tricomi-region": (
+        ["classify", "--system", "tricomi", "--region", "disc", "--grid", "5", "--seed", "7"],
+        "8b3e71d9b7a427d8ad6786b86e7cb192a448fcc24f3ad94b76a3e15009218e44", "shapes.pde"),
+    "classify-wave-cones": (
+        ["classify", "--system", "wave", "--cones", "forward,backward", "--grid", "3",
+         "--seed", "8"],
+        "db6ac0affbaf73bbe06ac52b07e2f50811d9dd47ba424989b6e42a6c4b24e852", "shapes.pde"),
+    "classify-lame-elliptic": (
+        ["classify", "--system", "lame11", "--grid", "2"],
+        "590a0a513a493d3d904c0fcd3867d475960249049882183a151c7ea4bcc57bef", "shapes.pde"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MICROLOCAL))
 def test_microlocal_report_is_byte_identical(name, capsys, tmp_path, monkeypatch):
     # a relative file name keeps the report's "arguments" independent of tmp_path
-    (tmp_path / "micro.pde").write_text(MICROLOCAL_DOCUMENT, encoding="utf-8")
+    (command, *options), expected, *document = MICROLOCAL[name]
+    document = document[0] if document else "micro.pde"
+    (tmp_path / document).write_text(DOCUMENTS[document], encoding="utf-8")
     monkeypatch.chdir(tmp_path)
-    command, *options = MICROLOCAL[name][0]
-    assert main([command, "micro.pde", *options]) == 0
+    assert main([command, document, *options]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
-    assert digest == MICROLOCAL[name][1]
+    assert digest == expected
 
 
 # -- DSL printing ---------------------------------------------------------------------

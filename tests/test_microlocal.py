@@ -247,8 +247,8 @@ def test_integer_sturm_matches_oracle_on_arbitrary_polynomials(poly):
 
 
 def _terms(frozen):
-    """A frozen symbol as the (xi exponents, re, im) terms the library works on."""
-    return [(m, c.real, c.imag) for m, c in frozen.terms.items()]
+    """A frozen symbol as the (xi exponents, c) terms the library works on."""
+    return list(frozen.terms.items())
 
 
 def _direction_polynomial_by_substitution(frozen, theta, eta):
@@ -547,6 +547,17 @@ def test_cone_membership():
     assert cone.contains((2, 1))
     assert not cone.contains((-1, 0))
     assert cone.contains((0, 0))
+
+
+def test_open_cone_excludes_its_boundary_and_the_origin():
+    cone = ConeSpec([(1, 0), (0, 1)], "open-convex")
+    assert cone.contains((1, 1)) and cone.contains((3, 1))
+    assert not cone.contains((1, 0)) and not cone.contains((0, 2))
+    assert not cone.contains((0, 0))
+    assert not cone.contains((-1, 1))
+    # independent generators in a larger space: xi off their span is outside
+    wedge = ConeSpec([(1, 0, 0), (0, 1, 0)], "open-convex")
+    assert wedge.contains((1, 2, 0)) and not wedge.contains((1, 2, 1))
 
 
 def test_open_cone_validation():
