@@ -601,7 +601,11 @@ class ConeSpec(namedtuple("ConeSpec", "generators kind")):
 
 
 def cones_intersect_trivially(a: ConeSpec, b: ConeSpec):
-    """Generator-level test that the only shared point is the origin."""
+    """Generator-level test that the only shared point is the origin.  It
+    compares the closed cones on the same generators, since an open cone's
+    generators lie on its boundary; so two open cones that share only a
+    boundary ray are reported as meeting."""
+    a, b = ConeSpec(a.generators), ConeSpec(b.generators)
     for g in a.generators:
         if any(g) and b.contains(g):
             return False

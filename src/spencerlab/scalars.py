@@ -36,15 +36,13 @@ class QQi:
         return bool(self.real) or bool(self.imag)
 
     # -- arithmetic: int, Fraction or QQi operands, read by real and imag ------
-    # + and * carry linalg's elimination loop over Z[i], so they read the
-    # parts without a type test; an operand with no parts is not a number.
+    # + and * carry linalg's elimination over Z[i], whose operands are ints
+    # and QQis, so their guards test Fraction (an ABC, slow to test) last.
 
     def __add__(self, other):
-        try:
-            c, d = other.real, other.imag
-        except AttributeError:  # not a number
+        if not isinstance(other, (int, QQi, Fraction)):
             return NotImplemented
-        return gaussian(self.real + c, self.imag + d)
+        return gaussian(self.real + other.real, self.imag + other.imag)
 
     __radd__ = __add__
 
@@ -62,10 +60,9 @@ class QQi:
         return gaussian(other.real - self.real, other.imag - self.imag)
 
     def __mul__(self, other):
-        try:
-            a, b, c, d = self.real, self.imag, other.real, other.imag
-        except AttributeError:  # not a number
+        if not isinstance(other, (int, QQi, Fraction)):
             return NotImplemented
+        a, b, c, d = self.real, self.imag, other.real, other.imag
         return gaussian(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__

@@ -572,6 +572,13 @@ def test_cone_trivial_intersection():
     assert not cones_intersect_trivially(lam, lam)
 
 
+def test_open_cones_are_compared_by_their_closures():
+    # an open cone holds none of its generators, yet two equal open cones meet
+    quadrant = ConeSpec([(1, 0), (0, 1)], "open-convex")
+    assert not cones_intersect_trivially(quadrant, quadrant)
+    assert cones_intersect_trivially(quadrant, ConeSpec([(-1, 0), (0, -1)], "open-convex"))
+
+
 # -- restriction -------------------------------------------------------------------------
 
 
