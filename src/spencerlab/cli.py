@@ -379,14 +379,18 @@ def _classify(args, job):
         rep = is_hyperbolic(sys_, direction, seed=args.seed)
         return {"system": sys_.name, "hyperbolic": rep.value, "status": rep.status,
                 "certificate": rep.certificate}
-    bases, covectors = default_grid(sys_, base_count=job.arguments["grid"], seed=args.seed,
-                                    region=region if args.region is not None else None)
     cones = None
     if args.cones is not None:
         names = args.cones.split(",")
         if len(names) != 2:
             raise ParseError(f"--cones needs two cone names a,b, got {args.cones!r}")
         cones = tuple(_named(doc.cones, c, "--cones", "cone") for c in names)
+        for c, cone in zip(names, cones):
+            if len(cone.generators[0]) != sys_.n:
+                raise ParseError(f"--cones: cone {c!r} has generators of {len(cone.generators[0])}"
+                                 f" entries for {sys_.n} variables")
+    bases, covectors = default_grid(sys_, base_count=job.arguments["grid"], seed=args.seed,
+                                    region=region if args.region is not None else None)
     report = classify_mixed(sys_, region, (bases, covectors),
                             directions=[direction] if direction else None, cones=cones)
     return {

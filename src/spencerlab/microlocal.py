@@ -565,13 +565,40 @@ def _hyperbolicity(frozen, theta, covectors, strict, copies=1):
 # -- cones ------------------------------------------------------------------------------------
 
 
+def farkas(rows, rhs):
+    """Farkas' lemma, decided: (x, None) with x >= 0 and rows x = rhs, or
+    (None, y) with y rows >= 0 and y rhs < 0; exactly one of them exists.
+    Phase I of the simplex method over Fractions from the artificial basis,
+    with Bland's smallest-index rule, which cannot cycle; at its optimum y
+    is read off the artificial columns of the reduced costs (Schrijver,
+    Theory of Linear and Integer Programming, 1986, ch. 7 and 11)."""
+    m, k = len(rows), len(rows[0])
+    sign = [-1 if b < 0 else 1 for b in rhs]
+    t = [[s * Fraction(v) for v in row] + [Fraction(int(i == r)) for r in range(m)]
+         + [s * Fraction(b)] for i, (row, b, s) in enumerate(zip(rows, rhs, sign))]
+    # reduced costs of the sum of the artificials; the last entry is minus that sum
+    cost = [int(k <= j < k + m) - sum(col) for j, col in enumerate(zip(*t))]
+    basis = list(range(k, k + m))
+    while (j := next((j for j, c in enumerate(cost[:-1]) if c < 0), None)) is not None:
+        r = min((t[i][-1] / t[i][j], basis[i], i) for i in range(m) if t[i][j] > 0)[2]
+        t[r] = [v / t[r][j] for v in t[r]]
+        for row in t + [cost]:
+            if row is not t[r] and (f := row[j]):
+                row[:] = [v - f * p for v, p in zip(row, t[r])]
+        basis[r] = j
+    if cost[-1]:
+        return None, [s * (c - 1) for s, c in zip(sign, cost[k:k + m])]
+    value = {b: row[-1] for b, row in zip(basis, t)}
+    return [value.get(j, Fraction(0)) for j in range(k)], None
+
+
 class ConeSpec(namedtuple("ConeSpec", "generators kind")):
     __slots__ = ()
 
     def __new__(cls, generators, kind="closed"):  # kind: closed or open-convex
         generators = [tuple(Fraction(v) for v in g) for g in generators]
-        if not generators:
-            raise PreconditionError("cones need at least one generator")
+        if len({len(g) for g in generators}) != 1:
+            raise PreconditionError("cones need at least one generator, all of one length")
         if kind not in ("closed", "open-convex"):
             raise PreconditionError(f"unknown cone kind {kind!r}")
         if kind == "open-convex":
@@ -580,39 +607,51 @@ class ConeSpec(namedtuple("ConeSpec", "generators kind")):
         return super().__new__(cls, generators, kind)
 
     def contains(self, xi):
-        """Membership of xi.  A closed cone holds the origin and every
-        nonnegative combination of its generators, which by Caratheodory
-        needs at most n of them at a time.  An open-convex cone, whose
-        generators are independent, holds exactly the combinations with
-        every coefficient positive, so neither its boundary nor the origin."""
-        xi = [Fraction(v) for v in xi]
-        gens = self.generators
-        if self.kind == "open-convex":
-            sol = ExactMatrix(gens).transpose().solve_right(xi)
-            return sol is not None and all(c > 0 for c in sol)
-        if not any(xi):
-            return True
-        for size in range(1, min(len(gens), len(xi)) + 1):
-            for subset in combinations(gens, size):
-                sol = ExactMatrix(list(subset)).transpose().solve_right(xi)
-                if sol is not None and all(c >= 0 for c in sol):
-                    return True
-        return False
+        """Membership of xi, by one `farkas` call on (generators^T, xi).  A
+        closed cone holds every nonnegative combination of its generators,
+        the origin included.  An open-convex cone, whose generators are
+        independent and so give xi at most one combination, holds exactly
+        those with every coefficient positive: neither its boundary nor the
+        origin."""
+        x, _ = farkas(list(zip(*self.generators)), xi)
+        return x is not None and (self.kind == "closed" or all(c > 0 for c in x))
 
 
-def cones_intersect_trivially(a: ConeSpec, b: ConeSpec):
-    """Generator-level test that the only shared point is the origin.  It
-    compares the closed cones on the same generators, since an open cone's
-    generators lie on its boundary; so two open cones that share only a
-    boundary ray are reported as meeting."""
-    a, b = ConeSpec(a.generators), ConeSpec(b.generators)
-    for g in a.generators:
-        if any(g) and b.contains(g):
-            return False
-    for h in b.generators:
-        if any(h) and a.contains(h):
-            return False
-    return True
+def cone_intersection(a: ConeSpec, b: ConeSpec):
+    """(trivial, certificate): whether the cones share no point but the
+    origin, decided by `farkas` on A alpha = B beta for the generator
+    matrices A, B.  Two closed cones take one call per signed axis, with
+    the row e_k^T A alpha = -1, then +1, added: a feasible call gives a
+    common point p != 0; else the Farkas covector of each call writes +e_k,
+    then -e_k, as y + z with y >= 0 on A and z >= 0 on B, so the dual cones
+    sum to R^n, which holds exactly when the cones meet only at 0, pointed
+    or not.  An open cone's
+    coefficients are positive, so by scaling >= 1: shifted by 1, one call
+    decides, and its Farkas covector is >= 0 on A, <= 0 on B and strict on
+    an open cone."""
+    ga, gb = a.generators, b.generators
+    n = len(ga[0])
+    lhs = [[g[i] for g in ga] + [-h[i] for h in gb] for i in range(n)]
+    if "open-convex" in (a.kind, b.kind):
+        shift = [int(a.kind != "closed")] * len(ga) + [int(b.kind != "closed")] * len(gb)
+        x, y = farkas(lhs, [-sum(v * s for v, s in zip(row, shift)) for row in lhs])
+        if x is None:
+            return True, {"kind": "separating", "covector": y}
+        x = [c + s for c, s in zip(x, shift)]
+    else:
+        splits = []
+        for k, s in product(range(n), (-1, 1)):
+            x, y = farkas(lhs + [[g[k] for g in ga] + [0] * len(gb)], [0] * n + [s])
+            if x is not None:
+                break
+            u, t = y[:n], abs(y[n])
+            splits.append([[(v + y[n] * (i == k)) / t for i, v in enumerate(u)],
+                           [-v / t for v in u]])
+        else:
+            return True, {"kind": "dual_cover", "covectors": splits}
+    alpha, beta = x[:len(ga)], x[len(ga):]
+    point = [sum(c * g[i] for c, g in zip(alpha, ga)) for i in range(n)]
+    return False, {"kind": "common_point", "point": point, "coefficients": [alpha, beta]}
 
 
 # -- mixed-type classification -------------------------------------------------------------------
@@ -752,10 +791,9 @@ def classify_mixed(
             if not (lam.contains(xi) or lam_prime.contains(xi)):
                 inside = False
                 counterexamples.append({"x": [str(v) for v in x], "xi": [str(v) for v in xi]})
-        cone_check = {
-            "union_covers_characteristics": inside,
-            "trivial_intersection": cones_intersect_trivially(lam, lam_prime),
-        }
+        trivial, certificate = cone_intersection(lam, lam_prime)
+        cone_check = {"union_covers_characteristics": inside,
+                      "trivial_intersection": trivial, "certificate": certificate}
     return ClassificationReport(labels, strata, counterexamples, cone_check)
 
 

@@ -282,6 +282,45 @@ def test_cli_bad_microlocal_argument(capsys, tmp_path, argv, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("generators", ["(1, 0, 0)", "(1)"], ids=["longer", "shorter"])
+def test_cli_cone_dimension_must_match_the_system(capsys, tmp_path, generators):
+    """A cone in another dimension than the system's variables is an error
+    of --cones, as a --direction of the wrong length is of --direction."""
+    pde = tmp_path / "wave.pde"
+    pde.write_text(WAVE + "cone ahead { generators (1, 1), (1, -1); kind closed; }\n"
+                   f"cone odd {{ generators {generators}; kind closed; }}\n")
+    assert main(["classify", str(pde), "--cones", "ahead,odd"]) == 2
+    err = capsys.readouterr().err
+    entries = generators.count(",") + 1
+    assert f"--cones: cone 'odd' has generators of {entries} entries for 2 variables" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("body, message", [
+    ("generators (1, 0), (1); kind closed;", "all of one length"),
+    ("generators (1, 0), (1); kind open_convex;", "all of one length"),
+    ("generators (1, 0), (-1, 0); kind open_convex;",
+     "open-convex cones need independent generators"),
+    ("generators (1, 0); kind round;", "unknown cone kind 'round'"),
+], ids=["ragged-closed", "ragged-open", "dependent-open", "kind"])
+def test_cone_block_errors_are_positioned(capsys, tmp_path, body, message):
+    """A cone block that ConeSpec refuses is a parse error at its kind, so
+    classify --cones exits 2 with a position and no traceback."""
+    text = WAVE + f"cone a {{ {body} }}\ncone d {{ generators (0, 1); kind closed; }}\n"
+    start = text.index("cone a")
+    line = text.count("\n", 0, start) + 1
+    col = text.index("kind", start) - start + len("kind ") + 1
+    with pytest.raises(ParseError) as err:
+        parse_pde_dsl(text)
+    assert message in str(err.value)
+    assert (err.value.line, err.value.col) == (line, col)
+    pde = tmp_path / "cones.pde"
+    pde.write_text(text)
+    assert main(["classify", str(pde), "--cones", "a,d"]) == 2
+    out = capsys.readouterr().err
+    assert f"at {line}:{col}" in out and "Traceback" not in out
+
+
 MODEL_NAMES = "have ['P1', 'P1xP1', 'P2', 'P3', 'S2', 'elliptic_curve']"
 
 

@@ -198,7 +198,15 @@ region disc { vars x, y; x^2 + y^2 - 9 < 0; }
 cone forward { generators (1, 1), (1, 0); kind closed; }
 cone backward { generators (-1, 1), (-1, -1); kind closed; }
 """
-DOCUMENTS = {"micro.pde": MICROLOCAL_DOCUMENT, "shapes.pde": SHAPES_DOCUMENT}
+# Closed cones in R^3 that share the ray (1, 1, 0) while neither holds a
+# generator of the other.
+CONES3_DOCUMENT = """
+system wave3 { vars t, x, y; unknowns u; eq: D[t,t](u) - D[x,x](u) - D[y,y](u) = 0; }
+cone plane { generators (1, 0, 0), (0, 1, 0); kind closed; }
+cone roof { generators (1, 1, 1), (1, 1, -1); kind closed; }
+"""
+DOCUMENTS = {"micro.pde": MICROLOCAL_DOCUMENT, "shapes.pde": SHAPES_DOCUMENT,
+             "cones3.pde": CONES3_DOCUMENT}
 
 # name: (argv after the document, sha256 of the report on stdout[, document
 # name, micro.pde if absent]).  lame is the degenerate Lame operator
@@ -255,7 +263,10 @@ MICROLOCAL = {
     "classify-wave-cones": (
         ["classify", "--system", "wave", "--cones", "forward,backward", "--grid", "3",
          "--seed", "8"],
-        "db6ac0affbaf73bbe06ac52b07e2f50811d9dd47ba424989b6e42a6c4b24e852", "shapes.pde"),
+        "68fddb8e18c5fdadaece7cddee8ceacdf7d0f812a4fea1349e141f5c4999f521", "shapes.pde"),
+    "classify-wave3-cones": (
+        ["classify", "--system", "wave3", "--cones", "plane,roof", "--grid", "2"],
+        "e9eb06339e7e7c47f748a633e7b76235075859dbb3da14cbaa15b1fe18caa8fd", "cones3.pde"),
     "classify-lame-elliptic": (
         ["classify", "--system", "lame11", "--grid", "2"],
         "590a0a513a493d3d904c0fcd3867d475960249049882183a151c7ea4bcc57bef", "shapes.pde"),

@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from spencerlab.dsl import parse_pde_dsl
 from spencerlab.errors import PreconditionError
+from spencerlab.linalg import ExactMatrix
 from spencerlab.microlocal import (
     GRID_BUDGET,
     ConeSpec,
@@ -17,7 +20,7 @@ from spencerlab.microlocal import (
     _real_rooted,
     characteristic_ideal,
     classify_mixed,
-    cones_intersect_trivially,
+    cone_intersection,
     default_grid,
     external_product_char,
     factorization_check,
@@ -522,6 +525,9 @@ def test_wave_characteristic_covectors_in_cones():
     assert len(char_labels) == 4
     assert report.cone_check["union_covers_characteristics"]
     assert report.cone_check["trivial_intersection"]
+    assert report.cone_check["certificate"]["kind"] == "dual_cover"
+    _check_certificate(lam, lam_p, report.cone_check["trivial_intersection"],
+                       report.cone_check["certificate"])
     assert report.labels[4]["label"] == "hyperbolic"
 
 
@@ -539,6 +545,120 @@ def test_region_precondition():
 
 
 # -- cones -------------------------------------------------------------------------------
+
+
+def _contains_by_subsets(cone, xi):
+    """The Caratheodory oracle for ConeSpec.contains: a closed cone holds xi
+    when some at most n of its generators give it with coefficients >= 0;
+    an open-convex cone when its independent generators give it with every
+    coefficient > 0."""
+    xi = [Fraction(v) for v in xi]
+    gens = cone.generators
+    if cone.kind == "open-convex":
+        sol = ExactMatrix(gens).transpose().solve_right(xi)
+        return sol is not None and all(c > 0 for c in sol)
+    if not any(xi):
+        return True
+    for size in range(1, min(len(gens), len(xi)) + 1):
+        for subset in combinations(gens, size):
+            sol = ExactMatrix(list(subset)).transpose().solve_right(xi)
+            if sol is not None and all(c >= 0 for c in sol):
+                return True
+    return False
+
+
+def _dot(u, v):
+    return sum(Fraction(a) * Fraction(b) for a, b in zip(u, v))
+
+
+def _check_certificate(lam, lam_p, trivial, cert):
+    """Verify a cone_intersection answer from its certificate with Fraction
+    dot products alone: a common point p != 0 with its two coefficient
+    vectors (>= 0, and > 0 on an open cone); for two closed cones, a split
+    y + z of each of +e_1, -e_1, +e_2, ... with y >= 0 on lam and z >= 0 on
+    lam_p, so the dual cones sum to R^n; or a covector >= 0 on lam, <= 0 on
+    lam_p and strict on a generator of an open one."""
+    (ga, ka), (gb, kb) = lam, lam_p
+    if cert["kind"] == "common_point":
+        assert not trivial and any(cert["point"])
+        for gens, kind, coef in zip((ga, gb), (ka, kb), cert["coefficients"]):
+            assert all(c > 0 if kind == "open-convex" else c >= 0 for c in coef)
+            assert [_dot(coef, col) for col in zip(*gens)] == list(cert["point"])
+    elif cert["kind"] == "dual_cover":
+        n = len(ga[0])
+        assert trivial and ka == kb == "closed" and len(cert["covectors"]) == 2 * n
+        for j, (y, z) in enumerate(cert["covectors"]):
+            axis = [(-1) ** j * (i == j // 2) for i in range(n)]
+            assert [a + b for a, b in zip(y, z)] == axis
+            assert all(_dot(y, g) >= 0 for g in ga) and all(_dot(z, h) >= 0 for h in gb)
+    else:
+        assert trivial and cert["kind"] == "separating"
+        y = cert["covector"]
+        assert all(_dot(y, g) >= 0 for g in ga) and all(_dot(y, h) <= 0 for h in gb)
+        assert ((ka == "open-convex" and any(_dot(y, g) > 0 for g in ga))
+                or (kb == "open-convex" and any(_dot(y, h) < 0 for h in gb)))
+
+
+def _rays(cone, top=3):
+    """The rays through the nonzero points sum(c_i g_i) of an integer cone
+    with coefficients 0..top (1..top on an open cone), each as its primitive
+    integer vector."""
+    low = int(cone.kind == "open-convex")
+    columns = [[int(v) for v in col] for col in zip(*cone.generators)]
+    rays = set()
+    for coef in product(range(low, top + 1), repeat=len(cone.generators)):
+        p = [sum(c * v for c, v in zip(coef, col)) for col in columns]
+        if any(p):
+            rays.add(tuple(v // gcd(*p) for v in p))
+    return rays
+
+
+def _random_cone(rng, n):
+    while True:
+        kind = rng.choice(["closed", "open-convex"])
+        count = rng.randint(1, n if kind == "open-convex" else 4)
+        gens = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(count)]
+        try:
+            return ConeSpec(gens, kind)
+        except PreconditionError:  # dependent generators of an open cone
+            continue
+
+
+def _planted_cone(rng, cone):
+    """A cone on p + w and p - w for a random point p of the given cone, so
+    that the two share the ray through p while, as a rule, neither holds a
+    generator of the other."""
+    low = int(cone.kind == "open-convex")
+    while True:
+        coef = [rng.randint(low, 2) for _ in cone.generators]
+        p = [_dot(coef, col) for col in zip(*cone.generators)]
+        w = [rng.randint(-2, 2) for _ in p]
+        try:
+            return ConeSpec([[a + b for a, b in zip(p, w)], [a - b for a, b in zip(p, w)]],
+                            rng.choice(["closed", "open-convex"]))
+        except PreconditionError:  # p + w and p - w dependent for an open cone
+            continue
+
+
+def test_cone_routine_against_brute_force():
+    """Seeded random pairs in dimensions 2-4, every third one with a planted
+    common ray: membership agrees with the subset walk, a common ray that
+    brute force finds is never missed, and every certificate verifies."""
+    rng = random.Random(20261020)
+    kinds = set()
+    for trial in range(330):
+        n = rng.randint(2, 4)
+        lam = _random_cone(rng, n)
+        lam_p = _planted_cone(rng, lam) if trial % 3 == 0 else _random_cone(rng, n)
+        for xi in [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(3)]:
+            for cone in (lam, lam_p):
+                assert cone.contains(xi) == _contains_by_subsets(cone, xi)
+        trivial, cert = cone_intersection(lam, lam_p)
+        _check_certificate(lam, lam_p, trivial, cert)
+        if _rays(lam) & _rays(lam_p):
+            assert not trivial
+        kinds.add(cert["kind"])
+    assert kinds == {"common_point", "dual_cover", "separating"}
 
 
 def test_cone_membership():
@@ -565,18 +685,51 @@ def test_open_cone_validation():
         ConeSpec([(1, 0), (-1, 0)], "open-convex")
 
 
+@pytest.mark.parametrize("kind", ["closed", "open-convex"])
+def test_ragged_cone_is_rejected(kind):
+    with pytest.raises(PreconditionError, match="all of one length"):
+        ConeSpec([(1, 0), (1,)], kind)
+
+
 def test_cone_trivial_intersection():
     lam = ConeSpec([(1, 1), (1, -1)], "closed")
     lam_p = ConeSpec([(-1, 1), (-1, -1)], "closed")
-    assert cones_intersect_trivially(lam, lam_p)
-    assert not cones_intersect_trivially(lam, lam)
+    assert cone_intersection(lam, lam_p)[0]
+    assert not cone_intersection(lam, lam)[0]
 
 
-def test_open_cones_are_compared_by_their_closures():
-    # an open cone holds none of its generators, yet two equal open cones meet
+def test_cones_sharing_a_ray_above_the_plane_meet():
+    # no generator of either cone lies in the other, yet both hold (1, 1, 0)
+    lam = ConeSpec([(1, 0, 0), (0, 1, 0)], "closed")
+    lam_p = ConeSpec([(1, 1, 1), (1, 1, -1)], "closed")
+    trivial, cert = cone_intersection(lam, lam_p)
+    assert not trivial and cert["kind"] == "common_point"
+    _check_certificate(lam, lam_p, trivial, cert)
+    p = cert["point"]
+    assert p[0] > 0 and p == [p[0], p[0], 0]
+
+
+def test_non_pointed_cone_intersection():
+    # the closed upper half-plane holds the line through (1, 0)
+    half = ConeSpec([(1, 0), (-1, 0), (0, 1)], "closed")
+    for other, meets in (([(0, -1)], False), ([(1, 0)], True)):
+        trivial, cert = cone_intersection(half, ConeSpec(other, "closed"))
+        assert trivial is not meets
+        _check_certificate(half, ConeSpec(other, "closed"), trivial, cert)
+
+
+def test_open_cones_meet_only_in_their_interiors():
+    """An open cone holds none of its boundary: two open cones meet when
+    their interiors do, and an open and a closed cone when the closed one
+    reaches the open one's interior."""
     quadrant = ConeSpec([(1, 0), (0, 1)], "open-convex")
-    assert not cones_intersect_trivially(quadrant, quadrant)
-    assert cones_intersect_trivially(quadrant, ConeSpec([(-1, 0), (0, -1)], "open-convex"))
+    cases = [(quadrant, False), (ConeSpec([(-1, 0), (0, -1)], "open-convex"), True),
+             (ConeSpec([(0, 1), (-1, 0)], "open-convex"), True),
+             (ConeSpec([(1, 0)], "closed"), True), (ConeSpec([(1, 1)], "closed"), False)]
+    for other, disjoint in cases:
+        trivial, cert = cone_intersection(quadrant, other)
+        assert trivial is disjoint
+        _check_certificate(quadrant, other, trivial, cert)
 
 
 # -- restriction -------------------------------------------------------------------------
