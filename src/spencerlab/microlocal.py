@@ -17,10 +17,12 @@ covectors; its samples, and the labels of a classification, are every
 (x; xi), base-major.  Grid classification runs over Z[i]: on ints, and on
 QQis with int parts for complex symbols.  The symbol is compiled once per
 system into such coefficients in (x, xi) over one common denominator
-(`_IntSymbol`) and specialised once per base point; covectors are scaled
-to integers.  Sturm sequences are primitive pseudo-remainder sequences on
-int lists (Collins 1967), which differ from the rational Sturm chain only
-by positive factors and so give the same root counts.  Only the
+(`_IntSymbol`) and specialised once per base point, or in
+`classify_mixed` once per distinct base key, the coordinates its
+coefficients read; covectors are scaled to integers.
+Sturm sequences are primitive pseudo-remainder sequences on int lists
+(Collins 1967), which differ from the rational Sturm chain only by
+positive factors and so give the same root counts.  Only the
 saturation certificate still builds a frozen `PdeSystem`.
 """
 
@@ -125,11 +127,12 @@ def poly_det(rows):
 # larger --grid exits 3 before any draw, as JET_BUDGET, LATTICE_BUDGET and
 # CROSSCHECK_BUDGET guard their layers.  The tests and the benchmark use at
 # most 3,200 samples.  As a fresh command on the wave system, --grid 8192
-# (65,536 samples) takes 1.0-1.3 s and writes a 3.9 MB report (Python 3.11,
-# 2 vCPUs); the work and the report grow linearly with the samples.  A region
-# draw stops after GRID_BUDGET candidates, which bounds an empty region: with
-# the one condition t^2 + x^2 + 1 < 0, --grid 1000 and --grid 8192 both exit 3
-# after 2.0-2.1 s as fresh commands on the same host.
+# (65,536 samples) takes 0.4-0.5 s and writes a 3.9 MB report (Python 3.11,
+# 2 vCPUs); the report grows linearly with the samples, the work with the
+# distinct base keys and covectors.  A region draw stops after GRID_BUDGET
+# candidates, which bounds an empty region: with the one condition
+# t^2 + x^2 + 1 < 0, --grid 8192 exits 3 after 0.7-0.8 s as a fresh command on
+# the same host.
 GRID_BUDGET = 2**16
 
 
@@ -137,8 +140,9 @@ def _grid(grid):
     """A grid (bases, covectors) as two lists of Fraction tuples.  Every
     covector must be nonzero."""
     bases, covectors = grid
-    bases = [tuple(Fraction(v) for v in x) for x in bases]
-    covectors = [tuple(Fraction(v) for v in xi) for xi in covectors]
+    bases = [tuple(v if type(v) is Fraction else Fraction(v) for v in x) for x in bases]
+    covectors = [tuple(v if type(v) is Fraction else Fraction(v) for v in xi)
+                 for xi in covectors]
     if not all(any(xi) for xi in covectors):
         raise PreconditionError("covector samples need xi != 0")
     return bases, covectors
@@ -161,11 +165,12 @@ def default_grid(sys: PdeSystem, base_count=4, seed=0, region=None):
             f"a grid of {base_count} base points times {2 * n + 4} covectors is past "
             f"the work budget of {GRID_BUDGET} samples")
     rng = random.Random(seed)
+    values = {(p, q): Fraction(p, q) for p in range(-8, 9) for q in range(1, 5)}
     bases = [tuple(Fraction(0) for _ in range(n))]
     attempts = 0
     while len(bases) < base_count and attempts < min(200 * base_count, GRID_BUDGET):
         attempts += 1
-        cand = tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(n))
+        cand = tuple(values[rng.randint(-8, 8), rng.randint(1, 4)] for _ in range(n))
         if region is not None and not region.contains(cand):
             continue
         bases.append(cand)
@@ -288,7 +293,7 @@ class _IntSymbol:
     the denominator times prod q_i^top_i (top_i the largest exponent of
     x_i), so the specialised xi-coefficients are over Z[i] too.  A positive
     constant changes no zero test, no definiteness test and no real-root
-    count.  Specialisations are cached per x.
+    count.  `at` caches its specialisations per x; `specialise` does not.
     """
 
     def __init__(self, polys, n):
@@ -309,10 +314,13 @@ class _IntSymbol:
         given by its _rational_key."""
         spec = self._cache.get(point)
         if spec is None:
-            powers = [[p**e * q ** (top - e) for e in range(top + 1)]
-                      for (p, q), top in zip(point, self.tops)]
-            spec = self._cache[point] = [_specialise(poly, powers) for poly in self.polys]
+            spec = self._cache[point] = self.specialise(point)
         return spec
+
+    def specialise(self, point):
+        powers = [[p**e * q ** (top - e) for e in range(top + 1)]
+                  for (p, q), top in zip(point, self.tops)]
+        return [_specialise(poly, powers) for poly in self.polys]
 
 
 def _specialise(terms, powers):
@@ -383,7 +391,7 @@ def _definiteness(terms):
 
 def _ellipticity(quadratic, samples, saturates, count):
     """The one ellipticity ladder: (verdict, certificate).  is_elliptic,
-    classify_mixed (per frozen base point) and noncharacteristic_restrict
+    classify_mixed (per label row) and noncharacteristic_restrict
     (on the restricted variety) all decide through it.
 
     quadratic: the Z[i] terms of the one frozen principal symbol, or
@@ -657,15 +665,36 @@ def cone_intersection(a: ConeSpec, b: ConeSpec):
 # -- mixed-type classification -------------------------------------------------------------------
 
 
-class Region(namedtuple("Region", "conditions")):
+class Region:
     """Polynomial sign conditions over the base variables: (MultiPoly over
-    the base variables, op in {gt, ge, lt, le}) pairs."""
+    the base variables, op in {gt, ge, lt, le}) pairs, read positionally
+    against a point.  They are compiled once, into one _IntSymbol with no
+    xi, whose positive scale at a point keeps every sign.  Regions compare
+    by their conditions."""
 
-    __slots__ = ()
+    __slots__ = ("conditions", "symbol")
+
+    def __init__(self, conditions):
+        self.conditions = list(conditions)
+        n = max((len(poly.vars) for poly, _ in self.conditions), default=0)
+        self.symbol = _IntSymbol([[(m + (0,) * (n - len(m)), (), c) for m, c in poly.terms.items()]
+                                  for poly, _ in self.conditions], n)
+
+    def __eq__(self, other):
+        return isinstance(other, Region) and self.conditions == other.conditions
+
+    def __repr__(self):
+        return f"Region(conditions={self.conditions!r})"
 
     def contains(self, x):
-        for poly, op in self.conditions:
-            val = poly.evaluate({v: Fraction(p) for v, p in zip(poly.vars, x)})
+        if not self.conditions:
+            return True
+        if len(x) < len(self.symbol.tops):
+            raise PreconditionError(f"a region over {len(self.symbol.tops)} variables "
+                                    f"cannot hold a point of {len(x)} coordinates")
+        values = self.symbol.specialise(_rational_key(x))
+        for (_, op), terms in zip(self.conditions, values):
+            val = terms[0][1] if terms else 0  # the one term has no xi
             if val.imag:
                 raise PreconditionError("region polynomials must be real")
             ok = {"gt": val > 0, "ge": val >= 0, "lt": val < 0, "le": val <= 0}[op]
@@ -691,8 +720,16 @@ def classify_mixed(
     cones=None,
 ):
     """Label every sample (x; xi) of the grid: characteristic / elliptic /
-    hyperbolic(theta) / degenerate, with per-point frozen-symbol decisions
-    that read each distinct covector once, in first-occurrence order.
+    hyperbolic(theta) / degenerate, from one label row per distinct base
+    key and one cone verdict per distinct covector.
+
+    The key of x is its coordinates at the base variables that some
+    coefficient of some equation reads.  The frozen system and every
+    specialisation of the compiled symbol depend on x only through them, and
+    no label names x (an elliptic label prints only a definite, saturation
+    or grid certificate), so base points with one key share one row: the
+    labels over the grid's covectors, with the frozen decisions reading each
+    distinct covector once, in first-occurrence order.
 
     Hyperbolic labels use the strict Sturm test (simple real roots), so
     parabolic degeneracies like the fold line of a mixed-type model report
@@ -713,44 +750,41 @@ def classify_mixed(
                         + [_equation_terms(eq) for eq in sys.equations if scalar], sys.n)
     # a single scalar equation has a principal symbol to test for hyperbolicity
     principal_order = sys.equations[0].order() if scalar and len(sys.equations) == 1 else None
+    read = sorted({i for eq in sys.equations for coeff in eq.terms.values()
+                   for mono in coeff.terms for i, e in enumerate(mono) if e})
     pool = [(xi, _int_vector(xi)) for xi in dict.fromkeys(covectors)]
     vectors = [_int_vector(xi) for xi in covectors]
     thetas = [tuple(Fraction(t) for t in theta) for theta in directions]
-    elliptic_cache = {}
     hyperbolic_cache = {}
 
-    def elliptic_at(key, x):
+    def elliptic_at(spec, x):
         """is_elliptic(frozen_system(sys, x)) over the pool.  A scalar system
         freezes per equation: one whose top-order coefficients vanish at x
         keeps its highest nonvanishing order."""
-        if key not in elliptic_cache:
-            try:
-                if scalar:
-                    rows = []
-                    for terms in symbol.at(key)[len(gens):]:
-                        if terms:
-                            k = max(sum(e) for e, _ in terms)
-                            rows.append([t for t in terms if sum(t[0]) == k])
-                    elliptic_cache[key] = _ellipticity(
-                        rows[0] if len(rows) == 1 else None,
-                        ((x, xi, rows, vec) for xi, vec in pool),
-                        lambda: _saturates(characteristic_ideal(frozen_system(sys, x))),
-                        len(pool),
-                    )
-                else:
-                    elliptic_cache[key] = is_elliptic(
-                        frozen_system(sys, x), ([x], [xi for xi, _ in pool]))
-            except PreconditionError:  # PdeSystem rejects a frozen order of 0
-                elliptic_cache[key] = False, {"kind": "skipped"}
-        return elliptic_cache[key]
+        try:
+            if scalar:
+                rows = []
+                for terms in spec[len(gens):]:
+                    if terms:
+                        k = max(sum(e) for e, _ in terms)
+                        rows.append([t for t in terms if sum(t[0]) == k])
+                return _ellipticity(
+                    rows[0] if len(rows) == 1 else None,
+                    ((x, xi, rows, vec) for xi, vec in pool),
+                    lambda: _saturates(characteristic_ideal(frozen_system(sys, x))),
+                    len(pool),
+                )
+            return is_elliptic(frozen_system(sys, x), ([x], [xi for xi, _ in pool]))
+        except PreconditionError:  # PdeSystem rejects a frozen order of 0
+            return False, {"kind": "skipped"}
 
-    def hyperbolic_at(key, j):
+    def hyperbolic_at(spec, j):
         """Whether is_hyperbolic(sys, thetas[j], strict=True, x=x) over the pool
         says True.  That depends on x only through the frozen principal
-        symbol, so base points that freeze to the same terms share it."""
+        symbol, so rows that freeze to the same terms share it."""
         if principal_order is None:
             return False
-        frozen = tuple(t for t in symbol.at(key)[len(gens)] if sum(t[0]) == principal_order)
+        frozen = tuple(t for t in spec[len(gens)] if sum(t[0]) == principal_order)
         if (frozen, j) not in hyperbolic_cache:
             try:
                 value = _hyperbolicity(frozen, thetas[j], pool, True).value is True
@@ -759,24 +793,30 @@ def classify_mixed(
             hyperbolic_cache[frozen, j] = value
         return hyperbolic_cache[frozen, j]
 
-    def classify_sample(idx, key, x, vec):
-        if gens and all(_vanishes(g, vec) for g in symbol.at(key)[: len(gens)]):
-            return {"index": idx, "label": "characteristic"}
-        verdict, cert = elliptic_at(key, x)
-        if verdict:
-            return {"index": idx, "label": "elliptic", "certificate": cert}
-        for j, theta in enumerate(directions):
-            if hyperbolic_at(key, j):
-                return {
-                    "index": idx,
-                    "label": "hyperbolic",
-                    "direction": [str(t) for t in theta],
-                }
-        return {"index": idx, "label": "degenerate"}
+    def label_row(x):
+        """The labels at x over `vectors`; the frozen decisions run only if
+        some covector is not characteristic, as each sample would run them."""
+        spec = symbol.specialise(_rational_key(x))
+        char = [bool(gens) and all(_vanishes(g, vec) for g in spec[:len(gens)])
+                for vec in vectors]
+        other = None
+        if not all(char):
+            verdict, cert = elliptic_at(spec, x)
+            if verdict:
+                other = {"label": "elliptic", "certificate": cert}
+            else:
+                j = next((j for j in range(len(thetas)) if hyperbolic_at(spec, j)), None)
+                other = ({"label": "degenerate"} if j is None else
+                         {"label": "hyperbolic", "direction": [str(t) for t in directions[j]]})
+        return [{"label": "characteristic"} if c else other for c in char]
 
-    keyed = [(_rational_key(x), x) for x in bases]
-    labels = [classify_sample(idx, key, x, vec)
-              for idx, ((key, x), vec) in enumerate(product(keyed, vectors))]
+    keys = [tuple((x[i].numerator, x[i].denominator) for i in read) for x in bases]
+    rows = {}
+    for key, x in zip(keys, bases):
+        if key not in rows:
+            rows[key] = label_row(x)
+    labels = [{"index": idx, **entry}
+              for idx, entry in enumerate(entry for key in keys for entry in rows[key])]
     strata = {}
     for lab in labels:
         strata[lab["label"]] = strata.get(lab["label"], 0) + 1
@@ -785,10 +825,13 @@ def classify_mixed(
     if cones is not None:
         lam, lam_prime = cones
         inside = True
+        covered = {}  # covector -> in the union, decided when first met
         for lab, (x, xi) in zip(labels, product(bases, covectors)):
             if lab["label"] != "characteristic":
                 continue
-            if not (lam.contains(xi) or lam_prime.contains(xi)):
+            if xi not in covered:
+                covered[xi] = lam.contains(xi) or lam_prime.contains(xi)
+            if not covered[xi]:
                 inside = False
                 counterexamples.append({"x": [str(v) for v in x], "xi": [str(v) for v in xi]})
         trivial, certificate = cone_intersection(lam, lam_prime)

@@ -151,6 +151,55 @@ def test_reports_are_byte_identical():
     assert data["result"]["ratio"] == "1/3"
 
 
+def _table_canon(value):
+    """reports._canon by its type table alone, for every type."""
+    from spencerlab.reports import _CANON
+
+    canon = _CANON.get(type(value)) or next(
+        (_CANON[t] for t in type(value).__mro__ if t in _CANON), None)
+    return str(value) if canon is None else canon(value)
+
+
+def test_canon_fast_path_matches_the_type_table(monkeypatch):
+    """_canon's early returns for exact str, int and None and its inline dict
+    and list recursion give what the type table gives, on every table type
+    and on the types that must stay on the table route."""
+    from collections import namedtuple
+    from decimal import Decimal
+    from enum import IntEnum
+    from fractions import Fraction
+
+    from spencerlab import reports
+    from spencerlab.scalars import QQi
+
+    class Level(IntEnum):
+        LOW = 1
+
+    class Tag(str):
+        pass
+
+    Pair = namedtuple("Pair", "a b")
+    by_type = {
+        str: "x", int: -7, bool: True, type(None): None, float: 0.1 + 0.2,
+        Fraction: Fraction(-2, 6), QQi: QQi(Fraction(1, 2), 3), Decimal: Decimal("1.25"),
+        complex: complex(1, -2), dict: {"a": 1, "b": [None, False]}, list: [1, "2", 3.0],
+        tuple: (Fraction(1, 3), True),
+    }
+    assert set(by_type) == set(reports._CANON)
+    values = list(by_type.values()) + [
+        Level.LOW, Tag("t"), Pair(Tag("u"), (False, 2.5)),
+        {1: "a", Fraction(1, 2): [Level.LOW], Tag("k"): None, None: True, Level.LOW: 0,
+         False: Pair(1, 2)},
+        [{"nested": [{"index": 3, "label": "elliptic"}, QQi(0, -1)]}, Decimal("-0.5")],
+    ]
+    fast = [reports._canon(v) for v in values]
+    monkeypatch.setattr(reports, "_canon", _table_canon)  # the table lambdas recurse through it
+    table = [_table_canon(v) for v in values]
+    assert repr(fast) == repr(table)  # repr tells True from 1 and an IntEnum from its int
+    assert [json.dumps(v, sort_keys=True) for v in fast] == [
+        json.dumps(v, sort_keys=True) for v in table]
+
+
 def test_text_format_is_deterministic():
     report = ReportDocument("grr", {"model": "P1"}, {"index": 4}, "", 0)
     assert emit_report(report, "text") == emit_report(report, "text")
@@ -848,6 +897,14 @@ def _classify_grid(bases, xis):
 # ("2/4", 1) repeats ("1/2", 1): the frozen decisions read it once, the labels twice
 _CLASSIFY_XIS = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (2, 2), (1, -1),
                  ("1/2", "3/4"), ("1/2", 1), (-3, "5/2"), (2, -5), ("2/4", 1)]
+_CLASSIFY_XIS3 = [(1, 0, 0), (0, 1, 0), (0, 0, -1), (1, 1, 1), (1, -1, 1), ("1/2", 0, 1),
+                  (0, 2, "-3/2"), (1, 0, 1), (2, 0, 2), (-3, 1, "1/3")]
+# 60 seeded base points, x from five values and y from three: 15 distinct
+# points, so label rows are shared both by equal points and, where no
+# coefficient reads x, by points that differ in x alone
+_VALUES = (-2, "-1/2", 0, 1, "3/2")
+_RNG = random.Random(535932)
+_REPEATED_BASES = [(_RNG.choice(_VALUES), _RNG.choice(_VALUES[1:4])) for _ in range(60)]
 
 
 @pytest.mark.parametrize("text, bases, directions", [
@@ -879,16 +936,40 @@ _CLASSIFY_XIS = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (2, 2), (1, -1),
      [(0, 0), (0, 1), ("1/3", 1)], None),
     # a repeated base point, on both sides of the fold
     (TRICOMI, [(1, -1), ("1/2", 2), (1, -1), ("2/2", "-2/2")], [(0, 1)]),
+    # seeded repeats: Tricomi reads y only, the mixed operator both coordinates
+    (TRICOMI, _REPEATED_BASES, [(0, 1)]),
+    ("system mixed2 { vars x, y; unknowns u; eq: y*D[x,x](u) + x*D[x,y](u) + D[y,y](u) = 0; }",
+     _REPEATED_BASES, [(0, 1), (1, 0)]),
+    # coefficients read z alone, of three variables; z = 1 is the line where
+    # the principal symbol loses xi_z, and z = 0 where it loses xi_y
+    ("system zonly { vars x, y, z; unknowns u; "
+     "eq: D[x,x](u) + z*D[y,y](u) + z^2*D[z,z](u) - D[z,z](u) + z*D[x](u) = 0; }",
+     [(0, 0, 0), (5, -1, 0), (0, 0, 1), ("1/2", 3, 1), (0, 0, 2), (-1, "1/3", 2),
+      (2, 2, "-1/2"), (0, 0, "-1/2")], [(0, 0, 1), (1, 0, 0)]),
+    # two unknowns with variable coefficients: the first equation drops to
+    # order 0 on x = 0 (saturation, grid, degenerate and characteristic labels)
+    ("system drop2m { vars x, y; unknowns u, v; eq: x*D[x](u) - x*D[y](v) + v = 0; "
+     "eq: D[y](u) + y*D[x](v) = 0; }",
+     [(0, 0), (0, 1), (0, -2), (1, 0), (-3, 0), (1, 1), ("1/2", -1), (0, 1), (2, 3), (-1, 1)],
+     None),
 ])
 def test_classify_matches_per_x_reference(text, bases, directions):
     from spencerlab.microlocal import Region, axis_covectors, classify_mixed
 
     sys_ = next(iter(parse_pde_dsl(text).systems.values()))
-    grid = _classify_grid(bases, _CLASSIFY_XIS)
+    xis = _CLASSIFY_XIS if sys_.n == 2 else _CLASSIFY_XIS3
+    grid = _classify_grid(bases, xis)
     report = classify_mixed(sys_, Region.everywhere(), grid, directions=directions)
     expected = _reference_labels(sys_, grid, directions or axis_covectors(sys_.n)[::2])
     assert report.labels == expected
-    assert sum(report.strata.values()) == len(bases) * len(_CLASSIFY_XIS)
+    assert sum(report.strata.values()) == len(bases) * len(xis)
+
+
+def test_cli_region_over_more_variables_than_the_system_exits_3(capsys, tmp_path):
+    pde = tmp_path / "region3.pde"
+    pde.write_text(WAVE + "\nregion r { vars t, x, z; t + z + 100 > 0; }\n")
+    assert main(["classify", str(pde), "--region", "r", "--grid", "2"]) == 3
+    assert "a region over 3 variables cannot hold a point of 2" in capsys.readouterr().err
 
 
 def test_cli_remaining_commands_smoke(capsys, tmp_path):

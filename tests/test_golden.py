@@ -13,7 +13,9 @@ tolerances.
 
 The microlocal digests are sha256 sums of whole CLI reports (labels,
 certificates, Kunneth checks), computed before the ellipticity ladder, the
-external product and the Kunneth join each became one code path.
+external product and the Kunneth join each became one code path.  The two
+400-base grids were computed while classify still decided every sample, and
+every cone membership, on its own.
 
 The jet digests are sha256 sums of whole CLI reports (symbol, prolong,
 spencer, involutivity, poincare and finite-type, with and without the flat
@@ -214,6 +216,8 @@ DOCUMENTS = {"micro.pde": MICROLOCAL_DOCUMENT, "shapes.pde": SHAPES_DOCUMENT,
 # grid verdict at every base point but 0, and cr the saturation certificate.
 # The disc keeps only the candidate base points within radius 3; the cones
 # cover some of the wave's characteristic covectors and miss (5, -5).
+# classify-tricomi-bench is the benchmark's Tricomi job: 400 base points with
+# 45 distinct y, the one coordinate the symbol reads.
 MICROLOCAL = {
     "classify-tricomi": (
         ["classify", "--system", "tricomi", "--grid", "40", "--seed", "7"],
@@ -270,6 +274,13 @@ MICROLOCAL = {
     "classify-lame-elliptic": (
         ["classify", "--system", "lame11", "--grid", "2"],
         "590a0a513a493d3d904c0fcd3867d475960249049882183a151c7ea4bcc57bef", "shapes.pde"),
+    "classify-tricomi-bench": (
+        ["classify", "--system", "tricomi", "--grid", "400", "--direction", "0,1",
+         "--seed", "535932"],
+        "c85b750a3ab188c2d094978f77a6ad96832f76636a8554de936764654d49571b"),
+    "classify-wave-cones-400": (
+        ["classify", "--system", "wave", "--cones", "forward,backward", "--grid", "400"],
+        "cef2ff851696e1d00a65685bad6d0ed3394756b03ab819ec101976a6753b3d31", "shapes.pde"),
 }
 
 

@@ -544,6 +544,55 @@ def test_region_precondition():
         classify_mixed(tricomi_system(), region, ([(0, -1)], [(1, 0)]))
 
 
+_REGION_OPS = {"gt": lambda v: v > 0, "ge": lambda v: v >= 0,
+               "lt": lambda v: v < 0, "le": lambda v: v <= 0}
+
+
+def test_region_contains_matches_fraction_evaluation():
+    """The compiled conditions decide each point as evaluating their
+    MultiPolys over Fractions does, for every op, with a zero value at about
+    one point in three."""
+    rng = random.Random(535932)
+    names = ("x", "y", "z")
+    values = [Fraction(p, q) for p in range(-4, 5) for q in (1, 2, 3, 7)]
+    zeros = 0
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        point = tuple(rng.choice(values) for _ in range(n))
+        conditions = []
+        for _ in range(rng.randint(1, 3)):
+            poly = MultiPoly(names[:n], {
+                tuple(rng.randint(0, 3) for _ in range(n)): Fraction(rng.randint(-9, 9),
+                                                                     rng.randint(1, 6))
+                for _ in range(rng.randint(0, 4))})
+            if rng.random() < 0.35:  # through the point
+                poly = poly - MultiPoly.constant(poly.vars, poly.evaluate(dict(zip(names, point))))
+            conditions.append((poly, rng.choice(sorted(_REGION_OPS))))
+        expected = True
+        for poly, op in conditions:
+            value = poly.evaluate(dict(zip(names, point)))
+            zeros += value == 0
+            expected = expected and _REGION_OPS[op](value)
+        for i in range(len(conditions)):  # each prefix, so every condition decides somewhere
+            prefix = conditions[:i + 1]
+            assert Region(prefix).contains(point) == all(
+                _REGION_OPS[op](poly.evaluate(dict(zip(names, point)))) for poly, op in prefix)
+        assert Region(conditions).contains(point) == expected
+    assert zeros > 100
+
+
+def test_region_contains_rejects_non_real_values_and_short_points():
+    y = MultiPoly.variable(("x", "y"), "y")
+    iy = y * MultiPoly.constant(("x", "y"), QQi(0, 1))
+    region = Region([(iy, "gt")])
+    assert region.contains((1, 0)) is False  # i*y is 0 there, a real value
+    with pytest.raises(PreconditionError, match="region polynomials must be real"):
+        region.contains((0, 1))
+    with pytest.raises(PreconditionError, match="3 variables cannot hold a point of 2"):
+        Region([(MultiPoly.variable(("x", "y", "z"), "z"), "gt")]).contains((0, 1))
+    assert Region([(y, "gt")]) == Region([(y, "gt")]) != Region([(y, "lt")])
+
+
 # -- cones -------------------------------------------------------------------------------
 
 
