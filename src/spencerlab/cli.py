@@ -368,6 +368,9 @@ def _classify(args, job):
     sys_, doc = job.system, job.doc
     region = (Region.everywhere() if args.region is None
               else _named(doc.regions, args.region, "--region", "region"))
+    k = max((len(poly.vars) for poly, _ in region.conditions), default=0)
+    if k > sys_.n:
+        raise ParseError(f"--region: region {args.region!r} has {k} variables for {sys_.n}")
     direction = (_parse_vector(args.direction, "--direction", sys_.n)
                  if args.direction is not None else None)
     if args.mode == "elliptic":

@@ -31,6 +31,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from math import gcd, lcm
 
@@ -127,11 +128,11 @@ def poly_det(rows):
 # larger --grid exits 3 before any draw, as JET_BUDGET, LATTICE_BUDGET and
 # CROSSCHECK_BUDGET guard their layers.  The tests and the benchmark use at
 # most 3,200 samples.  As a fresh command on the wave system, --grid 8192
-# (65,536 samples) takes 0.4-0.5 s and writes a 3.9 MB report (Python 3.11,
+# (65,536 samples) takes 0.37-0.5 s and writes a 3.9 MB report (Python 3.11,
 # 2 vCPUs); the report grows linearly with the samples, the work with the
 # distinct base keys and covectors.  A region draw stops after GRID_BUDGET
 # candidates, which bounds an empty region: with the one condition
-# t^2 + x^2 + 1 < 0, --grid 8192 exits 3 after 0.7-0.8 s as a fresh command on
+# t^2 + x^2 + 1 < 0, --grid 8192 exits 3 after 0.6 s as a fresh command on
 # the same host.
 GRID_BUDGET = 2**16
 
@@ -140,9 +141,8 @@ def _grid(grid):
     """A grid (bases, covectors) as two lists of Fraction tuples.  Every
     covector must be nonzero."""
     bases, covectors = grid
-    bases = [tuple(v if type(v) is Fraction else Fraction(v) for v in x) for x in bases]
-    covectors = [tuple(v if type(v) is Fraction else Fraction(v) for v in xi)
-                 for xi in covectors]
+    bases = [tuple(Fraction(v) for v in x) for x in bases]
+    covectors = [tuple(Fraction(v) for v in xi) for xi in covectors]
     if not all(any(xi) for xi in covectors):
         raise PreconditionError("covector samples need xi != 0")
     return bases, covectors
@@ -165,12 +165,11 @@ def default_grid(sys: PdeSystem, base_count=4, seed=0, region=None):
             f"a grid of {base_count} base points times {2 * n + 4} covectors is past "
             f"the work budget of {GRID_BUDGET} samples")
     rng = random.Random(seed)
-    values = {(p, q): Fraction(p, q) for p in range(-8, 9) for q in range(1, 5)}
     bases = [tuple(Fraction(0) for _ in range(n))]
     attempts = 0
     while len(bases) < base_count and attempts < min(200 * base_count, GRID_BUDGET):
         attempts += 1
-        cand = tuple(values[rng.randint(-8, 8), rng.randint(1, 4)] for _ in range(n))
+        cand = tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(n))
         if region is not None and not region.contains(cand):
             continue
         bases.append(cand)
@@ -665,34 +664,20 @@ def cone_intersection(a: ConeSpec, b: ConeSpec):
 # -- mixed-type classification -------------------------------------------------------------------
 
 
-class Region:
+class Region(namedtuple("Region", "conditions")):
     """Polynomial sign conditions over the base variables: (MultiPoly over
     the base variables, op in {gt, ge, lt, le}) pairs, read positionally
-    against a point.  They are compiled once, into one _IntSymbol with no
-    xi, whose positive scale at a point keeps every sign.  Regions compare
-    by their conditions."""
+    against a point.  They are compiled on first use into one _IntSymbol
+    with no xi, whose positive scale at a point keeps every sign."""
 
-    __slots__ = ("conditions", "symbol")
-
-    def __init__(self, conditions):
-        self.conditions = list(conditions)
+    @cached_property
+    def _symbol(self):
         n = max((len(poly.vars) for poly, _ in self.conditions), default=0)
-        self.symbol = _IntSymbol([[(m + (0,) * (n - len(m)), (), c) for m, c in poly.terms.items()]
-                                  for poly, _ in self.conditions], n)
-
-    def __eq__(self, other):
-        return isinstance(other, Region) and self.conditions == other.conditions
-
-    def __repr__(self):
-        return f"Region(conditions={self.conditions!r})"
+        return _IntSymbol([[(m + (0,) * (n - len(m)), (), c) for m, c in poly.terms.items()]
+                           for poly, _ in self.conditions], n)
 
     def contains(self, x):
-        if not self.conditions:
-            return True
-        if len(x) < len(self.symbol.tops):
-            raise PreconditionError(f"a region over {len(self.symbol.tops)} variables "
-                                    f"cannot hold a point of {len(x)} coordinates")
-        values = self.symbol.specialise(_rational_key(x))
+        values = self._symbol.specialise(_rational_key(x))
         for (_, op), terms in zip(self.conditions, values):
             val = terms[0][1] if terms else 0  # the one term has no xi
             if val.imag:

@@ -50,17 +50,8 @@ _CANON = {
 
 
 def _canon(value):
-    """The canonical form of value.  The exact types a report is mostly made
-    of go first, with what their _CANON entries do; every other type,
-    subclasses included, goes by the table."""
-    kind = type(value)
-    if kind is str or kind is int or value is None:
-        return value
-    if kind is dict:
-        return {k if isinstance(k, str) else str(_canon(k)): _canon(x) for k, x in value.items()}
-    if kind is list:
-        return [_canon(x) for x in value]
-    canon = _CANON.get(kind) or next((_CANON[t] for t in kind.__mro__ if t in _CANON), None)
+    canon = _CANON.get(type(value)) or next(
+        (_CANON[t] for t in type(value).__mro__ if t in _CANON), None)
     return str(value) if canon is None else canon(value)
 
 
@@ -96,10 +87,8 @@ class ReportDocument(namedtuple(
         }
 
     def to_json(self) -> bytes:
-        # body() builds a fresh tree through _canon, so no cycle can reach the encoder
         return json.dumps(
-            self.body(), sort_keys=True, separators=(",", ":"), allow_nan=False,
-            check_circular=False,
+            self.body(), sort_keys=True, separators=(",", ":"), allow_nan=False
         ).encode("utf-8")
 
     def to_text(self) -> str:
