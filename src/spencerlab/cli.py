@@ -366,11 +366,14 @@ def _classify(args, job):
 
     _check_classify_options(args, job)
     sys_, doc = job.system, job.doc
-    region = (Region.everywhere() if args.region is None
-              else _named(doc.regions, args.region, "--region", "region"))
-    k = max((len(poly.vars) for poly, _ in region.conditions), default=0)
-    if k > sys_.n:
-        raise ParseError(f"--region: region {args.region!r} has {k} variables for {sys_.n}")
+    region = Region.everywhere()
+    if args.region is not None:  # a region reads the system's variables by name
+        conditions = _named(doc.regions, args.region, "--region", "region").conditions
+        lacking = [v for poly, _ in conditions for v in poly.vars if v not in sys_.indep_vars]
+        if lacking:
+            raise ParseError(f"--region: region {args.region!r} reads variable {lacking[0]!r}, "
+                             f"which system {sys_.name!r} lacks")
+        region = Region([(poly.extend(sys_.indep_vars), op) for poly, op in conditions])
     direction = (_parse_vector(args.direction, "--direction", sys_.n)
                  if args.direction is not None else None)
     if args.mode == "elliptic":

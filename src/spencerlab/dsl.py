@@ -7,7 +7,8 @@ Grammar sketch (semicolon-terminated declarations, C-style blocks):
     item     := "vars" names ";" | "unknowns" names ";"
               | "point" numbers ";"
               | "eq" ":" sum "=" "0" ";"
-                -- vars, unknowns and point at most once each
+                -- vars, unknowns and point at most once each, and no
+                -- name twice in a vars or unknowns list (nor in a region's)
     sum      := ["-"] term (("+" | "-") term)*
     term     := factor ("*" factor)*
     factor   := NUMBER | "i" | NAME ["^" INT]          -- coefficient piece
@@ -167,11 +168,16 @@ class Parser:
             blocks[name.text] = block
         return doc
 
-    def parse_name_list(self):
+    def parse_name_list(self, unique=False):
+        """Comma-separated names; with unique (a vars or unknowns list), a
+        repeated name is an error at its token.  D[x,x] repeats freely."""
         names = [self.expect(kind="name").text]
         while self.at(","):
             self.advance()
-            names.append(self.expect(kind="name").text)
+            tok = self.expect(kind="name")
+            if unique and tok.text in names:
+                raise ParseError(f"repeated name {tok.text!r}", tok.line, tok.col)
+            names.append(tok.text)
         return names
 
     def parse_number_list(self):
@@ -211,8 +217,8 @@ class Parser:
                     raise ParseError(f"repeated {tok.text!r} in system {name!r}",
                                      tok.line, tok.col, expected)
                 self.advance()
-                parse = self.parse_number_list if tok.text == "point" else self.parse_name_list
-                declared[tok.text] = tuple(parse())
+                declared[tok.text] = tuple(self.parse_number_list() if tok.text == "point"
+                                           else self.parse_name_list(unique=True))
                 self.expect(";")
             elif tok.text == "eq":
                 eq_tok = self.advance()
@@ -361,7 +367,7 @@ class Parser:
         from .microlocal import Region
 
         self.expect("vars", expected={"vars"})
-        variables = tuple(self.parse_name_list())
+        variables = tuple(self.parse_name_list(unique=True))
         self.expect(";")
         conditions = []
         while not self.at("}"):

@@ -22,8 +22,8 @@ system into such coefficients in (x, xi) over one common denominator
 coefficients read; covectors are scaled to integers.
 Sturm sequences are primitive pseudo-remainder sequences on int lists
 (Collins 1967), which differ from the rational Sturm chain only by
-positive factors and so give the same root counts.  Only the
-saturation certificate still builds a frozen `PdeSystem`.
+positive factors and so give the same root counts.  A classification
+freezes every system at x from that one symbol and saturates over xi alone.
 """
 
 from __future__ import annotations
@@ -82,25 +82,22 @@ class CharVariety(namedtuple("CharVariety", "base_vars xi_vars ideal")):
 
 def characteristic_ideal(sys: PdeSystem) -> CharVariety:
     amb = char_ambient(sys)
-    rows = principal_symbol_entries(sys)
-    m = sys.m
-    if m == 1:
-        gens = [row[0] for row in rows if row[0]]
-    elif len(rows) == m:
-        gens = [poly_det(rows)]
-    elif len(rows) > m:
-        gens = []
-        for subset in combinations(range(len(rows)), m):
-            gens.append(poly_det([rows[i] for i in subset]))
-        gens = [g for g in gens if g]
-    else:
-        # underdetermined: the ideal of all entries of the composite map
-        gens = [entry for row in rows for entry in row if entry]
-    ideal = PolyIdeal(amb, gens)
+    ideal = PolyIdeal(amb, _generators(principal_symbol_entries(sys), sys.m))
     xi_positions = list(range(sys.n, 2 * sys.n))
     if not all(g.is_homogeneous_in(xi_positions) for g in ideal.generators):
         raise AssertionError("characteristic generators must be xi-homogeneous")
     return CharVariety(tuple(sys.indep_vars), amb[sys.n :], ideal)
+
+
+def _generators(rows, m):
+    """The characteristic generators of a symbol matrix, rows over m unknowns:
+    its nonzero maximal minors, or every nonzero entry if it has rows < m."""
+    if len(rows) < m:
+        gens = [entry for row in rows for entry in row]
+    else:
+        gens = [poly_det([rows[i] for i in subset])
+                for subset in combinations(range(len(rows)), m)]
+    return [g for g in gens if g]
 
 
 def poly_det(rows):
@@ -342,9 +339,9 @@ def _poly_terms(poly, n):
     return [(m[:n], m[n:], c) for m, c in poly.terms.items()]
 
 
-def _equation_terms(eq):
-    """The same for the full symbol of a scalar equation, every order included."""
-    return [(m, alpha, c) for (_, alpha), coeff in eq.terms.items()
+def _entry_terms(eq, a):
+    """The same for the full symbol of eq at unknown a, every order included."""
+    return [(m, alpha, c) for (b, alpha), coeff in eq.terms.items() if b == a
             for m, c in coeff.terms.items()]
 
 
@@ -361,13 +358,6 @@ def _vanishes(terms, xi):
 
 
 # -- ellipticity ------------------------------------------------------------------------
-
-
-def _scalar_symbol(sys: PdeSystem):
-    rows = principal_symbol_entries(sys)
-    if sys.m != 1 or len(rows) != 1:
-        return None
-    return rows[0][0]
 
 
 def _definiteness(terms):
@@ -421,14 +411,13 @@ def _ellipticity(quadratic, samples, saturates, count):
     return True, {"kind": "grid", "samples": count}
 
 
-def _saturates(cv: CharVariety):
-    """Whether saturating the characteristic ideal by |xi|^2 gives the unit ideal."""
-    amb = cv.ambient
-    norm2 = MultiPoly.zero(amb)
-    for xi in cv.xi_vars:
-        v = MultiPoly.variable(amb, xi)
+def _saturates(ideal: PolyIdeal, xi_vars):
+    """Whether saturating a characteristic ideal by |xi|^2 gives the unit ideal."""
+    norm2 = MultiPoly.zero(ideal.ambient)
+    for xi in xi_vars:
+        v = MultiPoly.variable(ideal.ambient, xi)
         norm2 = norm2 + v * v
-    return saturation_is_unit(cv.ideal, norm2)
+    return saturation_is_unit(ideal, norm2)
 
 
 def is_elliptic(sys: PdeSystem, grid=None, seed=0):
@@ -448,26 +437,8 @@ def is_elliptic(sys: PdeSystem, grid=None, seed=0):
         quadratic = symbol.at(_rational_key(sys.base_point))[0]
     samples = ((x, xi, symbol.at(_rational_key(x)), _int_vector(xi))
                for x in bases for xi in covectors)
-    return _ellipticity(quadratic, samples, lambda: _saturates(cv), len(bases) * len(covectors))
-
-
-def frozen_system(sys: PdeSystem, x) -> PdeSystem:
-    """Constant-coefficient system with coefficients evaluated at x."""
-    point = {v: Fraction(p) for v, p in zip(sys.indep_vars, x)}
-    from .systems import Equation
-
-    eqs = []
-    for eq in sys.equations:
-        terms = {}
-        for key, coeff in eq.terms.items():
-            val = coeff.evaluate(point)
-            if val:
-                terms[key] = MultiPoly.constant(sys.indep_vars, val)
-        if terms:
-            eqs.append(Equation(terms))
-    order = max((eq.order() for eq in eqs), default=sys.order)
-    return PdeSystem(sys.indep_vars, sys.unknowns, max(order, 1), eqs,
-                     base_point=x, name=sys.name)
+    return _ellipticity(quadratic, samples, lambda: _saturates(cv.ideal, cv.xi_vars),
+                        len(bases) * len(covectors))
 
 
 # -- hyperbolicity -------------------------------------------------------------------------
@@ -517,11 +488,12 @@ def is_hyperbolic(sys: PdeSystem, direction, grid=None, seed=0, strict=False, x=
     if not any(theta):
         raise PreconditionError("direction covector must be nonzero")
     bases, covectors = _grid(default_grid(sys, seed=seed) if grid is None else grid)
-    sym = _scalar_symbol(sys)
-    if sym is None:
+    if sys.m != 1 or len(sys.equations) != 1:
         raise PreconditionError("hyperbolicity test implemented for single scalar equations")
+    eq = sys.equations[0]
+    principal = [t for t in _entry_terms(eq, 0) if sum(t[1]) == eq.order()]
     point = _rational_key(Fraction(v) for v in (sys.base_point if x is None else x))
-    frozen = _IntSymbol([_poly_terms(sym, sys.n)], sys.n).at(point)[0]
+    frozen = _IntSymbol([principal], sys.n).at(point)[0]
     pairs = [(xi, _int_vector(xi)) for xi in covectors] if bases else []  # else no sample
     return _hyperbolicity(frozen, theta, pairs, strict, len(bases))
 
@@ -665,10 +637,10 @@ def cone_intersection(a: ConeSpec, b: ConeSpec):
 
 
 class Region(namedtuple("Region", "conditions")):
-    """Polynomial sign conditions over the base variables: (MultiPoly over
-    the base variables, op in {gt, ge, lt, le}) pairs, read positionally
-    against a point.  They are compiled on first use into one _IntSymbol
-    with no xi, whose positive scale at a point keeps every sign."""
+    """Polynomial sign conditions over the base variables: (MultiPoly, op in
+    {gt, ge, lt, le}) pairs, read positionally (classify extends them by name
+    onto the system's variables).  They are compiled on first use into one
+    _IntSymbol with no xi, whose positive scale at a point keeps every sign."""
 
     @cached_property
     def _symbol(self):
@@ -727,14 +699,14 @@ def classify_mixed(
         if not region.contains(base):
             raise PreconditionError(f"grid sample {base} lies outside the region")
     cv = characteristic_ideal(sys)
-    gens = cv.ideal.generators
-    scalar = sys.m == 1
-    # one integer symbol: the characteristic generators, then (scalar
-    # systems) the full symbol of each equation, all orders, for freezing
+    gens, m, xi_vars = cv.ideal.generators, sys.m, cv.xi_vars
+    # one integer symbol: the characteristic generators, then the full symbol
+    # of every (equation, unknown) entry, all orders, for freezing
     symbol = _IntSymbol([_poly_terms(g, sys.n) for g in gens]
-                        + [_equation_terms(eq) for eq in sys.equations if scalar], sys.n)
+                        + [_entry_terms(eq, a) for eq in sys.equations for a in range(m)],
+                        sys.n)
     # a single scalar equation has a principal symbol to test for hyperbolicity
-    principal_order = sys.equations[0].order() if scalar and len(sys.equations) == 1 else None
+    principal_order = sys.equations[0].order() if m == 1 and len(sys.equations) == 1 else None
     read = sorted({i for eq in sys.equations for coeff in eq.terms.values()
                    for mono in coeff.terms for i, e in enumerate(mono) if e})
     pool = [(xi, _int_vector(xi)) for xi in dict.fromkeys(covectors)]
@@ -743,25 +715,27 @@ def classify_mixed(
     hyperbolic_cache = {}
 
     def elliptic_at(spec, x):
-        """is_elliptic(frozen_system(sys, x)) over the pool.  A scalar system
-        freezes per equation: one whose top-order coefficients vanish at x
-        keeps its highest nonvanishing order."""
-        try:
-            if scalar:
-                rows = []
-                for terms in spec[len(gens):]:
-                    if terms:
-                        k = max(sum(e) for e, _ in terms)
-                        rows.append([t for t in terms if sum(t[0]) == k])
-                return _ellipticity(
-                    rows[0] if len(rows) == 1 else None,
-                    ((x, xi, rows, vec) for xi, vec in pool),
-                    lambda: _saturates(characteristic_ideal(frozen_system(sys, x))),
-                    len(pool),
-                )
-            return is_elliptic(frozen_system(sys, x), ([x], [xi for xi, _ in pool]))
-        except PreconditionError:  # PdeSystem rejects a frozen order of 0
+        """is_elliptic of the system frozen at x, over the pool.  Each
+        equation keeps its highest order that does not vanish at x, and one
+        that vanishes at x drops out.  A frozen order of 0 is skipped: no
+        system has order 0."""
+        rows, order = [], -1
+        for at in range(len(gens), len(spec), m):
+            k = max((sum(e) for terms in spec[at:at + m] for e, _ in terms), default=-1)
+            if k >= 0:
+                rows.append([MultiPoly(xi_vars, {e: c for e, c in terms if sum(e) == k},
+                                       _clean=False) for terms in spec[at:at + m]])
+                order = max(order, k)
+        if order == 0:
             return False, {"kind": "skipped"}
+        frozen = _generators(rows, m)
+        return _ellipticity(
+            list(frozen[0].terms.items()) if m == 1 and len(rows) == 1 else None,
+            ((x, xi, [g.terms.items() for g in frozen], vec) for xi, vec in pool),
+            # over xi alone; scalar() keeps monic from dividing int coefficients into floats
+            lambda: _saturates(PolyIdeal(xi_vars, [MultiPoly(xi_vars, g.terms) for g in frozen]),
+                               xi_vars),
+            len(pool))
 
     def hyperbolic_at(spec, j):
         """Whether is_hyperbolic(sys, thetas[j], strict=True, x=x) over the pool
@@ -856,8 +830,8 @@ def noncharacteristic_restrict(sys: PdeSystem, embedding_columns, grid_seed=0):
     s = tuple(f"s{a+1}" for a in range(k))
     subs = _linear_substitution(sys, xb + s, cols, conormals)
     gens = [g.substitute(subs) for g in characteristic_ideal(sys).ideal.generators]
-    rcv = CharVariety(xb, s, PolyIdeal(xb + s, gens))
-    symbol = _IntSymbol([_poly_terms(g, d) for g in rcv.ideal.generators], d)
+    ideal = PolyIdeal(xb + s, gens)
+    symbol = _IntSymbol([_poly_terms(g, d) for g in ideal.generators], d)
 
     def samples():
         """The unit parameters, then 40 seeded ones (all drawn before any
@@ -872,7 +846,7 @@ def noncharacteristic_restrict(sys: PdeSystem, embedding_columns, grid_seed=0):
                     nu = (sum(c * conormals[a][i] for a, c in enumerate(vec)) for i in range(n))
                     yield base, nu, symbol.at(_rational_key(base)), vec
 
-    ok, cert = _ellipticity(None, samples(), lambda: _saturates(rcv), k + 40)
+    ok, cert = _ellipticity(None, samples(), lambda: _saturates(ideal, s), k + 40)
     if not ok:
         return None, False, {"kind": "violating-conormal", "conormal": cert["xi"],
                              "base": cert["x"]}

@@ -10,7 +10,8 @@ delta-complex well defined.
 Rows of the order-q symbol matrix are prolonged principal parts: for an
 equation of intrinsic order r and every |beta| = q - r, the condition
 sum_a sum_{|alpha| = r} c_{a,alpha}(x0) t_{a, alpha + beta} = 0, at the
-system's base point x0 (`frozen_system(sys, x)` moves it to x).
+system's base point x0 (the DSL `point` line, or `sys._replace(base_point=x)`,
+moves it to x).
 
 `symbol_space(sys, q)` is the one constructor of g^q, at every order.  From
 the system order k on it is also the prolongation of the symbol: every

@@ -796,15 +796,30 @@ def test_cli_crosscheck_overflow_is_numeric_error(capsys, length):
     assert "--length" in err and "overflow" in err and "Traceback" not in err
 
 
+def _frozen_system(sys_, x):
+    """The constant-coefficient system with sys_'s coefficients evaluated at
+    x; an equation that vanishes at x drops out, and a frozen order of 0 is
+    a PreconditionError."""
+    from spencerlab.poly import MultiPoly
+    from spencerlab.systems import Equation, PdeSystem
+
+    point = dict(zip(sys_.indep_vars, x))
+    eqs = [Equation({key: MultiPoly.constant(sys_.indep_vars, coeff.evaluate(point))
+                     for key, coeff in eq.terms.items()}) for eq in sys_.equations]
+    eqs = [eq for eq in eqs if eq.terms]
+    order = max((eq.order() for eq in eqs), default=sys_.order)
+    return PdeSystem(sys_.indep_vars, sys_.unknowns, max(order, 1), eqs, base_point=x,
+                     name=sys_.name)
+
+
 def _reference_labels(sys_, grid, directions):
     """classify_mixed labels by the per-x route it takes without a compiled
     symbol: characteristic generators evaluated through MultiPoly,
-    is_elliptic on frozen_system(sys, x) and is_hyperbolic(..., x=x)."""
+    is_elliptic on _frozen_system(sys, x) and is_hyperbolic(..., x=x)."""
     from itertools import product
 
     from spencerlab.errors import PreconditionError
-    from spencerlab.microlocal import (characteristic_ideal, frozen_system, is_elliptic,
-                                       is_hyperbolic)
+    from spencerlab.microlocal import characteristic_ideal, is_elliptic, is_hyperbolic
 
     cv = characteristic_ideal(sys_)
     bases, covectors = grid
@@ -818,7 +833,7 @@ def _reference_labels(sys_, grid, directions):
             continue
         sub_grid = ([x], xi_pool)
         try:
-            verdict, cert = is_elliptic(frozen_system(sys_, x), sub_grid)
+            verdict, cert = is_elliptic(_frozen_system(sys_, x), sub_grid)
         except PreconditionError:
             verdict, cert = False, {"kind": "skipped"}
         if verdict:
@@ -903,6 +918,31 @@ _REPEATED_BASES = [(_RNG.choice(_VALUES), _RNG.choice(_VALUES[1:4])) for _ in ra
      "eq: D[y](u) + y*D[x](v) = 0; }",
      [(0, 0), (0, 1), (0, -2), (1, 0), (-3, 0), (1, 1), ("1/2", -1), (0, 1), (2, 3), (-1, 1)],
      None),
+    # overdetermined, three equations in two unknowns (maximal minors): the
+    # first equation drops to first order on x = 0
+    ("system over3 { vars x, y; unknowns u, v; eq: x*D[x,x](u) + D[y](v) = 0; "
+     "eq: D[x](u) - D[y](v) = 0; eq: D[y](u) + y*D[x](v) + v = 0; }",
+     [(0, 0), (0, 1), (0, "-1/2"), (1, 0), (2, -1), ("1/3", 2), (0, 1)], None),
+    # underdetermined, one equation in two unknowns (every entry a generator);
+    # off x = 0 one entry is a definite quadratic form, which only a scalar
+    # equation's frozen symbol is tested for
+    ("system under { vars x, y; unknowns u, v; "
+     "eq: x*D[x,x](u) + D[y,y](u) + y*D[x,y](v) + u = 0; }",
+     [(0, 0), (0, 2), (1, 0), (-1, "1/2"), (0, -3), (2, 1)], None),
+    # a Gaussian coefficient: the frozen saturation runs over Q(i)
+    ("system gauss2 { vars x, y; unknowns u, v; eq: D[x](u) - i*y*D[y](v) = 0; "
+     "eq: D[y](u) + D[x](v) + i*u = 0; }",
+     [(0, 0), (0, 1), (0, -1), (1, 2), (3, "1/2"), (0, "-1/4")], None),
+    # the determinant vanishes identically, so no covector is characteristic;
+    # at (0, 0) every equation vanishes, and at (0, y) one of order 0 is left
+    ("system vanish { vars x, y; unknowns u, v; eq: x*D[x](u) + x*D[x](v) = 0; "
+     "eq: x*D[y](u) + x*D[y](v) + y*v = 0; }",
+     [(0, 0), (0, 1), (1, 0), (2, -1), (0, "1/2")], None),
+    # the determinant vanishes identically; where one equation vanishes, the
+    # other is a frozen row short of a square, elliptic by saturation
+    ("system halfvan { vars x, y; unknowns u, v; eq: x*D[x](u) + x*D[y](v) = 0; "
+     "eq: y*D[x](u) + y*D[y](v) + x*u = 0; }",
+     [(0, 0), (0, 1), (1, 0), (1, 1), ("-1/2", 0), (0, -2)], None),
 ])
 def test_classify_matches_per_x_reference(text, bases, directions):
     from spencerlab.microlocal import Region, axis_covectors, classify_mixed
@@ -920,7 +960,26 @@ def test_cli_region_over_more_variables_than_the_system_exits_2(capsys, tmp_path
     pde = tmp_path / "region3.pde"
     pde.write_text(WAVE + "\nregion r { vars t, x, z; t + z + 100 > 0; }\n")
     assert main(["classify", str(pde), "--region", "r", "--grid", "2"]) == 2
-    assert "--region: region 'r' has 3 variables for 2" in capsys.readouterr().err
+    assert "--region: region 'r' reads variable 'z', which system 'wave' lacks" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("region", ["xpos { vars x; x > 0; }", "swapped { vars x, t; x > 0; }"])
+def test_cli_region_reads_variables_by_name(capsys, tmp_path, monkeypatch, region):
+    """A region's conditions read the system's variables by name, not by
+    position: every base point drawn in x > 0 has x > 0, on a system with
+    vars t, x."""
+    from spencerlab import microlocal
+
+    drawn = []
+    classify_mixed = microlocal.classify_mixed
+    monkeypatch.setattr(microlocal, "classify_mixed", lambda sys_, region, grid, **kw: (
+        drawn.extend(grid[0]) or classify_mixed(sys_, region, grid, **kw)))
+    pde = tmp_path / "regname.pde"
+    pde.write_text(WAVE + f"\nregion {region}\n")
+    name = region.split()[0]
+    assert main(["classify", str(pde), "--region", name, "--grid", "6", "--seed", "3"]) == 0
+    assert len(drawn) == 5 and all(x > 0 for _, x in drawn)
 
 
 def test_cli_remaining_commands_smoke(capsys, tmp_path):
@@ -1409,6 +1468,27 @@ def test_region_rejects_non_real_sum(condition, col):
         parse_pde_dsl(f"region r {{ vars x, y; {condition}; }}")
     assert "region polynomials must be real" in str(err.value)
     assert (err.value.line, err.value.col) == (1, col)
+
+
+@pytest.mark.parametrize("text, col", [
+    ("system s { vars x, x; unknowns u; eq: D[x](u) = 0; }", 20),
+    ("system s { vars x, y; unknowns u, v, u; eq: D[x](u) = 0; }", 38),
+    ("region r { vars x, y, x; x > 0; }", 23),
+], ids=["vars", "unknowns", "region"])
+def test_repeated_name_in_a_list_is_rejected_at_its_token(capsys, tmp_path, text, col):
+    with pytest.raises(ParseError) as err:
+        parse_pde_dsl(text)
+    assert "repeated name" in str(err.value)
+    assert (err.value.line, err.value.col) == (1, col)
+    pde = tmp_path / "repeat.pde"
+    pde.write_text(text)
+    assert main(["symbol", str(pde)]) == 2
+    assert f"at 1:{col}" in capsys.readouterr().err
+
+
+def test_repeated_derivative_index_is_a_second_derivative():
+    doc = parse_pde_dsl("system s { vars x, y; unknowns u; eq: D[x,x](u) + D[y,x,y](u) = 0; }")
+    assert set(doc.systems["s"].equations[0].terms) == {(0, (2, 0)), (0, (1, 2))}
 
 
 def test_region_sum_uses_the_equation_grammar():
