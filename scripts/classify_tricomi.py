@@ -8,7 +8,7 @@ import argparse
 from fractions import Fraction
 from itertools import product
 
-from spencerlab.microlocal import Region, classify_mixed
+from spencerlab.microlocal import classify_mixed
 from spencerlab.systems import tricomi_system
 
 
@@ -28,9 +28,7 @@ def main():
         for i in range(args.nx)
         for j in range(args.ny)
     ]
-    report = classify_mixed(
-        tricomi_system(), Region.everywhere(), (bases, xis), directions=[(0, 1)]
-    )
+    report = classify_mixed(tricomi_system(), (bases, xis), directions=[(0, 1)])
     print(f"samples: {len(bases) * len(xis)}")
     for label, count in sorted(report.strata.items()):
         print(f"  {label:15s} {count}")

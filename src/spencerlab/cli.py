@@ -362,18 +362,17 @@ def _check_classify_options(args, job):
 
 
 def _classify(args, job):
-    from .microlocal import Region, classify_mixed, default_grid, is_elliptic, is_hyperbolic
+    from .microlocal import classify_mixed, default_grid, is_elliptic, is_hyperbolic
 
     _check_classify_options(args, job)
     sys_, doc = job.system, job.doc
-    region = Region.everywhere()
-    if args.region is not None:  # a region reads the system's variables by name
-        conditions = _named(doc.regions, args.region, "--region", "region").conditions
-        lacking = [v for poly, _ in conditions for v in poly.vars if v not in sys_.indep_vars]
+    region = None
+    if args.region is not None:  # default_grid reads it on the system's variables by name
+        region = _named(doc.regions, args.region, "--region", "region")
+        lacking = [v for v in region.vars if v not in sys_.indep_vars]
         if lacking:
             raise ParseError(f"--region: region {args.region!r} reads variable {lacking[0]!r}, "
                              f"which system {sys_.name!r} lacks")
-        region = Region([(poly.extend(sys_.indep_vars), op) for poly, op in conditions])
     direction = (_parse_vector(args.direction, "--direction", sys_.n)
                  if args.direction is not None else None)
     if args.mode == "elliptic":
@@ -396,8 +395,9 @@ def _classify(args, job):
                 raise ParseError(f"--cones: cone {c!r} has generators of {len(cone.generators[0])}"
                                  f" entries for {sys_.n} variables")
     bases, covectors = default_grid(sys_, base_count=job.arguments["grid"], seed=args.seed,
-                                    region=region if args.region is not None else None)
-    report = classify_mixed(sys_, region, (bases, covectors),
+                                    region=region)
+    # grid by keyword: the bench's trace hook reads it by name
+    report = classify_mixed(sys_, grid=(bases, covectors),
                             directions=[direction] if direction else None, cones=cones)
     return {
         "system": sys_.name,

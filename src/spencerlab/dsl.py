@@ -7,8 +7,9 @@ Grammar sketch (semicolon-terminated declarations, C-style blocks):
     item     := "vars" names ";" | "unknowns" names ";"
               | "point" numbers ";"
               | "eq" ":" sum "=" "0" ";"
-                -- vars, unknowns and point at most once each, and no
-                -- name twice in a vars or unknowns list (nor in a region's)
+                -- vars, unknowns and point at most once each, a point of
+                -- one number per variable, and no name twice in a vars or
+                -- unknowns list (nor in a region's)
     sum      := ["-"] term (("+" | "-") term)*
     term     := factor ("*" factor)*
     factor   := NUMBER | "i" | NAME ["^" INT]          -- coefficient piece
@@ -205,9 +206,10 @@ class Parser:
     # -- systems ------------------------------------------------------------------
 
     def parse_system(self, name):
-        """vars, unknowns and point each at most once, and equations after
-        vars and unknowns."""
+        """vars, unknowns and point each at most once, equations after vars
+        and unknowns, and a point of one number per variable."""
         declared = {"vars": None, "unknowns": None, "point": None}
+        point_tok = None
         raw_equations = []
         while not self.at("}"):
             tok = self.peek()
@@ -217,6 +219,8 @@ class Parser:
                     raise ParseError(f"repeated {tok.text!r} in system {name!r}",
                                      tok.line, tok.col, expected)
                 self.advance()
+                if tok.text == "point":
+                    point_tok = tok
                 declared[tok.text] = tuple(self.parse_number_list() if tok.text == "point"
                                            else self.parse_name_list(unique=True))
                 self.expect(";")
@@ -242,6 +246,11 @@ class Parser:
         if variables is None or unknowns is None:
             raise ParseError(
                 f"system {name!r} needs vars and unknowns", close.line, close.col
+            )
+        if point_tok is not None and len(declared["point"]) != len(variables):
+            raise ParseError(
+                f"system {name!r} needs one point coordinate per variable "
+                f"({len(variables)}), got {len(declared['point'])}", point_tok.line, point_tok.col
             )
         if set(variables) & set(unknowns):
             raise ParseError(
@@ -383,7 +392,7 @@ class Parser:
             self.parse_zero("sign conditions compare against 0")
             conditions.append((poly, REGION_OPS[op_tok.text]))
         self.expect("}")
-        return Region(conditions)
+        return Region(variables, conditions)
 
     def parse_vector(self):
         self.expect("(")
@@ -536,8 +545,7 @@ def print_document(doc: PdeDslDocument) -> str:
     op_text = {op: text for text, op in REGION_OPS.items()}
     for name, region in doc.regions.items():
         lines.append(f"region {name} {{")
-        if region.conditions:
-            lines.append(f"  vars {', '.join(region.conditions[0][0].vars)};")
+        lines.append(f"  vars {', '.join(region.vars)};")
         for poly, op in region.conditions:
             lines.append(f"  {_sum_text([(None, poly)])} {op_text[op]} 0;")
         lines.append("}")

@@ -154,13 +154,15 @@ def default_grid(sys: PdeSystem, base_count=4, seed=0, region=None):
     """Deterministic rational grid (bases, covectors): the origin plus seeded
     random base points, and the 2n axis covectors plus 4 seeded random ones.
     More than GRID_BUDGET samples is a PreconditionError, raised before any
-    draw; in a region, the draw stops after 200 candidates per base point or
-    GRID_BUDGET candidates, whichever is fewer."""
+    draw; in a region, read by name (Region.over), the draw stops after 200
+    candidates per base point or GRID_BUDGET candidates, whichever is fewer."""
     n = sys.n
     if base_count * (2 * n + 4) > GRID_BUDGET:
         raise PreconditionError(
             f"a grid of {base_count} base points times {2 * n + 4} covectors is past "
             f"the work budget of {GRID_BUDGET} samples")
+    if region is not None:
+        region = region.over(sys.indep_vars)
     rng = random.Random(seed)
     bases = [tuple(Fraction(0) for _ in range(n))]
     attempts = 0
@@ -636,17 +638,21 @@ def cone_intersection(a: ConeSpec, b: ConeSpec):
 # -- mixed-type classification -------------------------------------------------------------------
 
 
-class Region(namedtuple("Region", "conditions")):
-    """Polynomial sign conditions over the base variables: (MultiPoly, op in
-    {gt, ge, lt, le}) pairs, read positionally (classify extends them by name
-    onto the system's variables).  They are compiled on first use into one
-    _IntSymbol with no xi, whose positive scale at a point keeps every sign."""
+class Region(namedtuple("Region", "vars conditions")):
+    """Polynomial sign conditions over the named variables `vars`: (MultiPoly
+    over vars, op in {gt, ge, lt, le}) pairs; `contains` reads a point in the
+    order of vars.  They are compiled on first use into one _IntSymbol with
+    no xi, whose positive scale at a point keeps every sign."""
+
+    def over(self, variables):
+        """This region on `variables`, a tuple holding every name in vars, in
+        any order: the conditions read their variables by name."""
+        return Region(variables, [(poly.extend(variables), op) for poly, op in self.conditions])
 
     @cached_property
     def _symbol(self):
-        n = max((len(poly.vars) for poly, _ in self.conditions), default=0)
-        return _IntSymbol([[(m + (0,) * (n - len(m)), (), c) for m, c in poly.terms.items()]
-                           for poly, _ in self.conditions], n)
+        return _IntSymbol([[(m, (), c) for m, c in poly.terms.items()]
+                           for poly, _ in self.conditions], len(self.vars))
 
     def contains(self, x):
         values = self._symbol.specialise(_rational_key(x))
@@ -659,26 +665,17 @@ class Region(namedtuple("Region", "conditions")):
                 return False
         return True
 
-    @staticmethod
-    def everywhere():
-        return Region([])
-
 
 # labels: per sample, a dict with its label and details; strata: label -> count
 ClassificationReport = namedtuple("ClassificationReport",
                                   "labels strata counterexamples cone_check")
 
 
-def classify_mixed(
-    sys: PdeSystem,
-    region: Region,
-    grid,
-    directions=None,
-    cones=None,
-):
+def classify_mixed(sys: PdeSystem, grid, directions=None, cones=None):
     """Label every sample (x; xi) of the grid: characteristic / elliptic /
     hyperbolic(theta) / degenerate, from one label row per distinct base
-    key and one cone verdict per distinct covector.
+    key and one cone verdict per distinct covector, at every base point
+    given (default_grid draws a region's bases inside it).
 
     The key of x is its coordinates at the base variables that some
     coefficient of some equation reads.  The frozen system and every
@@ -695,9 +692,6 @@ def classify_mixed(
     if directions is None:
         directions = axis_covectors(sys.n)[::2]  # +e_i directions
     bases, covectors = _grid(grid)
-    for base in bases:
-        if not region.contains(base):
-            raise PreconditionError(f"grid sample {base} lies outside the region")
     cv = characteristic_ideal(sys)
     gens, m, xi_vars = cv.ideal.generators, sys.m, cv.xi_vars
     # one integer symbol: the characteristic generators, then the full symbol
@@ -712,7 +706,6 @@ def classify_mixed(
     pool = [(xi, _int_vector(xi)) for xi in dict.fromkeys(covectors)]
     vectors = [_int_vector(xi) for xi in covectors]
     thetas = [tuple(Fraction(t) for t in theta) for theta in directions]
-    hyperbolic_cache = {}
 
     def elliptic_at(spec, x):
         """is_elliptic of the system frozen at x, over the pool.  Each
@@ -739,18 +732,14 @@ def classify_mixed(
 
     def hyperbolic_at(spec, j):
         """Whether is_hyperbolic(sys, thetas[j], strict=True, x=x) over the pool
-        says True.  That depends on x only through the frozen principal
-        symbol, so rows that freeze to the same terms share it."""
+        says True, from the frozen principal symbol."""
         if principal_order is None:
             return False
-        frozen = tuple(t for t in spec[len(gens)] if sum(t[0]) == principal_order)
-        if (frozen, j) not in hyperbolic_cache:
-            try:
-                value = _hyperbolicity(frozen, thetas[j], pool, True).value is True
-            except PreconditionError:
-                value = False
-            hyperbolic_cache[frozen, j] = value
-        return hyperbolic_cache[frozen, j]
+        frozen = [t for t in spec[len(gens)] if sum(t[0]) == principal_order]
+        try:
+            return _hyperbolicity(frozen, thetas[j], pool, True).value is True
+        except PreconditionError:
+            return False
 
     def label_row(x):
         """The labels at x over `vectors`; the frozen decisions run only if

@@ -28,7 +28,6 @@ from spencerlab.errors import ParseError
 from spencerlab.index import boundary_index, grr_index
 from spencerlab.chern import MODELS, twist_class
 from spencerlab.microlocal import (
-    Region,
     characteristic_ideal,
     classify_mixed,
     external_product_char,
@@ -115,9 +114,7 @@ def test_criterion_04_classification():
         (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (2, 1), (1, 2),
     ]
     bases = [(x, y) for x in xs for y in ys]
-    result = classify_mixed(
-        tricomi_system(), Region.everywhere(), (bases, xis), directions=[(0, 1)]
-    )
+    result = classify_mixed(tricomi_system(), (bases, xis), directions=[(0, 1)])
     assert len(result.labels) == 10 * 10 * 8
     for lab, (x, xi) in zip(result.labels, product(bases, xis)):
         y = x[1]

@@ -78,9 +78,16 @@ def test_inhomogeneous_rejected():
 # -- round trips ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("idx", range(50))
+# regions whose vars no condition shows, one in another order than its system's
+_ROUND_TRIP_EXTRA = {
+    "region-without-conditions": "region e { vars q; }",
+    "region-vars-reordered": WAVE + "\nregion r { vars x, t; }\n",
+}
+
+
+@pytest.mark.parametrize("idx", [*range(50), *_ROUND_TRIP_EXTRA])
 def test_corpus_round_trip(idx):
-    text = corpus()[idx]
+    text = _ROUND_TRIP_EXTRA[idx] if idx in _ROUND_TRIP_EXTRA else corpus()[idx]
     doc = parse_pde_dsl(text)
     printed = print_document(doc)
     doc2 = parse_pde_dsl(printed)
@@ -945,12 +952,12 @@ _REPEATED_BASES = [(_RNG.choice(_VALUES), _RNG.choice(_VALUES[1:4])) for _ in ra
      [(0, 0), (0, 1), (1, 0), (1, 1), ("-1/2", 0), (0, -2)], None),
 ])
 def test_classify_matches_per_x_reference(text, bases, directions):
-    from spencerlab.microlocal import Region, axis_covectors, classify_mixed
+    from spencerlab.microlocal import axis_covectors, classify_mixed
 
     sys_ = next(iter(parse_pde_dsl(text).systems.values()))
     xis = _CLASSIFY_XIS if sys_.n == 2 else _CLASSIFY_XIS3
     grid = _classify_grid(bases, xis)
-    report = classify_mixed(sys_, Region.everywhere(), grid, directions=directions)
+    report = classify_mixed(sys_, grid, directions=directions)
     expected = _reference_labels(sys_, grid, directions or axis_covectors(sys_.n)[::2])
     assert report.labels == expected
     assert sum(report.strata.values()) == len(bases) * len(xis)
@@ -959,6 +966,11 @@ def test_classify_matches_per_x_reference(text, bases, directions):
 def test_cli_region_over_more_variables_than_the_system_exits_2(capsys, tmp_path):
     pde = tmp_path / "region3.pde"
     pde.write_text(WAVE + "\nregion r { vars t, x, z; t + z + 100 > 0; }\n")
+    assert main(["classify", str(pde), "--region", "r", "--grid", "2"]) == 2
+    assert "--region: region 'r' reads variable 'z', which system 'wave' lacks" in \
+        capsys.readouterr().err
+    # a region with no conditions still reads its declared variables
+    pde.write_text(WAVE + "\nregion r { vars z, t; }\n")
     assert main(["classify", str(pde), "--region", "r", "--grid", "2"]) == 2
     assert "--region: region 'r' reads variable 'z', which system 'wave' lacks" in \
         capsys.readouterr().err
@@ -973,8 +985,8 @@ def test_cli_region_reads_variables_by_name(capsys, tmp_path, monkeypatch, regio
 
     drawn = []
     classify_mixed = microlocal.classify_mixed
-    monkeypatch.setattr(microlocal, "classify_mixed", lambda sys_, region, grid, **kw: (
-        drawn.extend(grid[0]) or classify_mixed(sys_, region, grid, **kw)))
+    monkeypatch.setattr(microlocal, "classify_mixed", lambda sys_, grid, **kw: (
+        drawn.extend(grid[0]) or classify_mixed(sys_, grid, **kw)))
     pde = tmp_path / "regname.pde"
     pde.write_text(WAVE + f"\nregion {region}\n")
     name = region.split()[0]
@@ -1484,6 +1496,25 @@ def test_repeated_name_in_a_list_is_rejected_at_its_token(capsys, tmp_path, text
     pde.write_text(text)
     assert main(["symbol", str(pde)]) == 2
     assert f"at 1:{col}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("point, col", [("point 1;", 35), ("point 1, 2, 3;", 35)],
+                         ids=["short", "long"])
+def test_point_of_another_length_than_vars_is_rejected_at_its_token(capsys, tmp_path,
+                                                                    point, col):
+    text = f"system s {{ vars x, y; unknowns u; {point} eq: x*D[x,x](u) + D[y,y](u) = 0; }}"
+    with pytest.raises(ParseError, match="one point coordinate per variable") as err:
+        parse_pde_dsl(text)
+    assert (err.value.line, err.value.col) == (1, col)
+    pde = tmp_path / "point.pde"
+    pde.write_text(text)
+    assert main(["symbol", str(pde)]) == 2
+    assert f"at 1:{col}" in capsys.readouterr().err
+    # point may come before vars: the error still points at its token
+    early = f"system s {{ {point} vars x, y; unknowns u; eq: D[x](u) = 0; }}"
+    with pytest.raises(ParseError) as err:
+        parse_pde_dsl(early)
+    assert (err.value.line, err.value.col) == (1, 12)
 
 
 def test_repeated_derivative_index_is_a_second_derivative():

@@ -434,7 +434,7 @@ def test_elliptic_grid_certificate_counts_every_sample():
 
 
 @pytest.mark.parametrize("decide", [
-    lambda grid: classify_mixed(wave_system(), Region.everywhere(), grid),
+    lambda grid: classify_mixed(wave_system(), grid),
     lambda grid: is_elliptic(wave_system(), grid),
     lambda grid: is_hyperbolic(wave_system(), (1, 0), grid),
 ], ids=["classify_mixed", "is_elliptic", "is_hyperbolic"])
@@ -492,7 +492,7 @@ def _tricomi_grid():
 def test_tricomi_classification_splits_at_fold():
     sys = tricomi_system()
     bases, xis = _tricomi_grid()
-    report = classify_mixed(sys, Region.everywhere(), (bases, xis), directions=[(0, 1)])
+    report = classify_mixed(sys, (bases, xis), directions=[(0, 1)])
     assert len(report.labels) == len(bases) * len(xis)
     for lab, (x, _) in zip(report.labels, product(bases, xis)):
         y = x[1]
@@ -510,7 +510,7 @@ def test_tricomi_classification_splits_at_fold():
 
 def test_laplace_all_elliptic():
     grid = default_grid(laplace_system(), seed=1)
-    report = classify_mixed(laplace_system(), Region.everywhere(), grid)
+    report = classify_mixed(laplace_system(), grid)
     assert set(report.strata) == {"elliptic"}
 
 
@@ -518,9 +518,7 @@ def test_wave_characteristic_covectors_in_cones():
     grid = ([(0, 0)], [(1, 1), (1, -1), (-1, 1), (-1, -1), (1, 0)])
     lam = ConeSpec([(1, 1), (1, -1)], "closed")
     lam_p = ConeSpec([(-1, 1), (-1, -1)], "closed")
-    report = classify_mixed(
-        wave_system(), Region.everywhere(), grid, directions=[(1, 0)], cones=(lam, lam_p)
-    )
+    report = classify_mixed(wave_system(), grid, directions=[(1, 0)], cones=(lam, lam_p))
     char_labels = [l for l in report.labels if l["label"] == "characteristic"]
     assert len(char_labels) == 4
     assert report.cone_check["union_covers_characteristics"]
@@ -534,14 +532,8 @@ def test_wave_characteristic_covectors_in_cones():
 def test_label_scale_invariance():
     sys = tricomi_system()
     grid = ([(Fraction(0), Fraction(-1))], [(Fraction(1), Fraction(1)), (Fraction(3), Fraction(3))])
-    report = classify_mixed(sys, Region.everywhere(), grid, directions=[(0, 1)])
+    report = classify_mixed(sys, grid, directions=[(0, 1)])
     assert report.labels[0]["label"] == report.labels[1]["label"]
-
-
-def test_region_precondition():
-    region = Region([(MultiPoly.variable(("x", "y"), "y"), "gt")])
-    with pytest.raises(PreconditionError):
-        classify_mixed(tricomi_system(), region, ([(0, -1)], [(1, 0)]))
 
 
 _REGION_OPS = {"gt": lambda v: v > 0, "ge": lambda v: v >= 0,
@@ -575,20 +567,21 @@ def test_region_contains_matches_fraction_evaluation():
             expected = expected and _REGION_OPS[op](value)
         for i in range(len(conditions)):  # each prefix, so every condition decides somewhere
             prefix = conditions[:i + 1]
-            assert Region(prefix).contains(point) == all(
+            assert Region(names[:n], prefix).contains(point) == all(
                 _REGION_OPS[op](poly.evaluate(dict(zip(names, point)))) for poly, op in prefix)
-        assert Region(conditions).contains(point) == expected
+        assert Region(names[:n], conditions).contains(point) == expected
     assert zeros > 100
 
 
 def test_region_contains_rejects_non_real_values():
     y = MultiPoly.variable(("x", "y"), "y")
     iy = y * MultiPoly.constant(("x", "y"), QQi(0, 1))
-    region = Region([(iy, "gt")])
+    region = Region(("x", "y"), [(iy, "gt")])
     assert region.contains((1, 0)) is False  # i*y is 0 there, a real value
     with pytest.raises(PreconditionError, match="region polynomials must be real"):
         region.contains((0, 1))
-    assert Region([(y, "gt")]) == Region([(y, "gt")]) != Region([(y, "lt")])
+    xy = ("x", "y")
+    assert Region(xy, [(y, "gt")]) == Region(xy, [(y, "gt")]) != Region(xy, [(y, "lt")])
 
 
 # -- cones -------------------------------------------------------------------------------
