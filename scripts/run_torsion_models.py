@@ -13,7 +13,7 @@ import math
 from mpmath import gamma, mp, mpf, pi
 
 from spencerlab.spectra import SpectrumModel
-from spencerlab.torsion import bcov_torsion, quillen_norm, ray_singer_torsion
+from spencerlab.torsion import bcov_torsion, de_rham_spectra, quillen_norm, ray_singer_torsion
 from spencerlab.zeta import regularized_det, zeta_at_zero
 
 
@@ -28,7 +28,7 @@ def main():
     for length in (2 * math.pi, 2.0, 1.0, 0.5):
         spec = SpectrumModel.circle(length)
         det, err, method = regularized_det(spec)
-        rs = ray_singer_torsion({0: spec, 1: spec}, convention="exp_full")
+        rs = ray_singer_torsion(de_rham_spectra(spec, 1), convention="exp_full")
         print(
             f"L = {length:10.6f}  det' = {float(det):14.9f} ({method})  "
             f"zeta(0) = {float(zeta_at_zero(spec)):5.1f}  "
@@ -48,10 +48,7 @@ def main():
               f"(relative difference {float(rel):.1e})")
     hodge = {(p, q): spec for p in (0, 1) for q in (0, 1)}
     bcov = bcov_torsion(hodge)
-    rs = ray_singer_torsion(
-        {0: spec, 1: SpectrumModel.direct_sum(spec, spec), 2: spec},
-        convention="exp_full",
-    )
+    rs = ray_singer_torsion(de_rham_spectra(spec, 2), convention="exp_full")
     print(f"BCOV combination      = {bcov.torsion:.10f}")
     print(f"de Rham torsion       = {rs.torsion:.10f}  (cancellation -> 1)")
     print()

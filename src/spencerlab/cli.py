@@ -492,14 +492,9 @@ def _boundary_index(args, job):
 
 
 def _torsion(args, job):
-    from .spectra import SpectrumModel
-    from .torsion import ray_singer_torsion
+    from .torsion import de_rham_spectra, ray_singer_torsion
 
-    base = _model_spectrum(args)
-    if args.model == "circle":
-        spectra = {0: base, 1: base}
-    else:
-        spectra = {0: base, 1: SpectrumModel.direct_sum(base, base), 2: base}
+    spectra = de_rham_spectra(_model_spectrum(args), 1 if args.model == "circle" else 2)
     report = ray_singer_torsion(spectra, convention=args.convention)
     job.provenance["methods"] = sorted({d["method"] for d in report.per_degree.values()})
     return {
@@ -583,7 +578,6 @@ def dispatch(args):
         arguments=job.arguments,
         payload=payload,
         source_hash=job.source_hash,
-        seed=job.arguments.get("seed"),
         provenance=job.provenance,
     )
 

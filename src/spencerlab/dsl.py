@@ -570,7 +570,7 @@ def _spectrum_lines(name, spec):
         tau = spec.params["tau"]
         lines.append("  kind torus;")
         lines.append(f"  tau {_num_text(tau.real)}, {_num_text(tau.imag)};")
-        if float(spec.params["lattice_scale"]) != 1.0:
+        if spec.params["lattice_scale"] != 1:
             lines.append(f"  scale {_num_text(spec.params['lattice_scale'])};")
     elif spec.kind == "rectangle":
         lines.append("  kind rectangle;")
@@ -592,7 +592,9 @@ def _spectrum_lines(name, spec):
 
 
 def _num_text(x):
-    fx = float(x)
-    if fx == int(fx):
-        return str(int(fx))
-    return repr(fx)
+    """A spectrum parameter as the parser reads it back: a float (a part of
+    tau) by its repr, a Decimal exactly and without an exponent, which the
+    tokenizer does not read."""
+    if isinstance(x, float):
+        return str(int(x)) if x.is_integer() else repr(x)
+    return format(x, "f")

@@ -152,10 +152,12 @@ def axis_covectors(n):
 
 def default_grid(sys: PdeSystem, base_count=4, seed=0, region=None):
     """Deterministic rational grid (bases, covectors): the origin plus seeded
-    random base points, and the 2n axis covectors plus 4 seeded random ones.
-    More than GRID_BUDGET samples is a PreconditionError, raised before any
-    draw; in a region, read by name (Region.over), the draw stops after 200
-    candidates per base point or GRID_BUDGET candidates, whichever is fewer."""
+    random base points, base_count in all, and the 2n axis covectors plus 4
+    seeded random ones.  More than GRID_BUDGET samples is a
+    PreconditionError, raised before any draw.  In a region, read by name
+    (Region.over), every base point lies inside it: the origin holds a slot
+    only if the region contains it, and the draw stops after 200 candidates
+    per base point or GRID_BUDGET candidates, whichever is fewer."""
     n = sys.n
     if base_count * (2 * n + 4) > GRID_BUDGET:
         raise PreconditionError(
@@ -164,7 +166,8 @@ def default_grid(sys: PdeSystem, base_count=4, seed=0, region=None):
     if region is not None:
         region = region.over(sys.indep_vars)
     rng = random.Random(seed)
-    bases = [tuple(Fraction(0) for _ in range(n))]
+    origin = tuple(Fraction(0) for _ in range(n))
+    bases = [origin] if region is None or region.contains(origin) else []
     attempts = 0
     while len(bases) < base_count and attempts < min(200 * base_count, GRID_BUDGET):
         attempts += 1
@@ -172,8 +175,6 @@ def default_grid(sys: PdeSystem, base_count=4, seed=0, region=None):
         if region is not None and not region.contains(cand):
             continue
         bases.append(cand)
-    if region is not None and not region.contains(bases[0]):
-        bases = bases[1:]  # the origin, placed untested, still held its slot in the draw
     if not bases:
         raise PreconditionError("no grid base points inside the region")
     xis = axis_covectors(n)
@@ -291,7 +292,8 @@ class _IntSymbol:
     the denominator times prod q_i^top_i (top_i the largest exponent of
     x_i), so the specialised xi-coefficients are over Z[i] too.  A positive
     constant changes no zero test, no definiteness test and no real-root
-    count.  `at` caches its specialisations per x; `specialise` does not.
+    count.  `specialise` keeps nothing: a caller that reads one point more
+    than once holds on to the result itself.
     """
 
     def __init__(self, polys, n):
@@ -305,19 +307,12 @@ class _IntSymbol:
         ]
         self.tops = [max((xe[i] for p in self.polys for xe, _, _ in p), default=0)
                      for i in range(n)]
-        self._cache = {}
 
-    def at(self, point):
-        """Per polynomial, its nonzero terms (xi exponents, c) at the point
-        given by its _rational_key."""
-        spec = self._cache.get(point)
-        if spec is None:
-            spec = self._cache[point] = self.specialise(point)
-        return spec
-
-    def specialise(self, point):
-        powers = [[p**e * q ** (top - e) for e in range(top + 1)]
-                  for (p, q), top in zip(point, self.tops)]
+    def specialise(self, x):
+        """Per polynomial, its nonzero terms (xi exponents, c) at the rational
+        point x (ints or Fractions)."""
+        powers = [[v.numerator**e * v.denominator ** (top - e) for e in range(top + 1)]
+                  for v, top in zip(x, self.tops)]
         return [_specialise(poly, powers) for poly in self.polys]
 
 
@@ -329,11 +324,6 @@ def _specialise(terms, powers):
             f *= table[e]
         acc[ke] = acc.get(ke, 0) + c * f
     return [(ke, c) for ke, c in acc.items() if c]
-
-
-def _rational_key(values):
-    """Rationals as (numerator, denominator) pairs: a cheap exact dict key."""
-    return tuple((v.numerator, v.denominator) for v in values)
 
 
 def _poly_terms(poly, n):
@@ -436,9 +426,9 @@ def is_elliptic(sys: PdeSystem, grid=None, seed=0):
     quadratic = None
     if sys.m == 1 and len(sys.equations) == 1 and sys.constant_coefficient:
         # the one generator is the principal symbol
-        quadratic = symbol.at(_rational_key(sys.base_point))[0]
-    samples = ((x, xi, symbol.at(_rational_key(x)), _int_vector(xi))
-               for x in bases for xi in covectors)
+        quadratic = symbol.specialise(sys.base_point)[0]
+    specs = ((x, symbol.specialise(x)) for x in bases)  # once per base, when first read
+    samples = ((x, xi, spec, _int_vector(xi)) for x, spec in specs for xi in covectors)
     return _ellipticity(quadratic, samples, lambda: _saturates(cv.ideal, cv.xi_vars),
                         len(bases) * len(covectors))
 
@@ -494,8 +484,8 @@ def is_hyperbolic(sys: PdeSystem, direction, grid=None, seed=0, strict=False, x=
         raise PreconditionError("hyperbolicity test implemented for single scalar equations")
     eq = sys.equations[0]
     principal = [t for t in _entry_terms(eq, 0) if sum(t[1]) == eq.order()]
-    point = _rational_key(Fraction(v) for v in (sys.base_point if x is None else x))
-    frozen = _IntSymbol([principal], sys.n).at(point)[0]
+    point = [Fraction(v) for v in (sys.base_point if x is None else x)]
+    frozen = _IntSymbol([principal], sys.n).specialise(point)[0]
     pairs = [(xi, _int_vector(xi)) for xi in covectors] if bases else []  # else no sample
     return _hyperbolicity(frozen, theta, pairs, strict, len(bases))
 
@@ -655,7 +645,7 @@ class Region(namedtuple("Region", "vars conditions")):
                            for poly, _ in self.conditions], len(self.vars))
 
     def contains(self, x):
-        values = self._symbol.specialise(_rational_key(x))
+        values = self._symbol.specialise(x)
         for (_, op), terms in zip(self.conditions, values):
             val = terms[0][1] if terms else 0  # the one term has no xi
             if val.imag:
@@ -744,7 +734,7 @@ def classify_mixed(sys: PdeSystem, grid, directions=None, cones=None):
     def label_row(x):
         """The labels at x over `vectors`; the frozen decisions run only if
         some covector is not characteristic, as each sample would run them."""
-        spec = symbol.specialise(_rational_key(x))
+        spec = symbol.specialise(x)
         char = [bool(gens) and all(_vanishes(g, vec) for g in spec[:len(gens)])
                 for vec in vectors]
         other = None
@@ -821,6 +811,7 @@ def noncharacteristic_restrict(sys: PdeSystem, embedding_columns, grid_seed=0):
     gens = [g.substitute(subs) for g in characteristic_ideal(sys).ideal.generators]
     ideal = PolyIdeal(xb + s, gens)
     symbol = _IntSymbol([_poly_terms(g, d) for g in ideal.generators], d)
+    specs = {}  # base -> its specialisation: the samples repeat their few bases
 
     def samples():
         """The unit parameters, then 40 seeded ones (all drawn before any
@@ -833,7 +824,9 @@ def noncharacteristic_restrict(sys: PdeSystem, embedding_columns, grid_seed=0):
                     base = tuple(rng.randint(-2, 2) for _ in range(d))
                     # the conormal, computed only if a certificate reads it
                     nu = (sum(c * conormals[a][i] for a, c in enumerate(vec)) for i in range(n))
-                    yield base, nu, symbol.at(_rational_key(base)), vec
+                    if base not in specs:
+                        specs[base] = symbol.specialise(base)
+                    yield base, nu, specs[base], vec
 
     ok, cert = _ellipticity(None, samples(), lambda: _saturates(ideal, s), k + 40)
     if not ok:

@@ -71,17 +71,17 @@ def input_hash(*chunks) -> str:
 
 
 class ReportDocument(namedtuple(
-        "ReportDocument", "command arguments payload source_hash seed tool_version provenance",
-        defaults=("", None, TOOL_VERSION, None))):
+        "ReportDocument", "command arguments payload source_hash provenance",
+        defaults=("", None))):
     __slots__ = ()
 
     def body(self):
         return {
-            "tool_version": self.tool_version,
+            "tool_version": TOOL_VERSION,
             "command": self.command,
             "arguments": _canon(self.arguments),
             "input_hash": self.source_hash,
-            "seed": self.seed,
+            "seed": self.arguments.get("seed"),
             "provenance": _canon(self.provenance or {}),
             "result": _canon(self.payload),
         }

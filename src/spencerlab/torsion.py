@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
-from math import ulp
+from math import comb, ulp
 
 from .errors import PreconditionError
 from .reports import to_float
@@ -62,6 +62,14 @@ def _torsion_report(terms, convention, inputs, weight_type):
     torsion = log_t.exp()
     bound = float(err * torsion * 2) or (ulp(0.0) if err else 0.0)
     return TorsionReport(to_float(torsion), convention, per_degree, bound, inputs)
+
+
+def de_rham_spectra(spec, dim):
+    """{degree: spectrum} of the de Rham Laplacians of a flat model of
+    dimension dim whose Laplacian on functions has spectrum spec: on q-forms
+    it is C(dim, q) copies of that one."""
+    return {q: spec if comb(dim, q) == 1 else SpectrumModel.direct_sum(*[spec] * comb(dim, q))
+            for q in range(dim + 1)}
 
 
 @working_precision
@@ -134,10 +142,7 @@ def bcov_invariant_model(tau, area=1.0, chi=0, lattice_scale=1):
     det_value, det_err, det_method = regularized_det(spec)
     # the exploratory comparison: de Rham torsion of the same model, reported
     # alongside the Dolbeault-weighted combination without claiming equality
-    de_rham = ray_singer_torsion(
-        {0: spec, 1: SpectrumModel.direct_sum(spec, spec), 2: spec},
-        convention="exp_full",
-    )
+    de_rham = ray_singer_torsion(de_rham_spectra(spec, 2), convention="exp_full")
     return {
         "tau": [tau.real, tau.imag],
         "volume": float(vol),

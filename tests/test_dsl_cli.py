@@ -78,10 +78,16 @@ def test_inhomogeneous_rejected():
 # -- round trips ----------------------------------------------------------------------
 
 
-# regions whose vars no condition shows, one in another order than its system's
+# regions whose vars no condition shows, one in another order than its system's;
+# spectrum parameters that no double holds, and one a double prints with an exponent
 _ROUND_TRIP_EXTRA = {
     "region-without-conditions": "region e { vars q; }",
     "region-vars-reordered": WAVE + "\nregion r { vars x, t; }\n",
+    "circle-length-third": "spectrum c { kind circle; length 1/3; }",
+    "rectangle-side-seventh": "spectrum r { kind rectangle; a 1/7; b 2; }",
+    "explicit-values-third": "spectrum e { kind explicit; values 0, 1/3, 2; }",
+    "torus-scale-third": "spectrum t { kind torus; tau 0.3, 0.7; scale 1/3; }",
+    "circle-length-tiny": "spectrum c { kind circle; length 1/10000000000000000000000000; }",
 }
 
 
@@ -149,7 +155,6 @@ def test_reports_are_byte_identical():
         arguments={"model": "circle", "length": 6.283185307179586},
         payload={"det": 39.47841760435743, "ratio": __import__("fractions").Fraction(1, 3)},
         source_hash="",
-        seed=0,
     )
     a = emit_report(report, "json")
     b = emit_report(report, "json")
@@ -159,7 +164,7 @@ def test_reports_are_byte_identical():
 
 
 def test_text_format_is_deterministic():
-    report = ReportDocument("grr", {"model": "P1"}, {"index": 4}, "", 0)
+    report = ReportDocument("grr", {"model": "P1"}, {"index": 4}, "")
     assert emit_report(report, "text") == emit_report(report, "text")
     assert b"index = 4" in emit_report(report, "text")
 
@@ -980,7 +985,8 @@ def test_cli_region_over_more_variables_than_the_system_exits_2(capsys, tmp_path
 def test_cli_region_reads_variables_by_name(capsys, tmp_path, monkeypatch, region):
     """A region's conditions read the system's variables by name, not by
     position: every base point drawn in x > 0 has x > 0, on a system with
-    vars t, x."""
+    vars t, x.  The origin lies outside, so it holds none of the --grid
+    slots."""
     from spencerlab import microlocal
 
     drawn = []
@@ -990,8 +996,11 @@ def test_cli_region_reads_variables_by_name(capsys, tmp_path, monkeypatch, regio
     pde = tmp_path / "regname.pde"
     pde.write_text(WAVE + f"\nregion {region}\n")
     name = region.split()[0]
-    assert main(["classify", str(pde), "--region", name, "--grid", "6", "--seed", "3"]) == 0
-    assert len(drawn) == 5 and all(x > 0 for _, x in drawn)
+    for grid in (6, 1):
+        drawn.clear()
+        assert main(["classify", str(pde), "--region", name, "--grid", str(grid),
+                     "--seed", "3"]) == 0
+        assert len(drawn) == grid and all(x > 0 for _, x in drawn)
 
 
 def test_cli_remaining_commands_smoke(capsys, tmp_path):
