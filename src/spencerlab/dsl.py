@@ -30,6 +30,7 @@ input must produce a ParseError, never anything else.
 from __future__ import annotations
 
 from collections import namedtuple
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import ParseError
@@ -592,9 +593,9 @@ def _spectrum_lines(name, spec):
 
 
 def _num_text(x):
-    """A spectrum parameter as the parser reads it back: a float (a part of
-    tau) by its repr, a Decimal exactly and without an exponent, which the
-    tokenizer does not read."""
+    """A spectrum parameter as the parser reads it back, never with an
+    exponent, which the tokenizer does not read: a float (a part of tau) by
+    the digits of its repr, a Decimal exactly."""
     if isinstance(x, float):
-        return str(int(x)) if x.is_integer() else repr(x)
+        return str(int(x)) if x.is_integer() else format(Decimal(repr(x)), "f")
     return format(x, "f")

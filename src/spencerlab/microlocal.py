@@ -7,10 +7,10 @@ determinant of the principal-symbol matrix; overdetermined ones the maximal
 minors.  Generators are xi-homogeneous by construction and that conicity is
 re-checked on every build.
 
-Real decisions are exact where we can make them exact (definite quadratic
-forms, saturation certificates, Sturm sequences on univariate slices) and
-grid-verified otherwise, with the verification mode always recorded in the
-certificate.
+Real decisions are exact where we can make them exact (one quadratic form,
+definite or not, saturation certificates, Sturm sequences on univariate
+slices) and grid-verified otherwise, with the verification mode always
+recorded in the certificate.
 
 A grid is a pair (bases, covectors) of rational points and nonzero rational
 covectors; its samples, and the labels of a classification, are every
@@ -354,13 +354,13 @@ def _vanishes(terms, xi):
 
 def _definiteness(terms):
     """"positive" or "negative" for a definite real quadratic form given as
-    nonempty terms (xi exponents, c) over Z[i], "" for any other real
+    nonempty terms (xi exponents, c) over Q(i), "" for any other real
     quadratic form, None if the terms are not a real quadratic form."""
     if any(c.imag or sum(e) != 2 for e, c in terms):
         return None
     n = len(terms[0][0])
-    gram = [[0] * n for _ in range(n)]  # twice the Gram matrix
-    for e, c in terms:
+    gram = [[0] * n for _ in range(n)]  # twice the Gram matrix, times a positive int
+    for (e, _), c in zip(terms, _int_vector([c.real for _, c in terms])):
         i, j = [i for i, k in enumerate(e) for _ in range(k)]
         gram[i][j] += c
         gram[j][i] += c
@@ -370,26 +370,27 @@ def _definiteness(terms):
     return ""
 
 
-def _ellipticity(quadratic, samples, saturates, count):
+def _ellipticity(frozen, samples, saturates, count):
     """The one ellipticity ladder: (verdict, certificate).  is_elliptic,
     classify_mixed (per label row) and noncharacteristic_restrict
     (on the restricted variety) all decide through it.
 
-    quadratic: the Z[i] terms of the one frozen principal symbol, or
-    None.  samples: (x, xi, Z[i] generators at x, integer xi) tuples,
-    read lazily; the test uses the integer xi, and xi is only the covector
-    a counterexample certificate names.  saturates: the saturation test,
-    called only when no sample is a counterexample.  count: the samples a
-    grid verdict covers.
+    frozen: the generators, as terms (xi exponents, c), of a symbol that
+    reads no base point, or None.  samples: (x, xi, Z[i] generators at x,
+    integer xi) tuples, read lazily; the test uses the integer xi, and xi
+    is only the covector a counterexample certificate names.  saturates:
+    the saturation test, called only when no sample is a counterexample.
+    count: the samples a grid verdict covers.
 
-    Exact definiteness decides a real quadratic form in both directions (a
-    non-definite one always has a real zero off the origin, rational or
-    not).  Otherwise the first sample where every generator vanishes
+    One rule: when frozen is exactly one real quadratic form, Sylvester's
+    test decides both ways (a form that is not definite has a real zero
+    off the origin, rational or not: indefinite unless a sample names
+    one).  Otherwise the first sample where every generator vanishes
     refutes ellipticity.  Such a real zero off xi = 0 also rules out the
     exact saturation certificate V(I) inside V(|xi|^2), which is why the
     grid runs first.  A grid pass is an honest 'verified on grid' verdict.
     """
-    sign = None if quadratic is None else _definiteness(quadratic)
+    sign = _definiteness(frozen[0]) if frozen is not None and len(frozen) == 1 else None
     if sign:
         return True, {"kind": "definite", "sign": sign}
     for x, xi, gens, vec in samples:
@@ -415,21 +416,17 @@ def _saturates(ideal: PolyIdeal, xi_vars):
 def is_elliptic(sys: PdeSystem, grid=None, seed=0):
     """(verdict, certificate): no real characteristic covectors off xi = 0,
     decided by _ellipticity over every sample of the grid, and a grid
-    certificate counts them all, repeats included.  Only a constant-coefficient
-    single scalar equation has a frozen quadratic symbol to test for
-    definiteness."""
+    certificate counts them all, repeats included.  Generators that read
+    no base point are frozen for _ellipticity's definiteness rule."""
     bases, covectors = _grid(default_grid(sys, seed=seed) if grid is None else grid)
     if not bases or not covectors:
         raise PreconditionError("is_elliptic needs a nonempty grid")
     cv = characteristic_ideal(sys)
     symbol = _IntSymbol([_poly_terms(g, sys.n) for g in cv.ideal.generators], sys.n)
-    quadratic = None
-    if sys.m == 1 and len(sys.equations) == 1 and sys.constant_coefficient:
-        # the one generator is the principal symbol
-        quadratic = symbol.specialise(sys.base_point)[0]
+    frozen = None if any(symbol.tops) else symbol.specialise(sys.base_point)
     specs = ((x, symbol.specialise(x)) for x in bases)  # once per base, when first read
     samples = ((x, xi, spec, _int_vector(xi)) for x, spec in specs for xi in covectors)
-    return _ellipticity(quadratic, samples, lambda: _saturates(cv.ideal, cv.xi_vars),
+    return _ellipticity(frozen, samples, lambda: _saturates(cv.ideal, cv.xi_vars),
                         len(bases) * len(covectors))
 
 
@@ -467,11 +464,11 @@ def _transverse_part(eta, theta):
     return tuple(Fraction(a) - dot / nn * Fraction(b) for a, b in zip(eta, theta))
 
 
-def is_hyperbolic(sys: PdeSystem, direction, grid=None, seed=0, strict=False, x=None):
+def is_hyperbolic(sys: PdeSystem, direction, grid=None, seed=0, strict=False):
     """Real-rootedness of t -> sigma(t*theta + eta') over the transverse
     parts of the grid's covectors, by exact Sturm counts.  The symbol is
-    frozen at x (default: the base point), so each covector is tested once
-    and a Sturm certificate counts it once per base point of the grid.
+    frozen at the base point, so each covector is tested once and a Sturm
+    certificate counts it once per base point of the grid.
 
     Degenerate (value None) when sigma(theta) = 0: either the symbol does
     not involve the direction or the direction itself is characteristic.
@@ -484,8 +481,7 @@ def is_hyperbolic(sys: PdeSystem, direction, grid=None, seed=0, strict=False, x=
         raise PreconditionError("hyperbolicity test implemented for single scalar equations")
     eq = sys.equations[0]
     principal = [t for t in _entry_terms(eq, 0) if sum(t[1]) == eq.order()]
-    point = [Fraction(v) for v in (sys.base_point if x is None else x)]
-    frozen = _IntSymbol([principal], sys.n).specialise(point)[0]
+    frozen = _IntSymbol([principal], sys.n).specialise(sys.base_point)[0]
     pairs = [(xi, _int_vector(xi)) for xi in covectors] if bases else []  # else no sample
     return _hyperbolicity(frozen, theta, pairs, strict, len(bases))
 
@@ -711,18 +707,17 @@ def classify_mixed(sys: PdeSystem, grid, directions=None, cones=None):
                 order = max(order, k)
         if order == 0:
             return False, {"kind": "skipped"}
-        frozen = _generators(rows, m)
+        frozen = [list(g.terms.items()) for g in _generators(rows, m)]
         return _ellipticity(
-            list(frozen[0].terms.items()) if m == 1 and len(rows) == 1 else None,
-            ((x, xi, [g.terms.items() for g in frozen], vec) for xi, vec in pool),
+            frozen, ((x, xi, frozen, vec) for xi, vec in pool),
             # over xi alone; scalar() keeps monic from dividing int coefficients into floats
-            lambda: _saturates(PolyIdeal(xi_vars, [MultiPoly(xi_vars, g.terms) for g in frozen]),
+            lambda: _saturates(PolyIdeal(xi_vars, [MultiPoly(xi_vars, dict(g)) for g in frozen]),
                                xi_vars),
             len(pool))
 
     def hyperbolic_at(spec, j):
-        """Whether is_hyperbolic(sys, thetas[j], strict=True, x=x) over the pool
-        says True, from the frozen principal symbol."""
+        """Whether is_hyperbolic(sys with base point x, thetas[j], strict=True)
+        over the pool says True, from the frozen principal symbol."""
         if principal_order is None:
             return False
         frozen = [t for t in spec[len(gens)] if sum(t[0]) == principal_order]
@@ -791,7 +786,8 @@ def noncharacteristic_restrict(sys: PdeSystem, embedding_columns, grid_seed=0):
     to (xbar in L, xi = sum s_a nu_a), nu_a a basis of the conormals, is
     elliptic in s; _ellipticity decides it.  Certificates: full-dimensional
     (L = R^n), violating-conormal (a real conormal and base point on
-    Char(P)), saturation or grid.
+    Char(P)), definite or indefinite (one quadratic form in s that reads no
+    base point), saturation or grid.
     """
     if sys.m != 1:
         raise PreconditionError("restriction implemented for scalar systems")
@@ -828,11 +824,12 @@ def noncharacteristic_restrict(sys: PdeSystem, embedding_columns, grid_seed=0):
                         specs[base] = symbol.specialise(base)
                     yield base, nu, specs[base], vec
 
-    ok, cert = _ellipticity(None, samples(), lambda: _saturates(ideal, s), k + 40)
-    if not ok:
+    frozen = None if any(symbol.tops) else symbol.specialise((0,) * d)
+    ok, cert = _ellipticity(frozen, samples(), lambda: _saturates(ideal, s), k + 40)
+    if cert["kind"] == "counterexample":
         return None, False, {"kind": "violating-conormal", "conormal": cert["xi"],
                              "base": cert["x"]}
-    return _pullback_system(sys, cols), True, cert
+    return _pullback_system(sys, cols) if ok else None, ok, cert
 
 
 def _linear_substitution(sys: PdeSystem, amb, cols, covectors):

@@ -107,12 +107,6 @@ class PdeSystem(namedtuple("PdeSystem", "indep_vars unknowns order equations bas
     def m(self):
         return len(self.unknowns)
 
-    @property
-    def constant_coefficient(self):
-        return all(
-            c.is_constant() for eq in self.equations for c in eq.terms.values()
-        )
-
     def point_map(self):
         """The base point as {variable: Fraction}, where symbols are evaluated."""
         return dict(zip(self.indep_vars, self.base_point))

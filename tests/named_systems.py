@@ -56,7 +56,7 @@ def linear_change_of_vars(sys: PdeSystem, a_rows):
     Derivatives transform by the transpose: each homogeneous part of each
     equation is rewritten via its symbol polynomial under xi -> A^T xi.
     """
-    if not sys.constant_coefficient:
+    if not all(c.is_constant() for eq in sys.equations for c in eq.terms.values()):
         raise PreconditionError("change of variables implemented for constant coefficients")
     n = sys.n
     xi_names = tuple(f"xi{i+1}" for i in range(n))

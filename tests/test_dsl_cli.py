@@ -79,7 +79,7 @@ def test_inhomogeneous_rejected():
 
 
 # regions whose vars no condition shows, one in another order than its system's;
-# spectrum parameters that no double holds, and one a double prints with an exponent
+# spectrum parameters that no double holds, and ones a double prints with an exponent
 _ROUND_TRIP_EXTRA = {
     "region-without-conditions": "region e { vars q; }",
     "region-vars-reordered": WAVE + "\nregion r { vars x, t; }\n",
@@ -88,6 +88,8 @@ _ROUND_TRIP_EXTRA = {
     "explicit-values-third": "spectrum e { kind explicit; values 0, 1/3, 2; }",
     "torus-scale-third": "spectrum t { kind torus; tau 0.3, 0.7; scale 1/3; }",
     "circle-length-tiny": "spectrum c { kind circle; length 1/10000000000000000000000000; }",
+    "torus-tau-tiny": "spectrum t { kind torus; tau 0.00001, 1; }",
+    "torus-tau-tiny-negative": "spectrum t { kind torus; tau -0.00002, 1/2; }",
 }
 
 
@@ -219,6 +221,23 @@ def test_cli_precondition_exit_code(capsys, tmp_path):
     pde.write_text("system heat { vars t, x; unknowns u; "
                    "eq: D[t](u) - D[x,x](u) = 0; }")
     assert main(["index", str(pde), "--model", "P1"]) == 3
+
+
+def test_cli_indefinite_determinant_is_not_elliptic(capsys, tmp_path):
+    """The determinant -xi_x^2 + 2 xi_y^2 vanishes only at irrational
+    slopes, which no grid covector hits; definiteness still refutes
+    ellipticity, so classify labels every sample degenerate and index,
+    which needs an elliptic system, exits 3."""
+    pde = tmp_path / "ind2.pde"
+    pde.write_text("system ind2 { vars x, y; unknowns u, v; eq: D[x](u) - 2*D[y](v) = 0; "
+                   "eq: D[y](u) - D[x](v) = 0; }")
+    assert main(["classify", str(pde), "--mode", "elliptic"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["elliptic"], result["certificate"]) == (False, {"kind": "indefinite"})
+    assert main(["classify", str(pde), "--grid", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["strata"] == {"degenerate": 24}
+    assert main(["index", str(pde), "--model", "P1"]) == 3
+    assert "system is not elliptic" in capsys.readouterr().err
 
 
 def test_cli_determinism(capsys, tmp_path):
@@ -827,7 +846,8 @@ def _frozen_system(sys_, x):
 def _reference_labels(sys_, grid, directions):
     """classify_mixed labels by the per-x route it takes without a compiled
     symbol: characteristic generators evaluated through MultiPoly,
-    is_elliptic on _frozen_system(sys, x) and is_hyperbolic(..., x=x)."""
+    is_elliptic on _frozen_system(sys, x) and is_hyperbolic on sys with
+    base point x."""
     from itertools import product
 
     from spencerlab.errors import PreconditionError
@@ -854,7 +874,8 @@ def _reference_labels(sys_, grid, directions):
         label = {"index": idx, "label": "degenerate"}
         for theta in directions:
             try:
-                rep = is_hyperbolic(sys_, theta, grid=sub_grid, strict=True, x=x)
+                rep = is_hyperbolic(sys_._replace(base_point=x), theta, grid=sub_grid,
+                                    strict=True)
             except PreconditionError:
                 continue
             if rep.value is True:
@@ -936,8 +957,8 @@ _REPEATED_BASES = [(_RNG.choice(_VALUES), _RNG.choice(_VALUES[1:4])) for _ in ra
      "eq: D[x](u) - D[y](v) = 0; eq: D[y](u) + y*D[x](v) + v = 0; }",
      [(0, 0), (0, 1), (0, "-1/2"), (1, 0), (2, -1), ("1/3", 2), (0, 1)], None),
     # underdetermined, one equation in two unknowns (every entry a generator);
-    # off x = 0 one entry is a definite quadratic form, which only a scalar
-    # equation's frozen symbol is tested for
+    # at (1, 0) the u entry is the one generator left, a definite quadratic
+    # form, and off y = 0 two generators leave saturation to decide
     ("system under { vars x, y; unknowns u, v; "
      "eq: x*D[x,x](u) + D[y,y](u) + y*D[x,y](v) + u = 0; }",
      [(0, 0), (0, 2), (1, 0), (-1, "1/2"), (0, -3), (2, 1)], None),

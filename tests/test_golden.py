@@ -260,7 +260,7 @@ MICROLOCAL = {
         "0e37550016374f48d647ee020bd100e8db4e198432527ecd0b8a4d57229021fb"),
     "restrict-tricomi": (
         ["restrict", "--system", "tricomi", "--subspace", "1,0"],
-        "bb7e6abfe3960be2e2ad5c1fc005a2f58c505252300050c5510eb4804c92bdb7"),
+        "90591bb2ef922e051f1cf77a5a6d4b82a112bbd82b474234e9d47b3a1ac14e11"),
     "classify-tricomi-region": (
         ["classify", "--system", "tricomi", "--region", "disc", "--grid", "5", "--seed", "7"],
         "8b3e71d9b7a427d8ad6786b86e7cb192a448fcc24f3ad94b76a3e15009218e44", "shapes.pde"),

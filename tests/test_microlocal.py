@@ -368,6 +368,51 @@ def test_wave_not_elliptic():
     assert not ok
 
 
+# determinant -xi_x^2 + 2 xi_y^2: its real zeros have the irrational slope
+# xi_y / xi_x = 1/sqrt(2), which no rational covector hits
+INDEFINITE_2M = ("system ind2 { vars x, y; unknowns u, v; "
+                 "eq: D[x](u) - 2*D[y](v) = 0; eq: D[y](u) - D[x](v) = 0; }")
+# determinant xi_x^2 + xi_x xi_y + xi_y^2, with Fraction coefficients from poly_det
+CROSS_2M = ("system cross { vars x, y; unknowns u, v; "
+            "eq: D[x](u) + D[y](u) - D[y](v) = 0; eq: D[y](u) + D[x](v) = 0; }")
+
+
+@pytest.mark.parametrize("text, verdict, cert, label", [
+    (INDEFINITE_2M, False, {"kind": "indefinite"}, "degenerate"),
+    (CROSS_2M, True, {"kind": "definite", "sign": "positive"}, "elliptic"),
+], ids=["indefinite", "cross-term"])
+def test_one_quadratic_determinant_is_decided_by_definiteness(text, verdict, cert, label):
+    """A square first-order system in two unknowns has one frozen generator,
+    its determinant; when that is a real quadratic form, Sylvester's test
+    decides is_elliptic and every classify label both ways."""
+    sys = _dsl_system(text)
+    grid = default_grid(sys, base_count=8)
+    assert is_elliptic(sys, grid) == (verdict, cert)
+    report = classify_mixed(sys, grid)
+    assert report.strata == {label: len(report.labels)}
+    if verdict:
+        assert all(lab["certificate"] == cert for lab in report.labels)
+
+
+def test_drop2m_elliptic_labels_match_the_closed_form():
+    """drop2m freezes at x != 0 to the determinant x (y xi_x^2 + xi_y^2),
+    definite exactly where y > 0; on x = 0 the first equation drops to order
+    0 and leaves the determinant -xi_y, which the axis covector (1, 0)
+    refutes.  So a label that is not characteristic is elliptic iff x != 0
+    and y > 0, whatever its covector."""
+    sys = _dsl_system("system drop2m { vars x, y; unknowns u, v; "
+                      "eq: x*D[x](u) - x*D[y](v) + v = 0; eq: D[y](u) + y*D[x](v) = 0; }")
+    bases, covectors = grid = default_grid(sys, base_count=64, seed=2)
+    report = classify_mixed(sys, grid)
+    checked = 0
+    for lab, (x, _) in zip(report.labels, product(bases, covectors)):
+        if lab["label"] != "characteristic":
+            assert (lab["label"] == "elliptic") == (x[0] != 0 and x[1] > 0)
+            checked += 1
+    assert report.strata["elliptic"] > 0 and report.strata["degenerate"] > 0
+    assert checked > len(report.labels) // 2
+
+
 # -- hyperbolicity --------------------------------------------------------------------
 
 
@@ -817,19 +862,28 @@ WAVE_TX = "system wave { vars t, x; unknowns u; eq: D[t,t](u) - D[x,x](u) = 0; }
 # symbol (y - 3) xi_x xi_y: along x = y/2 it vanishes on the conormal only
 # over the base point 3/2, which no integer grid point hits
 OFF_GRID = "system off { vars x, y; unknowns u; eq: -3*D[y,x](u) + y*D[x,y](u) = 0; }"
+# along the z-axis the conormal symbol i*s1 - s2 is not quadratic
+CR_XYZ = "system cr3 { vars x, y, z; unknowns u; eq: D[x](u) + i*D[y](u) = 0; }"
+# along the z-axis the conormal symbol s1^2 - 2 s2^2 vanishes only at the
+# irrational conormal (sqrt 2, 1, 0), which no integer sample hits
+SADDLE_XYZ = ("system saddle { vars x, y, z; unknowns u; "
+              "eq: D[x,x](u) - 2*D[y,y](u) + D[z,z](u) = 0; }")
 
 
 @pytest.mark.parametrize("text, columns, seed, ok, cert, equations", [
     (TRICOMI_XY, [(1, 0), (0, 1)], 0, True, {"kind": "full-dimensional"},
      [{(0, (2, 0)): "y2", (0, (0, 2)): "1"}]),
-    (TRICOMI_XY, [(1, 0)], 0, True, {"kind": "saturation"}, []),
+    (TRICOMI_XY, [(1, 0)], 0, True, {"kind": "definite", "sign": "positive"}, []),
+    (CR_XYZ, [(0, 0, 1)], 0, True, {"kind": "saturation"}, []),
+    (SADDLE_XYZ, [(0, 0, 1)], 0, False, {"kind": "indefinite"}, None),
     (WAVE_TX, [(1, 1)], 0, False,
      {"kind": "violating-conormal", "conormal": ["-1", "1"], "base": ["0"]}, None),
     (WAVE_TX, [(1, 1)], 3, False,
      {"kind": "violating-conormal", "conormal": ["-1", "1"], "base": ["2"]}, None),
     (OFF_GRID, [(1, 2)], 0, True, {"kind": "grid", "samples": 41},
      [{(0, (2,)): "4/25*y1 - 6/25"}]),
-], ids=["full-dimensional", "saturation", "violating-seed-0", "violating-seed-3", "grid"])
+], ids=["full-dimensional", "definite", "saturation", "indefinite", "violating-seed-0",
+         "violating-seed-3", "grid"])
 def test_restriction_certificates_are_pinned(text, columns, seed, ok, cert, equations):
     restricted, got_ok, got_cert = noncharacteristic_restrict(_dsl_system(text), columns,
                                                               grid_seed=seed)
