@@ -7,11 +7,11 @@ generator at its bound.  Classes are exact polynomials in the generators,
 reduced after every product, so index integrals come out as exact rationals
 and integrality is a check rather than a hope.
 
-The Todd class has one formula in every degree, whether the bundle is given
-by Chern roots or by Chern classes: Td = exp(log Td), with
-log Td = p_1/2 - sum_j B_2j p_2j / (2j (2j)!) in the power sums p_k of the
-Chern roots (Hirzebruch, Topological Methods in Algebraic Geometry, section
-1: the multiplicative sequence of x / (1 - e^{-x})).
+The Todd class has one formula in every degree, from the Chern classes:
+Td = exp(log Td), with log Td = p_1/2 - sum_j B_2j p_2j / (2j (2j)!) in the
+power sums p_k of the Chern roots, which Newton's identities give
+(Hirzebruch, Topological Methods in Algebraic Geometry, section 1: the
+multiplicative sequence of x / (1 - e^{-x})).
 """
 
 from __future__ import annotations
@@ -179,11 +179,11 @@ def _as_class(model, x):
     return model.unit() * x
 
 
-def log_todd_class(model, roots=None, classes=None) -> CharacterClass:
+def log_todd_class(model, classes) -> CharacterClass:
     """log Td = p_1/2 - sum_j B_2j p_2j / (2j (2j)!) through the top degree,
-    where p_k is the k-th power sum of the Chern roots: sum r^k over roots,
-    or from classes c_1, c_2, ... by Newton's identities.  The coefficients
-    are those of log(x / (1 - e^{-x})), whose derivative is
+    where p_k is the k-th power sum of the Chern roots, computed from the
+    classes c_1, c_2, ... by Newton's identities.  The coefficients are
+    those of log(x / (1 - e^{-x})), whose derivative is
     1/2 - sum_j B_2j x^(2j-1) / (2j)!.  The Bernoulli numbers come from the
     spectral layer's generator."""
     from math import factorial
@@ -191,34 +191,25 @@ def log_todd_class(model, roots=None, classes=None) -> CharacterClass:
     from .special import bernoulli_numbers
 
     top = model.top_degree
-    if roots is not None:
-        rs = [_as_class(model, r) for r in roots]
-        powers, sums = list(rs), []
-        for _ in range(top):
-            sums.append(sum(powers, model.zero()))
-            powers = [x * r for x, r in zip(powers, rs)]
-    elif classes is not None:
-        cs = [_as_class(model, c) for c in classes[:top]]
-        cs += [model.zero()] * (top - len(cs))
-        sums = []
-        for k in range(1, top + 1):
-            p = cs[k - 1] * ((-1) ** (k - 1) * k)
-            for i in range(1, k):
-                p = p + cs[i - 1] * sums[k - i - 1] * (-1) ** (i - 1)
-            sums.append(p)
-    else:
-        raise PreconditionError("todd_class needs roots or classes")
+    cs = [_as_class(model, c) for c in classes[:top]]
+    cs += [model.zero()] * (top - len(cs))
+    sums = []
+    for k in range(1, top + 1):
+        p = cs[k - 1] * ((-1) ** (k - 1) * k)
+        for i in range(1, k):
+            p = p + cs[i - 1] * sums[k - i - 1] * (-1) ** (i - 1)
+        sums.append(p)
     out = sums[0] * Fraction(1, 2) if top else model.zero()
     for j, b in enumerate(bernoulli_numbers(top // 2), 1):
         out = out - sums[2 * j - 1] * (b / (2 * j * factorial(2 * j)))
     return out
 
 
-def todd_class(model, roots=None, classes=None) -> CharacterClass:
-    """Td = exp(log Td) in every degree, from Chern roots or Chern classes
-    alike: Hirzebruch's multiplicative sequence of x / (1 - e^{-x})
+def todd_class(model, classes) -> CharacterClass:
+    """Td = exp(log Td) in every degree, from the Chern classes:
+    Hirzebruch's multiplicative sequence of x / (1 - e^{-x})
     (Topological Methods in Algebraic Geometry, section 1)."""
-    return log_todd_class(model, roots, classes).exp()
+    return log_todd_class(model, classes).exp()
 
 
 def model_tangent_todd(model) -> CharacterClass:

@@ -424,7 +424,7 @@ def _restrict(args, job):
 
 
 def _kunneth(args, job):
-    from .microlocal import characteristic_ideal, external_product_char, factorization_check
+    from .microlocal import external_product_char, factorization_check
 
     sys_ = job.system
     if args.copies is not None:
@@ -433,9 +433,7 @@ def _kunneth(args, job):
                 "factorization": factorization_check(sys_, max_copies=args.copies)}
     other = (sys_ if args.other is None
              else _named(job.doc.systems, args.other, "--other", "system"))
-    cv, ok = external_product_char(sys_, other)
-    cva = characteristic_ideal(sys_)
-    cvb = characteristic_ideal(other)
+    cv, ok, (cva, cvb) = external_product_char(sys_, other)
     return {
         "system": sys_.name,
         "other": other.name,

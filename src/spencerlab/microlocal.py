@@ -22,8 +22,9 @@ system into such coefficients in (x, xi) over one common denominator
 coefficients read; covectors are scaled to integers.
 Sturm sequences are primitive pseudo-remainder sequences on int lists
 (Collins 1967), which differ from the rational Sturm chain only by
-positive factors and so give the same root counts.  A classification
-freezes every system at x from that one symbol and saturates over xi alone.
+positive factors and so give the same root counts.  Every verdict freezes
+the symbol at each base point of its grid, classify, is_elliptic and
+is_hyperbolic alike, and none reads the DSL `point` line.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations, product
 from math import gcd, lcm
 
@@ -371,14 +372,16 @@ def _definiteness(terms):
 
 
 def _ellipticity(frozen, samples, saturates, count):
-    """The one ellipticity ladder: (verdict, certificate).  is_elliptic,
-    classify_mixed (per label row) and noncharacteristic_restrict
-    (on the restricted variety) all decide through it.
+    """The one ellipticity ladder: (verdict, certificate).  is_elliptic
+    (per grid base), classify_mixed (per label row) and
+    noncharacteristic_restrict (on the restricted variety) all decide
+    through it.
 
-    frozen: the generators, as terms (xi exponents, c), of a symbol that
-    reads no base point, or None.  samples: (x, xi, Z[i] generators at x,
-    integer xi) tuples, read lazily; the test uses the integer xi, and xi
-    is only the covector a counterexample certificate names.  saturates:
+    frozen: the generators frozen at one base point, as terms (xi
+    exponents, c), or None where no one base point freezes them.  samples:
+    (x, xi, Z[i] generators at x, integer xi) tuples, read lazily; the
+    test uses the integer xi, and xi is only the covector a
+    counterexample certificate names.  saturates:
     the saturation test, called only when no sample is a counterexample.
     count: the samples a grid verdict covers.
 
@@ -415,19 +418,29 @@ def _saturates(ideal: PolyIdeal, xi_vars):
 
 def is_elliptic(sys: PdeSystem, grid=None, seed=0):
     """(verdict, certificate): no real characteristic covectors off xi = 0,
-    decided by _ellipticity over every sample of the grid, and a grid
-    certificate counts them all, repeats included.  Generators that read
-    no base point are frozen for _ellipticity's definiteness rule."""
+    by _ellipticity at each grid base over the generators frozen there.  A
+    symbol that reads no base point is decided at the first base.  Else the
+    first base that refutes decides (indefinite names it), and if none
+    does, saturation over (x, xi), else a grid certificate of every sample."""
     bases, covectors = _grid(default_grid(sys, seed=seed) if grid is None else grid)
     if not bases or not covectors:
         raise PreconditionError("is_elliptic needs a nonempty grid")
     cv = characteristic_ideal(sys)
     symbol = _IntSymbol([_poly_terms(g, sys.n) for g in cv.ideal.generators], sys.n)
-    frozen = None if any(symbol.tops) else symbol.specialise(sys.base_point)
-    specs = ((x, symbol.specialise(x)) for x in bases)  # once per base, when first read
-    samples = ((x, xi, spec, _int_vector(xi)) for x, spec in specs for xi in covectors)
-    return _ellipticity(frozen, samples, lambda: _saturates(cv.ideal, cv.xi_vars),
-                        len(bases) * len(covectors))
+    pairs = [(xi, _int_vector(xi)) for xi in covectors]
+    count = len(bases) * len(covectors)
+    constant = not any(symbol.tops)
+    saturates = partial(_saturates, cv.ideal, cv.xi_vars)
+    for x in bases[:1] if constant else bases:
+        spec = [g for g in symbol.specialise(x) if g]  # a generator vanishing at x drops out
+        # at a base of a symbol that reads one, only a refutation decides
+        ok, cert = _ellipticity(spec, ((x, xi, spec, vec) for xi, vec in pairs),
+                                saturates if constant else lambda: False, count)
+        if cert["kind"] == "indefinite" and not constant:
+            cert["x"] = [str(v) for v in x]
+        if constant or not ok:
+            return ok, cert
+    return _ellipticity(None, (), saturates, count)
 
 
 # -- hyperbolicity -------------------------------------------------------------------------
@@ -466,9 +479,9 @@ def _transverse_part(eta, theta):
 
 def is_hyperbolic(sys: PdeSystem, direction, grid=None, seed=0, strict=False):
     """Real-rootedness of t -> sigma(t*theta + eta') over the transverse
-    parts of the grid's covectors, by exact Sturm counts.  The symbol is
-    frozen at the base point, so each covector is tested once and a Sturm
-    certificate counts it once per base point of the grid.
+    parts of the grid's covectors, by exact Sturm counts, with the symbol
+    frozen at each base point of the grid; a Sturm certificate counts every
+    covector tested, once per base point.
 
     Degenerate (value None) when sigma(theta) = 0: either the symbol does
     not involve the direction or the direction itself is characteristic.
@@ -481,52 +494,47 @@ def is_hyperbolic(sys: PdeSystem, direction, grid=None, seed=0, strict=False):
         raise PreconditionError("hyperbolicity test implemented for single scalar equations")
     eq = sys.equations[0]
     principal = [t for t in _entry_terms(eq, 0) if sum(t[1]) == eq.order()]
-    frozen = _IntSymbol([principal], sys.n).specialise(sys.base_point)[0]
-    pairs = [(xi, _int_vector(xi)) for xi in covectors] if bases else []  # else no sample
-    return _hyperbolicity(frozen, theta, pairs, strict, len(bases))
+    symbol = _IntSymbol([principal], sys.n)
+    frozen = ((x, symbol.specialise(x)[0]) for x in bases)  # each when first read
+    return _hyperbolicity(frozen, theta, [(xi, _int_vector(xi)) for xi in covectors], strict)
 
 
-def _hyperbolicity(frozen, theta, covectors, strict, copies=1):
-    """is_hyperbolic for a frozen symbol given as terms (xi exponents, c)
-    over Z[i], over (xi, xi scaled to an int vector) pairs that a Sturm
-    certificate counts `copies` times each.  theta and every transverse part
-    are scaled to integer vectors by positive factors, which rescale t and
-    leave the root counts as they are."""
+def _hyperbolicity(frozen, theta, covectors, strict):
+    """is_hyperbolic over (x, principal symbol frozen at x as terms (xi
+    exponents, c) over Z[i]) pairs and (xi, xi scaled to an int vector)
+    pairs: the first x whose verdict is not True decides.  theta and every
+    transverse part are scaled to integer vectors by positive factors,
+    which rescale t and leave the root counts as they are."""
     th = _int_vector(theta)
-    k = max((sum(e) for e, _ in frozen), default=-1)
-    lead = _direction_polynomial(frozen, th, [0] * len(th))
-    if len(lead) - 1 < k or not lead:
-        reason = (
-            "principal symbol independent of the direction coordinate"
-            if all(e[i] == 0 for e, _ in frozen for i in range(len(th)) if th[i])
-            else "direction is characteristic"
-        )
-        return HyperbolicityReport(None, "degenerate", {"reason": reason})
     nn = sum(t * t for t in th)
     tested = 0
-    for xi, v in covectors:
-        dot = sum(a * b for a, b in zip(v, th))
-        eta = [nn * a - dot * b for a, b in zip(v, th)]  # |theta|^2 times the transverse part
-        if not any(eta):
-            continue
-        coeffs = _direction_polynomial(frozen, th, eta)
-        tested += 1
-        if not _real_rooted(coeffs, strict):
-            return HyperbolicityReport(
-                False,
-                "not_hyperbolic",
-                {
-                    "kind": "sturm_counterexample",
+    for x, terms in frozen:
+        k = max((sum(e) for e, _ in terms), default=-1)
+        lead = _direction_polynomial(terms, th, [0] * len(th))
+        if len(lead) - 1 < k or not lead:
+            reason = ("principal symbol independent of the direction coordinate"
+                      if all(e[i] == 0 for e, _ in terms for i in range(len(th)) if th[i])
+                      else "direction is characteristic")
+            return HyperbolicityReport(None, "degenerate", {"reason": reason})
+        for xi, v in covectors:
+            dot = sum(a * b for a, b in zip(v, th))
+            eta = [nn * a - dot * b for a, b in zip(v, th)]  # |theta|^2 times the transverse part
+            if not any(eta):
+                continue
+            coeffs = _direction_polynomial(terms, th, eta)
+            tested += 1
+            if not _real_rooted(coeffs, strict):
+                return HyperbolicityReport(False, "not_hyperbolic", {
+                    "kind": "sturm_counterexample", "x": [str(v) for v in x],
                     "eta": [str(v) for v in _transverse_part(xi, theta)],
                     "distinct_real_roots": sturm_distinct_real_roots(coeffs),
-                    "degree": len(coeffs) - 1,
-                },
-            )
+                    "degree": len(coeffs) - 1})
+        if tested == 0:  # no covector is transverse, whatever the base
+            break
     if tested == 0:
-        return HyperbolicityReport(
-            None, "degenerate", {"reason": "no transverse covectors in grid"}
-        )
-    return HyperbolicityReport(True, "hyperbolic", {"kind": "sturm", "samples": copies * tested})
+        return HyperbolicityReport(None, "degenerate",
+                                   {"reason": "no transverse covectors in grid"})
+    return HyperbolicityReport(True, "hyperbolic", {"kind": "sturm", "samples": tested})
 
 
 # -- cones ------------------------------------------------------------------------------------
@@ -715,14 +723,14 @@ def classify_mixed(sys: PdeSystem, grid, directions=None, cones=None):
                                xi_vars),
             len(pool))
 
-    def hyperbolic_at(spec, j):
-        """Whether is_hyperbolic(sys with base point x, thetas[j], strict=True)
-        over the pool says True, from the frozen principal symbol."""
+    def hyperbolic_at(spec, x, j):
+        """Whether is_hyperbolic(sys, thetas[j], ([x], pool), strict=True)
+        says True, from the frozen principal symbol."""
         if principal_order is None:
             return False
         frozen = [t for t in spec[len(gens)] if sum(t[0]) == principal_order]
         try:
-            return _hyperbolicity(frozen, thetas[j], pool, True).value is True
+            return _hyperbolicity([(x, frozen)], thetas[j], pool, True).value is True
         except PreconditionError:
             return False
 
@@ -738,7 +746,7 @@ def classify_mixed(sys: PdeSystem, grid, directions=None, cones=None):
             if verdict:
                 other = {"label": "elliptic", "certificate": cert}
             else:
-                j = next((j for j in range(len(thetas)) if hyperbolic_at(spec, j)), None)
+                j = next((j for j in range(len(thetas)) if hyperbolic_at(spec, x, j)), None)
                 other = ({"label": "degenerate"} if j is None else
                          {"label": "hyperbolic", "direction": [str(t) for t in directions[j]]})
         return [{"label": "characteristic"} if c else other for c in char]
@@ -900,12 +908,15 @@ def _kunneth_equal(cv: CharVariety, factors):
 
 
 def external_product_char(a: PdeSystem, b: PdeSystem):
-    """Characteristic ideal of the external product plus the Kunneth check
-    against the join of the factors."""
+    """(characteristic variety of the external product, the Kunneth check
+    against the join of the factors, the factors' varieties), each built
+    once: when b is a, one variety serves both factors."""
     from .systems import external_product
 
+    cva = characteristic_ideal(a)
+    factors = [cva, cva if b is a else characteristic_ideal(b)]
     cv = characteristic_ideal(external_product(a, b))
-    return cv, _kunneth_equal(cv, [characteristic_ideal(a), characteristic_ideal(b)])
+    return cv, _kunneth_equal(cv, factors), factors
 
 
 def factorization_check(sys: PdeSystem, max_copies=3):

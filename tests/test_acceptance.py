@@ -138,7 +138,7 @@ def test_criterion_05_kunneth_factorization():
     systems = {"dx": dx_system(1), "laplace": laplace_system(), "wave": wave_system()}
     for name_a, a in systems.items():
         for name_b, b in systems.items():
-            cv, ok = external_product_char(a, b)
+            cv, ok, _ = external_product_char(a, b)
             assert ok, (name_a, name_b)
             da = characteristic_ideal(a).dimension
             db = characteristic_ideal(b).dimension

@@ -240,6 +240,68 @@ def test_cli_indefinite_determinant_is_not_elliptic(capsys, tmp_path):
     assert "system is not elliptic" in capsys.readouterr().err
 
 
+T3 = ("system t3 { vars x, y; unknowns u, v; eq: D[x](u) - y*D[y](v) - 3*D[y](v) = 0; "
+      "eq: D[y](u) - D[x](v) = 0; }")
+
+
+def test_cli_indefinite_determinant_at_a_base_is_not_elliptic(capsys, tmp_path):
+    """t3 freezes at each base to the determinant -xi_x^2 + (y + 3) xi_y^2,
+    indefinite at the origin, the first base of the default grid, with real
+    zeros only at irrational slopes: --mode elliptic refutes there and names
+    the base, and index, which needs an elliptic system, exits 3."""
+    pde = tmp_path / "t3.pde"
+    pde.write_text(T3)
+    assert main(["classify", str(pde), "--mode", "elliptic"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["elliptic"], result["certificate"]) == (
+        False, {"kind": "indefinite", "x": ["0", "0"]})
+    assert main(["index", str(pde), "--model", "P1"]) == 3
+    assert "system is not elliptic" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("point", ["", "point 0, -1;"])
+def test_cli_hyperbolic_freezes_at_every_base(capsys, tmp_path, point):
+    """Tricomi is hyperbolic along (0, 1) only where y <= 0.  The seed-0
+    grid holds the base (2, 4/3), where it is elliptic, so --mode
+    hyperbolic says false there and names the base; a point line moves
+    nothing."""
+    pde = tmp_path / "tricomi.pde"
+    pde.write_text(TRICOMI.replace("unknowns u;", f"unknowns u; {point}"))
+    assert main(["classify", str(pde), "--mode", "hyperbolic", "--direction", "0,1"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["hyperbolic"], result["status"]) == (False, "not_hyperbolic")
+    assert result["certificate"] == {"kind": "sturm_counterexample", "x": ["2", "4/3"],
+                                     "eta": ["1", "0"], "distinct_real_roots": 0, "degree": 2}
+
+
+def test_cli_kunneth_builds_each_factor_variety_once(capsys, tmp_path, monkeypatch):
+    """Without --other the system is both factors: one characteristic
+    variety serves the Kunneth join and the dimensions, so the command
+    builds two ideals, the factor's and the product's, and completes each
+    once."""
+    from spencerlab import groebner, microlocal
+
+    counts = {}
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(microlocal, "characteristic_ideal")
+    counting(groebner, "buchberger")
+    pde = tmp_path / "wave.pde"
+    pde.write_text(WAVE)
+    assert main(["kunneth", str(pde)]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result == {"system": "wave", "other": "wave", "kunneth_ok": True, "dimension": 6,
+                      "dimension_additivity": True}
+    assert counts == {"characteristic_ideal": 2, "buchberger": 2}
+
+
 def test_cli_determinism(capsys, tmp_path):
     pde = tmp_path / "laplace.pde"
     pde.write_text(LAPLACE)
@@ -846,8 +908,8 @@ def _frozen_system(sys_, x):
 def _reference_labels(sys_, grid, directions):
     """classify_mixed labels by the per-x route it takes without a compiled
     symbol: characteristic generators evaluated through MultiPoly,
-    is_elliptic on _frozen_system(sys, x) and is_hyperbolic on sys with
-    base point x."""
+    is_elliptic on _frozen_system(sys, x) and is_hyperbolic on sys over
+    the one base x."""
     from itertools import product
 
     from spencerlab.errors import PreconditionError
@@ -874,8 +936,7 @@ def _reference_labels(sys_, grid, directions):
         label = {"index": idx, "label": "degenerate"}
         for theta in directions:
             try:
-                rep = is_hyperbolic(sys_._replace(base_point=x), theta, grid=sub_grid,
-                                    strict=True)
+                rep = is_hyperbolic(sys_, theta, grid=sub_grid, strict=True)
             except PreconditionError:
                 continue
             if rep.value is True:
@@ -906,7 +967,7 @@ _RNG = random.Random(535932)
 _REPEATED_BASES = [(_RNG.choice(_VALUES), _RNG.choice(_VALUES[1:4])) for _ in range(60)]
 
 
-@pytest.mark.parametrize("text, bases, directions", [
+_PER_X_CASES = [
     # Tricomi, across the fold line y = 0
     (TRICOMI, [(x, y) for x in (0, "1/2", -3) for y in (-2, "-1/3", 0, "1/2", 3)],
      [(0, 1)]),
@@ -976,7 +1037,10 @@ _REPEATED_BASES = [(_RNG.choice(_VALUES), _RNG.choice(_VALUES[1:4])) for _ in ra
     ("system halfvan { vars x, y; unknowns u, v; eq: x*D[x](u) + x*D[y](v) = 0; "
      "eq: y*D[x](u) + y*D[y](v) + x*u = 0; }",
      [(0, 0), (0, 1), (1, 0), (1, 1), ("-1/2", 0), (0, -2)], None),
-])
+]
+
+
+@pytest.mark.parametrize("text, bases, directions", _PER_X_CASES)
 def test_classify_matches_per_x_reference(text, bases, directions):
     from spencerlab.microlocal import axis_covectors, classify_mixed
 
@@ -987,6 +1051,53 @@ def test_classify_matches_per_x_reference(text, bases, directions):
     expected = _reference_labels(sys_, grid, directions or axis_covectors(sys_.n)[::2])
     assert report.labels == expected
     assert sum(report.strata.values()) == len(bases) * len(xis)
+
+
+def _verdict(call):
+    """call()'s value, or the PreconditionError it raises, as a comparable pair."""
+    try:
+        return call()
+    except PreconditionError as exc:
+        return ("raises", str(exc))
+
+
+@pytest.mark.parametrize("text, bases, directions", _PER_X_CASES)
+def test_verdicts_are_the_first_refutation_of_their_one_base_calls(text, bases, directions):
+    """is_elliptic and is_hyperbolic freeze the symbol at each base of the
+    grid: each equals the first of its one-base calls on ([x], covectors)
+    that is not True, and when every one is True, it is True with their
+    certificate kind and a sample count summed over the bases.  The
+    system's declared base point moves neither."""
+    from spencerlab.microlocal import axis_covectors, is_elliptic, is_hyperbolic
+
+    sys_ = next(iter(parse_pde_dsl(text).systems.values()))
+    bases, covectors = grid = _classify_grid(bases, _CLASSIFY_XIS if sys_.n == 2
+                                             else _CLASSIFY_XIS3)
+    moved = sys_._replace(base_point=bases[-1])
+    samples = len(bases) * len(covectors)
+    one = [_verdict(lambda: is_elliptic(sys_, ([x], covectors))) for x in bases]
+    full = _verdict(lambda: is_elliptic(sys_, grid))
+    assert _verdict(lambda: is_elliptic(moved, grid)) == full
+    first = next((v for v in one if v[0] is not True), None)
+    if first is not None:
+        assert full == first
+    else:
+        assert full[0] is True and {cert["kind"] for _, cert in one} == {full[1]["kind"]}
+        assert full[1].get("samples", samples) == samples
+    if sys_.m != 1 or len(sys_.equations) != 1:
+        return
+    for theta in directions or axis_covectors(sys_.n)[::2]:
+        for strict in (False, True):
+            one = [_verdict(lambda: is_hyperbolic(sys_, theta, ([x], covectors), strict=strict))
+                   for x in bases]
+            full = _verdict(lambda: is_hyperbolic(sys_, theta, grid, strict=strict))
+            assert _verdict(lambda: is_hyperbolic(moved, theta, grid, strict=strict)) == full
+            first = next((v for v in one if v[0] is not True), None)
+            if first is not None:
+                assert full == first
+            else:
+                assert full.value is True and full.certificate == {
+                    "kind": "sturm", "samples": sum(v.certificate["samples"] for v in one)}
 
 
 def test_cli_region_over_more_variables_than_the_system_exits_2(capsys, tmp_path):

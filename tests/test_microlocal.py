@@ -18,6 +18,7 @@ from spencerlab.microlocal import (
     _int_vector,
     _poly_trim,
     _real_rooted,
+    axis_covectors,
     characteristic_ideal,
     classify_mixed,
     cone_intersection,
@@ -392,6 +393,30 @@ def test_one_quadratic_determinant_is_decided_by_definiteness(text, verdict, cer
     assert report.strata == {label: len(report.labels)}
     if verdict:
         assert all(lab["certificate"] == cert for lab in report.labels)
+
+
+def test_elliptic_freezes_at_every_base():
+    """t3 reads y, so no one frozen form decides it: at each base its
+    determinant is -xi_x^2 + (y + 3) xi_y^2, indefinite for y > -3 with
+    real zeros at irrational slopes only, and Sylvester's test refutes at
+    the first base of the default grid, the origin."""
+    sys = _dsl_system("system t3 { vars x, y; unknowns u, v; "
+                      "eq: D[x](u) - y*D[y](v) - 3*D[y](v) = 0; eq: D[y](u) - D[x](v) = 0; }")
+    assert is_elliptic(sys) == (False, {"kind": "indefinite", "x": ["0", "0"]})
+    # one base where the form is definite (y < -3) leaves the verdict to the tail
+    assert is_elliptic(sys, ([(0, -4)], axis_covectors(2))) == (
+        True, {"kind": "grid", "samples": 4})
+
+
+def test_hyperbolic_freezes_at_every_base():
+    """Tricomi along (0, 1) is hyperbolic only where y <= 0; the seed-0 grid
+    holds the base (2, 4/3), whose transverse covector (1, 0) refutes."""
+    bases, _ = default_grid(tricomi_system())
+    assert (2, Fraction(4, 3)) in bases
+    rep = is_hyperbolic(tricomi_system(), (0, 1))
+    assert (rep.value, rep.status) == (False, "not_hyperbolic")
+    assert rep.certificate == {"kind": "sturm_counterexample", "x": ["2", "4/3"],
+                               "eta": ["1", "0"], "distinct_real_roots": 0, "degree": 2}
 
 
 def test_drop2m_elliptic_labels_match_the_closed_form():
@@ -917,19 +942,19 @@ def test_elliptic_restriction_noncharacteristic(a, b):
 
 
 def test_external_product_dx_dx():
-    cv, ok = external_product_char(dx_system(1), dx_system(1))
+    cv, ok, _ = external_product_char(dx_system(1), dx_system(1))
     assert ok
     assert cv.dimension == 2  # zero section of T*R^2
 
 
 def test_external_product_laplace_laplace():
-    cv, ok = external_product_char(laplace_system(), laplace_system())
+    cv, ok, _ = external_product_char(laplace_system(), laplace_system())
     assert ok
     assert cv.dimension == 3 + 3
 
 
 def test_external_product_dx_laplace():
-    cv, ok = external_product_char(dx_system(1), laplace_system())
+    cv, ok, _ = external_product_char(dx_system(1), laplace_system())
     assert ok
     assert cv.dimension == 1 + 3
 
@@ -942,7 +967,7 @@ def test_kunneth_dimension_additivity():
     ]:
         cva = characteristic_ideal(a)
         cvb = characteristic_ideal(b)
-        cv, ok = external_product_char(a, b)
+        cv, ok, _ = external_product_char(a, b)
         assert ok
         assert cv.dimension == cva.dimension + cvb.dimension
 
